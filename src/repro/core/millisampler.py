@@ -119,6 +119,8 @@ class SamplerStats:
     packets_processed: int = 0
     packets_skipped_disabled: int = 0
     runs_completed: int = 0
+    #: Runs discarded mid-recording (a sync run preempting a periodic one).
+    runs_aborted: int = 0
     cpu_ns: float = 0.0
 
 
@@ -188,6 +190,21 @@ class Millisampler:
         self._sketch_words.fill(0)
         self._start_time = None
         self._state = SamplerState.ENABLED
+
+    def abort(self) -> None:
+        """Discard the run in progress, leaving the filter attached and
+        disabled with nothing to read.
+
+        User space does this when a SyncMillisampler run comes due while
+        a periodic run is still recording: sync has priority, and the
+        periodic run (which began at its first packet, after its
+        scheduled slot) is cut off rather than stored half-filled.
+        """
+        if self._state is not SamplerState.ENABLED:
+            raise SamplerError("no run in progress")
+        self._state = SamplerState.DISABLED
+        self._start_time = None
+        self.stats.runs_aborted += 1
 
     def detach(self) -> None:
         """Remove the filter from the packet path entirely.

@@ -70,12 +70,25 @@ class SampledHost:
             self._enabled_at = None
             self._active_sync_id = None
         due = self.scheduler.next_run(now)
-        if due is not None:
-            if sampler.state.value == "detached":
-                sampler.attach()
-            sampler.enable()
-            self._enabled_at = now
-            self._active_sync_id = due.sync_id if due.is_sync else None
+        if due is None:
+            return
+        if sampler.enabled:
+            # A run starts at its first packet, after its scheduled
+            # slot, so it can outlive the slot the scheduler reserved.
+            if not due.is_sync:
+                return  # a periodic run never interrupts a recording one
+            if self._active_sync_id is not None:
+                raise SamplerError(
+                    f"sync run {due.sync_id!r} is due while sync run "
+                    f"{self._active_sync_id!r} is still recording"
+                )
+            # Sync runs take priority over periodic collection.
+            sampler.abort()
+        if sampler.state.value == "detached":
+            sampler.attach()
+        sampler.enable()
+        self._enabled_at = now
+        self._active_sync_id = due.sync_id if due.is_sync else None
 
 
 @dataclass

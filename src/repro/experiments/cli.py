@@ -6,13 +6,16 @@ Examples::
     millisampler-repro run fig9 fig16 --racks 60
     millisampler-repro run all --out results/ --racks 150
     millisampler-repro run all --exp-jobs 4 --manifest out/manifest.json
+    millisampler-repro run fig9 --trace-memory --manifest out/manifest.json
 
 Suite runs (`run`, `report`) go through the experiment orchestrator:
 every experiment executes inside its own failure boundary, so one
 broken experiment never kills the rest — the suite completes, prints a
 failure summary, and exits nonzero.  ``--manifest`` leaves a
 machine-readable JSON record (config, telemetry, per-experiment
-outcomes); ``--profile`` prints the timer/counter profile.
+outcomes); ``--profile`` prints the timer/counter profile.  Memory is
+reported as peak RSS; ``--trace-memory`` adds a per-experiment
+``tracemalloc`` peak at the cost of a much slower run.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 import sys
 
 from ..config import KERNEL_CHOICES, FleetConfig
+from ..errors import ConfigError
 from .context import ExperimentContext
 from .registry import EXPERIMENTS, ordered_ids
 
@@ -127,6 +131,13 @@ def _add_orchestration_args(parser: argparse.ArgumentParser) -> None:
              "default 1); results are identical for any value",
     )
     parser.add_argument(
+        "--trace-memory", action="store_true",
+        help="also record each experiment's tracemalloc peak (analysis "
+             "only: datasets are built first, untraced); runs one "
+             "experiment at a time and slows the run, so peak RSS is "
+             "the default memory figure",
+    )
+    parser.add_argument(
         "--manifest", type=str, default=None, metavar="PATH",
         help="write a JSON run manifest (config, telemetry, "
              "per-experiment status/timing/memory) to PATH",
@@ -146,7 +157,6 @@ def _add_orchestration_args(parser: argparse.ArgumentParser) -> None:
 
 def _policy_arg(text: str):
     """argparse type for ``--policy``: a validated PolicySpec."""
-    from ..errors import ConfigError
     from ..fleet.policies import parse_policy_arg
 
     try:
@@ -336,6 +346,7 @@ def _finish_orchestrated(args, ctx, orchestration) -> int:
             telemetry=ctx.metrics.snapshot(),
             cache_dir=ctx.cache_dir,
             exp_jobs=args.exp_jobs,
+            trace_memory=args.trace_memory,
             store_dir=ctx.store_dir,
             shard_racks=ctx.shard_racks if ctx.store_dir else None,
             shard_hours=ctx.shard_hours if ctx.store_dir else None,
@@ -399,11 +410,16 @@ def _report(args) -> int:
     from .report import orchestrate, render_markdown
 
     ctx = _context(args)
-    orchestration = orchestrate(
-        ctx,
-        exp_jobs=args.exp_jobs,
-        progress=lambda eid, took: print(f"  {eid}: {took:.1f}s"),
-    )
+    try:
+        orchestration = orchestrate(
+            ctx,
+            exp_jobs=args.exp_jobs,
+            progress=lambda eid, took: print(f"  {eid}: {took:.1f}s"),
+            trace_memory=args.trace_memory,
+        )
+    except ConfigError as exc:  # an orchestration setting, e.g. --trace-memory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(render_markdown(orchestration.results, ctx, orchestration.outcomes))
     print(f"wrote {args.out}")
@@ -447,9 +463,17 @@ def _run(args) -> int:
                 if not args.quiet:
                     print(f"  wrote {path}")
 
-    orchestration = run_experiments(
-        ctx, requested, exp_jobs=args.exp_jobs, progress=progress
-    )
+    try:
+        orchestration = run_experiments(
+            ctx,
+            requested,
+            exp_jobs=args.exp_jobs,
+            progress=progress,
+            trace_memory=args.trace_memory,
+        )
+    except ConfigError as exc:  # an orchestration setting, e.g. --trace-memory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return _finish_orchestrated(args, ctx, orchestration)
 
 

@@ -7,10 +7,16 @@ orchestrator gives every experiment its own failure boundary and
 telemetry:
 
 * each experiment produces an :class:`ExperimentOutcome` — status
-  (``ok`` / ``failed`` / ``skipped``), wall time, peak memory
-  (``tracemalloc`` traced peak when running serially, process RSS
-  high-water mark via :mod:`resource` always), dataset-cache traffic,
-  and the result's headline metrics;
+  (``ok`` / ``failed`` / ``skipped``), wall time, peak memory, dataset-
+  cache traffic, and the result's headline metrics;
+* the default memory figure is the process RSS high-water mark (via
+  :mod:`resource`), which costs nothing to read.  ``tracemalloc`` is
+  opt-in (``trace_memory=True``, the CLI's ``--trace-memory``): its
+  allocation hook slows every allocation several-fold, so the
+  orchestrator then warms the shared datasets *before* starting it and
+  traces each experiment on its own, making the traced peak that
+  experiment's analysis and nothing else (worker pools never inherit
+  the tracer, see :func:`repro.fleet.kernels.pool_initializer`);
 * a raising experiment is recorded and the suite continues; the caller
   decides the exit code from :attr:`OrchestrationResult.failures`;
 * ``exp_jobs > 1`` fans experiments out over a thread pool after a
@@ -57,7 +63,8 @@ class ExperimentOutcome:
     wall_time_s: float = 0.0
     error: str | None = None
     #: tracemalloc traced-allocation peak during the experiment; None
-    #: when running on a thread pool (the tracer is process-global).
+    #: unless the run asked for ``trace_memory`` (the tracer slows every
+    #: allocation, so it is opt-in and serial-only).
     peak_tracemalloc_bytes: int | None = None
     #: Process RSS high-water mark after the experiment (monotonic
     #: per process, so attribution is approximate); None off-POSIX.
@@ -190,6 +197,7 @@ def run_experiments(
     exp_jobs: int = 1,
     progress: Callable[[ExperimentOutcome, ExperimentResult | None], None] | None = None,
     on_error: str = "collect",
+    trace_memory: bool = False,
 ) -> OrchestrationResult:
     """Run experiments with per-experiment isolation and telemetry.
 
@@ -199,7 +207,9 @@ def run_experiments(
     fail-fast, used where callers want the exception).  ``progress``
     is invoked once per experiment *in requested order* with the
     outcome and the result (None on failure), so streamed output is
-    identical for any job count.
+    identical for any job count.  ``trace_memory`` records each
+    experiment's ``tracemalloc`` peak; it needs a serial run, because
+    the tracer is process-global.
     """
     if on_error not in ("collect", "raise"):
         raise ConfigError(f"on_error must be 'collect' or 'raise', got {on_error!r}")
@@ -210,6 +220,12 @@ def run_experiments(
         )
     reraise = on_error == "raise"
     jobs = min(resolve_jobs(exp_jobs), max(len(experiment_ids), 1))
+    if trace_memory and jobs > 1:
+        raise ConfigError(
+            f"memory tracing needs one experiment at a time, got {jobs} "
+            "concurrent experiments (the tracer is process-global and "
+            "cannot attribute a peak to one of them)"
+        )
 
     outcomes: list[ExperimentOutcome] = []
     results: dict[str, ExperimentResult] = {}
@@ -222,7 +238,11 @@ def run_experiments(
             progress(outcome, result)
 
     skip_reason: str | None = None
-    if jobs > 1 and any(EXPERIMENTS[e].needs_dataset for e in experiment_ids):
+    # Warm up before fanning out (so workers never race to build a
+    # region-day) and before tracing (so the traced peak is analysis,
+    # not generation).
+    warm_first = jobs > 1 or trace_memory
+    if warm_first and any(EXPERIMENTS[e].needs_dataset for e in experiment_ids):
         try:
             warm_datasets(ctx)
         except Exception as exc:
@@ -246,7 +266,10 @@ def run_experiments(
 
     if jobs == 1:
         for experiment_id in experiment_ids:
-            collect(*_run_one(ctx, experiment_id, trace_memory=True, reraise=reraise))
+            if runnable(experiment_id):
+                collect(*_run_one(ctx, experiment_id, trace_memory, reraise))
+            else:
+                collect(skipped(experiment_id), None)
     else:
         with ThreadPoolExecutor(
             max_workers=jobs, thread_name_prefix="experiment"

@@ -44,11 +44,13 @@ def orchestrate(
     exp_jobs: int = 1,
     progress=None,
     on_error: str = "collect",
+    trace_memory: bool = False,
 ) -> OrchestrationResult:
     """Run the (named or full) registry with outcomes and telemetry.
 
     ``progress`` keeps the historical ``(experiment_id, seconds)``
-    callback shape.
+    callback shape; ``trace_memory`` is passed to
+    :func:`~repro.experiments.orchestrator.run_experiments`.
     """
     ids = experiment_ids or ordered_ids()
     outcome_progress = None
@@ -56,7 +58,12 @@ def orchestrate(
         def outcome_progress(outcome: ExperimentOutcome, _result) -> None:
             progress(outcome.experiment_id, outcome.wall_time_s)
     return run_experiments(
-        ctx, ids, exp_jobs=exp_jobs, progress=outcome_progress, on_error=on_error
+        ctx,
+        ids,
+        exp_jobs=exp_jobs,
+        progress=outcome_progress,
+        on_error=on_error,
+        trace_memory=trace_memory,
     )
 
 

@@ -11,7 +11,8 @@ The package owns the execution-only ``kernel`` axis
   under :data:`COMPILE_SECONDS_COUNTER`) so the first real rack is
   never silently JIT-stalled;
 * :func:`pool_initializer` is the picklable hook worker pools run at
-  fork so the warm-up happens in every worker, not the parent;
+  fork so the warm-up happens in every worker, not the parent (it also
+  stops any ``tracemalloc`` tracer the worker inherited);
 * :func:`consume_pending` drains counters staged where no
   :class:`~repro.obs.metrics.Metrics` was in scope (import time,
   pool initializers) into the caller's metrics.
@@ -167,6 +168,17 @@ def pool_initializer(kernel_setting: str) -> None:
     pays the compile on its first real task.  Compile time stays staged
     in the worker and is drained into that worker's task metrics by
     :func:`consume_pending`.
+
+    A forked worker inherits the parent's ``tracemalloc`` tracer, whose
+    allocation hook would tax every numpy temporary of the fluid loop,
+    while the parent never reads a child's traced memory: stop it.
     """
+    # Imported here so only pool workers load it: the import alone
+    # shifts glibc's heap layout enough to move the packet simulator's
+    # peak RSS by ~70 MB (malloc's dynamic mmap threshold).
+    import tracemalloc
+
+    if tracemalloc.is_tracing():
+        tracemalloc.stop()
     if resolve_kernel(kernel_setting) == "native":
         warm_kernels()

@@ -18,11 +18,12 @@ contract enforced by :func:`validate_manifest`:
              "hours": 24, "seed": 20221025, "jobs": 0,
              "cache_dir": "~/.cache/millisampler-repro"},
   "exp_jobs": 4,
+  "trace_memory": false,
   "status": "failed",
   "failed": ["fig9"],
   "experiments": [
     {"experiment_id": "fig1", "status": "ok", "wall_time_s": 0.21,
-     "error": null, "peak_tracemalloc_bytes": 1048576,
+     "error": null, "peak_tracemalloc_bytes": null,
      "peak_rss_bytes": 181403648, "cache_hits": 0, "cache_misses": 0,
      "metrics": {"share_alpha1_s1": 0.5}},
     {"experiment_id": "fig9", "status": "failed", "wall_time_s": 0.02,
@@ -31,6 +32,12 @@ contract enforced by :func:`validate_manifest`:
   "telemetry": {"counters": {"dataset.cache.hit": 2}, "timers": {...}}
 }
 ```
+
+``trace_memory`` says whether the run traced allocations with
+``tracemalloc`` (``--trace-memory``).  Only then do outcomes carry a
+``peak_tracemalloc_bytes`` figure, and the tracer slows every
+allocation, so a reader comparing wall times must check it.  Manifests
+written before the field existed omit it.
 """
 
 from __future__ import annotations
@@ -113,6 +120,7 @@ def build_manifest(
     store_dir: str | None = None,
     shard_racks: int | None = None,
     shard_hours: int | None = None,
+    trace_memory: bool = False,
 ) -> dict:
     """Assemble a schema-valid manifest dict.
 
@@ -139,6 +147,7 @@ def build_manifest(
             "shard_hours": shard_hours,
         },
         "exp_jobs": exp_jobs,
+        "trace_memory": trace_memory,
         "status": "failed" if failed else "ok",
         "failed": failed,
         "experiments": [
@@ -189,6 +198,8 @@ def validate_manifest(manifest: dict) -> None:
     check(manifest.get("status") in ("ok", "failed"),
           "status is not 'ok' or 'failed'")
     check(isinstance(manifest.get("exp_jobs"), int), "exp_jobs is not an int")
+    check(isinstance(manifest.get("trace_memory", False), bool),
+          "trace_memory is not a bool")
     check(isinstance(manifest.get("failed"), list), "failed is not a list")
 
     config = manifest.get("config")

@@ -156,3 +156,51 @@ class TestSampledHostPolling:
         host.poll(now=1.0)
         host.poll(now=2.0)
         assert len(host.store) == 0
+
+
+class TestSyncPriority:
+    """A periodic run starts at its first packet, so it can still be
+    recording after the slot its scheduler reserved has ended."""
+
+    def late_periodic_host(self):
+        from repro.core.millisampler import Direction, PacketObservation
+
+        host = make_host("h0")
+        host.scheduler = RunScheduler(period=1.0, run_duration=10e-3, first_start=0.0)
+        host.poll(now=0.0)  # periodic slot [0, 10 ms) begins
+        # Its first packet arrives late: the run now ends at 18 ms.
+        host.sampler.observe(
+            PacketObservation(time=8e-3, direction=Direction.INGRESS, size=10, flow_key="f")
+        )
+        return host
+
+    def test_sync_run_preempts_a_periodic_run_still_recording(self):
+        from repro.core.millisampler import Direction, PacketObservation
+
+        host = self.late_periodic_host()
+        host.scheduler.request_sync_run(start_time=12e-3, sync_id="s", now=1e-3)
+        host.poll(now=12e-3)
+        assert host.sampler.enabled
+        assert host.sampler.start_time is None  # a fresh run, not the periodic one
+        assert host.sampler.stats.runs_aborted == 1
+        host.sampler.observe(
+            PacketObservation(time=12.5e-3, direction=Direction.INGRESS, size=7, flow_key="f")
+        )
+        host.poll(now=30e-3)
+        # Only the sync run is stored; the cut-off periodic run is not.
+        assert host.store.start_times() == [12.5e-3]
+        assert host.sync_run_start("s") == 12.5e-3
+
+    def test_periodic_slot_never_interrupts_a_recording_run(self):
+        host = self.late_periodic_host()
+        host.scheduler = RunScheduler(period=10e-3, run_duration=10e-3, first_start=10e-3)
+        host.poll(now=10e-3)  # the next periodic slot is due mid-run
+        assert host.sampler.enabled
+        assert host.sampler.start_time == 8e-3
+        assert host.sampler.stats.runs_aborted == 0
+
+    def test_abort_needs_a_run_in_progress(self):
+        host = make_host("h0")
+        host.sampler.attach()
+        with pytest.raises(SamplerError, match="no run in progress"):
+            host.sampler.abort()

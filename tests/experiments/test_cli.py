@@ -183,6 +183,55 @@ class TestExpJobsParity:
         assert metrics_blob(1, "serial.json") == metrics_blob(4, "parallel.json")
 
 
+class TestTraceMemoryFlag:
+    IDS = ["table1", "fig1"]
+
+    def manifest(self, tmp_path, name, *extra):
+        path = str(tmp_path / name)
+        assert cli.main(
+            ["run", *self.IDS, "--manifest", path, *extra] + FAST_ARGS
+        ) == 0
+        with open(path) as handle:
+            manifest = json.load(handle)
+        validate_manifest(manifest)
+        return manifest
+
+    def test_default_run_records_rss_only(self, tmp_path, capsys):
+        manifest = self.manifest(tmp_path, "plain.json")
+        assert manifest["trace_memory"] is False
+        for entry in manifest["experiments"]:
+            assert entry["peak_tracemalloc_bytes"] is None
+            assert entry["peak_rss_bytes"] > 0
+
+    def test_traced_run_has_peaks_and_identical_metrics(self, tmp_path, capsys):
+        plain = self.manifest(tmp_path, "plain.json")
+        traced = self.manifest(tmp_path, "traced.json", "--trace-memory")
+        assert traced["trace_memory"] is True
+        assert all(e["peak_tracemalloc_bytes"] > 0 for e in traced["experiments"])
+
+        def blob(manifest):
+            return json.dumps(
+                [[e["experiment_id"], e["metrics"]] for e in manifest["experiments"]],
+                sort_keys=True,
+            )
+
+        assert blob(plain) == blob(traced)
+
+    @pytest.mark.parametrize("command", [
+        ["run", "fig1", "perf"],
+        ["report", "unused.md"],
+    ])
+    def test_with_exp_jobs_is_a_one_line_error(self, command, capsys):
+        rc = cli.main(command + ["--trace-memory", "--exp-jobs", "2",
+                                 "--racks", "2", "--runs-per-rack", "2",
+                                 "--no-cache"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: memory tracing needs one experiment at a time")
+        assert "Traceback" not in err
+
+
 class TestAuditFlag:
     def test_audited_run_is_clean_and_counted_in_manifest(self, tmp_path, capsys):
         """Acceptance: the audited suite completes with zero violations,

@@ -62,6 +62,25 @@ class TestFig4:
         assert result.metric("max_concurrent_bursty") == 5
         assert result.metric("full_contention_buckets") >= 5
 
+    def test_default_seed_metrics_pinned(self, ctx):
+        """The collision fix only changes runs where a periodic run is
+        still recording at the sync start; the default seed has none."""
+        assert fig04_burst_validation.run(ctx).metrics == {
+            "max_concurrent_bursty": 5.0,
+            "expected_concurrent": 5.0,
+            "full_contention_buckets": 10.0,
+            "bursts_detected": 10.0,
+        }
+
+    @pytest.mark.parametrize("seed", list(range(1, 41)) + list(range(200, 211)))
+    def test_sync_run_survives_every_seed(self, seed):
+        """Regression: seeds 38 and 205 started a periodic run at its
+        first packet, after its scheduled slot, so it was still
+        recording when the sync run came due and ``enable`` raised
+        ``SamplerError: run already in progress``."""
+        sync_run = fig04_burst_validation.run_simulation(seed)
+        assert int(sync_run.contention_series().max()) == 5
+
 
 class TestFig5:
     def test_low_vs_high_examples(self, ctx):

@@ -1,5 +1,7 @@
 """Tests for fault-isolated, observable experiment orchestration."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import ConfigError
@@ -67,12 +69,12 @@ class TestIsolation:
         """Regression: the re-raise path returned before the epilogue,
         leaving the process-wide tracer running and leaking its peak
         into every later tracemalloc measurement in the process."""
-        import tracemalloc
-
         assert not tracemalloc.is_tracing()
         failing_registry(monkeypatch, "perf")
         with pytest.raises(RuntimeError, match="injected failure"):
-            run_experiments(tiny_ctx(), ["perf"], on_error="raise")
+            run_experiments(
+                tiny_ctx(), ["perf"], on_error="raise", trace_memory=True
+            )
         assert not tracemalloc.is_tracing()
 
     def test_invalid_on_error_rejected(self):
@@ -84,15 +86,39 @@ class TestIsolation:
             run_experiments(tiny_ctx(), ["figure-nope"])
 
 
+def tracing_registry(monkeypatch) -> list[bool]:
+    """Record ``tracemalloc.is_tracing()`` inside every experiment body."""
+    from repro.experiments.registry import get_experiment as real
+
+    seen: list[bool] = []
+
+    def fake(experiment_id):
+        body = real(experiment_id)
+
+        def observed(ctx):
+            seen.append(tracemalloc.is_tracing())
+            return body(ctx)
+
+        return observed
+
+    monkeypatch.setattr(orchestrator, "get_experiment", fake)
+    return seen
+
+
 class TestOutcomeTelemetry:
-    def test_serial_outcomes_carry_timing_and_memory(self):
+    def test_serial_outcomes_carry_timing_and_memory(self, monkeypatch):
+        """By default memory is the RSS high-water mark: the tracer is
+        never started, during or after the run."""
+        seen = tracing_registry(monkeypatch)
         orch = run_experiments(tiny_ctx(), FAST)
+        assert seen == [False] * len(FAST)
+        assert not tracemalloc.is_tracing()
         for outcome in orch.outcomes:
             assert outcome.ok
             assert outcome.wall_time_s > 0
-            assert outcome.peak_tracemalloc_bytes is not None
-            assert outcome.peak_tracemalloc_bytes > 0
+            assert outcome.peak_tracemalloc_bytes is None
             assert outcome.peak_rss_bytes is not None
+            assert outcome.peak_rss_bytes > 0
             assert outcome.metrics  # headline metrics captured
 
     def test_experiment_spans_recorded(self):
@@ -115,6 +141,82 @@ class TestOutcomeTelemetry:
         (outcome,) = orch.outcomes
         assert outcome.cache_hits == 2
         assert outcome.cache_misses == 0
+
+
+class TestTraceMemory:
+    IDS = ["table1", "fig1"]
+
+    def test_traced_peaks_cover_analysis_after_an_untraced_warmup(
+        self, monkeypatch
+    ):
+        ctx = tiny_ctx()
+        warm_at_start: list[set[str]] = []
+        real_start = tracemalloc.start
+
+        def recording_start(*args):
+            warm_at_start.append(set(ctx._datasets))
+            real_start(*args)
+
+        monkeypatch.setattr(tracemalloc, "start", recording_start)
+        seen = tracing_registry(monkeypatch)
+        orch = run_experiments(ctx, self.IDS, trace_memory=True)
+        # One tracer per experiment, each started with both region-days
+        # already generated, so generation never runs under the hook.
+        assert warm_at_start == [{"RegA", "RegB"}] * len(self.IDS)
+        assert seen == [True] * len(self.IDS)
+        assert "warmup" in ctx.metrics.timers()
+        assert not tracemalloc.is_tracing()
+        for outcome in orch.outcomes:
+            assert outcome.ok
+            assert outcome.peak_tracemalloc_bytes > 0
+            assert outcome.peak_rss_bytes > 0
+
+    def test_metrics_identical_with_and_without_tracing(self):
+        untraced = run_experiments(tiny_ctx(), self.IDS)
+        traced = run_experiments(tiny_ctx(), self.IDS, trace_memory=True)
+        for plain, with_tracer in zip(untraced.outcomes, traced.outcomes):
+            assert plain.metrics == with_tracer.metrics  # exact equality
+
+    def test_rejects_concurrent_experiments(self):
+        with pytest.raises(ConfigError, match="one experiment at a time"):
+            run_experiments(tiny_ctx(), FAST, exp_jobs=2, trace_memory=True)
+
+    def test_single_experiment_may_ask_for_a_pool(self):
+        (outcome,) = run_experiments(
+            tiny_ctx(), ["fig1"], exp_jobs=4, trace_memory=True
+        ).outcomes
+        assert outcome.peak_tracemalloc_bytes > 0
+
+    def test_warmup_failure_skips_dataset_experiments(self, monkeypatch):
+        def broken_warmup(ctx, regions=orchestrator.WARMUP_REGIONS):
+            raise RuntimeError("generation exploded")
+
+        monkeypatch.setattr(orchestrator, "warm_datasets", broken_warmup)
+        orch = run_experiments(tiny_ctx(), ["fig1", "table1"], trace_memory=True)
+        assert [o.status for o in orch.outcomes] == ["ok", "skipped"]
+        assert "generation exploded" in orch.outcomes[1].error
+
+    def test_pool_workers_never_inherit_the_tracer(self):
+        """A forked worker would otherwise keep the parent's allocation
+        hook for its whole life; the parent never reads it."""
+        from repro.fleet.kernels import pool_initializer
+        from repro.fleet.parallel import run_windowed
+
+        seen = []
+        tracemalloc.start()
+        try:
+            run_windowed(
+                [0, 1],
+                lambda executor, item: executor.submit(tracemalloc.is_tracing),
+                lambda item, tracing: seen.append(tracing),
+                jobs=2,
+                initializer=pool_initializer,
+                initargs=("auto",),
+            )
+            assert tracemalloc.is_tracing()  # the parent keeps its tracer
+        finally:
+            tracemalloc.stop()
+        assert seen == [False, False]
 
 
 class TestParallel:

@@ -52,6 +52,7 @@ class TestBuildManifest:
         assert manifest["failed"] == ["fig9"]
         assert manifest["config"]["seed"] == 7
         assert manifest["exp_jobs"] == 4
+        assert manifest["trace_memory"] is False
         entry = manifest["experiments"][0]
         assert entry["status"] == "ok"
         assert entry["metrics"] == {"share": 0.5}
@@ -60,6 +61,11 @@ class TestBuildManifest:
         manifest = build_manifest(FleetConfig(), outcomes()[:1])
         assert manifest["status"] == "ok"
         assert manifest["failed"] == []
+
+    def test_trace_memory_recorded(self):
+        manifest = build_manifest(FleetConfig(), outcomes(), trace_memory=True)
+        assert manifest["trace_memory"] is True
+        assert manifest["experiments"][1]["peak_tracemalloc_bytes"] is None
 
     def test_numpy_metric_values_become_json_numbers(self):
         np = pytest.importorskip("numpy")
@@ -99,6 +105,17 @@ class TestValidateManifest:
         manifest["failed"] = []
         with pytest.raises(ManifestError, match="disagrees"):
             validate_manifest(manifest)
+
+    def test_rejects_non_bool_trace_memory(self):
+        manifest = build_manifest(FleetConfig(), outcomes())
+        manifest["trace_memory"] = 1
+        with pytest.raises(ManifestError, match="trace_memory"):
+            validate_manifest(manifest)
+
+    def test_accepts_manifest_written_before_trace_memory(self):
+        manifest = build_manifest(FleetConfig(), outcomes())
+        del manifest["trace_memory"]
+        validate_manifest(manifest)
 
     def test_reports_every_problem_at_once(self):
         manifest = build_manifest(FleetConfig(), outcomes())

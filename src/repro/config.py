@@ -280,19 +280,10 @@ class FleetConfig:
     #: bit-identical data, larger batches amortize the per-bucket time
     #: loop over more runs at the cost of holding that many raw runs in
     #: memory at once (~20 MB per run at paper scale).  16 is the
-    #: measured knee: roughly 2x end-to-end region generation vs the
-    #: serial kernel, with diminishing returns (and growing footprint)
+    #: measured knee: roughly 2x end-to-end region generation vs
+    #: one-run batches, with diminishing returns (and growing footprint)
     #: beyond it.
     fluid_batch: int = 16
-    #: Return parallel workers' results through a preallocated
-    #: ``multiprocessing.shared_memory`` segment (columnar float64
-    #: slots, see :mod:`repro.fleet.shm`) instead of pickling the
-    #: summaries over the executor's result pipe.  Execution-only like
-    #: ``jobs``: the decoded dataset is bit-identical to the pickled
-    #: transport (asserted by the determinism suite), so the flag never
-    #: feeds the dataset cache key.  The pickled path (False, the
-    #: default) remains the bit-exactness oracle.
-    shm_transfer: bool = False
     #: Buffer-sharing policy every synthesized rack runs under.  A
     #: dataset axis like ``seed``: two configs differing only in policy
     #: describe *different* region-days, so the spec feeds the dataset

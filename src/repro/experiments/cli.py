@@ -211,13 +211,6 @@ def _add_generation_args(parser: argparse.ArgumentParser) -> None:
         help="hours per shard for --store-dir (default 12)",
     )
     parser.add_argument(
-        "--shm-transfer", action="store_true",
-        help="return worker results through a shared-memory segment "
-             "instead of pickling them over the pool's result pipe; "
-             "bit-identical to the default pickled transport (which "
-             "remains the exactness oracle), cheaper at scale",
-    )
-    parser.add_argument(
         "--kernel", choices=KERNEL_CHOICES, default="auto",
         help="fluid-model kernel: 'native' is the numba-jitted time "
              "loop, 'numpy' the vectorized oracle, 'auto' (default) "
@@ -322,7 +315,6 @@ def _context(args, verbose: bool = False) -> ExperimentContext:
             runs_per_rack=args.runs_per_rack,
             seed=args.seed,
             jobs=args.jobs,
-            shm_transfer=getattr(args, "shm_transfer", False),
             kernel=getattr(args, "kernel", "auto"),
             **({"policy": policy} if policy is not None else {}),
         ),
@@ -374,7 +366,6 @@ def _serve(args) -> int:
                 runs_per_rack=args.runs_per_rack,
                 seed=args.seed,
                 jobs=args.jobs,
-                shm_transfer=args.shm_transfer,
                 kernel=getattr(args, "kernel", "auto"),
                 **({"policy": args.policy} if args.policy is not None else {}),
             ),
@@ -410,16 +401,12 @@ def _report(args) -> int:
     from .report import orchestrate, render_markdown
 
     ctx = _context(args)
-    try:
-        orchestration = orchestrate(
-            ctx,
-            exp_jobs=args.exp_jobs,
-            progress=lambda eid, took: print(f"  {eid}: {took:.1f}s"),
-            trace_memory=args.trace_memory,
-        )
-    except ConfigError as exc:  # an orchestration setting, e.g. --trace-memory
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    orchestration = orchestrate(
+        ctx,
+        exp_jobs=args.exp_jobs,
+        progress=lambda eid, took: print(f"  {eid}: {took:.1f}s"),
+        trace_memory=args.trace_memory,
+    )
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(render_markdown(orchestration.results, ctx, orchestration.outcomes))
     print(f"wrote {args.out}")
@@ -463,36 +450,36 @@ def _run(args) -> int:
                 if not args.quiet:
                     print(f"  wrote {path}")
 
-    try:
-        orchestration = run_experiments(
-            ctx,
-            requested,
-            exp_jobs=args.exp_jobs,
-            progress=progress,
-            trace_memory=args.trace_memory,
-        )
-    except ConfigError as exc:  # an orchestration setting, e.g. --trace-memory
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    orchestration = run_experiments(
+        ctx,
+        requested,
+        exp_jobs=args.exp_jobs,
+        progress=progress,
+        trace_memory=args.trace_memory,
+    )
     return _finish_orchestrated(args, ctx, orchestration)
 
 
+_COMMANDS = {"export": _export, "analyze": _analyze, "serve": _serve,
+             "report": _report, "run": _run}
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A bad configuration (a negative ``--racks``, ``--trace-memory`` with
+    parallel experiments, ...) exits 2 with one ``error:`` line.
+    """
     args = _build_parser().parse_args(argv)
-    if args.command == "export":
-        return _export(args)
-    if args.command == "analyze":
-        return _analyze(args)
-    if args.command == "serve":
-        return _serve(args)
-    if args.command == "report":
-        return _report(args)
     if args.command == "list":
         for experiment_id in ordered_ids():
             print(f"{experiment_id:8s} {EXPERIMENTS[experiment_id].title}")
         return 0
-    return _run(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -107,7 +107,7 @@ KEY_BEARING_FIELDS: tuple[str, ...] = (
     "seed",
     "policy",
 )
-EXECUTION_ONLY_FIELDS: tuple[str, ...] = ("jobs", "fluid_batch", "shm_transfer", "kernel")
+EXECUTION_ONLY_FIELDS: tuple[str, ...] = ("jobs", "fluid_batch", "kernel")
 
 
 def dataset_cache_key(spec: RegionSpec, config: FleetConfig) -> str:

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -211,34 +212,25 @@ def _plan_items(plan: RackRunPlan, config: FleetConfig) -> list[BatchItem]:
     ]
 
 
-def _summarize_batch(
-    items: list[BatchItem],
-    synthesizer: RackRunSynthesizer,
-    metrics: Metrics,
-) -> list[tuple[RunSummary, RackWorkload]]:
-    """Synthesize one fluid batch and reduce every run immediately."""
-    sync_runs = synthesizer.synthesize_batch(items, metrics=metrics)
-    with metrics.span("synthesis/summarize"):
-        return [
-            (summarize_run(sync_run), workload)
-            for (workload, _hour, _rng), sync_run in zip(items, sync_runs)
-        ]
-
-
-def iter_rack_day(
-    plan: RackRunPlan,
+def summarize_batches(
+    items: Iterable[BatchItem],
     config: FleetConfig,
     synthesizer: RackRunSynthesizer | None = None,
     metrics: Metrics | None = None,
-) -> Iterator[RunSummary]:
-    """Synthesize and reduce one rack's runs, one fluid batch at a time."""
+) -> Iterator[tuple[RunSummary, RackWorkload]]:
+    """The one batching loop: synthesize ``items`` in consecutive fluid
+    batches of ``config.fluid_batch`` and reduce every run of a batch to
+    its summary before the next batch starts, so peak memory is one
+    batch of raw runs.  ``items`` is consumed lazily."""
     synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy, kernel=config.kernel)
     metrics = metrics if metrics is not None else Metrics()
-    items = _plan_items(plan, config)
-    for start in range(0, len(items), config.fluid_batch):
-        chunk = items[start : start + config.fluid_batch]
-        for summary, _workload in _summarize_batch(chunk, synthesizer, metrics):
-            yield summary
+    items = iter(items)
+    while chunk := list(islice(items, config.fluid_batch)):
+        sync_runs = synthesizer.synthesize_batch(chunk, metrics=metrics)
+        with metrics.span("synthesis/summarize"):
+            summaries = [summarize_run(sync_run) for sync_run in sync_runs]
+        for summary, (workload, _hour, _rng) in zip(summaries, chunk):
+            yield summary, workload
 
 
 def synthesize_rack_day(
@@ -248,7 +240,12 @@ def synthesize_rack_day(
     metrics: Metrics | None = None,
 ) -> list[RunSummary]:
     """One rack's reduced day — the unit of work a pool worker executes."""
-    return list(iter_rack_day(plan, config, synthesizer, metrics))
+    return [
+        summary
+        for summary, _workload in summarize_batches(
+            _plan_items(plan, config), config, synthesizer, metrics
+        )
+    ]
 
 
 def iter_region_summaries(
@@ -276,27 +273,13 @@ def iter_plan_summaries(
     metrics: Metrics | None = None,
 ) -> Iterator[tuple[RunSummary, RackWorkload]]:
     """:func:`iter_region_summaries` over an explicit plan list (the
-    shard store synthesizes hour-band slices of a region plan)."""
-    synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy, kernel=config.kernel)
-    metrics = metrics if metrics is not None else Metrics()
+    serial region path keeps its plan for the workload list)."""
     total = sum(len(plan.hours) for plan in plans)
-    done = 0
-    buffer: list[BatchItem] = []
-    for plan in plans:
-        buffer.extend(_plan_items(plan, config))
-        while len(buffer) >= config.fluid_batch:
-            chunk, buffer = buffer[: config.fluid_batch], buffer[config.fluid_batch :]
-            for summary, workload in _summarize_batch(chunk, synthesizer, metrics):
-                done += 1
-                if progress is not None:
-                    progress(done, total)
-                yield summary, workload
-    if buffer:
-        for summary, workload in _summarize_batch(buffer, synthesizer, metrics):
-            done += 1
-            if progress is not None:
-                progress(done, total)
-            yield summary, workload
+    items = (item for plan in plans for item in _plan_items(plan, config))
+    for done, pair in enumerate(summarize_batches(items, config, synthesizer, metrics), 1):
+        if progress is not None:
+            progress(done, total)
+        yield pair
 
 
 def generate_region_dataset(

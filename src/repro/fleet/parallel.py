@@ -204,7 +204,7 @@ def run_windowed(
 
 def _rack_day_task(
     plan: RackRunPlan, config: FleetConfig, synthesizer: RackRunSynthesizer | None
-) -> tuple[int, list[RunSummary], dict]:
+) -> tuple[list[RunSummary], dict]:
     """Top-level worker entry point (must be picklable).
 
     Stage timers (demand/fluid/assemble/summarize) are recorded into a
@@ -215,7 +215,7 @@ def _rack_day_task(
     worker_metrics = Metrics()
     consume_pending(worker_metrics)  # pool-initializer JIT compile time
     summaries = synthesize_rack_day(plan, config, synthesizer, metrics=worker_metrics)
-    return plan.rack_index, summaries, worker_metrics.snapshot()
+    return summaries, worker_metrics.snapshot()
 
 
 def _plan_label(plan: RackRunPlan) -> str:
@@ -240,13 +240,6 @@ def generate_region_dataset_parallel(
     process boundary); it records the fan-out span and per-rack-day
     task counts.
 
-    With ``config.shm_transfer`` set, workers return their summaries
-    through a preallocated ``multiprocessing.shared_memory`` segment
-    (columnar float64 slots, see :mod:`repro.fleet.shm`) instead of
-    pickling them over the result pipe; the decoded dataset is
-    bit-identical to the pickled path, which stays available as the
-    exactness oracle.
-
     Failure semantics come from :func:`run_windowed`: fail-fast
     :class:`WorkerTaskError` naming the failing rack, retry-once then
     :class:`WorkerCrashError` on worker death, graceful-drain
@@ -265,8 +258,9 @@ def generate_region_dataset_parallel(
     per_rack: list[list[RunSummary] | None] = [None] * len(plans)
     progress_done = 0
 
-    def handle_result(plan: RackRunPlan, summaries: list[RunSummary], snapshot: dict) -> None:
+    def handle(plan: RackRunPlan, result: tuple[list[RunSummary], dict]) -> None:
         nonlocal progress_done
+        summaries, snapshot = result
         per_rack[plan.rack_index] = summaries
         progress_done += len(summaries)
         metrics.incr("dataset.parallel.rack_days")
@@ -274,43 +268,21 @@ def generate_region_dataset_parallel(
         if progress is not None:
             progress(progress_done, total)
 
-    window = 2 * jobs
     with metrics.span(f"generate/{spec.name}"):
-        if config.shm_transfer:
-            from .shm import run_plans_shm
-
-            run_plans_shm(
-                plans,
-                spec,
-                config,
-                handle_result,
-                jobs=jobs,
-                window=window,
-                synthesizer=synthesizer,
-                metrics=metrics,
-                pool=pool,
-                cancel_event=cancel_event,
-            )
-        else:
-
-            def handle(plan: RackRunPlan, result: tuple[int, list[RunSummary], dict]) -> None:
-                _rack_index, summaries, snapshot = result
-                handle_result(plan, summaries, snapshot)
-
-            run_windowed(
-                plans,
-                lambda executor, plan: executor.submit(
-                    _rack_day_task, plan, config, synthesizer
-                ),
-                handle,
-                jobs=jobs,
-                window=window,
-                label=_plan_label,
-                pool=pool,
-                cancel_event=cancel_event,
-                initializer=pool_initializer,
-                initargs=(config.kernel,),
-            )
+        run_windowed(
+            plans,
+            lambda executor, plan: executor.submit(
+                _rack_day_task, plan, config, synthesizer
+            ),
+            handle,
+            jobs=jobs,
+            window=2 * jobs,
+            label=_plan_label,
+            pool=pool,
+            cancel_event=cancel_event,
+            initializer=pool_initializer,
+            initargs=(config.kernel,),
+        )
     summaries = [summary for rack in per_rack for summary in (rack or [])]
     metrics.incr("dataset.generated_runs", len(summaries))
     return RegionDataset(

@@ -95,9 +95,9 @@ class RackRunSynthesizer:
         hour: int,
         rng: np.random.Generator | np.random.SeedSequence,
         start_time: float = 0.0,
-        buckets: int | None = None,
     ) -> SyncRun:
-        """One SyncMillisampler run for ``workload``'s rack at ``hour``.
+        """One SyncMillisampler run for ``workload``'s rack at ``hour``:
+        :meth:`synthesize_batch` over a batch of one item.
 
         ``rng`` may be a ready generator or a ``SeedSequence`` leaf of
         the dataset's seed-stream tree (see :mod:`repro.fleet.dataset`);
@@ -105,23 +105,7 @@ class RackRunSynthesizer:
         which is what allows rack runs to be synthesized in isolation
         (in parallel workers, or one-off for debugging).
         """
-        if isinstance(rng, np.random.SeedSequence):
-            rng = np.random.default_rng(rng)
-        if not 0 <= hour < 24:
-            raise SimulationError("hour must be in [0, 24)")
-        buckets = buckets if buckets is not None else self._run_length(rng)
-        servers = workload.placement.servers
-        line_rate = workload.rack_config.server_link_rate
-
-        demand = self.demand_model.generate(workload, hour, buckets, rng)
-        fluid = self._fluid_model(workload)
-        result = fluid.run(
-            demand.demand,
-            demand.persistence,
-            demand.initial_multiplier,
-            demand.initial_alpha,
-        )
-        return self._assemble(workload, hour, rng, demand, result, buckets, start_time)
+        return self.synthesize_batch([(workload, hour, rng)], start_time=start_time)[0]
 
     def _fluid_model(self, workload: RackWorkload) -> FluidBufferModel:
         model = FluidBufferModel(
@@ -166,8 +150,8 @@ class RackRunSynthesizer:
         """Turn one run's fluid outputs into a :class:`SyncRun`.
 
         Consumes this run's remaining RNG draws (sketch noise, egress
-        echo) in the same order as the pre-batch serial path, so batched
-        and serial synthesis are byte-identical per seed leaf.
+        echo) right after its run-length and demand draws, so a run is
+        byte-identical per seed leaf whatever batch it is part of.
         """
         servers = workload.placement.servers
         line_rate = workload.rack_config.server_link_rate
@@ -226,17 +210,18 @@ class RackRunSynthesizer:
         the same arguments :meth:`synthesize` takes.  Each item keeps
         its own RNG (normally its ``SeedSequence`` leaf of the dataset's
         stream tree), and all RNG-consuming stages (run length, demand,
-        sketch noise, egress echo) run per item in the serial order;
+        sketch noise, egress echo) run per item, in item order;
         only the RNG-free fluid step is batched, over groups of items
         that share a rack profile (server count, link rate, buffer
-        config).  The returned runs are byte-identical to calling
-        :meth:`synthesize` per item.
+        config).  Items never interact, so each returned run is
+        byte-identical to synthesizing its item alone.
 
         ``metrics`` records where synthesis time goes, as
         ``synthesis/demand``, ``synthesis/fluid`` and
         ``synthesis/assemble`` timers.
         """
-        metrics = metrics if metrics is not None else Metrics()
+        recording = metrics is not None
+        metrics = metrics if recording else Metrics()
 
         # Phase 1 — per-run RNG work: run lengths and demand synthesis.
         prepared = []
@@ -295,8 +280,8 @@ class RackRunSynthesizer:
                     fluid_results[i] = batch.per_run(row)
 
         # Phase 3 — per-run RNG work again: sketch noise, egress echo,
-        # SyncRun assembly (the items' RNGs resume exactly where the
-        # serial path would, because the fluid step drew nothing).
+        # SyncRun assembly (each item's RNG resumes right after its
+        # demand draws, because the fluid step drew nothing).
         out: list[SyncRun] = []
         with metrics.span("synthesis/assemble"):
             for (workload, hour, rng, buckets, demand), result in zip(
@@ -309,6 +294,8 @@ class RackRunSynthesizer:
                 )
         metrics.incr("synthesis.batched_runs", len(out))
         # Kernel counters staged outside a metrics scope (import-time
-        # numba probe, pool-initializer compile time) surface here.
-        consume_pending(metrics)
+        # numba probe, pool-initializer compile time) surface in the
+        # caller's registry; without one they stay staged.
+        if recording:
+            consume_pending(metrics)
         return out

@@ -71,6 +71,7 @@ from .dataset import (
     RegionDataset,
     plan_region,
     run_rng,
+    summarize_batches,
 )
 from .kernels import consume_pending, pool_initializer
 from .rackrun import BatchItem, RackRunSynthesizer
@@ -314,26 +315,19 @@ def synthesize_shard(
 ) -> list[RunSummary]:
     """Synthesize one shard's runs (rack-major, hour-ascending order),
     reducing each fluid batch immediately — the worker's unit of work."""
-    from .dataset import _summarize_batch  # shared batching helper
-
-    synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy, kernel=config.kernel)
-    metrics = metrics if metrics is not None else Metrics()
-    items: list[BatchItem] = []
-    for plan, run_indices in zip(task.plans, task.run_indices):
-        for run_index in run_indices:
-            items.append(
-                (
-                    plan.workload,
-                    plan.hours[run_index],
-                    run_rng(task.key.region, config.seed, plan.rack_index, run_index),
-                )
-            )
-    summaries: list[RunSummary] = []
-    for start in range(0, len(items), config.fluid_batch):
-        chunk = items[start : start + config.fluid_batch]
-        for summary, _workload in _summarize_batch(chunk, synthesizer, metrics):
-            summaries.append(summary)
-    return summaries
+    items: list[BatchItem] = [
+        (
+            plan.workload,
+            plan.hours[run_index],
+            run_rng(task.key.region, config.seed, plan.rack_index, run_index),
+        )
+        for plan, run_indices in zip(task.plans, task.run_indices)
+        for run_index in run_indices
+    ]
+    return [
+        summary
+        for summary, _workload in summarize_batches(items, config, synthesizer, metrics)
+    ]
 
 
 def _write_shard(

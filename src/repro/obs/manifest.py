@@ -101,6 +101,40 @@ def _resolved_kernel(fleet_config) -> str:
     return resolve_kernel(getattr(fleet_config, "kernel", "auto"))
 
 
+def _config_block(
+    fleet_config,
+    cache_dir: str | None,
+    store_dir: str | None,
+    shard_racks: int | None,
+    shard_hours: int | None,
+) -> dict:
+    """The ``config`` block the run manifest and ``/metrics`` share."""
+    return {
+        "racks_per_region": fleet_config.racks_per_region,
+        "runs_per_rack": fleet_config.runs_per_rack,
+        "hours": fleet_config.hours,
+        "seed": fleet_config.seed,
+        "jobs": fleet_config.jobs,
+        "policy": fleet_config.policy.canonical_json(),
+        "kernel": _resolved_kernel(fleet_config),
+        "cache_dir": cache_dir,
+        "store_dir": store_dir,
+        "shard_racks": shard_racks,
+        "shard_hours": shard_hours,
+    }
+
+
+def _config_problems(config) -> list[str]:
+    """Schema violations of a shared ``config`` block."""
+    if not isinstance(config, dict):
+        return ["config is not a dict"]
+    return [
+        f"config.{name} missing or mistyped"
+        for name, types in _CONFIG_FIELDS.items()
+        if not isinstance(config.get(name), types)
+    ]
+
+
 def _clean_number(value):
     """Coerce numpy scalars (and other number-likes) to JSON floats."""
     if isinstance(value, (int, float)):
@@ -133,19 +167,9 @@ def build_manifest(
         "schema": MANIFEST_SCHEMA,
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "created_at": time.time(),
-        "config": {
-            "racks_per_region": fleet_config.racks_per_region,
-            "runs_per_rack": fleet_config.runs_per_rack,
-            "hours": fleet_config.hours,
-            "seed": fleet_config.seed,
-            "jobs": fleet_config.jobs,
-            "policy": fleet_config.policy.canonical_json(),
-            "kernel": _resolved_kernel(fleet_config),
-            "cache_dir": cache_dir,
-            "store_dir": store_dir,
-            "shard_racks": shard_racks,
-            "shard_hours": shard_hours,
-        },
+        "config": _config_block(
+            fleet_config, cache_dir, store_dir, shard_racks, shard_hours
+        ),
         "exp_jobs": exp_jobs,
         "trace_memory": trace_memory,
         "status": "failed" if failed else "ok",
@@ -201,14 +225,7 @@ def validate_manifest(manifest: dict) -> None:
     check(isinstance(manifest.get("trace_memory", False), bool),
           "trace_memory is not a bool")
     check(isinstance(manifest.get("failed"), list), "failed is not a list")
-
-    config = manifest.get("config")
-    if isinstance(config, dict):
-        for name, types in _CONFIG_FIELDS.items():
-            check(isinstance(config.get(name), types),
-                  f"config.{name} missing or mistyped")
-    else:
-        problems.append("config is not a dict")
+    problems.extend(_config_problems(manifest.get("config")))
 
     experiments = manifest.get("experiments")
     if isinstance(experiments, list):
@@ -283,19 +300,9 @@ def build_service_metrics(
         "schema": SERVICE_METRICS_SCHEMA,
         "schema_version": SERVICE_METRICS_SCHEMA_VERSION,
         "created_at": time.time(),
-        "config": {
-            "racks_per_region": fleet_config.racks_per_region,
-            "runs_per_rack": fleet_config.runs_per_rack,
-            "hours": fleet_config.hours,
-            "seed": fleet_config.seed,
-            "jobs": fleet_config.jobs,
-            "policy": fleet_config.policy.canonical_json(),
-            "kernel": _resolved_kernel(fleet_config),
-            "cache_dir": cache_dir,
-            "store_dir": store_dir,
-            "shard_racks": shard_racks,
-            "shard_hours": shard_hours,
-        },
+        "config": _config_block(
+            fleet_config, cache_dir, store_dir, shard_racks, shard_hours
+        ),
         "service": {name: service.get(name, 0) for name in _SERVICE_FIELDS},
         "telemetry": telemetry if telemetry is not None else {},
     }
@@ -322,14 +329,7 @@ def validate_service_metrics(document: dict) -> None:
           f"schema_version != {SERVICE_METRICS_SCHEMA_VERSION}")
     check(isinstance(document.get("created_at"), (int, float)),
           "created_at is not a timestamp")
-
-    config = document.get("config")
-    if isinstance(config, dict):
-        for name, types in _CONFIG_FIELDS.items():
-            check(isinstance(config.get(name), types),
-                  f"config.{name} missing or mistyped")
-    else:
-        problems.append("config is not a dict")
+    problems.extend(_config_problems(document.get("config")))
 
     service = document.get("service")
     if isinstance(service, dict):

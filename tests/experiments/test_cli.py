@@ -232,6 +232,20 @@ class TestTraceMemoryFlag:
         assert "Traceback" not in err
 
 
+class TestConfigErrors:
+    """A bad configuration exits 2 with one ``error:`` line, for every
+    command, instead of a ConfigError traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "table1", "--racks", "-1"],
+        ["serve", "--racks", "-1", "--port", "0"],
+    ])
+    def test_negative_racks_is_a_one_line_error(self, command, capsys):
+        assert cli.main(command + ["--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: region rack count cannot be negative\n"
+
+
 class TestAuditFlag:
     def test_audited_run_is_clean_and_counted_in_manifest(self, tmp_path, capsys):
         """Acceptance: the audited suite completes with zero violations,

@@ -6,8 +6,11 @@ inversion, and the burst-property/loss shapes.  Absolute numbers are
 checked only loosely (the dataset here is tiny).
 """
 
+import math
+
 import pytest
 
+from repro.analysis.stats import BoxStats
 from repro.experiments import (
     fig06_burst_frequency,
     fig07_burst_length,
@@ -170,3 +173,41 @@ class TestDatasetAccounting:
     def test_table1_bursty_fraction_band(self, results):
         fraction = results["table1"].metric("RegA_bursty_fraction")
         assert 0.1 <= fraction <= 0.6
+
+
+class Fig13Ctx:
+    """The two context calls fig13 makes, over fixed hourly boxes."""
+
+    def __init__(self, high_racks, hours):
+        self.high_racks = high_racks
+        self.hours = hours
+
+    def rega_high_racks(self):
+        return self.high_racks
+
+    def hourly_boxes(self, region, racks=None):
+        return {hour: BoxStats.from_values([1.0 + hour]) for hour in self.hours}
+
+
+class TestFig13SmallScale:
+    """At scales too small for a class, fig13 reports nan with a note."""
+
+    def test_no_high_racks(self):
+        result = fig13_diurnal.run(Fig13Ctx(high_racks=set(), hours=[2, 6, 18]))
+        assert math.isnan(result.metric("rega_high_peak_increase"))
+        assert result.metric("regb_peak_increase") > 0
+        assert "RegA-High has no racks" in result.notes
+
+    def test_window_with_one_side_empty(self):
+        result = fig13_diurnal.run(Fig13Ctx(high_racks={"r0"}, hours=[1, 2, 18]))
+        assert math.isnan(result.metric("rega_high_peak_increase"))
+        assert result.metric("regb_peak_increase") > 0
+        assert "RegA-High has no sampled hour inside hours 4-10" in result.notes
+
+    def test_real_small_context_is_ok(self):
+        from repro.experiments.context import ExperimentContext
+        from repro.experiments.orchestrator import run_experiments
+
+        ctx = ExperimentContext.small(racks=4, runs_per_rack=2, seed=11)
+        (outcome,) = run_experiments(ctx, ["fig13"]).outcomes
+        assert outcome.status == "ok", outcome.error

@@ -76,10 +76,6 @@ class TestRackRunSynthesizer:
         with pytest.raises(SimulationError):
             RackRunSynthesizer().synthesize(workload, hour=24, rng=rng)
 
-    def test_explicit_buckets_respected(self, workload, rng):
-        sync_run = RackRunSynthesizer().synthesize(workload, 6, rng, buckets=333)
-        assert sync_run.buckets == 333
-
     def test_retx_only_when_drops(self, workload, rng):
         sync_run = RackRunSynthesizer().synthesize(workload, 6, rng)
         total_retx = sum(run.in_retx_bytes.sum() for run in sync_run.runs)

@@ -19,11 +19,12 @@ from repro.core.millisampler import (
 from repro.core.run import RunMetadata
 from repro.core.sketch import hash_flow_keys
 from repro.fleet.buffermodel import FluidBufferModel
-from repro.fleet.dataset import generate_region_dataset
+from repro.fleet.dataset import _plan_items, generate_region_dataset, plan_region
+from repro.fleet.demand import DemandModel
 from repro.fleet.rackrun import RackRunSynthesizer
 from repro.simnet.tcp import DctcpControl, open_connection
 from repro.simnet.topology import build_rack
-from repro.workload.region import REGION_A, build_region_workloads
+from repro.workload.region import REGION_A, REGION_B, build_region_workloads
 
 DRAIN = units.SERVER_LINK_RATE * units.ANALYSIS_INTERVAL
 
@@ -242,6 +243,101 @@ def test_bench_region_dataset_generation(benchmark):
 
     dataset = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(dataset.summaries) == 8
+
+
+#: The store-build benchmark workload's config (benchmarks/e2e): 16
+#: racks x 2 runs per region, seed 11.  The layer benchmarks below use
+#: its first racks.
+STORE_BUILD = FleetConfig(racks_per_region=16, runs_per_rack=2, seed=11)
+
+
+def _store_build_items(racks_per_region: int = 4) -> list:
+    """(workload, hour, fresh rng) for the first racks of both regions
+    of the store-build config, each on its own seed-stream leaf."""
+    return [
+        item
+        for spec in (REGION_A, REGION_B)
+        for plan in plan_region(spec, STORE_BUILD)[:racks_per_region]
+        for item in _plan_items(plan, STORE_BUILD)
+    ]
+
+
+def _best_of(rounds: int, setup, run) -> float:
+    """The fastest of ``rounds`` timed calls of ``run(*setup())``."""
+    best = float("inf")
+    for _ in range(rounds):
+        args = setup()
+        start = time.perf_counter()
+        run(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_bench_demand_generate(benchmark):
+    """``DemandModel.generate`` (one standard-normal row per burst, the
+    rack's bursts realized at once) vs the historical per-burst loop the
+    test suite keeps as its ``==`` oracle, on the same store-build rack
+    runs in one process.  The ratio is machine-independent; the floor
+    sits under the ~2.5x measured on a 2-vCPU Xeon, most of what remains
+    being the per-server baseline draws both paths share."""
+    from tests.fleet.demand_reference import generate_reference
+
+    model = DemandModel()
+    synthesizer = RackRunSynthesizer(demand_model=model)
+
+    def draws():
+        # Each run's generator positioned after its run-length draw, as
+        # synthesize_batch calls generate.
+        items = []
+        for workload, hour, rng in _store_build_items():
+            items.append((workload, hour, synthesizer._run_length(rng), rng))
+        return (items,)
+
+    def generate_all(items, generate=model.generate):
+        return [generate(workload, hour, buckets, rng) for workload, hour, buckets, rng in items]
+
+    reference_s = _best_of(
+        2, draws, lambda items: generate_all(items, lambda *a: generate_reference(model, *a))
+    )
+    results = benchmark.pedantic(generate_all, setup=lambda: (draws(), {}), rounds=3)
+    new_s = benchmark.stats.stats.min
+
+    (reference_items,) = draws()
+    expected = generate_all(reference_items, lambda *a: generate_reference(model, *a))
+    assert all(
+        got.demand.tobytes() == want.demand.tobytes()
+        and got.connections.tobytes() == want.connections.tobytes()
+        for got, want in zip(results, expected)
+    )
+    benchmark.extra_info["rack_runs"] = len(results)
+    benchmark.extra_info["reference_s"] = reference_s
+    benchmark.extra_info["speedup"] = reference_s / new_s
+    assert reference_s / new_s >= 1.5
+
+
+def test_bench_summarize_run(benchmark):
+    """``summarize_run`` (one segment pass over the stacked run) vs the
+    historical per-server loop the test suite keeps as its ``==``
+    oracle, on the same store-build rack runs in one process.  The floor
+    sits under the ~3x measured on a 2-vCPU Xeon."""
+    from repro.analysis.summary import summarize_run
+    from tests.analysis.summary_reference import summarize_run_reference
+
+    sync_runs = RackRunSynthesizer().synthesize_batch(_store_build_items())
+
+    def summarize_all(summarize=summarize_run):
+        return [summarize(sync_run) for sync_run in sync_runs]
+
+    reference_s = _best_of(2, tuple, lambda: summarize_all(summarize_run_reference))
+    summaries = benchmark.pedantic(summarize_all, rounds=3)
+    new_s = benchmark.stats.stats.min
+
+    assert repr(summaries) == repr(summarize_all(summarize_run_reference))
+    benchmark.extra_info["rack_runs"] = len(summaries)
+    benchmark.extra_info["bursts"] = sum(len(summary.bursts) for summary in summaries)
+    benchmark.extra_info["reference_s"] = reference_s
+    benchmark.extra_info["speedup"] = reference_s / new_s
+    assert reference_s / new_s >= 2.0
 
 
 def test_bench_region_generation_fluid_batching(benchmark):

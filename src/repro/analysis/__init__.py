@@ -12,7 +12,6 @@ before fleet-wide analysis.
 from .stats import cdf, percentile, box_stats, BoxStats
 from .bursts import (
     Burst,
-    annotate_contention,
     burst_frequency,
     detect_bursts,
     detect_run_bursts,
@@ -35,7 +34,6 @@ __all__ = [
     "box_stats",
     "BoxStats",
     "Burst",
-    "annotate_contention",
     "detect_bursts",
     "detect_run_bursts",
     "burst_frequency",

@@ -54,13 +54,139 @@ class Burst:
         return self.length * sampling_interval / units.MSEC
 
 
-def _mask_segments(mask: np.ndarray) -> list[tuple[int, int]]:
-    """(start, end) pairs of consecutive-True segments."""
-    if mask.size == 0:
+#: Segments shorter than this are summed one bucket at a time, left to
+#: right, which is what ``ndarray.sum()`` does below eight elements;
+#: longer ones call ``.sum()`` itself (pairwise from eight up).
+_SEQUENTIAL_SUM_LIMIT = 8
+
+
+def _segment_sums(matrix: np.ndarray, rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``matrix[row, start:start + length].sum()`` for every segment,
+    bit for bit.
+
+    ``np.add.reduceat`` adds in a different order than ``.sum()``, so
+    short segments accumulate one column at a time from 0.0 (the
+    order ``.sum()`` uses below eight elements) and longer segments call
+    ``.sum()`` on their slice.
+    """
+    flat = matrix.reshape(-1)
+    totals = np.zeros(len(starts))
+    short = lengths < _SEQUENTIAL_SUM_LIMIT
+    first = rows * matrix.shape[1] + starts
+    for offset in range(_SEQUENTIAL_SUM_LIMIT - 1):
+        take = short & (lengths > offset)
+        totals[take] += flat[first[take] + offset]
+    for index in np.flatnonzero(~short).tolist():
+        start = int(starts[index])
+        totals[index] = matrix[rows[index], start : start + int(lengths[index])].sum()
+    return totals
+
+
+def _find_bursts(
+    in_bytes: np.ndarray,
+    in_retx_bytes: np.ndarray,
+    conn_estimate: np.ndarray,
+    mask: np.ndarray,
+    loss_lag_buckets: int,
+    contention: np.ndarray | None = None,
+    first_server: int = 0,
+) -> list[Burst]:
+    """Every burst of a run, from its ``(servers, buckets)`` matrices.
+
+    ``mask`` marks the bursty samples.  One segment pass finds the
+    bursts of every server, in server order and, within a server, in
+    time order.  ``contention`` (per bucket) adds both of Section 8's
+    contention views; without it they keep their defaults.  Row ``i``
+    is server ``first_server + i``.
+    """
+    if loss_lag_buckets < 0:
+        raise AnalysisError("loss lag cannot be negative")
+    servers, buckets = mask.shape
+    padded = np.zeros((servers, buckets + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    rows, edges = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    # Edges alternate start, end within each row.
+    rows = rows[0::2]
+    starts = edges[0::2]
+    ends = edges[1::2]
+    lengths = ends - starts
+    if len(starts) == 0:
         return []
-    padded = np.concatenate([[False], mask, [False]])
-    changes = np.flatnonzero(padded[1:] != padded[:-1])
-    return [(int(changes[i]), int(changes[i + 1])) for i in range(0, len(changes), 2)]
+
+    # The loss window runs `loss_lag_buckets` past the burst (a loss is
+    # repaired about an RTT later, Section 4.6), clipped at the end of
+    # the run and at the server's next burst, so that burst's
+    # retransmissions are never counted twice.
+    window_ends = np.minimum(ends + loss_lag_buckets, buckets)
+    same_server_next = np.flatnonzero(rows[1:] == rows[:-1])
+    window_ends[same_server_next] = np.minimum(
+        window_ends[same_server_next], starts[same_server_next + 1]
+    )
+    retx = _segment_sums(in_retx_bytes, rows, starts, window_ends - starts)
+    volume = _segment_sums(in_bytes, rows, starts, lengths)
+    avg_connections = _segment_sums(conn_estimate, rows, starts, lengths) / lengths
+    lossy = retx > 0
+
+    # Primary methodology: the maximum contention over the burst's
+    # lifetime.  Alternate one: a lossy burst's contention at its first
+    # loss — the first bucket with retransmitted bytes, shifted back by
+    # the repair lag and kept inside the burst ("bursts tend to see
+    # slightly lower contention levels at the time of their first
+    # loss", Section 8).
+    max_contention = np.zeros(len(starts), dtype=np.int64)
+    first_loss = np.full(len(starts), -1, dtype=np.int64)
+    if contention is not None:
+        bounds = np.empty(2 * len(starts), dtype=np.intp)
+        bounds[0::2] = starts
+        bounds[1::2] = ends
+        max_contention = np.maximum.reduceat(np.append(contention, 0), bounds)[0::2]
+        lossy_index = np.flatnonzero(lossy)
+        if len(lossy_index):
+            repaired = np.flatnonzero(in_retx_bytes.reshape(-1) > 0)
+            row_origin = rows[lossy_index] * buckets
+            first_retx = (
+                repaired[np.searchsorted(repaired, row_origin + starts[lossy_index])]
+                - row_origin
+            )
+            loss_bucket = np.minimum(
+                np.maximum(first_retx - loss_lag_buckets, starts[lossy_index]),
+                ends[lossy_index] - 1,
+            )
+            first_loss[lossy_index] = contention[loss_bucket]
+    # Positional construction from plain-Python columns: every field is
+    # an int, float or bool, never a numpy scalar.
+    return list(
+        map(
+            Burst,
+            (rows + first_server).tolist(),
+            starts.tolist(),
+            lengths.tolist(),
+            volume.tolist(),
+            avg_connections.tolist(),
+            retx.tolist(),
+            max_contention.tolist(),
+            lossy.tolist(),
+            first_loss.tolist(),
+        )
+    )
+
+
+def _run_matrices(sync_run: SyncRun, threshold: float) -> tuple[np.ndarray, ...]:
+    """A rack run's ``(servers, buckets)`` matrices: ingress bytes,
+    retransmitted ingress bytes, connection estimates, ingress
+    utilization, and the bursty-sample mask (utilization above
+    ``threshold``)."""
+    runs = sync_run.runs
+    in_bytes = np.vstack([run.in_bytes for run in runs])
+    capacity = np.array([run.meta.line_rate * run.meta.sampling_interval for run in runs])
+    utilization = in_bytes / capacity[:, None]
+    return (
+        in_bytes,
+        np.vstack([run.in_retx_bytes for run in runs]),
+        np.vstack([run.conn_estimate for run in runs]),
+        utilization,
+        utilization > threshold,
+    )
 
 
 def detect_bursts(
@@ -79,57 +205,17 @@ def detect_bursts(
     first bucket — when two bursts sit closer together than the lag, an
     unclipped window would sweep up the next burst's retransmissions,
     double-counting the bytes and marking both bursts lossy from one
-    loss event.
+    loss event.  Contention needs the whole rack: see
+    :func:`detect_run_bursts`.
     """
-    if loss_lag_buckets < 0:
-        raise AnalysisError("loss lag cannot be negative")
-    mask = run.bursty_mask(threshold)
-    bursts: list[Burst] = []
-    segments = _mask_segments(mask)
-    for index, (start, end) in enumerate(segments):
-        window_end = min(end + loss_lag_buckets, run.buckets)
-        if index + 1 < len(segments):
-            window_end = min(window_end, segments[index + 1][0])
-        retx = float(run.in_retx_bytes[start:window_end].sum())
-        bursts.append(
-            Burst(
-                server=server,
-                start=start,
-                length=end - start,
-                volume=float(run.in_bytes[start:end].sum()),
-                avg_connections=float(run.conn_estimate[start:end].mean()),
-                retx_bytes=retx,
-                lossy=retx > 0,
-            )
-        )
-    return bursts
-
-
-def annotate_contention(
-    burst: Burst,
-    run: MillisamplerRun,
-    contention: np.ndarray,
-    loss_lag_buckets: int = 2,
-) -> None:
-    """Attach both of Section 8's contention views to a burst.
-
-    The primary methodology takes the *maximum* contention over the
-    burst's lifetime; the alternate associates a lossy burst with the
-    contention at its *first loss* — approximated as the first bucket
-    with retransmitted bytes, shifted back by the repair lag ("bursts
-    tend to see slightly lower contention levels at the time of their
-    first loss", Section 8).
-    """
-    burst.max_contention = int(contention[burst.start : burst.end].max())
-    if not burst.lossy:
-        burst.first_loss_contention = -1
-        return
-    window_end = min(burst.end + loss_lag_buckets, run.buckets)
-    retx_window = run.in_retx_bytes[burst.start : window_end]
-    first_retx = burst.start + int(np.argmax(retx_window > 0))
-    loss_bucket = max(first_retx - loss_lag_buckets, burst.start)
-    loss_bucket = min(loss_bucket, burst.end - 1)
-    burst.first_loss_contention = int(contention[loss_bucket])
+    return _find_bursts(
+        np.asarray(run.in_bytes, dtype=np.float64)[None],
+        np.asarray(run.in_retx_bytes, dtype=np.float64)[None],
+        np.asarray(run.conn_estimate, dtype=np.float64)[None],
+        run.bursty_mask(threshold)[None],
+        loss_lag_buckets,
+        first_server=server,
+    )
 
 
 def detect_run_bursts(
@@ -140,14 +226,15 @@ def detect_run_bursts(
     """Detect bursts across every server of a rack run and annotate each
     with the maximum contention over its lifetime (Section 8
     methodology: "we consider the contention level at each sample point
-    of the burst, and take the maximum")."""
-    contention = sync_run.contention_series(threshold)
-    bursts: list[Burst] = []
-    for index, run in enumerate(sync_run.runs):
-        for burst in detect_bursts(run, threshold, loss_lag_buckets, server=index):
-            annotate_contention(burst, run, contention, loss_lag_buckets)
-            bursts.append(burst)
-    return bursts
+    of the burst, and take the maximum") and with the contention at its
+    first loss."""
+    in_bytes, in_retx_bytes, conn_estimate, _utilization, mask = _run_matrices(
+        sync_run, threshold
+    )
+    return _find_bursts(
+        in_bytes, in_retx_bytes, conn_estimate, mask, loss_lag_buckets,
+        contention=mask.sum(axis=0),
+    )
 
 
 def burst_frequency(bursts: list[Burst], duration_s: float) -> float:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 
 from .. import units
 from ..core.run import SyncRun
 from ..errors import AnalysisError
-from .bursts import Burst, annotate_contention, detect_bursts
+from .bursts import Burst, _find_bursts, _run_matrices
 from .contention import ContentionStats, contention_stats
 
 
@@ -72,45 +73,59 @@ def summarize_run(
     threshold: float = units.BURST_UTILIZATION_THRESHOLD,
     loss_lag_buckets: int = 2,
 ) -> RunSummary:
-    """Reduce one rack run to its :class:`RunSummary`."""
+    """Reduce one rack run to its :class:`RunSummary`.
+
+    Works on the run's stacked ``(servers, buckets)`` matrices: one
+    segment pass finds every burst of every server, and the per-server
+    aggregates are row reductions.  Only bursty servers need the masked
+    means inside and outside their bursts, taken as ``.mean()`` of the
+    compacted row.
+    """
     if sync_run.buckets == 0:
         raise AnalysisError("cannot summarize an empty run")
-    contention = sync_run.contention_series(threshold)
-    stats = contention_stats(contention)
-    duration = sync_run.duration
+    runs = sync_run.runs
+    in_bytes, in_retx_bytes, conns, utilization, mask = _run_matrices(sync_run, threshold)
+    contention = mask.sum(axis=0)
+    bursts = _find_bursts(
+        in_bytes, in_retx_bytes, conns, mask, loss_lag_buckets, contention=contention
+    )
 
-    all_bursts: list[Burst] = []
-    server_stats: list[ServerRunStats] = []
-    for index, run in enumerate(sync_run.runs):
-        bursts = detect_bursts(run, threshold, loss_lag_buckets, server=index)
-        for burst in bursts:
-            annotate_contention(burst, run, contention, loss_lag_buckets)
-        all_bursts.extend(bursts)
-
-        utilization = run.ingress_utilization()
-        mask = run.bursty_mask(threshold)
-        inside = utilization[mask]
-        outside = utilization[~mask]
-        conns = run.conn_estimate
-        total_in = float(run.in_bytes.sum())
-        in_burst = float(run.in_bytes[mask].sum())
-        server_stats.append(
-            ServerRunStats(
-                server=index,
-                task=run.meta.task,
-                bursty=bool(mask.any()),
-                avg_utilization=float(utilization.mean()),
-                utilization_in_bursts=float(inside.mean()) if inside.size else float("nan"),
-                utilization_outside_bursts=(
-                    float(outside.mean()) if outside.size else float("nan")
-                ),
-                bursts_per_second=len(bursts) / duration,
-                conns_inside=float(conns[mask].mean()) if mask.any() else float("nan"),
-                conns_outside=float(conns[~mask].mean()) if (~mask).any() else float("nan"),
-                total_in_bytes=total_in,
-                in_burst_bytes=in_burst,
-            )
+    # Bursts per server: the rising edges of each row's mask.
+    burst_counts = mask[:, 0] + np.count_nonzero(mask[:, 1:] & ~mask[:, :-1], axis=1)
+    bursty = mask.any(axis=1)
+    avg_utilization = utilization.mean(axis=1)
+    utilization_inside = np.full(len(runs), np.nan)
+    utilization_outside = avg_utilization.copy()
+    conns_inside = np.full(len(runs), np.nan)
+    conns_outside = conns.mean(axis=1)
+    in_burst_bytes = np.zeros(len(runs))
+    for index in np.flatnonzero(bursty).tolist():
+        inside = mask[index]
+        outside = ~inside
+        utilization_inside[index] = utilization[index][inside].mean()
+        conns_inside[index] = conns[index][inside].mean()
+        in_burst_bytes[index] = in_bytes[index][inside].sum()
+        if outside.any():
+            utilization_outside[index] = utilization[index][outside].mean()
+            conns_outside[index] = conns[index][outside].mean()
+        else:
+            utilization_outside[index] = conns_outside[index] = np.nan
+    server_stats = list(
+        map(
+            ServerRunStats,
+            range(len(runs)),
+            [run.meta.task for run in runs],
+            bursty.tolist(),
+            avg_utilization.tolist(),
+            utilization_inside.tolist(),
+            utilization_outside.tolist(),
+            (burst_counts / sync_run.duration).tolist(),
+            conns_inside.tolist(),
+            conns_outside.tolist(),
+            in_bytes.sum(axis=1).tolist(),
+            in_burst_bytes.tolist(),
         )
+    )
 
     return RunSummary(
         rack=sync_run.rack,
@@ -119,8 +134,8 @@ def summarize_run(
         servers=sync_run.servers,
         buckets=sync_run.buckets,
         sampling_interval=sync_run.sampling_interval,
-        contention=stats,
-        bursts=all_bursts,
+        contention=contention_stats(contention),
+        bursts=bursts,
         server_stats=server_stats,
         switch_discard_bytes=sync_run.switch_discard_bytes,
         switch_ingress_bytes=sync_run.switch_ingress_bytes,

@@ -308,6 +308,12 @@ class FleetConfig:
             raise ConfigError("runs per rack cannot be negative")
         if not 1 <= self.hours <= 24:
             raise ConfigError("hours must be within a day")
+        if self.runs_per_rack > self.hours:
+            # Each run of a rack takes a distinct hour of the day.
+            raise ConfigError(
+                f"cannot run a rack more often than hourly: {self.runs_per_rack} "
+                f"runs per rack over {self.hours} hours"
+            )
         if self.jobs < 0:
             raise ConfigError("jobs cannot be negative (0 means all cores)")
         if self.fluid_batch < 1:

@@ -29,8 +29,18 @@ from .context import ExperimentContext
 from .registry import EXPERIMENTS, ordered_ids
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line on stderr, like the
+    ``error:`` line :func:`main` prints for a bad configuration (the
+    usage stays available through ``--help``).  Subcommand parsers
+    inherit the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="millisampler-repro",
         description=(
             "Reproduce the tables and figures of 'A Microscopic View of "

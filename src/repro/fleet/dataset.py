@@ -37,7 +37,6 @@ import numpy as np
 
 from ..analysis.summary import RunSummary, summarize_run
 from ..config import FleetConfig
-from ..errors import ConfigError
 from ..obs.metrics import Metrics
 from ..workload.region import RackWorkload, RegionSpec, REGION_A, REGION_B, build_region_workloads
 from .rackrun import BatchItem, RackRunSynthesizer
@@ -155,10 +154,8 @@ def _run_hours(
     The control plane schedules each rack roughly hourly but a rack
     lands in the sampled subset ~10 times a day (Section 7.2: "Each
     rack is typically associated with 10 runs spread throughout the
-    day").
+    day").  ``FleetConfig`` guarantees ``runs_per_rack <= hours``.
     """
-    if runs_per_rack > hours:
-        raise ConfigError("cannot run a rack more often than hourly in this model")
     chosen = rng.choice(hours, size=runs_per_rack, replace=False)
     return np.sort(chosen)
 
@@ -229,6 +226,8 @@ def summarize_batches(
         sync_runs = synthesizer.synthesize_batch(chunk, metrics=metrics)
         with metrics.span("synthesis/summarize"):
             summaries = [summarize_run(sync_run) for sync_run in sync_runs]
+        # Free this batch's raw runs before the next batch is built.
+        del sync_runs
         for summary, (workload, _hour, _rng) in zip(summaries, chunk):
             yield summary, workload
 

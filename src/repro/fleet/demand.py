@@ -27,6 +27,7 @@ run-to-run variation behind Figures 12 and 15.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ from .. import units
 from ..errors import SimulationError
 from ..workload.region import RackWorkload
 from ..workload.services import ServiceSpec
+
+#: Longest burst profile, in buckets; a longer one is an error.
+_MAX_PROFILE_BUCKETS = 10_000
 
 
 @dataclass
@@ -82,10 +86,8 @@ class DemandModel:
         self.drain = line_rate * step
         self.overshoot_scale = overshoot_scale
         self.overshoot_buckets = overshoot_buckets
-        # Geometric decay of the overshoot region; constant per model,
-        # hoisted out of the per-burst profile call (plain floats: the
-        # profile's hot path is scalar arithmetic).
-        self._decay_powers = [0.5**bucket for bucket in range(overshoot_buckets)]
+        # Geometric decay of the overshoot region; constant per model.
+        self._decay_powers = np.array([0.5**bucket for bucket in range(overshoot_buckets)])
         self.shared_task_sync = shared_task_sync
         self.rack_sync = rack_sync
         self.rate_tail_sigma = rate_tail_sigma
@@ -93,74 +95,77 @@ class DemandModel:
 
     # -- burst primitives ----------------------------------------------------
 
-    def _burst_profile(
-        self, volume: float, intensity: float, overshoot: float
-    ) -> np.ndarray:
-        """Byte arrivals per bucket for one burst of ``volume`` bytes.
+    def _burst_profiles(
+        self, volume: np.ndarray, intensity: np.ndarray, overshoot: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Byte arrivals per bucket for a batch of bursts.
 
-        The first ``overshoot_buckets`` buckets carry the geometrically
+        Returns ``(values, lengths)``: every burst's profile, concatenated
+        in batch order, and each profile's bucket count.  The first
+        ``overshoot_buckets`` buckets of a burst carry the geometrically
         decaying overshoot (``0.5**bucket``) on top of the constant body
-        rate, then the body rate runs until the volume is spent.
+        rate, then the body rate runs until the volume is spent; the last
+        bucket takes whatever is left.  A burst of non-positive volume
+        has no buckets.
 
-        Two regimes, both bit-identical to the historical bucket-by-
-        bucket loop: the overshoot region plus a few body buckets run as
-        scalar arithmetic (the median burst is one or two buckets, where
-        array allocation costs more than it saves), and anything longer
-        finishes in one ``np.subtract.accumulate`` over the constant
-        body rate — the same left-to-right subtraction order, so the
-        final partial bucket holds the identical floating-point
-        remainder.
+        Each row's remainders come from one ``np.subtract.accumulate``
+        along the row, which subtracts left to right exactly as the
+        historical bucket-by-bucket loop did, so every bucket (the final
+        partial one included) holds the same floating-point value.  A
+        first block covers the overshoot plus eight body buckets, which
+        ends all but a fraction of a percent of bursts; the rest continue
+        in a second block sized by ``ceil(remaining / body_rate)``.  As
+        in the loop, a profile longer than 10,000 buckets is an error.
         """
-        if volume <= 0:
-            return np.zeros(0)
-        body_rate = intensity * self.drain
+        volume = np.asarray(volume, dtype=np.float64)
+        body_rate = np.asarray(intensity, dtype=np.float64) * self.drain
         over = self.overshoot_buckets
+        head = over + 8
+        steps = np.empty((len(volume), head + 1))
+        steps[:, 0] = volume
+        steps[:, 1 : over + 1] = body_rate[:, None] * (
+            1.0 + (np.asarray(overshoot, dtype=np.float64)[:, None] - 1.0) * self._decay_powers
+        )
+        steps[:, over + 1 :] = body_rate[:, None]
+        # left[:, k] = bytes left before bucket k.
+        left = np.subtract.accumulate(steps, axis=1)
+        takes = steps[:, 1:]
+        spent = left[:, 1:] <= 0
+        lengths = np.where(spent.any(axis=1), spent.argmax(axis=1) + 1, 0)
+        lengths[~(volume > 0)] = 0
+        ended = np.flatnonzero(lengths > 0)
+        takes[ended, lengths[ended] - 1] = left[ended, lengths[ended] - 1]
 
-        # Scalar regime: the decaying head and the first few body
-        # buckets, exactly as the historical loop wrote them.
-        head_limit = over + 8
-        head: list[float] = []
-        remaining = volume
-        bucket = 0
-        while remaining > 0 and bucket < head_limit:
-            if bucket < over:
-                rate = body_rate * (1.0 + (overshoot - 1.0) * self._decay_powers[bucket])
-            else:
-                rate = body_rate
-            take = min(remaining, rate)
-            head.append(take)
-            remaining -= take
-            bucket += 1
-        if remaining <= 0:
-            return np.array(head)
+        longer = np.flatnonzero((lengths == 0) & (volume > 0))
+        if len(longer):
+            remaining = left[longer, head]
+            rate = body_rate[longer]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                estimate = np.where(rate > 0, np.ceil(remaining / rate) + 2, np.inf)
+            width = int(min(_MAX_PROFILE_BUCKETS - head, estimate.max()))
+            tail = np.empty((len(longer), width + 1))
+            tail[:, 0] = remaining
+            tail[:, 1:] = rate[:, None]
+            tail_left = np.subtract.accumulate(tail, axis=1)
+            tail_spent = tail_left[:, 1:] <= 0
+            if not tail_spent.any(axis=1).all():
+                raise SimulationError("burst profile failed to terminate")
+            tail_lengths = tail_spent.argmax(axis=1) + 1
+            rows = np.arange(len(longer))
+            tail_takes = tail[:, 1:]
+            tail_takes[rows, tail_lengths - 1] = tail_left[rows, tail_lengths - 1]
+            lengths[longer] = head + tail_lengths
 
-        # Vectorized regime: every further bucket drains body_rate, so
-        # the rest of the sequential subtraction collapses into one
-        # accumulate.  ceil(remaining / body_rate) + slack bounds the
-        # length; the historical loop's runaway guard capped profiles at
-        # 10_000 buckets, so never search further than that.
-        if body_rate > 0:
-            tail_estimate = int(np.ceil(remaining / body_rate)) + 2
-        else:
-            tail_estimate = 10_001
-        tail_buckets = min(10_001, max(tail_estimate, 0))
-        # tail[k] = bytes left after k more body buckets, subtracted in
-        # the same left-to-right order as the historical loop (the final
-        # partial bucket is that sequence's exact remainder).
-        tail = np.empty(1 + tail_buckets)
-        tail[0] = remaining
-        tail[1:] = body_rate
-        np.subtract.accumulate(tail, out=tail)
-        exhausted = np.nonzero(tail <= 0)[0]
-        if len(exhausted) == 0 or head_limit + exhausted[0] > 10_000:
-            raise SimulationError("burst profile failed to terminate")
-        buckets = int(exhausted[0])
-        profile = np.empty(head_limit + buckets)
-        profile[:head_limit] = head
-        profile[head_limit:] = body_rate
-        # The last bucket takes whatever the sequential subtraction left.
-        profile[-1] = tail[buckets - 1]
-        return profile
+        offsets = np.cumsum(lengths) - lengths
+        values = np.empty(int(lengths.sum()))
+        in_head = np.arange(head) < lengths[:, None]
+        values[(offsets[:, None] + np.arange(head))[in_head]] = takes[in_head]
+        if len(longer):
+            columns = np.arange(int(tail_lengths.max()))
+            in_tail = columns < tail_lengths[:, None]
+            positions = offsets[longer][:, None] + head + columns
+            values[positions[in_tail]] = tail_takes[:, : len(columns)][in_tail]
+        return values, lengths
 
     def _draw_burst_starts(
         self,
@@ -233,6 +238,51 @@ class DemandModel:
             next_free = start + typical_length
         return np.array(serialized, dtype=np.int64)
 
+    def _add_bursts(
+        self,
+        demand: np.ndarray,
+        connections: np.ndarray,
+        burst_servers: list[int],
+        burst_starts: list[np.ndarray],
+        burst_normals: list[np.ndarray],
+        burst_params: list[tuple[float, ...]],
+    ) -> None:
+        """Realize the rack's bursts onto its baseline-filled matrices.
+
+        ``burst_normals[k]`` holds one row of standard normals per burst
+        of server ``burst_servers[k]``: ``lognormal(m, s)`` is
+        ``exp(m + s * z)`` and ``normal(m, s)`` is ``m + s * z`` on the
+        same ``z``, so the parameters come out bit-identical to scalar
+        draws.  The exponential is ``math.exp`` (libm's, as the scalar
+        draws use), never ``np.exp``, whose SIMD kernel can differ in the
+        last bit.  ``np.add.at`` applies the additions in burst order, so
+        overlapping bursts of one server sum in the order they were drawn.
+        """
+        counts = [len(starts) for starts in burst_starts]
+        normals = np.concatenate(burst_normals)
+        mu, sigma, mean, std, fanin_scale, overshoot_scale = np.repeat(
+            np.array(burst_params), counts, axis=0
+        ).T
+        exponents = np.stack(
+            [mu + sigma * normals[:, 0], 0.0 + 0.35 * normals[:, 2], 0.0 + 0.5 * normals[:, 3]]
+        )
+        volume, fanin_draw, overshoot_draw = np.fromiter(
+            map(math.exp, exponents.ravel().tolist()), np.float64, exponents.size
+        ).reshape(exponents.shape)
+        intensity = np.minimum(np.maximum(mean + std * normals[:, 1], 0.55), 1.25)
+        fanin = np.maximum(fanin_scale * fanin_draw, 1.0)
+        overshoot = 1.0 + (overshoot_scale * (fanin / 40.0)) * overshoot_draw
+
+        values, lengths = self._burst_profiles(volume, intensity, overshoot)
+        burst = np.repeat(np.arange(len(lengths)), lengths)
+        offset_in_burst = np.arange(len(values)) - (np.cumsum(lengths) - lengths)[burst]
+        rows = np.concatenate(burst_starts)[burst] + offset_in_burst
+        columns = np.repeat(burst_servers, counts)[burst]
+        inside = rows < demand.shape[0]
+        cells = rows[inside] * demand.shape[1] + columns[inside]
+        np.add.at(demand.reshape(-1), cells, values[inside])
+        np.maximum.at(connections.reshape(-1), cells, fanin[burst][inside])
+
     # -- rack-level generation ---------------------------------------------
 
     def generate(
@@ -271,12 +321,21 @@ class DemandModel:
         # and sometimes hot (Section 7.3's 6.2% zero-activity runs, and
         # the day-long min/max bands of Figure 12).
         rack_load = float(rng.lognormal(mean=-0.1, sigma=0.45))
+        hour_multiplier = workload.diurnal.multipliers[hour % 24]
 
+        # Every active server's bursts, gathered in server order and
+        # realized for the whole rack at once below.
+        burst_servers: list[int] = []
+        burst_starts: list[np.ndarray] = []
+        burst_normals: list[np.ndarray] = []
+        burst_params: list[tuple[float, ...]] = []
         for index in range(servers):
             spec = placement.services[index]
             task = placement.tasks[index]
+            # The task's diurnal multiplier at this hour, blended toward
+            # flat by its sensitivity (DiurnalProfile.scaled(s).at_hour).
             load = (
-                workload.diurnal.scaled(spec.diurnal_sensitivity).at_hour(hour)
+                (1.0 + spec.diurnal_sensitivity * (hour_multiplier - 1.0))
                 * workload.load_scale
                 * rack_load
             )
@@ -328,41 +387,34 @@ class DemandModel:
                 # Fresh request/response fan-in does stack — that *is*
                 # incast, and it is where the overshoot loss lives.
                 starts = self._serialize_starts(starts, spec, buckets)
-            for start in starts:
-                volume = rng.lognormal(
-                    spec.burst_volume_log_mu, spec.burst_volume_log_sigma
+            if len(starts) == 0:
+                continue
+            # One standard normal per burst parameter — volume,
+            # intensity, fan-in, overshoot — in the order the per-burst
+            # scalar draws consumed them.
+            burst_servers.append(index)
+            burst_starts.append(starts)
+            burst_normals.append(rng.standard_normal((len(starts), 4)))
+            burst_params.append(
+                (
+                    spec.burst_volume_log_mu,
+                    spec.burst_volume_log_sigma,
+                    spec.burst_intensity_mean,
+                    spec.burst_intensity_std,
+                    spec.burst_connections,
+                    # Slow-start overshoot: fresh senders ramp
+                    # exponentially and overshoot together; adapted
+                    # long-lived connection pools (persistent services)
+                    # pace near their converged windows and barely
+                    # overshoot.
+                    self.overshoot_scale * (0.15 if persistent_senders else 1.0),
                 )
-                intensity = float(
-                    min(
-                        max(
-                            rng.normal(
-                                spec.burst_intensity_mean, spec.burst_intensity_std
-                            ),
-                            0.55,
-                        ),
-                        1.25,
-                    )
-                )
-                fanin = max(
-                    1.0, spec.burst_connections * rng.lognormal(mean=0.0, sigma=0.35)
-                )
-                # Slow-start overshoot: fresh senders ramp exponentially
-                # and overshoot together; adapted long-lived connection
-                # pools (persistent services) pace near their converged
-                # windows and barely overshoot.
-                scale = self.overshoot_scale * (0.15 if persistent_senders else 1.0)
-                overshoot = 1.0 + scale * (fanin / 40.0) * rng.lognormal(
-                    mean=0.0, sigma=0.5
-                )
-                profile = self._burst_profile(volume, intensity, overshoot)
-                end = min(int(start) + len(profile), buckets)
-                span = end - int(start)
-                if span <= 0:
-                    continue
-                demand[int(start) : end, index] += profile[:span]
-                connections[int(start) : end, index] = np.maximum(
-                    connections[int(start) : end, index], fanin
-                )
+            )
+
+        if burst_servers:
+            self._add_bursts(
+                demand, connections, burst_servers, burst_starts, burst_normals, burst_params
+            )
 
         return ServerDemand(
             demand=demand,

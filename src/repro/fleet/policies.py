@@ -434,6 +434,8 @@ def build_policy(
     ``queues_per_quadrant`` from the caller — the rack geometry is a
     property of the workload, not of the policy's identity, so specs
     normally leave it unpinned and stay valid across rack shapes.
+    Unknown names or parameters, and values the constructor rejects,
+    raise :class:`~repro.errors.ConfigError`.
     """
     try:
         cls = POLICY_REGISTRY[spec.name]
@@ -456,7 +458,12 @@ def build_policy(
         raise ConfigError(
             f"policy {spec.name!r} does not take parameter(s) {unknown}"
         )
-    return cls(**params)
+    try:
+        return cls(**params)
+    except (SimulationError, TypeError, ValueError) as exc:
+        # An out-of-range or mistyped parameter is a configuration
+        # error, reported like an unknown one.
+        raise ConfigError(f"policy {spec.name!r} rejected its parameters: {exc}") from exc
 
 
 def parse_policy_arg(text: str) -> PolicySpec:

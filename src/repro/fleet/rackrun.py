@@ -18,7 +18,7 @@ from ..core.sketch import SATURATION_ESTIMATE, SKETCH_BITS
 from ..errors import SimulationError
 from ..obs.metrics import Metrics
 from ..workload.region import RackWorkload
-from .buffermodel import FluidBufferModel, FluidBufferResult
+from .buffermodel import FluidBufferBatchResult, FluidBufferModel
 from .demand import DemandModel, ServerDemand
 from .kernels import POLICY_FALLBACK_COUNTER, consume_pending, warm_kernels
 from .policies import SharingPolicy, build_policy
@@ -143,52 +143,60 @@ class RackRunSynthesizer:
         hour: int,
         rng: np.random.Generator,
         demand: ServerDemand,
-        result: FluidBufferResult,
-        buckets: int,
+        batch: FluidBufferBatchResult,
+        row: int,
         start_time: float,
+        metrics: Metrics,
     ) -> SyncRun:
-        """Turn one run's fluid outputs into a :class:`SyncRun`.
+        """Turn run ``row`` of a fluid batch into a :class:`SyncRun`.
 
         Consumes this run's remaining RNG draws (sketch noise, egress
         echo) right after its run-length and demand draws, so a run is
-        byte-identical per seed leaf whatever batch it is part of.
+        byte-identical per seed leaf whatever batch it is part of.  Both
+        are drawn on ``(buckets, servers)`` arrays.  Each series then
+        gets one ``(servers, buckets)`` copy, whose rows are the
+        servers' :class:`MillisamplerRun` arrays.
         """
         servers = workload.placement.servers
         line_rate = workload.rack_config.server_link_rate
-        conn = sketch_estimates(demand.connections, rng)
-        out_bytes = self.egress_echo * result.delivered * rng.lognormal(
-            mean=-0.05, sigma=0.3, size=result.delivered.shape
+        buckets = int(batch.lengths[row])
+        delivered = batch.delivered[row, :buckets]
+        with metrics.span("sketch"):
+            conn = sketch_estimates(demand.connections, rng)
+        out_bytes = self.egress_echo * delivered * rng.lognormal(
+            mean=-0.05, sigma=0.3, size=delivered.shape
         )
+        series = {
+            "in_bytes": delivered.T.copy(),
+            "out_bytes": out_bytes.T.copy(),
+            "in_retx_bytes": batch.delivered_retx[row, :buckets].T.copy(),
+            "out_retx_bytes": np.zeros((servers, buckets)),
+            "in_ecn_bytes": batch.ecn_marked[row, :buckets].T.copy(),
+            "conn_estimate": conn.T.copy(),
+        }
 
-        runs: list[MillisamplerRun] = []
-        for index in range(servers):
-            meta = RunMetadata(
-                host=f"{workload.rack}-s{index}",
-                rack=workload.rack,
-                region=workload.region,
-                task=workload.placement.tasks[index],
-                start_time=start_time,
-                sampling_interval=self.sampling_interval,
-                line_rate=line_rate,
+        runs = [
+            MillisamplerRun(
+                RunMetadata(
+                    host=f"{workload.rack}-s{index}",
+                    rack=workload.rack,
+                    region=workload.region,
+                    task=workload.placement.tasks[index],
+                    start_time=start_time,
+                    sampling_interval=self.sampling_interval,
+                    line_rate=line_rate,
+                ),
+                **{name: rows[index] for name, rows in series.items()},
             )
-            runs.append(
-                MillisamplerRun(
-                    meta=meta,
-                    in_bytes=result.delivered[:, index].copy(),
-                    out_bytes=out_bytes[:, index].copy(),
-                    in_retx_bytes=result.delivered_retx[:, index].copy(),
-                    out_retx_bytes=np.zeros(buckets),
-                    in_ecn_bytes=result.ecn_marked[:, index].copy(),
-                    conn_estimate=conn[:, index].copy(),
-                )
-            )
+            for index in range(servers)
+        ]
 
         return SyncRun(
             rack=workload.rack,
             region=workload.region,
             runs=runs,
             hour=hour,
-            switch_discard_bytes=result.total_dropped,
+            switch_discard_bytes=float(batch.dropped[row, :buckets].sum()),
             switch_ingress_bytes=float(demand.demand.sum()),
             extras={
                 "colocated": workload.colocated,
@@ -218,7 +226,8 @@ class RackRunSynthesizer:
 
         ``metrics`` records where synthesis time goes, as
         ``synthesis/demand``, ``synthesis/fluid`` and
-        ``synthesis/assemble`` timers.
+        ``synthesis/assemble`` timers, with the sketch noise nested
+        inside assembly as ``synthesis/assemble/sketch``.
         """
         recording = metrics is not None
         metrics = metrics if recording else Metrics()
@@ -245,7 +254,8 @@ class RackRunSynthesizer:
             )
             groups.setdefault(key, []).append(index)
 
-        fluid_results: list[FluidBufferResult | None] = [None] * len(prepared)
+        # Each item's fluid outputs: its batch and its row in it.
+        fluid_rows: list[tuple[FluidBufferBatchResult, int] | None] = [None] * len(prepared)
         with metrics.span("synthesis/fluid"):
             for member_indices in groups.values():
                 model = self._fluid_model(prepared[member_indices[0]][0])
@@ -277,19 +287,19 @@ class RackRunSynthesizer:
                     lengths=lengths,
                 )
                 for row, i in enumerate(member_indices):
-                    fluid_results[i] = batch.per_run(row)
+                    fluid_rows[i] = (batch, row)
 
         # Phase 3 — per-run RNG work again: sketch noise, egress echo,
         # SyncRun assembly (each item's RNG resumes right after its
         # demand draws, because the fluid step drew nothing).
         out: list[SyncRun] = []
         with metrics.span("synthesis/assemble"):
-            for (workload, hour, rng, buckets, demand), result in zip(
-                prepared, fluid_results
+            for (workload, hour, rng, _buckets, demand), (batch, row) in zip(
+                prepared, fluid_rows
             ):
                 out.append(
                     self._assemble(
-                        workload, hour, rng, demand, result, buckets, start_time
+                        workload, hour, rng, demand, batch, row, start_time, metrics
                     )
                 )
         metrics.incr("synthesis.batched_runs", len(out))

@@ -126,6 +126,32 @@ class TestRunFailureIsolation:
         assert "unknown experiments" in capsys.readouterr().err
 
 
+class TestSynthesisTelemetry:
+    def test_manifest_times_the_sketch_inside_assembly(self, tmp_path, capsys):
+        """The sketch noise is a nested ``synthesis/assemble/sketch``
+        timer: one observation per rack-run, inside its assembly."""
+        manifest_path = str(tmp_path / "manifest.json")
+        assert cli.main(
+            ["run", "table1", "--racks", "2", "--runs-per-rack", "1", "--no-cache",
+             "--quiet", "--manifest", manifest_path]
+        ) == 0
+        with open(manifest_path) as handle:
+            timers = json.load(handle)["telemetry"]["timers"]
+
+        def total(suffix):
+            matching = [
+                stats for name, stats in timers.items()
+                if name == suffix or name.endswith("/" + suffix)
+            ]
+            assert matching, suffix
+            return sum(s["count"] for s in matching), sum(s["total_s"] for s in matching)
+
+        sketch_count, sketch_s = total("synthesis/assemble/sketch")
+        _, assemble_s = total("synthesis/assemble")
+        assert sketch_count == 2 * 2 * 1  # regions x racks x runs per rack
+        assert 0 < sketch_s <= assemble_s
+
+
 class TestPolicyFlag:
     def test_policy_recorded_in_manifest(self, tmp_path, capsys):
         manifest_path = str(tmp_path / "manifest.json")
@@ -244,6 +270,36 @@ class TestConfigErrors:
         assert cli.main(command + ["--no-cache"]) == 2
         err = capsys.readouterr().err
         assert err == "error: region rack count cannot be negative\n"
+
+    @pytest.mark.parametrize("command", [
+        ["run", "table1"],
+        ["report", "never-written.md"],
+        ["serve", "--port", "0"],
+    ])
+    def test_too_many_runs_per_rack_is_a_one_line_error(self, command, capsys):
+        """Rejected by FleetConfig before any work, not reported as a
+        failed experiment."""
+        assert cli.main(command + ["--racks", "1", "--runs-per-rack", "25", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: cannot run a rack more often than hourly: 25 runs per rack over 24 hours\n"
+        )
+        assert "FAILED" not in captured.out
+
+    @pytest.mark.parametrize("command", [
+        ["run", "table1", "--racks", "1", "--runs-per-rack", "1"],
+        ["report", "never-written.md"],
+        ["serve", "--port", "0"],
+        ["export", "never-written"],
+    ])
+    def test_out_of_range_policy_parameter_is_a_one_line_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--policy", "dynamic-threshold:alpha=-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "error: argument --policy: policy 'dynamic-threshold' rejected its parameters" in err
+        assert "alpha must be positive" in err
 
 
 class TestAuditFlag:

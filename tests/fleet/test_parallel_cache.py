@@ -381,3 +381,33 @@ class TestDefaultPolicyDatasetNoOp:
             row.bursts,
             row.racks,
         ) == (6, 552, 266, 11034, 3)
+
+
+class TestRawSynthesisPinned:
+    """The synthesizer's raw output, before any reduction: every series
+    (dtype and bytes), the metadata and hour, the switch counters and
+    the extras of every SyncRun of both regions at ``CONFIG``.  The
+    summary digest above never sees ``out_bytes``, ``in_ecn_bytes`` or
+    the per-bucket ``conn_estimate``; this one does."""
+
+    RAW_FINGERPRINT = (
+        "3f963b3ac078ceee2cd765bcfafac9937aa8a3946071e4d517b03d9ca3c7e548"
+    )
+
+    def test_raw_sync_runs_digest_pinned(self):
+        import hashlib
+
+        from repro.fleet.dataset import _plan_items, plan_region
+        from repro.fleet.rackrun import RackRunSynthesizer
+
+        h = hashlib.sha256()
+        synthesizer = RackRunSynthesizer()
+        for spec in (REGION_A, REGION_B):
+            items = [
+                item
+                for plan in plan_region(spec, CONFIG)
+                for item in _plan_items(plan, CONFIG)
+            ]
+            for index, sync_run in enumerate(synthesizer.synthesize_batch(items)):
+                TestDefaultPolicyDatasetNoOp._feed(h, sync_run, f"{spec.name}[{index}]")
+        assert h.hexdigest() == self.RAW_FINGERPRINT

@@ -115,6 +115,18 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="does not take parameter"):
             build_policy(spec)
 
+    @pytest.mark.parametrize("spec", [
+        PolicySpec(name="dynamic-threshold", params=(("alpha", -1.0),)),
+        PolicySpec(name="delay-driven", params=(("target_delay_steps", 0.0),)),
+        PolicySpec(name="shared-headroom", params=(("headroom_fraction", 1.5),)),
+        PolicySpec(name="dynamic-threshold", params=(("alpha", "abc"),)),
+    ])
+    def test_build_rejected_param_value_is_a_config_error(self, spec):
+        """A value the policy constructor refuses is a configuration
+        error naming the policy, not a SimulationError traceback."""
+        with pytest.raises(ConfigError, match=f"policy '{spec.name}' rejected its parameters"):
+            build_policy(spec, queues_per_quadrant=4)
+
     def test_geometry_injected_only_when_needed(self):
         built = build_policy(PolicySpec(name="static-partition"), queues_per_quadrant=7)
         assert built.queues_per_quadrant == 7

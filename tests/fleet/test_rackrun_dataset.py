@@ -122,8 +122,8 @@ class TestDatasetGeneration:
         assert len(hours) >= 10
 
     def test_too_many_runs_rejected(self):
-        config = FleetConfig(racks_per_region=1, runs_per_rack=10, hours=5, seed=1)
         with pytest.raises(ConfigError):
+            config = FleetConfig(racks_per_region=1, runs_per_rack=10, hours=5, seed=1)
             list(iter_region_summaries(REGION_A, config))
 
     def test_progress_callback_invoked(self):

@@ -381,7 +381,7 @@ def test_bench_packet_sim_tcp_transfer(benchmark):
 def test_bench_shard_generation(benchmark, tmp_path):
     """Generating and writing one shard of the out-of-core region store
     (synthesis + columnar projection + atomic writes + hashing) — the
-    unit of work a store-build worker executes.  The per-shard run
+    unit of work of a serial store build.  The per-shard run
     throughput in extra_info is what the CI gate tracks."""
     from repro.fleet.shards import _write_shard, plan_region_shards, synthesize_shard
     from repro.obs.metrics import Metrics
@@ -478,13 +478,13 @@ def test_bench_serve_latency(benchmark, bench_ctx):
     service = QueryService(
         ServiceConfig(
             fleet=bench_ctx.fleet,
-            cache_dir=bench_ctx.cache_dir,
+            store_dir=bench_ctx.store_dir,
             request_threads=1,
         )
     )
     try:
         query = Query(kind="table1", region="RegA")
-        warm = list(service.stream(query))  # builds the memo (cache hit)
+        warm = list(service.stream(query))  # builds the memo (store reopen)
         assert warm[-1]["event"] == "result"
 
         def run():

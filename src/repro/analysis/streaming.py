@@ -22,11 +22,11 @@ provides the partials that make that possible:
   result does not depend on how runs were split into shards or in which
   order shards merged.
 
-Every accumulator supports the same protocol: feed rows (from a shard's
-columnar arrays or from in-memory :class:`RunSummary` objects), merge
-with another accumulator of the same type, and finalize once at the
-end.  Merging is associative: ``a.merge(b); a.merge(c)`` equals
-``b.merge(c); a.merge(b)`` finalized.
+Every accumulator supports the same protocol: feed rows from a shard's
+columnar arrays (``add_columns``), merge with another accumulator of the
+same type, and finalize once at the end.  Merging is associative:
+``a.merge(b); a.merge(c)`` equals ``b.merge(c); a.merge(b)`` finalized.
+The in-memory oracles they are tested against live in the test suite.
 """
 
 from __future__ import annotations
@@ -344,13 +344,6 @@ class Table1Accumulator:
         self.region = region
         self.partial = Table1Partial()
 
-    def add_summary(self, summary) -> None:
-        self.partial.runs += 1
-        self.partial.server_runs += summary.servers
-        self.partial.bursty_server_runs += summary.bursty_server_runs()
-        self.partial.bursts += len(summary.bursts)
-        self.partial.racks.add(summary.rack)
-
     def add_columns(
         self,
         racks: np.ndarray,
@@ -406,30 +399,6 @@ class RackProfileAccumulator:
         #: identical for every run of a rack, so first-write-wins on
         #: merge is safe.
         self._static: dict[str, tuple[str, int, float, bool]] = {}
-
-    def add_summary(self, summary) -> None:
-        if self.hours is not None and summary.hour not in self.hours:
-            return
-        self._rows.add_block(
-            np.asarray([summary.rack]),
-            np.asarray([summary.hour], dtype=np.int64),
-            np.asarray(
-                [[
-                    summary.contention.mean,
-                    summary.switch_discard_bytes,
-                    summary.switch_ingress_bytes,
-                ]]
-            ),
-        )
-        self._static.setdefault(
-            summary.rack,
-            (
-                summary.region,
-                int(summary.extras.get("distinct_tasks", 0)),
-                float(summary.extras.get("dominant_share", 0.0)),
-                bool(summary.extras.get("colocated", False)),
-            ),
-        )
 
     def add_columns(
         self,
@@ -520,15 +489,6 @@ class HourlyBoxAccumulator:
         self.racks = set(racks) if racks is not None else None
         self._rows = _RowBlocks(1)
 
-    def add_summary(self, summary) -> None:
-        if self.racks is not None and summary.rack not in self.racks:
-            return
-        self._rows.add_block(
-            np.asarray([summary.rack]),
-            np.asarray([summary.hour], dtype=np.int64),
-            np.asarray([summary.contention.mean], dtype=np.float64),
-        )
-
     def add_columns(
         self, racks: np.ndarray, hours: np.ndarray, contention_mean: np.ndarray
     ) -> None:
@@ -572,19 +532,6 @@ class RunContentionView:
     p90s: np.ndarray
 
 
-def run_contention_from_summaries(summaries) -> RunContentionView:
-    """The in-memory oracle for :class:`RunContentionAccumulator`:
-    identical arrays, computed directly from the summary list in its
-    native (global) order."""
-    active = [s for s in summaries if s.contention.has_activity]
-    return RunContentionView(
-        total=len(summaries),
-        excluded=len(summaries) - len(active),
-        mins=np.array([s.contention.min_active for s in active], dtype=np.float64),
-        p90s=np.array([s.contention.p90 for s in active], dtype=np.float64),
-    )
-
-
 class RunContentionAccumulator:
     """Streaming collection of each run's (min-active, p90) contention."""
 
@@ -592,16 +539,6 @@ class RunContentionAccumulator:
 
     def __init__(self) -> None:
         self._rows = _RowBlocks(self._VALUE_COLUMNS)
-
-    def add_summary(self, summary) -> None:
-        self._rows.add_block(
-            np.asarray([summary.rack]),
-            np.asarray([summary.hour], dtype=np.int64),
-            np.asarray(
-                [[summary.contention.min_active, summary.contention.p90]],
-                dtype=np.float64,
-            ),
-        )
 
     def add_columns(
         self, racks: np.ndarray, hours: np.ndarray,
@@ -647,22 +584,6 @@ class BurstContentionView:
     first_loss_contention: np.ndarray  # int-valued, -1 when not lossy
 
 
-def burst_contention_from_summaries(summaries) -> BurstContentionView:
-    """The in-memory oracle for :class:`BurstContentionAccumulator`."""
-    racks: list[str] = []
-    rows: list[tuple[int, bool, int]] = []
-    for summary in summaries:
-        for burst in summary.bursts:
-            racks.append(summary.rack)
-            rows.append((burst.max_contention, burst.lossy, burst.first_loss_contention))
-    return BurstContentionView(
-        racks=np.asarray(racks, dtype=str),
-        max_contention=np.asarray([r[0] for r in rows], dtype=np.int64),
-        lossy=np.asarray([r[1] for r in rows], dtype=bool),
-        first_loss_contention=np.asarray([r[2] for r in rows], dtype=np.int64),
-    )
-
-
 class BurstContentionAccumulator:
     """Streaming collection of each burst's contention/loss annotation."""
 
@@ -670,23 +591,6 @@ class BurstContentionAccumulator:
 
     def __init__(self) -> None:
         self._rows = _RowBlocks(self._VALUE_COLUMNS)
-
-    def add_summary(self, summary) -> None:
-        if not summary.bursts:
-            return
-        count = len(summary.bursts)
-        self._rows.add_block(
-            np.full(count, summary.rack),
-            np.full(count, summary.hour, dtype=np.int64),
-            np.asarray(
-                [
-                    [b.max_contention, float(b.lossy), b.first_loss_contention]
-                    for b in summary.bursts
-                ],
-                dtype=np.float64,
-            ),
-            subs=np.arange(count, dtype=np.int64),
-        )
 
     def add_columns(
         self,

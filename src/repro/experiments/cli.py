@@ -25,6 +25,12 @@ import sys
 
 from ..config import KERNEL_CHOICES, FleetConfig
 from ..errors import ConfigError
+from ..fleet.shards import (
+    DEFAULT_SHARD_HOURS,
+    DEFAULT_SHARD_RACKS,
+    default_store_dir,
+    private_store_root,
+)
 from .context import ExperimentContext
 from .registry import EXPERIMENTS, ordered_ids
 
@@ -176,13 +182,14 @@ def _policy_arg(text: str):
 
 
 def _add_generation_args(parser: argparse.ArgumentParser) -> None:
-    """Dataset-generation knobs shared by `run` and `report`.
+    """Dataset-generation knobs shared by `run`, `report` and `serve`.
 
     The per-(rack, run) seed streams make generation identical for any
-    --jobs value, and the cache key covers everything that shapes the
-    data, so these flags change cost, never results.  ``--policy`` is
-    the exception by design: the sharing policy shapes the data, so it
-    feeds the cache key and per-policy datasets never collide.
+    --jobs value or shard geometry, and the store's dataset key covers
+    everything that shapes the data, so these flags change cost, never
+    results.  ``--policy`` is the exception by design: the sharing
+    policy shapes the data, so it feeds the dataset key and per-policy
+    stores never collide.
     """
     parser.add_argument(
         "--policy", type=_policy_arg, default=None, metavar="NAME[:K=V,...]",
@@ -197,44 +204,45 @@ def _add_generation_args(parser: argparse.ArgumentParser) -> None:
              "(0 = all cores, 1 = serial; default 0)",
     )
     parser.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="on-disk dataset cache directory (default "
-             "$MILLISAMPLER_CACHE_DIR or ~/.cache/millisampler-repro)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
-        help="always regenerate datasets; neither read nor write the cache",
+        help="always regenerate datasets: build into a private temporary "
+             "store (inside --store-dir when given) that no other run "
+             "opens, removed when the command exits",
     )
     parser.add_argument(
         "--store-dir", type=str, default=None, metavar="DIR",
-        help="root of the sharded out-of-core region store; when set, "
-             "region-days are generated, cached, and aggregated shard by "
-             "shard (peak memory = one shard) and the monolithic pickle "
-             "cache is bypassed",
+        help="root of the sharded out-of-core region store that "
+             "region-days are generated into, reused from, and aggregated "
+             "from shard by shard (default $MILLISAMPLER_STORE_DIR or "
+             "~/.cache/millisampler-shards)",
     )
     parser.add_argument(
-        "--shard-racks", type=int, default=None, metavar="N",
-        help="racks per shard for --store-dir (default 64)",
+        "--shard-racks", type=int, default=DEFAULT_SHARD_RACKS, metavar="N",
+        help=f"racks per shard (default {DEFAULT_SHARD_RACKS})",
     )
     parser.add_argument(
-        "--shard-hours", type=int, default=None, metavar="N",
-        help="hours per shard for --store-dir (default 12)",
+        "--shard-hours", type=int, default=DEFAULT_SHARD_HOURS, metavar="N",
+        help=f"hours per shard (default {DEFAULT_SHARD_HOURS})",
     )
     parser.add_argument(
         "--kernel", choices=KERNEL_CHOICES, default="auto",
         help="fluid-model kernel: 'native' is the numba-jitted time "
              "loop, 'numpy' the vectorized oracle, 'auto' (default) "
              "native when numba is installed; bit-identical datasets "
-             "either way, so the choice never affects the cache key",
+             "either way, so the choice never affects the dataset key",
     )
 
 
-def _cache_dir(args) -> str | None:
-    from ..fleet.cache import default_cache_dir
+def _store_dir(args) -> str:
+    """The shard-store root a command builds into and reads from.
 
+    ``--no-cache`` reuses and keeps nothing: it gets a fresh private
+    root that no other run opens.  The parsed arguments own it, so it
+    is removed when the command returns.
+    """
     if args.no_cache:
-        return None
-    return args.cache_dir or default_cache_dir()
+        return private_store_root(args, parent=args.store_dir)
+    return args.store_dir or default_store_dir()
 
 
 def _export(args) -> int:
@@ -315,9 +323,6 @@ def _analyze(args) -> int:
 
 def _context(args, verbose: bool = False) -> ExperimentContext:
     """Build the shared context from `run`/`report` CLI arguments."""
-    from ..fleet.shards import DEFAULT_SHARD_HOURS, DEFAULT_SHARD_RACKS
-
-    store_dir = getattr(args, "store_dir", None)
     policy = getattr(args, "policy", None)
     return ExperimentContext(
         fleet=FleetConfig(
@@ -328,10 +333,9 @@ def _context(args, verbose: bool = False) -> ExperimentContext:
             kernel=getattr(args, "kernel", "auto"),
             **({"policy": policy} if policy is not None else {}),
         ),
-        cache_dir=_cache_dir(args),
-        store_dir=store_dir,
-        shard_racks=getattr(args, "shard_racks", None) or DEFAULT_SHARD_RACKS,
-        shard_hours=getattr(args, "shard_hours", None) or DEFAULT_SHARD_HOURS,
+        store_dir=_store_dir(args),
+        shard_racks=args.shard_racks,
+        shard_hours=args.shard_hours,
         verbose=verbose,
         audit=getattr(args, "audit", False),
     )
@@ -345,13 +349,12 @@ def _finish_orchestrated(args, ctx, orchestration) -> int:
         manifest = build_manifest(
             ctx.fleet,
             orchestration.outcomes,
+            store_dir=ctx.store_dir,
+            shard_racks=ctx.shard_racks,
+            shard_hours=ctx.shard_hours,
             telemetry=ctx.metrics.snapshot(),
-            cache_dir=ctx.cache_dir,
             exp_jobs=args.exp_jobs,
             trace_memory=args.trace_memory,
-            store_dir=ctx.store_dir,
-            shard_racks=ctx.shard_racks if ctx.store_dir else None,
-            shard_hours=ctx.shard_hours if ctx.store_dir else None,
         )
         print(f"wrote manifest {write_manifest(manifest, args.manifest)}")
     if args.profile:
@@ -379,8 +382,7 @@ def _serve(args) -> int:
                 kernel=getattr(args, "kernel", "auto"),
                 **({"policy": args.policy} if args.policy is not None else {}),
             ),
-            cache_dir=_cache_dir(args),
-            store_dir=args.store_dir,
+            store_dir=_store_dir(args),
             shard_racks=args.shard_racks,
             shard_hours=args.shard_hours,
             request_threads=args.request_threads,

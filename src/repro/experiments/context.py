@@ -2,8 +2,9 @@
 figure.
 
 The paper's analyses all draw on one day of SyncMillisampler data per
-region; the context mirrors that by generating each region-day lazily
-and caching it, so running all experiments costs one dataset pass.
+region; the context mirrors that by opening each region-day from a
+shard store on first use (building the store on a miss) and keeping it,
+so running all experiments costs one dataset pass.
 """
 
 from __future__ import annotations
@@ -12,32 +13,26 @@ import threading
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 
-from ..analysis.diurnal import hourly_box_stats
 from ..analysis.racks import (
     DEFAULT_CONTENTION_SPLIT,
     RackClass,
     RackProfile,
     classify_racks,
-    rack_profiles,
 )
 from ..analysis.stats import BoxStats
-from ..analysis.streaming import (
-    BurstContentionView,
-    RunContentionView,
-    burst_contention_from_summaries,
-    run_contention_from_summaries,
-)
+from ..analysis.streaming import BurstContentionView, RunContentionView
 from ..analysis.summary import RunSummary
 from ..config import FleetConfig
 from ..errors import ConfigError
-from ..fleet.cache import DatasetCache
-from ..fleet.dataset import DatasetSummary, RegionDataset, generate_region_dataset
+from ..fleet.dataset import DatasetSummary
 from ..fleet.parallel import resolve_jobs
 from ..fleet.shards import (
     DEFAULT_SHARD_HOURS,
     DEFAULT_SHARD_RACKS,
     ShardedRegionDataset,
+    check_shard_geometry,
     generate_region_shards,
+    private_store_root,
 )
 from ..obs.metrics import Metrics
 from ..simnet.audit import InvariantAuditor, audited
@@ -50,23 +45,23 @@ BUSY_HOUR = 6
 
 @dataclass
 class ExperimentContext:
-    """Lazily generated, cached datasets plus derived classifications."""
+    """Lazily built region-day stores plus derived classifications."""
 
     fleet: FleetConfig = field(default_factory=FleetConfig)
     busy_hour: int = BUSY_HOUR
     contention_split: float = DEFAULT_CONTENTION_SPLIT
     verbose: bool = False
-    #: Directory for the on-disk dataset cache; None disables caching.
-    cache_dir: str | None = None
     #: Root of the sharded out-of-core region store (see
-    #: :mod:`repro.fleet.shards`).  When set, region-days are generated,
-    #: cached, and aggregated shard-by-shard — peak memory is one shard —
-    #: and :attr:`cache_dir` (the monolithic pickle cache) is ignored.
+    #: :mod:`repro.fleet.shards`): region-days are generated into it,
+    #: reused from it, and aggregated shard by shard — peak memory is
+    #: one shard.  None means a private temporary root that nothing else
+    #: opens: it is created with the context, recorded here, and deleted
+    #: when the context is collected or the process exits.
     store_dir: str | None = None
     #: Shard geometry: racks per shard x hours per shard.
     shard_racks: int = DEFAULT_SHARD_RACKS
     shard_hours: int = DEFAULT_SHARD_HOURS
-    #: Telemetry registry shared by dataset generation, the cache, and
+    #: Telemetry registry shared by dataset generation, the store, and
     #: every experiment run against this context (see repro.obs).
     metrics: Metrics = field(default_factory=Metrics, repr=False, compare=False)
     #: Cores already committed elsewhere in this process — the query
@@ -92,7 +87,7 @@ class ExperimentContext:
     #: land on :attr:`metrics` (hence in ``--manifest`` telemetry).
     audit: bool = False
     auditor: InvariantAuditor | None = field(default=None, repr=False, compare=False)
-    _datasets: dict[str, RegionDataset | ShardedRegionDataset] = field(
+    _datasets: dict[str, ShardedRegionDataset] = field(
         default_factory=dict, repr=False
     )
     #: Serializes lazy dataset construction so parallel experiments
@@ -102,6 +97,9 @@ class ExperimentContext:
     )
 
     def __post_init__(self) -> None:
+        check_shard_geometry(self.shard_racks, self.shard_hours)
+        if self.store_dir is None:
+            self.store_dir = private_store_root(self)
         if self.audit and self.auditor is None:
             self.auditor = InvariantAuditor(metrics=self.metrics)
 
@@ -139,22 +137,16 @@ class ExperimentContext:
         cores the process already committed to request/experiment threads."""
         return resolve_jobs(self.fleet.jobs, reserved=self.reserved_cores)
 
-    def dataset(
-        self, region: str, on_shard=None
-    ) -> RegionDataset | ShardedRegionDataset:
-        """The region-day dataset, generated (or cache-loaded) on first use.
+    def dataset(self, region: str, on_shard=None) -> ShardedRegionDataset:
+        """The region-day, opened from the shard store on first use and
+        built into it on a miss.
 
-        With :attr:`store_dir` set this is a lazy
-        :class:`~repro.fleet.shards.ShardedRegionDataset` (built shard by
-        shard, loaded via memmap); otherwise the legacy in-memory
-        :class:`RegionDataset` behind the monolithic pickle cache.  Both
-        expose ``region``/``summaries``/``workloads``/``table1_row``.
-
-        ``on_shard`` (shard-store path only) is invoked with each shard's
-        manifest record as it lands — the query service streams these to
-        clients as NDJSON progress events.  It fires only when this call
-        actually builds/opens the store; a memoized dataset returns
-        immediately without replay.
+        The result is a lazy :class:`~repro.fleet.shards.ShardedRegionDataset`
+        (loaded via memmap, aggregated shard by shard).  ``on_shard`` is
+        invoked with each shard's manifest record as it is written — the
+        query service streams these to clients as NDJSON progress
+        events.  It fires only when this call actually builds the store;
+        a memoized dataset returns immediately without replay.
         """
         with self._dataset_lock:
             if region not in self._datasets:
@@ -165,42 +157,19 @@ class ExperimentContext:
                         if done % 200 == 0 or done == total:
                             print(f"  [{_region}] {done}/{total} rack runs")
                 with self.metrics.span(f"dataset/{region}"):
-                    if self.store_dir:
-                        dataset = generate_region_shards(
-                            spec,
-                            self.fleet,
-                            self.store_dir,
-                            shard_racks=self.shard_racks,
-                            shard_hours=self.shard_hours,
-                            jobs=self.resolved_jobs(),
-                            metrics=self.metrics,
-                            progress=progress,
-                            pool=self.pool,
-                            cancel_event=self.cancel_event,
-                            on_shard=on_shard,
-                        )
-                    else:
-                        cache = (
-                            DatasetCache(self.cache_dir, metrics=self.metrics)
-                            if self.cache_dir
-                            else None
-                        )
-                        dataset = cache.load(spec, self.fleet) if cache is not None else None
-                        if dataset is None:
-                            dataset = generate_region_dataset(
-                                spec,
-                                self.fleet,
-                                progress=progress,
-                                jobs=self.resolved_jobs(),
-                                metrics=self.metrics,
-                                pool=self.pool,
-                                cancel_event=self.cancel_event,
-                            )
-                            if cache is not None:
-                                cache.store(spec, self.fleet, dataset)
-                        elif self.verbose:
-                            print(f"  [{region}] dataset loaded from cache")
-                self._datasets[region] = dataset
+                    self._datasets[region] = generate_region_shards(
+                        spec,
+                        self.fleet,
+                        self.store_dir,
+                        shard_racks=self.shard_racks,
+                        shard_hours=self.shard_hours,
+                        jobs=self.resolved_jobs(),
+                        metrics=self.metrics,
+                        progress=progress,
+                        pool=self.pool,
+                        cancel_event=self.cancel_event,
+                        on_shard=on_shard,
+                    )
         return self._datasets[region]
 
     def summaries(self, region: str) -> list[RunSummary]:
@@ -213,7 +182,6 @@ class ExperimentContext:
         window around the busy hour (each rack is sampled ~10 of 24
         hours, so a single hour would cover less than half the racks —
         the window keeps the rack sample representative)."""
-        dataset = self.dataset(region)
         hours: set[int] | None = None
         if busy_hour_only:
             hours = {self.busy_hour - 1, self.busy_hour, self.busy_hour + 1}
@@ -222,51 +190,33 @@ class ExperimentContext:
                 # Tiny test datasets may miss the window entirely; fall
                 # back to the fullest hour.
                 hours = {max(set(counts), key=lambda h: counts[h])}
-        if isinstance(dataset, ShardedRegionDataset):
-            return dataset.rack_profiles(hours=hours)
-        return rack_profiles(dataset.summaries, hours=hours)
+        return self.dataset(region).rack_profiles(hours=hours)
 
     def hour_counts(self, region: str) -> dict[int, int]:
-        """Runs per hour, computed without materializing a sharded set."""
-        dataset = self.dataset(region)
-        if isinstance(dataset, ShardedRegionDataset):
-            return dataset.hour_counts()
-        counts: dict[int, int] = {}
-        for summary in dataset.summaries:
-            counts[summary.hour] = counts.get(summary.hour, 0) + 1
-        return counts
+        """Runs per hour, computed without materializing the summaries."""
+        return self.dataset(region).hour_counts()
 
-    # -- streaming-or-oracle aggregations ---------------------------------
+    # -- streaming aggregations -------------------------------------------
     #
-    # Each method computes through the shard store's mergeable partials
-    # when the context is backed by one, and through the in-memory
-    # oracle otherwise; the two are bit-identical by construction (and
-    # by test), so experiments call these without caring which path ran.
+    # Each method folds the store's columnar shards through the mergeable
+    # partials of repro.analysis.streaming, one shard at a time; the
+    # results are bit-identical to the in-memory oracle (by test).
 
     def table1_row(self, region: str) -> DatasetSummary:
-        """Table 1's row for one region (streaming under a shard store)."""
+        """Table 1's row for one region."""
         return self.dataset(region).table1_row()
 
     def hourly_boxes(self, region: str, racks: set[str] | None = None) -> dict[int, BoxStats]:
         """Figure 13's hourly contention boxes, optionally rack-filtered."""
-        dataset = self.dataset(region)
-        if isinstance(dataset, ShardedRegionDataset):
-            return dataset.hourly_boxes(racks=racks)
-        return hourly_box_stats(dataset.summaries, racks=racks)
+        return self.dataset(region).hourly_boxes(racks=racks)
 
     def run_contention(self, region: str) -> RunContentionView:
         """Figure 15's per-run (min-active, p90) contention arrays."""
-        dataset = self.dataset(region)
-        if isinstance(dataset, ShardedRegionDataset):
-            return dataset.run_contention()
-        return run_contention_from_summaries(dataset.summaries)
+        return self.dataset(region).run_contention()
 
     def burst_contention(self, region: str) -> BurstContentionView:
         """Figure 16's per-burst contention/loss annotations."""
-        dataset = self.dataset(region)
-        if isinstance(dataset, ShardedRegionDataset):
-            return dataset.burst_contention()
-        return burst_contention_from_summaries(dataset.summaries)
+        return self.dataset(region).burst_contention()
 
     def rega_classes(self) -> dict[RackClass, list[RackProfile]]:
         """The RegA-Typical / RegA-High split (whole-day contention)."""

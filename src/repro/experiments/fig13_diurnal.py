@@ -52,7 +52,6 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     """Regenerate this artifact (see module docstring)."""
     high_racks = ctx.rega_high_racks()
 
-    # Streaming under a shard store, in-memory otherwise — bit-identical.
     boxes_high = ctx.hourly_boxes("RegA", racks=high_racks) if high_racks else {}
     boxes_regb = ctx.hourly_boxes("RegB")
 

@@ -7,8 +7,8 @@ orchestrator gives every experiment its own failure boundary and
 telemetry:
 
 * each experiment produces an :class:`ExperimentOutcome` — status
-  (``ok`` / ``failed`` / ``skipped``), wall time, peak memory, dataset-
-  cache traffic, and the result's headline metrics;
+  (``ok`` / ``failed`` / ``skipped``), wall time, peak memory, shard-
+  store traffic, and the result's headline metrics;
 * the default memory figure is the process RSS high-water mark (via
   :mod:`resource`), which costs nothing to read.  ``tracemalloc`` is
   opt-in (``trace_memory=True``, the CLI's ``--trace-memory``): its
@@ -45,10 +45,11 @@ try:  # POSIX-only; outcomes carry None for RSS where unavailable.
 except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
-#: Counter names the dataset cache records (see repro.fleet.cache);
-#: per-experiment deltas of these become the outcome's cache stats.
-CACHE_HIT_COUNTER = "dataset.cache.hit"
-CACHE_MISS_COUNTER = "dataset.cache.miss"
+#: Counter names the shard store records when it opens a region-day
+#: (see repro.fleet.shards): a hit reuses a built store, a miss builds
+#: one.  Per-experiment deltas become the outcome's cache stats.
+CACHE_HIT_COUNTER = "dataset.shards.hit"
+CACHE_MISS_COUNTER = "dataset.shards.miss"
 
 #: Regions the shared warm-up generates before a parallel run.
 WARMUP_REGIONS = ("RegA", "RegB")
@@ -120,7 +121,7 @@ def _peak_rss_bytes() -> int | None:
 def warm_datasets(
     ctx: ExperimentContext, regions: tuple[str, ...] = WARMUP_REGIONS
 ) -> None:
-    """Generate (or cache-load) the shared datasets once, up front.
+    """Build (or open) the shared region-day stores once, up front.
 
     Run before fanning experiments out so workers never race to build
     the same region-day; afterwards every ``ctx.dataset()`` call is an

@@ -13,9 +13,10 @@ synthesis, burst extraction, per-class contention/loss correlation —
 once per registered sharing policy (the same registry ``--policy``
 draws from, so a newly registered policy joins the sweep
 automatically).  Each policy's region-days are generated under that
-policy end to end and are content-addressed by it (the
-:class:`~repro.config.PolicySpec` feeds the dataset cache key), so
-per-policy datasets never collide and repeat sweeps hit the cache.
+policy end to end, into the parent context's shard store, and are
+content-addressed by it (the :class:`~repro.config.PolicySpec` feeds
+the dataset key in every store directory name), so per-policy datasets
+never collide and repeat sweeps reopen their stores.
 
 Scale is capped per policy (the sweep multiplies dataset cost by the
 zoo size); the inversion verdict is robust at the capped scale because
@@ -77,8 +78,11 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
             fleet=dataclasses.replace(base, policy=spec),
             busy_hour=ctx.busy_hour,
             contention_split=ctx.contention_split,
-            cache_dir=ctx.cache_dir,
+            store_dir=ctx.store_dir,
+            shard_racks=ctx.shard_racks,
+            shard_hours=ctx.shard_hours,
             metrics=ctx.metrics,
+            reserved_cores=ctx.reserved_cores,
             pool=ctx.pool,
             cancel_event=ctx.cancel_event,
         )

@@ -16,11 +16,12 @@ preserves the mechanisms the paper's findings rest on:
 * sketch-noise on connection counts, and assembly into the same
   :class:`~repro.core.run.SyncRun` objects the packet-level pipeline
   produces (:mod:`repro.fleet.rackrun`);
-* full day/region dataset generation (:mod:`repro.fleet.dataset`).
+* full day/region dataset generation (:mod:`repro.fleet.dataset`) into
+  the sharded on-disk region store (:mod:`repro.fleet.shards`).
 """
 
 from .buffermodel import FluidBufferModel, FluidBufferResult
-from .cache import DatasetCache, dataset_cache_key, default_cache_dir
+from .cache import dataset_cache_key
 from .demand import DemandModel, ServerDemand
 from .rackrun import RackRunSynthesizer
 from .dataset import (
@@ -29,11 +30,10 @@ from .dataset import (
     RackRunPlan,
     RegionDataset,
     generate_region_dataset,
-    generate_paper_dataset,
     plan_region,
     synthesize_rack_day,
 )
-from .parallel import generate_region_dataset_parallel, resolve_jobs
+from .parallel import resolve_jobs
 
 __all__ = [
     "FluidBufferModel",
@@ -41,16 +41,12 @@ __all__ = [
     "DemandModel",
     "ServerDemand",
     "RackRunSynthesizer",
-    "DatasetCache",
     "DatasetSummary",
     "RackDay",
     "RackRunPlan",
     "RegionDataset",
     "dataset_cache_key",
-    "default_cache_dir",
     "generate_region_dataset",
-    "generate_paper_dataset",
-    "generate_region_dataset_parallel",
     "plan_region",
     "resolve_jobs",
     "synthesize_rack_day",

@@ -1,24 +1,18 @@
-"""Content-addressed on-disk cache for generated region datasets.
+"""Content identity of a generated region-day.
 
 Every figure and table draws on the same region-day of summaries, and
 generating one costs minutes of fluid-model time at paper scale.  The
-cache keys each :class:`RegionDataset` by a hash of everything that
-determines its contents — the :class:`RegionSpec`, the dataset-shaping
-fields of :class:`FleetConfig`, and a dataset-format version — so a
-given configuration pays generation once ever.
+shard store (:mod:`repro.fleet.shards`) keeps each generated region-day
+on disk under a hash of everything that determines its contents — the
+:class:`RegionSpec`, the dataset-shaping fields of
+:class:`FleetConfig`, and a dataset-format version — so a given
+configuration pays generation once ever.  ``FleetConfig.jobs`` and the
+other execution-only fields are deliberately *excluded* from the key:
+they change how a dataset is computed, never what it contains.
 
-Two properties matter more than cleverness here:
-
-* **Transparency** — a cache hit returns the exact summaries generation
-  would have produced (generation is deterministic per seed, and the
-  pickle round-trip preserves every float bit).  ``FleetConfig.jobs``
-  is deliberately *excluded* from the key: it changes how a dataset is
-  computed, never what it contains.
-* **Corruption tolerance** — a truncated, stale, or otherwise
-  unreadable entry is logged and treated as a miss; the dataset is
-  regenerated and the entry overwritten.  Entries are written via a
-  temp file + atomic rename so a crashed writer cannot leave a
-  half-written entry under the final name.
+Writers go through a temp file plus an atomic rename, so a crashed
+writer cannot leave a half-written file under its final name; the
+orphaned temp files it leaves are swept by :func:`sweep_stale_tmp_files`.
 """
 
 from __future__ import annotations
@@ -26,34 +20,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import logging
 import math
 import os
-import pickle
-import tempfile
 import time
 
 from ..config import DEFAULT_POLICY_SPEC, FleetConfig
 from ..obs.metrics import Metrics
 from ..workload.region import RegionSpec
-from .dataset import RegionDataset
-
-logger = logging.getLogger(__name__)
 
 #: Bump whenever generation or the summary layout changes in a way that
-#: invalidates previously cached datasets.
+#: invalidates previously generated datasets.
 DATASET_FORMAT_VERSION = 1
-
-#: Environment override for the default cache location.
-CACHE_DIR_ENV = "MILLISAMPLER_CACHE_DIR"
-
-
-def default_cache_dir() -> str:
-    """``$MILLISAMPLER_CACHE_DIR`` or ``~/.cache/millisampler-repro``."""
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
-        return override
-    return os.path.join(os.path.expanduser("~"), ".cache", "millisampler-repro")
 
 
 def _canonical(value):
@@ -99,7 +76,7 @@ def _canonical(value):
 #: the content hash; ``EXECUTION_ONLY_FIELDS`` change only how a dataset
 #: is computed (fan-out, batching) and are deliberately excluded.  A
 #: test asserts the classification is exhaustive, so a future
-#: dataset-shaping field cannot silently alias cached datasets.
+#: dataset-shaping field cannot silently alias stored datasets.
 KEY_BEARING_FIELDS: tuple[str, ...] = (
     "racks_per_region",
     "runs_per_rack",
@@ -119,8 +96,8 @@ def dataset_cache_key(spec: RegionSpec, config: FleetConfig) -> str:
             # The default DT spec reproduces exactly the data generated
             # before policy became a config axis, so it is omitted from
             # the payload: default-policy keys are byte-identical to
-            # pre-policy keys and every existing cache entry and shard
-            # store stays valid.  Any non-default spec is keyed.
+            # pre-policy keys and every existing shard store stays
+            # valid.  Any non-default spec is keyed.
             continue
         fleet_fields[name] = _canonical(value)
     payload = {
@@ -136,15 +113,11 @@ def dataset_cache_key(spec: RegionSpec, config: FleetConfig) -> str:
     return digest
 
 
-#: Counter names recorded on every cache interaction; the orchestrator
-#: reads per-experiment deltas of hit/miss into the run manifest.
-HIT_COUNTER = "dataset.cache.hit"
-MISS_COUNTER = "dataset.cache.miss"
-STORE_COUNTER = "dataset.cache.store"
-SWEEP_COUNTER = "dataset.cache.swept_tmp"
+#: Counter of orphaned temp files removed by :func:`sweep_stale_tmp_files`.
+SWEEP_COUNTER = "dataset.shards.swept_tmp"
 
 #: Age (seconds) past which an orphaned ``*.tmp`` file is presumed dead.
-#: Writers hold a temp file only for the duration of one pickle dump, so
+#: Writers hold a temp file only for the duration of one file write, so
 #: anything this old belongs to a crashed/killed writer, not a live one.
 STALE_TMP_AGE_S = 15 * 60
 
@@ -182,64 +155,3 @@ def sweep_stale_tmp_files(
     if swept and metrics is not None:
         metrics.incr(SWEEP_COUNTER, swept)
     return swept
-
-
-class DatasetCache:
-    """Directory of pickled region datasets keyed by content hash.
-
-    ``metrics`` (any :class:`repro.obs.metrics.Metrics`) receives
-    hit/miss/store counters and load/store timers; a private registry
-    is used when the caller does not supply one, keeping the recording
-    path identical whether or not anyone is watching.
-    """
-
-    def __init__(self, directory: str, metrics: Metrics | None = None) -> None:
-        self.directory = directory
-        self.metrics = metrics if metrics is not None else Metrics()
-
-    def path_for(self, spec: RegionSpec, config: FleetConfig) -> str:
-        key = dataset_cache_key(spec, config)
-        return os.path.join(self.directory, f"{spec.name}-{key}.pkl")
-
-    def load(self, spec: RegionSpec, config: FleetConfig) -> RegionDataset | None:
-        """The cached dataset, or None on a miss *or* an unreadable entry."""
-        path = self.path_for(spec, config)
-        if not os.path.exists(path):
-            self.metrics.incr(MISS_COUNTER)
-            return None
-        try:
-            with self.metrics.span("cache/load"):
-                with open(path, "rb") as handle:
-                    payload = pickle.load(handle)
-                if payload["format"] != DATASET_FORMAT_VERSION:
-                    raise ValueError(f"format {payload['format']} != {DATASET_FORMAT_VERSION}")
-                dataset = payload["dataset"]
-                if not isinstance(dataset, RegionDataset) or dataset.region != spec.name:
-                    raise ValueError("entry does not hold the requested region")
-            self.metrics.incr(HIT_COUNTER)
-            return dataset
-        except Exception as exc:  # corrupt entry: regenerate, overwrite
-            logger.warning("ignoring unreadable dataset cache entry %s: %s", path, exc)
-            self.metrics.incr(MISS_COUNTER)
-            return None
-
-    def store(self, spec: RegionSpec, config: FleetConfig, dataset: RegionDataset) -> str:
-        """Atomically write (or overwrite) the entry for this config."""
-        os.makedirs(self.directory, exist_ok=True)
-        sweep_stale_tmp_files(self.directory, metrics=self.metrics)
-        path = self.path_for(spec, config)
-        payload = {"format": DATASET_FORMAT_VERSION, "dataset": dataset}
-        handle, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with self.metrics.span("cache/store"):
-                with os.fdopen(handle, "wb") as tmp:
-                    pickle.dump(payload, tmp, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        self.metrics.incr(STORE_COUNTER)
-        return path

@@ -21,9 +21,9 @@ whole region:
 Because each (rack, run) stream is derived purely from indices, any
 rack run can be synthesized in isolation — which is what makes
 generation embarrassingly parallel (see :mod:`repro.fleet.parallel`)
-and cacheable (see :mod:`repro.fleet.cache`).  For a fixed seed the
-summaries are identical whether the region is generated serially, by a
-process pool of any size, or loaded back from the on-disk cache.
+and storable shard by shard (see :mod:`repro.fleet.shards`).  For a
+fixed seed the summaries are identical whether the region is generated
+serially, by a process pool of any size, or loaded back from a store.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from ..analysis.summary import RunSummary, summarize_run
 from ..config import FleetConfig
 from ..obs.metrics import Metrics
-from ..workload.region import RackWorkload, RegionSpec, REGION_A, REGION_B, build_region_workloads
+from ..workload.region import RackWorkload, RegionSpec, build_region_workloads
 from .rackrun import BatchItem, RackRunSynthesizer
 
 #: Stream-tree branch tags (the first element of every spawn key).
@@ -251,7 +251,6 @@ def iter_region_summaries(
     spec: RegionSpec,
     config: FleetConfig,
     synthesizer: RackRunSynthesizer | None = None,
-    progress: Callable[[int, int], None] | None = None,
     metrics: Metrics | None = None,
 ) -> Iterator[tuple[RunSummary, RackWorkload]]:
     """Lazily generate (summary, workload) pairs for a region-day.
@@ -260,25 +259,13 @@ def iter_region_summaries(
     fluid batches of ``config.fluid_batch`` and reduced immediately, so
     peak memory is one batch of raw runs regardless of region scale.
     """
-    plans = plan_region(spec, config)
-    yield from iter_plan_summaries(plans, config, synthesizer, progress, metrics)
+    return summarize_batches(
+        _region_items(plan_region(spec, config), config), config, synthesizer, metrics
+    )
 
 
-def iter_plan_summaries(
-    plans: list[RackRunPlan],
-    config: FleetConfig,
-    synthesizer: RackRunSynthesizer | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    metrics: Metrics | None = None,
-) -> Iterator[tuple[RunSummary, RackWorkload]]:
-    """:func:`iter_region_summaries` over an explicit plan list (the
-    serial region path keeps its plan for the workload list)."""
-    total = sum(len(plan.hours) for plan in plans)
-    items = (item for plan in plans for item in _plan_items(plan, config))
-    for done, pair in enumerate(summarize_batches(items, config, synthesizer, metrics), 1):
-        if progress is not None:
-            progress(done, total)
-        yield pair
+def _region_items(plans: list[RackRunPlan], config: FleetConfig) -> Iterator[BatchItem]:
+    return (item for plan in plans for item in _plan_items(plan, config))
 
 
 def generate_region_dataset(
@@ -286,71 +273,33 @@ def generate_region_dataset(
     config: FleetConfig,
     synthesizer: RackRunSynthesizer | None = None,
     progress: Callable[[int, int], None] | None = None,
-    jobs: int | None = None,
     metrics: Metrics | None = None,
-    pool=None,
-    cancel_event=None,
 ) -> RegionDataset:
-    """Generate and reduce one region-day.
+    """Generate and reduce one region-day serially, in memory.
 
-    ``jobs`` overrides ``config.jobs``: 1 synthesizes serially in this
-    process, N > 1 fans rack days out over a process pool, and 0 uses
-    every available core.  The result is identical for any job count.
-    ``metrics`` receives a ``generate/<region>`` span and a
+    The in-memory oracle the shard store (:mod:`repro.fleet.shards`) is
+    tested against; every run path builds a store instead.  ``metrics``
+    receives a ``generate/<region>`` span and a
     ``dataset.generated_runs`` counter; telemetry never shapes data.
-    ``pool``/``cancel_event`` reach the parallel fan-out (see
-    :func:`repro.fleet.parallel.run_windowed`); the query service uses
-    them for its persistent pool and graceful drain.
     """
-    resolved = config.jobs if jobs is None else jobs
-    from .parallel import resolve_jobs
-
-    resolved = resolve_jobs(resolved)
     metrics = metrics if metrics is not None else Metrics()
-    if resolved > 1 or pool is not None:
-        from .parallel import generate_region_dataset_parallel
-
-        return generate_region_dataset_parallel(
-            spec, config, jobs=resolved, synthesizer=synthesizer,
-            progress=progress, metrics=metrics,
-            pool=pool, cancel_event=cancel_event,
-        )
-
-    summaries: list[RunSummary] = []
     plans = plan_region(spec, config)
+    total = sum(len(plan.hours) for plan in plans)
+    summaries: list[RunSummary] = []
     with metrics.span(f"generate/{spec.name}"):
-        for summary, _workload in iter_plan_summaries(
-            plans, config, synthesizer, progress, metrics=metrics
+        for summary, _workload in summarize_batches(
+            _region_items(plans, config), config, synthesizer, metrics
         ):
             summaries.append(summary)
+            if progress is not None:
+                progress(len(summaries), total)
     metrics.incr("dataset.generated_runs", len(summaries))
-    # One workloads rule for every path (serial, parallel, sharded):
-    # every *planned* rack contributes its workload in rack order, even
-    # racks that scheduled zero runs.  Collecting workloads from yielded
-    # summaries instead would silently drop zero-run racks and disagree
-    # with the parallel path.
+    # Every *planned* rack contributes its workload in rack order, even
+    # racks that scheduled zero runs, exactly as a store records them.
+    # Collecting workloads from yielded summaries instead would silently
+    # drop zero-run racks.
     return RegionDataset(
         region=spec.name,
         summaries=summaries,
         workloads=[plan.workload for plan in plans],
     )
-
-
-def generate_paper_dataset(
-    config: FleetConfig | None = None,
-    progress: Callable[[str, int, int], None] | None = None,
-    jobs: int | None = None,
-) -> dict[str, RegionDataset]:
-    """Both regions of the paper's primary dataset."""
-    config = config or FleetConfig()
-    datasets: dict[str, RegionDataset] = {}
-    for spec in (REGION_A, REGION_B):
-        region_progress = (
-            (lambda done, total, name=spec.name: progress(name, done, total))
-            if progress is not None
-            else None
-        )
-        datasets[spec.name] = generate_region_dataset(
-            spec, config, progress=region_progress, jobs=jobs
-        )
-    return datasets

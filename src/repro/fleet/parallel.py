@@ -3,17 +3,18 @@
 Dataset generation is embarrassingly parallel once every (rack, run)
 pair owns an independent seed stream (see the seeding notes in
 :mod:`repro.fleet.dataset`): each worker synthesizes whole rack days
-and reduces every raw run to its :class:`RunSummary` before returning,
-so peak memory stays one raw rack run per worker and only the small
-summaries cross the process boundary.
+(:func:`_rack_day_task`) and reduces every raw run to its
+:class:`RunSummary` before returning, so peak memory stays one fluid
+batch per worker and only the small summaries cross the process
+boundary.
 
 Determinism is structural, not incidental — workers never share RNG
-state, and results are reassembled in rack order — so a region-day is
-byte-identical for any job count.
+state, and the shard store files every summary under its (rack, run)
+position — so a store is byte-identical for any job count.
 
-:func:`run_windowed` is the shared fan-out substrate (also used by the
-shard store and the query service).  It owns the failure semantics a
-long-lived process needs:
+:func:`run_windowed` is the fan-out substrate the shard store's
+parallel build runs on (the query service injects its persistent pool
+there).  It owns the failure semantics a long-lived process needs:
 
 * **fail-fast** — the first task exception cancels everything still
   queued and surfaces as :class:`~repro.errors.WorkerTaskError` naming
@@ -42,9 +43,8 @@ from ..analysis.summary import RunSummary
 from ..config import FleetConfig
 from ..errors import ConfigError, WorkerCancelled, WorkerCrashError, WorkerTaskError
 from ..obs.metrics import Metrics
-from ..workload.region import RegionSpec
-from .dataset import RackRunPlan, RegionDataset, plan_region, synthesize_rack_day
-from .kernels import consume_pending, pool_initializer
+from .dataset import RackRunPlan, synthesize_rack_day
+from .kernels import consume_pending
 from .rackrun import RackRunSynthesizer
 
 T = TypeVar("T")
@@ -76,10 +76,8 @@ def run_windowed(
     handle: Callable[[T, Any], None],
     *,
     jobs: int = 1,
-    window: int | None = None,
     label: Callable[[T], str] = repr,
     pool: Executor | None = None,
-    retry_broken: bool = True,
     cancel_event: threading.Event | None = None,
     initializer: Callable[..., None] | None = None,
     initargs: tuple = (),
@@ -88,9 +86,9 @@ def run_windowed(
 
     ``submit(executor, item)`` starts one unit of work and returns its
     future; ``handle(item, result)`` consumes each result in completion
-    order.  At most ``window`` (default ``2 * jobs``) futures are in
-    flight, so a huge region never has every task pickled and queued at
-    once.  Returns the number of items handled.
+    order.  At most ``2 * jobs`` futures are in flight, so a huge region
+    never has every task pickled and queued at once.  Returns the number
+    of items handled.
 
     When ``pool`` is None the substrate creates and owns a
     ``ProcessPoolExecutor`` (``initializer``/``initargs`` run in each
@@ -110,14 +108,25 @@ def run_windowed(
     if total == 0:
         return 0
     jobs = resolve_jobs(jobs)
-    if window is None:
-        window = 2 * jobs
-    if window < 1:
-        raise ConfigError("window must admit at least one in-flight task")
+    window = 2 * jobs
 
     completed = 0
     pending: deque[int] = deque(range(total))
     retried = False
+
+    def retry_or_raise(index: int, exc: BrokenProcessPool) -> BrokenProcessPool:
+        """Requeue every unfinished item for one retry on a fresh owned
+        pool, or raise :class:`WorkerCrashError` naming the suspects."""
+        nonlocal pending, retried
+        if owned is not None and not retried:
+            retried = True
+            pending = deque(sorted((index, *in_flight.values(), *pending)))
+            return exc
+        suspects = [label(items[index])] + [
+            label(items[i]) for i in sorted(in_flight.values())
+        ]
+        raise WorkerCrashError(suspects, detail=str(exc)) from exc
+
     while pending:
         owned: ProcessPoolExecutor | None = None
         executor = pool
@@ -144,16 +153,8 @@ def run_windowed(
                         # between windows) breaks the pool before any
                         # future exists; same contract as a broken
                         # in-flight future.
-                        unfinished = sorted((index, *in_flight.values(), *pending))
-                        if owned is not None and retry_broken and not retried:
-                            retried = True
-                            pending = deque(unfinished)
-                            retry_break = exc
-                            break
-                        suspects = [label(items[index])] + [
-                            label(items[i]) for i in sorted(in_flight.values())
-                        ]
-                        raise WorkerCrashError(suspects, detail=str(exc)) from exc
+                        retry_break = retry_or_raise(index, exc)
+                        break
                     in_flight[future] = index
                 if retry_break is not None:
                     break
@@ -168,16 +169,8 @@ def run_windowed(
                         # Every in-flight future reports the same pool
                         # breakage; the true victim is unknowable, so
                         # collect every suspect before deciding.
-                        unfinished = sorted((index, *in_flight.values(), *pending))
-                        if owned is not None and retry_broken and not retried:
-                            retried = True
-                            pending = deque(unfinished)
-                            retry_break = exc
-                            break
-                        suspects = [label(items[index])] + [
-                            label(items[i]) for i in sorted(in_flight.values())
-                        ]
-                        raise WorkerCrashError(suspects, detail=str(exc)) from exc
+                        retry_break = retry_or_raise(index, exc)
+                        break
                     except Exception as exc:
                         raise WorkerTaskError(label(items[index]), exc) from exc
                     handle(items[index], result)
@@ -216,77 +209,3 @@ def _rack_day_task(
     consume_pending(worker_metrics)  # pool-initializer JIT compile time
     summaries = synthesize_rack_day(plan, config, synthesizer, metrics=worker_metrics)
     return summaries, worker_metrics.snapshot()
-
-
-def _plan_label(plan: RackRunPlan) -> str:
-    return f"rack {plan.rack_index} ({plan.workload.rack})"
-
-
-def generate_region_dataset_parallel(
-    spec: RegionSpec,
-    config: FleetConfig,
-    jobs: int,
-    synthesizer: RackRunSynthesizer | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    metrics: Metrics | None = None,
-    pool: Executor | None = None,
-    cancel_event: threading.Event | None = None,
-) -> RegionDataset:
-    """Generate one region-day with ``jobs`` worker processes.
-
-    Produces exactly the same :class:`RegionDataset` as the serial path
-    in :func:`repro.fleet.dataset.generate_region_dataset`.  ``metrics``
-    stays in the parent process (only plans and results cross the
-    process boundary); it records the fan-out span and per-rack-day
-    task counts.
-
-    Failure semantics come from :func:`run_windowed`: fail-fast
-    :class:`WorkerTaskError` naming the failing rack, retry-once then
-    :class:`WorkerCrashError` on worker death, graceful-drain
-    :class:`WorkerCancelled` via ``cancel_event``.
-    """
-    jobs = resolve_jobs(jobs)
-    metrics = metrics if metrics is not None else Metrics()
-    plans = plan_region(spec, config)
-    if not plans:
-        # A region that plans zero racks is a valid degenerate scale;
-        # ProcessPoolExecutor(max_workers=0) would raise, so short-circuit
-        # to the same empty dataset the serial path returns.
-        metrics.incr("dataset.generated_runs", 0)
-        return RegionDataset(region=spec.name, summaries=[], workloads=[])
-    total = sum(len(plan.hours) for plan in plans)
-    per_rack: list[list[RunSummary] | None] = [None] * len(plans)
-    progress_done = 0
-
-    def handle(plan: RackRunPlan, result: tuple[list[RunSummary], dict]) -> None:
-        nonlocal progress_done
-        summaries, snapshot = result
-        per_rack[plan.rack_index] = summaries
-        progress_done += len(summaries)
-        metrics.incr("dataset.parallel.rack_days")
-        metrics.merge(snapshot)
-        if progress is not None:
-            progress(progress_done, total)
-
-    with metrics.span(f"generate/{spec.name}"):
-        run_windowed(
-            plans,
-            lambda executor, plan: executor.submit(
-                _rack_day_task, plan, config, synthesizer
-            ),
-            handle,
-            jobs=jobs,
-            window=2 * jobs,
-            label=_plan_label,
-            pool=pool,
-            cancel_event=cancel_event,
-            initializer=pool_initializer,
-            initargs=(config.kernel,),
-        )
-    summaries = [summary for rack in per_rack for summary in (rack or [])]
-    metrics.incr("dataset.generated_runs", len(summaries))
-    return RegionDataset(
-        region=spec.name,
-        summaries=summaries,
-        workloads=[plan.workload for plan in plans],
-    )

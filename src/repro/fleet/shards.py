@@ -4,10 +4,9 @@ The paper's primary dataset is 2 regions x ~1000 racks x 24 h — an
 8.16 B-sample footprint that cannot live as one in-memory
 :class:`RegionDataset` behind a single pickle blob.  This module
 partitions a region-day into per-``(region, rack-range, hour-band)``
-**shards**, each independently generated from the per-(rack, run) seed
-streams of :mod:`repro.fleet.dataset`, so generation, caching, and
-analysis pipeline shard-by-shard across workers with peak memory
-bounded by one shard.
+**shards**, each drawn from the per-(rack, run) seed streams of
+:mod:`repro.fleet.dataset`, so storage and analysis pipeline shard by
+shard with peak memory bounded by one shard.
 
 On disk a store is one directory per (region, dataset key, shard
 geometry)::
@@ -29,10 +28,14 @@ geometry)::
   the manifest is written last, so a crashed writer can never leave a
   store that *looks* complete.  Stale temp files are swept on build.
 
-Because every (rack, run) pair owns an independent seed-stream leaf,
-shard contents are **bit-identical** to the corresponding slice of the
-monolithic in-memory generation — the legacy path stays available as
-the exactness oracle, and the determinism suite holds shard-by-shard.
+A store is built serially (one shard at a time, in this process) or
+by fanning rack days out over a process pool, with this process writing
+each rack stripe's shards as soon as the stripe is complete.  Because
+every (rack, run) pair owns an independent seed-stream leaf, shard
+contents are **bit-identical** for any job count and equal the
+corresponding slice of the in-memory
+:func:`~repro.fleet.dataset.generate_region_dataset` — the exactness
+oracle the tests hold every shard and aggregation to.
 """
 
 from __future__ import annotations
@@ -42,8 +45,11 @@ import json
 import logging
 import os
 import pickle
+import shutil
+import sys
 import tempfile
 import threading
+import weakref
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -73,7 +79,7 @@ from .dataset import (
     run_rng,
     summarize_batches,
 )
-from .kernels import consume_pending, pool_initializer
+from .kernels import pool_initializer
 from .rackrun import BatchItem, RackRunSynthesizer
 
 logger = logging.getLogger(__name__)
@@ -141,7 +147,37 @@ def default_store_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "millisampler-shards")
 
 
+def private_store_root(owner: object, parent: str | None = None) -> str:
+    """A new, empty store root that no other run opens, inside
+    ``parent`` (default: the system temp directory).
+
+    The root is deleted when ``owner`` is garbage-collected or the
+    process exits — by the process that created it only, so a forked
+    pool worker dropping its copy of ``owner`` leaves the root alone.
+    """
+    if parent is not None:
+        os.makedirs(parent, exist_ok=True)
+    root = tempfile.mkdtemp(prefix="private-store-", dir=parent)
+    weakref.finalize(owner, _remove_private_root, root, os.getpid())
+    return root
+
+
+def _remove_private_root(root: str, creator_pid: int) -> None:
+    if os.getpid() == creator_pid:
+        shutil.rmtree(root, ignore_errors=True)
+
+
 # -- shard geometry ----------------------------------------------------------
+
+
+def check_shard_geometry(shard_racks: int, shard_hours: int) -> None:
+    """Raise :class:`ConfigError` unless a shard spans at least one rack
+    and one hour."""
+    if shard_racks < 1 or shard_hours < 1:
+        raise ConfigError(
+            "shard geometry must be at least 1 rack x 1 hour, "
+            f"got {shard_racks} x {shard_hours}"
+        )
 
 
 @dataclass(frozen=True)
@@ -193,10 +229,7 @@ def plan_region_shards(
     and the shard tasks ordered by (rack range, hour band).  Every
     (rack, run) of the plan appears in exactly one shard.
     """
-    if shard_racks < 1:
-        raise ConfigError("shard must span at least one rack")
-    if shard_hours < 1:
-        raise ConfigError("shard must span at least one hour")
+    check_shard_geometry(shard_racks, shard_hours)
     plans = plan_region(spec, config)
     tasks: list[ShardTask] = []
     for rack_lo in range(0, len(plans), shard_racks):
@@ -304,7 +337,7 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-# -- shard generation (worker side) ------------------------------------------
+# -- shard generation --------------------------------------------------------
 
 
 def synthesize_shard(
@@ -314,7 +347,8 @@ def synthesize_shard(
     metrics: Metrics | None = None,
 ) -> list[RunSummary]:
     """Synthesize one shard's runs (rack-major, hour-ascending order),
-    reducing each fluid batch immediately — the worker's unit of work."""
+    reducing each fluid batch immediately — a serial build's unit of
+    work."""
     items: list[BatchItem] = [
         (
             plan.workload,
@@ -328,6 +362,23 @@ def synthesize_shard(
         summary
         for summary, _workload in summarize_batches(items, config, synthesizer, metrics)
     ]
+
+
+def _reshare(plan: RackRunPlan, summaries: list[RunSummary]) -> list[RunSummary]:
+    """Point a rack day unpickled from a worker at this process's strings.
+
+    Pickle writes an object once per file and refers back to it after
+    that, by identity.  Summaries synthesized in this process share one
+    region name and the interned ``extras`` keys across every rack of a
+    shard, but each rack day from a worker brings its own copies, which
+    would make the shard's summaries file longer by a few bytes per
+    rack.  Restoring the sharing keeps parallel shards byte-identical to
+    serial ones.
+    """
+    for summary in summaries:
+        summary.region = plan.workload.region
+        summary.extras = {sys.intern(key): value for key, value in summary.extras.items()}
+    return summaries
 
 
 def _write_shard(
@@ -383,20 +434,6 @@ def _write_shard(
     return record
 
 
-def _shard_worker(task: ShardTask, config: FleetConfig, directory: str) -> tuple[str, dict, dict]:
-    """Top-level process-pool entry point (must be picklable).
-
-    Generates and writes one whole shard; only the manifest record and
-    a telemetry snapshot cross the process boundary back to the parent.
-    """
-    metrics = Metrics()
-    consume_pending(metrics)  # pool-initializer JIT compile time
-    with metrics.span("shards/generate"):
-        summaries = synthesize_shard(task, config, metrics=metrics)
-        record = _write_shard(directory, task, summaries, metrics)
-    return task.key.tag, record, metrics.snapshot()
-
-
 # -- the store ---------------------------------------------------------------
 
 
@@ -422,8 +459,7 @@ class RegionShardStore:
     metrics: Metrics = field(default_factory=Metrics, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.shard_racks < 1 or self.shard_hours < 1:
-            raise ConfigError("shard geometry must be at least 1x1")
+        check_shard_geometry(self.shard_racks, self.shard_hours)
 
     @property
     def dataset_key(self) -> str:
@@ -518,23 +554,29 @@ class RegionShardStore:
         cancel_event: threading.Event | None = None,
         on_shard: Callable[[dict], None] | None = None,
     ) -> dict:
-        """Generate every shard (serially or across a process pool) and
-        atomically publish the manifest.  Returns the manifest.
+        """Generate every shard and atomically publish the manifest.
+        Returns the manifest.
 
-        ``on_shard`` receives each shard's manifest record as it
-        completes (the query service streams these as NDJSON progress
-        events).  ``pool`` injects an external executor — the service's
-        persistent pool — instead of creating one per build;
-        ``cancel_event`` requests a graceful drain (in-flight shards
-        finish, the manifest is *not* written, and
+        With ``jobs == 1`` and no ``pool`` this process synthesizes the
+        shards one at a time.  Otherwise rack days fan out over a
+        process pool (``pool`` injects an external executor — the
+        service's persistent pool — instead of creating one per build)
+        and this process writes each rack stripe's shards as soon as the
+        stripe's last rack day is back; see :meth:`_fan_out`.  Both
+        write byte-identical shards.
+
+        ``on_shard`` receives each shard's manifest record as it is
+        written (the query service streams these as NDJSON progress
+        events).  ``cancel_event`` requests a graceful drain: in-flight
+        work finishes, the manifest is *not* written, and
         :class:`~repro.errors.WorkerCancelled` is raised — the store
         stays an incomplete-but-consistent miss thanks to manifest-last
-        atomicity).  Fan-out failure semantics come from
+        atomicity.  Fan-out failure semantics come from
         :func:`repro.fleet.parallel.run_windowed`: fail-fast
-        ``WorkerTaskError`` naming the shard, crash containment via
+        ``WorkerTaskError`` naming the rack, crash containment via
         ``WorkerCrashError``.
         """
-        from .parallel import resolve_jobs, run_windowed
+        from .parallel import resolve_jobs
 
         jobs = resolve_jobs(jobs)
         os.makedirs(self.directory, exist_ok=True)
@@ -546,11 +588,9 @@ class RegionShardStore:
         done = 0
         records: dict[str, dict] = {}
 
-        def collect(record: dict, snapshot: dict | None) -> None:
+        def collect(record: dict) -> None:
             nonlocal done
             records[record["tag"]] = record
-            if snapshot is not None:
-                self.metrics.merge(snapshot)
             self.metrics.incr("dataset.shards.generated")
             done += record["runs"]
             if progress is not None:
@@ -559,19 +599,9 @@ class RegionShardStore:
                 on_shard(record)
 
         with self.metrics.span(f"shards/build/{self.spec.name}"):
-            if (jobs > 1 or pool is not None) and len(tasks) > 1:
-                run_windowed(
-                    tasks,
-                    lambda executor, task: executor.submit(
-                        _shard_worker, task, self.config, self.directory
-                    ),
-                    lambda task, result: collect(result[1], result[2]),
-                    jobs=jobs,
-                    label=lambda task: f"shard {task.key.tag}",
-                    pool=pool,
-                    cancel_event=cancel_event,
-                    initializer=pool_initializer,
-                    initargs=(self.config.kernel,),
+            if jobs > 1 or pool is not None:
+                self._fan_out(
+                    plans, tasks, collect, jobs, synthesizer, pool, cancel_event
                 )
             else:
                 synthesizer = synthesizer or RackRunSynthesizer(policy=self.config.policy, kernel=self.config.kernel)
@@ -583,7 +613,8 @@ class RegionShardStore:
                             task, self.config, synthesizer, metrics=self.metrics
                         )
                         record = _write_shard(self.directory, task, summaries, self.metrics)
-                    collect(record, None)
+                    collect(record)
+        self.metrics.incr("dataset.generated_runs", total)
 
         _atomic_write(
             os.path.join(self.directory, "workloads.pkl"),
@@ -623,24 +654,73 @@ class RegionShardStore:
         self.metrics.incr("dataset.shards.stored", len(tasks))
         return manifest
 
-    def open(
+    def _fan_out(
         self,
-        jobs: int = 1,
-        progress: Callable[[int, int], None] | None = None,
-        pool: Executor | None = None,
-        cancel_event: threading.Event | None = None,
-        on_shard: Callable[[dict], None] | None = None,
-    ) -> "ShardedRegionDataset":
-        """Open the store, building it first on a miss."""
+        plans: list[RackRunPlan],
+        tasks: list[ShardTask],
+        collect: Callable[[dict], None],
+        jobs: int,
+        synthesizer: RackRunSynthesizer | None,
+        pool: Executor | None,
+        cancel_event: threading.Event | None,
+    ) -> None:
+        """Synthesize rack days on a process pool and write each rack
+        stripe's shards here once all of the stripe's rack days are in.
+
+        Rack days are submitted in rack order with a window of
+        ``2 * jobs``, so this process holds about one stripe of rack
+        days plus the in-flight window.
+        """
+        from .parallel import _rack_day_task, run_windowed
+
+        stripes: dict[int, list[ShardTask]] = {}
+        for task in tasks:
+            stripes.setdefault(task.key.rack_lo, []).append(task)
+        waiting = {
+            rack_lo: {plan.rack_index for task in stripe for plan in task.plans}
+            for rack_lo, stripe in stripes.items()
+        }
+        days: dict[int, list[RunSummary]] = {}
+
+        def handle(plan: RackRunPlan, result: tuple[list[RunSummary], dict]) -> None:
+            summaries, snapshot = result
+            self.metrics.merge(snapshot)
+            self.metrics.incr("dataset.parallel.rack_days")
+            days[plan.rack_index] = _reshare(plan, summaries)
+            rack_lo = plan.rack_index - plan.rack_index % self.shard_racks
+            waiting[rack_lo].discard(plan.rack_index)
+            if waiting[rack_lo]:
+                return
+            for task in stripes.pop(rack_lo):
+                summaries = [
+                    days[shard_plan.rack_index][run_index]
+                    for shard_plan, run_indices in zip(task.plans, task.run_indices)
+                    for run_index in run_indices
+                ]
+                collect(_write_shard(self.directory, task, summaries, self.metrics))
+            for rack_index in range(rack_lo, rack_lo + self.shard_racks):
+                days.pop(rack_index, None)
+
+        run_windowed(
+            [plan for plan in plans if plan.hours],
+            lambda executor, plan: executor.submit(
+                _rack_day_task, plan, self.config, synthesizer
+            ),
+            handle,
+            jobs=jobs,
+            label=lambda plan: f"rack {plan.rack_index} ({plan.workload.rack})",
+            pool=pool,
+            cancel_event=cancel_event,
+            initializer=pool_initializer,
+            initargs=(self.config.kernel,),
+        )
+
+    def open(self, **build_options) -> "ShardedRegionDataset":
+        """Open the store, building it first on a miss (``build_options``
+        are :meth:`build`'s keyword arguments)."""
         manifest = self.load_manifest()
         if manifest is None:
-            manifest = self.build(
-                jobs=jobs,
-                progress=progress,
-                pool=pool,
-                cancel_event=cancel_event,
-                on_shard=on_shard,
-            )
+            manifest = self.build(**build_options)
         return ShardedRegionDataset(store=self, manifest=manifest)
 
 
@@ -742,18 +822,6 @@ class ShardedRegionDataset:
             self.metrics.incr("dataset.shards.loaded")
             yield ShardFrame(record=record, runs=runs, bursts=bursts)
 
-    def iter_shard_summaries(self) -> Iterator[tuple[dict, list[RunSummary]]]:
-        """Full summary objects, one shard in memory at a time."""
-        for record in self.manifest["shards"]:
-            with self.metrics.span("shards/load"):
-                path = os.path.join(
-                    self.store.directory, record["files"]["summaries"]
-                )
-                with open(path, "rb") as stream:
-                    summaries = pickle.load(stream)
-            self.metrics.incr("dataset.shards.loaded")
-            yield record, summaries
-
     def iter_summaries(self) -> Iterator[RunSummary]:
         """Every run summary in **global order** (rack-major, hour asc),
         holding one shard in memory at a time.
@@ -795,7 +863,8 @@ class ShardedRegionDataset:
 
     @property
     def summaries(self) -> list[RunSummary]:
-        """Materialized full summary list (legacy compatibility path)."""
+        """Materialized full summary list, for analyses that still read
+        whole :class:`RunSummary` objects."""
         if self._summaries is None:
             self._summaries = list(self.iter_summaries())
         return self._summaries
@@ -947,14 +1016,12 @@ def generate_region_shards(
     store_dir: str,
     shard_racks: int = DEFAULT_SHARD_RACKS,
     shard_hours: int = DEFAULT_SHARD_HOURS,
-    jobs: int = 1,
     metrics: Metrics | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    pool: Executor | None = None,
-    cancel_event: threading.Event | None = None,
-    on_shard: Callable[[dict], None] | None = None,
+    **build_options,
 ) -> ShardedRegionDataset:
-    """Build-or-open convenience wrapper around :class:`RegionShardStore`."""
+    """Build-or-open convenience wrapper around :class:`RegionShardStore`
+    (``build_options`` are :meth:`RegionShardStore.build`'s keyword
+    arguments)."""
     store = RegionShardStore(
         root=store_dir,
         spec=spec,
@@ -963,16 +1030,9 @@ def generate_region_shards(
         shard_hours=shard_hours,
         metrics=metrics if metrics is not None else Metrics(),
     )
-    return store.open(
-        jobs=jobs,
-        progress=progress,
-        pool=pool,
-        cancel_event=cancel_event,
-        on_shard=on_shard,
-    )
+    return store.open(**build_options)
 
 
-# Re-exported for the CLI's manifest epilogue.
 __all__ = [
     "BURST_COL",
     "BURST_COLUMNS",
@@ -986,9 +1046,11 @@ __all__ = [
     "ShardStoreError",
     "ShardTask",
     "ShardedRegionDataset",
+    "check_shard_geometry",
     "default_store_dir",
     "generate_region_shards",
     "plan_region_shards",
+    "private_store_root",
     "summaries_to_columns",
     "synthesize_shard",
 ]

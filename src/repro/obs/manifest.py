@@ -2,8 +2,9 @@
 
 ``millisampler-repro run all --manifest out/manifest.json`` leaves a
 machine-readable record of the whole suite — the dataset configuration
-and seed, cache traffic, and one outcome entry per experiment (status,
-wall time, peak memory, headline metrics).  CI, regression tooling, and
+and seed, the shard store it read (root and geometry), store traffic,
+and one outcome entry per experiment (status, wall time, peak memory,
+headline metrics).  CI, regression tooling, and
 later scaling PRs read this instead of parsing terminal output.
 
 Schema (version 1) — see :data:`MANIFEST_SCHEMA` for the field-level
@@ -16,7 +17,9 @@ contract enforced by :func:`validate_manifest`:
   "created_at": 1754438400.0,
   "config": {"racks_per_region": 100, "runs_per_rack": 10,
              "hours": 24, "seed": 20221025, "jobs": 0,
-             "cache_dir": "~/.cache/millisampler-repro"},
+             "policy": "{...}", "kernel": "numpy",
+             "store_dir": "~/.cache/millisampler-shards",
+             "shard_racks": 64, "shard_hours": 12},
   "exp_jobs": 4,
   "trace_memory": false,
   "status": "failed",
@@ -29,9 +32,14 @@ contract enforced by :func:`validate_manifest`:
     {"experiment_id": "fig9", "status": "failed", "wall_time_s": 0.02,
      "error": "AnalysisError: ...", ...}
   ],
-  "telemetry": {"counters": {"dataset.cache.hit": 2}, "timers": {...}}
+  "telemetry": {"counters": {"dataset.shards.hit": 2}, "timers": {...}}
 }
 ```
+
+``cache_hits``/``cache_misses`` count the shard stores an experiment
+reused or built.  ``store_dir`` is the store root the run read: the
+``--store-dir`` flag, the default root, or the private temporary root a
+``--no-cache`` run builds into (removed when the run exits).
 
 ``trace_memory`` says whether the run traced allocations with
 ``tracemalloc`` (``--trace-memory``).  Only then do outcomes carry a
@@ -77,15 +85,13 @@ _CONFIG_FIELDS: dict[str, tuple[type, ...]] = {
     "hours": (int,),
     "seed": (int,),
     "jobs": (int,),
-    "cache_dir": (str, type(None)),
-    # Sharded-store runs record where and how the dataset was sharded;
-    # legacy in-memory runs leave all three None/absent.
-    "store_dir": (str, type(None)),
-    "shard_racks": (int, type(None)),
-    "shard_hours": (int, type(None)),
+    # Where and how the region-days were sharded.
+    "store_dir": (str,),
+    "shard_racks": (int,),
+    "shard_hours": (int,),
     # The fluid kernel that ran ("numpy" or "native") — the *resolved*
     # choice, not the requested setting, so the manifest answers "what
-    # actually executed here".  Execution-only: never in the cache key.
+    # actually executed here".  Execution-only: never in the dataset key.
     "kernel": (str,),
 }
 
@@ -102,11 +108,7 @@ def _resolved_kernel(fleet_config) -> str:
 
 
 def _config_block(
-    fleet_config,
-    cache_dir: str | None,
-    store_dir: str | None,
-    shard_racks: int | None,
-    shard_hours: int | None,
+    fleet_config, store_dir: str, shard_racks: int, shard_hours: int
 ) -> dict:
     """The ``config`` block the run manifest and ``/metrics`` share."""
     return {
@@ -117,7 +119,6 @@ def _config_block(
         "jobs": fleet_config.jobs,
         "policy": fleet_config.policy.canonical_json(),
         "kernel": _resolved_kernel(fleet_config),
-        "cache_dir": cache_dir,
         "store_dir": store_dir,
         "shard_racks": shard_racks,
         "shard_hours": shard_hours,
@@ -148,28 +149,28 @@ def _clean_number(value):
 def build_manifest(
     fleet_config,
     outcomes,
+    *,
+    store_dir: str,
+    shard_racks: int,
+    shard_hours: int,
     telemetry: dict | None = None,
-    cache_dir: str | None = None,
     exp_jobs: int = 1,
-    store_dir: str | None = None,
-    shard_racks: int | None = None,
-    shard_hours: int | None = None,
     trace_memory: bool = False,
 ) -> dict:
     """Assemble a schema-valid manifest dict.
 
     ``fleet_config`` is the run's :class:`~repro.config.FleetConfig`;
     ``outcomes`` is the ordered list of
-    :class:`~repro.experiments.orchestrator.ExperimentOutcome`.
+    :class:`~repro.experiments.orchestrator.ExperimentOutcome`;
+    ``store_dir``/``shard_racks``/``shard_hours`` name the shard store
+    the run read.
     """
     failed = [o.experiment_id for o in outcomes if o.status == "failed"]
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "created_at": time.time(),
-        "config": _config_block(
-            fleet_config, cache_dir, store_dir, shard_racks, shard_hours
-        ),
+        "config": _config_block(fleet_config, store_dir, shard_racks, shard_hours),
         "exp_jobs": exp_jobs,
         "trace_memory": trace_memory,
         "status": "failed" if failed else "ok",
@@ -284,11 +285,11 @@ _SERVICE_FIELDS: dict[str, tuple[type, ...]] = {
 def build_service_metrics(
     fleet_config,
     service: dict,
+    *,
+    store_dir: str,
+    shard_racks: int,
+    shard_hours: int,
     telemetry: dict | None = None,
-    store_dir: str | None = None,
-    shard_racks: int | None = None,
-    shard_hours: int | None = None,
-    cache_dir: str | None = None,
 ) -> dict:
     """Assemble a ``/metrics`` document for the query service.
 
@@ -300,9 +301,7 @@ def build_service_metrics(
         "schema": SERVICE_METRICS_SCHEMA,
         "schema_version": SERVICE_METRICS_SCHEMA_VERSION,
         "created_at": time.time(),
-        "config": _config_block(
-            fleet_config, cache_dir, store_dir, shard_racks, shard_hours
-        ),
+        "config": _config_block(fleet_config, store_dir, shard_racks, shard_hours),
         "service": {name: service.get(name, 0) for name in _SERVICE_FIELDS},
         "telemetry": telemetry if telemetry is not None else {},
     }

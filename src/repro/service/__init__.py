@@ -1,6 +1,6 @@
 """Persistent query service (``repro serve``).
 
-Owns one shard store / dataset cache and one worker pool for many
+Owns one shard-store root and one worker pool for many
 queries: :mod:`repro.service.core` implements single-flight query
 execution with crash containment; :mod:`repro.service.server` exposes
 it over local HTTP / unix socket with NDJSON streaming.

@@ -2,8 +2,8 @@
 
 The service turns the one-shot CLI pipeline into a persistent process:
 one :class:`~repro.experiments.context.ExperimentContext` (hence one
-:class:`~repro.fleet.shards.RegionShardStore` / dataset cache and one
-metrics registry) plus one long-lived worker pool answer every query,
+shard store root and one metrics registry) plus one long-lived worker
+pool answer every query,
 so the expensive region-day builds are paid once and shared.
 
 Three properties define the core, independent of any transport:
@@ -39,6 +39,7 @@ from ..errors import ConfigError, WorkerCrashError
 from ..experiments.context import ExperimentContext
 from ..fleet.dataset import DatasetSummary
 from ..fleet.kernels import pool_initializer
+from ..fleet.shards import DEFAULT_SHARD_HOURS, DEFAULT_SHARD_RACKS
 from ..obs.manifest import build_service_metrics
 
 #: Queue sentinel closing a subscriber's event stream.
@@ -232,10 +233,11 @@ class ServiceConfig:
     """Everything ``repro serve`` needs beyond the fleet config."""
 
     fleet: FleetConfig = field(default_factory=FleetConfig)
-    cache_dir: str | None = None
+    #: Shard-store root; None means a private temporary root (see
+    #: :attr:`ExperimentContext.store_dir`).
     store_dir: str | None = None
-    shard_racks: int | None = None
-    shard_hours: int | None = None
+    shard_racks: int = DEFAULT_SHARD_RACKS
+    shard_hours: int = DEFAULT_SHARD_HOURS
     #: Threads executing query bodies (and hence the most queries that
     #: generate concurrently).  Counted as reserved cores when sizing
     #: the worker pool — see :meth:`QueryService.pool_jobs`.
@@ -251,16 +253,13 @@ class QueryService:
     """
 
     def __init__(self, config: ServiceConfig) -> None:
-        from ..fleet.shards import DEFAULT_SHARD_HOURS, DEFAULT_SHARD_RACKS
-
         self.config = config
         self.cancel_event = threading.Event()
         self.context = ExperimentContext(
             fleet=config.fleet,
-            cache_dir=config.cache_dir,
             store_dir=config.store_dir,
-            shard_racks=config.shard_racks or DEFAULT_SHARD_RACKS,
-            shard_hours=config.shard_hours or DEFAULT_SHARD_HOURS,
+            shard_racks=config.shard_racks,
+            shard_hours=config.shard_hours,
             reserved_cores=config.request_threads,
             cancel_event=self.cancel_event,
         )
@@ -445,10 +444,9 @@ class QueryService:
                 "pool_jobs": self.pool_jobs(),
             },
             telemetry=self.metrics.snapshot(),
-            store_dir=self.config.store_dir,
-            shard_racks=self.config.shard_racks if self.config.store_dir else None,
-            shard_hours=self.config.shard_hours if self.config.store_dir else None,
-            cache_dir=self.config.cache_dir,
+            store_dir=self.context.store_dir,
+            shard_racks=self.context.shard_racks,
+            shard_hours=self.context.shard_hours,
         )
 
     # -- lifecycle --------------------------------------------------------

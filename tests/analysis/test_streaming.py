@@ -7,6 +7,8 @@ Two families of guarantees:
 * the exact figure accumulators are **bit-identical** to their
   in-memory oracles for any split of the summaries into shards and any
   merge order — the property the shard store's correctness rests on.
+  They are fed per summary through the ``add_summary`` feeders of
+  ``tests/analysis/streaming_reference.py``.
 """
 
 import numpy as np
@@ -17,7 +19,6 @@ from hypothesis import strategies as st
 from repro.analysis.diurnal import hourly_box_stats
 from repro.analysis.racks import rack_profiles
 from repro.analysis.streaming import (
-    BurstContentionAccumulator,
     CountSum,
     Histogram,
     HourlyBoxAccumulator,
@@ -25,19 +26,26 @@ from repro.analysis.streaming import (
     RackProfileAccumulator,
     RunContentionAccumulator,
     Table1Accumulator,
-    burst_contention_from_summaries,
-    run_contention_from_summaries,
 )
 from repro.config import FleetConfig
 from repro.errors import AnalysisError
 from repro.fleet.dataset import generate_region_dataset
 from repro.workload.region import REGION_A
+from tests.analysis.streaming_reference import (
+    BurstContentionReference,
+    HourlyBoxReference,
+    RackProfileReference,
+    RunContentionReference,
+    Table1Reference,
+    burst_contention_from_summaries,
+    run_contention_from_summaries,
+)
 
 
 @pytest.fixture(scope="module")
 def summaries():
     config = FleetConfig(racks_per_region=5, runs_per_rack=4, seed=13)
-    return generate_region_dataset(REGION_A, config, jobs=1).summaries
+    return generate_region_dataset(REGION_A, config).summaries
 
 
 def split_into(items, pieces, seed):
@@ -165,7 +173,7 @@ def accumulate_split(make, summaries, pieces, seed):
 class TestAccumulatorsMatchOracles:
     def test_table1(self, summaries, pieces, seed):
         merged = accumulate_split(
-            lambda: Table1Accumulator("RegA"), summaries, pieces, seed
+            lambda: Table1Reference("RegA"), summaries, pieces, seed
         )
         runs = len(summaries)
         row = merged.finalize()
@@ -176,22 +184,22 @@ class TestAccumulatorsMatchOracles:
         assert row.racks == len({s.rack for s in summaries})
 
     def test_rack_profiles(self, summaries, pieces, seed):
-        merged = accumulate_split(RackProfileAccumulator, summaries, pieces, seed)
+        merged = accumulate_split(RackProfileReference, summaries, pieces, seed)
         assert merged.finalize() == rack_profiles(summaries)
 
     def test_rack_profiles_hour_filter(self, summaries, pieces, seed):
         hours = {s.hour for s in summaries[::3]}
         merged = accumulate_split(
-            lambda: RackProfileAccumulator(hours=hours), summaries, pieces, seed
+            lambda: RackProfileReference(hours=hours), summaries, pieces, seed
         )
         assert merged.finalize() == rack_profiles(summaries, hours=hours)
 
     def test_hourly_boxes(self, summaries, pieces, seed):
-        merged = accumulate_split(HourlyBoxAccumulator, summaries, pieces, seed)
+        merged = accumulate_split(HourlyBoxReference, summaries, pieces, seed)
         assert merged.finalize() == hourly_box_stats(summaries)
 
     def test_run_contention(self, summaries, pieces, seed):
-        merged = accumulate_split(RunContentionAccumulator, summaries, pieces, seed)
+        merged = accumulate_split(RunContentionReference, summaries, pieces, seed)
         actual = merged.finalize()
         expected = run_contention_from_summaries(summaries)
         assert actual.total == expected.total
@@ -200,7 +208,7 @@ class TestAccumulatorsMatchOracles:
         assert np.array_equal(actual.p90s, expected.p90s)
 
     def test_burst_contention(self, summaries, pieces, seed):
-        merged = accumulate_split(BurstContentionAccumulator, summaries, pieces, seed)
+        merged = accumulate_split(BurstContentionReference, summaries, pieces, seed)
         actual = merged.finalize()
         expected = burst_contention_from_summaries(summaries)
         assert np.array_equal(actual.racks, expected.racks)

@@ -2,6 +2,8 @@
 failure isolation, and manifest schema guarantees."""
 
 import json
+import os
+import tempfile
 
 import pytest
 
@@ -300,6 +302,109 @@ class TestConfigErrors:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert "error: argument --policy: policy 'dynamic-threshold' rejected its parameters" in err
         assert "alpha must be positive" in err
+
+
+class TestShardGeometry:
+    """A shard geometry below 1 rack x 1 hour is one ``error:`` line and
+    exit 2 for every command that opens a store, before anything runs."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "table1"],
+        ["report", "never-written.md"],
+        ["serve", "--port", "0"],
+    ])
+    @pytest.mark.parametrize("flag,value", [
+        ("--shard-racks", "0"),
+        ("--shard-racks", "-1"),
+        ("--shard-hours", "0"),
+    ])
+    def test_degenerate_geometry_is_a_one_line_error(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        rc = cli.main(command + ["--racks", "1", "--runs-per-rack", "1",
+                                 "--store-dir", str(tmp_path), flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "error: shard geometry must be at least 1 rack x 1 hour"
+        )
+        assert "FAILED" not in captured.out
+        assert os.listdir(tmp_path) == []  # nothing was built
+
+
+def run_manifest(tmp_path, name, argv) -> dict:
+    path = str(tmp_path / name)
+    assert cli.main(argv + ["--manifest", path]) == 0
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def traffic(manifest) -> dict:
+    return {
+        e["experiment_id"]: (e["cache_hits"], e["cache_misses"])
+        for e in manifest["experiments"]
+    }
+
+
+class TestStoreRoot:
+    ARGS = ["run", "table1", "fig16", "--racks", "2", "--runs-per-rack", "1", "--quiet"]
+
+    def test_manifest_counts_a_cold_build_and_a_warm_reopen(self, tmp_path):
+        store = str(tmp_path / "store")
+        cold = run_manifest(tmp_path, "cold.json", self.ARGS + ["--store-dir", store])
+        assert traffic(cold) == {"table1": (0, 2), "fig16": (0, 0)}
+        config = cold["config"]
+        assert (config["store_dir"], config["shard_racks"], config["shard_hours"]) == (
+            store, 64, 12
+        )
+        assert "cache_dir" not in config
+        warm = run_manifest(tmp_path, "warm.json", self.ARGS + ["--store-dir", store])
+        assert traffic(warm) == {"table1": (2, 0), "fig16": (0, 0)}
+        assert [e["metrics"] for e in warm["experiments"]] == [
+            e["metrics"] for e in cold["experiments"]
+        ]
+
+    def test_no_cache_leaves_no_directory_behind(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        manifest = run_manifest(tmp_path, "m.json", self.ARGS + ["--no-cache"])
+        assert os.path.dirname(manifest["config"]["store_dir"]) == str(scratch)
+        assert os.listdir(scratch) == []
+
+        store = tmp_path / "store"
+        manifest = run_manifest(
+            tmp_path, "m.json", self.ARGS + ["--no-cache", "--store-dir", str(store)]
+        )
+        assert os.path.dirname(manifest["config"]["store_dir"]) == str(store)
+        assert os.listdir(store) == []
+
+    def test_no_cache_never_opens_an_existing_store(self, tmp_path):
+        store = str(tmp_path / "store")
+        run_manifest(tmp_path, "m.json", self.ARGS + ["--store-dir", store])
+        built = sorted(os.listdir(store))
+        manifest = run_manifest(
+            tmp_path, "m.json", self.ARGS + ["--store-dir", store, "--no-cache"]
+        )
+        assert traffic(manifest) == {"table1": (0, 2), "fig16": (0, 0)}
+        assert sorted(os.listdir(store)) == built
+
+    def test_policy_sweep_arms_build_into_the_store_then_reopen_it(self, tmp_path):
+        from repro.fleet.policies import registered_policy_specs
+
+        arms = 2 * len(registered_policy_specs())  # one store per policy x region
+        store = str(tmp_path / "store")
+        argv = ["run", "policy-sweep", "--racks", "2", "--runs-per-rack", "1",
+                "--jobs", "1", "--quiet", "--store-dir", store]
+        cold = run_manifest(tmp_path, "cold.json", argv)
+        assert traffic(cold) == {"policy-sweep": (0, arms)}
+        built = sorted(os.listdir(store))
+        assert len(built) == arms
+        warm = run_manifest(tmp_path, "warm.json", argv)
+        assert traffic(warm) == {"policy-sweep": (arms, 0)}
+        assert sorted(os.listdir(store)) == built
+        assert warm["experiments"][0]["metrics"] == cold["experiments"][0]["metrics"]
 
 
 class TestAuditFlag:

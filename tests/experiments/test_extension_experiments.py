@@ -138,7 +138,7 @@ class TestFig15EdgeCases:
 
         class FakeCtx:
             def run_contention(self, region):
-                from repro.analysis.streaming import run_contention_from_summaries
+                from tests.analysis.streaming_reference import run_contention_from_summaries
 
                 return run_contention_from_summaries([summary])
 

@@ -127,16 +127,16 @@ class TestOutcomeTelemetry:
         assert "experiment/fig1" in ctx.metrics.timers()
 
     def test_cache_miss_then_hit_attributed(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
+        store_dir = str(tmp_path / "store")
         first = ExperimentContext.small(racks=2, runs_per_rack=2)
-        first.cache_dir = cache_dir
+        first.store_dir = store_dir
         orch = run_experiments(first, ["table1"])
         (outcome,) = orch.outcomes
         assert outcome.cache_misses == 2  # both regions generated
         assert outcome.cache_hits == 0
 
         second = ExperimentContext.small(racks=2, runs_per_rack=2)
-        second.cache_dir = cache_dir
+        second.store_dir = store_dir
         orch = run_experiments(second, ["table1"])
         (outcome,) = orch.outcomes
         assert outcome.cache_hits == 2

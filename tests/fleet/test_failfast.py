@@ -1,14 +1,15 @@
 """Failure semantics of the parallel fan-out substrate.
 
 :func:`repro.fleet.parallel.run_windowed` owns three contracts that the
-dataset, shard-store, and service paths all inherit:
+shard store's parallel build (:meth:`RegionShardStore.build`) and the
+query service inherit:
 
-* **fail-fast** — a poisoned rack fails the generation after O(window)
+* **fail-fast** — a poisoned rack fails the build after O(window)
   completed units, not O(racks), surfacing as ``WorkerTaskError`` that
   names the failing rack;
 * **crash containment** — a SIGKILLed worker breaks the pool; an owned
   pool retries the unfinished items exactly once on a fresh pool (and
-  the retried dataset is bit-identical), a second break or an external
+  the retried store is bit-identical), a second break or an external
   pool raises ``WorkerCrashError``;
 * **graceful drain** — a set ``cancel_event`` finishes in-flight work
   only and raises ``WorkerCancelled``.
@@ -31,16 +32,11 @@ from repro.errors import (
     WorkerCrashError,
     WorkerTaskError,
 )
-from repro.fleet.parallel import (
-    generate_region_dataset_parallel,
-    resolve_jobs,
-    run_windowed,
-)
+from repro.fleet.parallel import resolve_jobs, run_windowed
 from repro.fleet.rackrun import RackRunSynthesizer
+from repro.fleet.shards import RegionShardStore
 from repro.obs.metrics import Metrics
 from repro.workload.region import REGION_A
-
-from .test_parallel_cache import fingerprint
 
 CONFIG = FleetConfig(racks_per_region=20, runs_per_rack=2, seed=13)
 JOBS = 2
@@ -100,15 +96,29 @@ def _rack_name(index: int) -> str:
     return plan_region(REGION_A, CONFIG)[index].workload.rack
 
 
+def _build(root, config=CONFIG, metrics=None, **kwargs) -> dict:
+    """A one-rack-per-shard store build over a ``JOBS``-worker pool."""
+    store = RegionShardStore(
+        root=str(root),
+        spec=REGION_A,
+        config=config,
+        shard_racks=1,
+        metrics=metrics if metrics is not None else Metrics(),
+    )
+    return store.build(jobs=JOBS, **kwargs)
+
+
+def _hashes(manifest: dict) -> list[dict]:
+    return [record["sha256"] for record in manifest["shards"]]
+
+
 class TestFailFast:
-    def test_poisoned_rack_fails_in_window_not_racks(self):
+    def test_poisoned_rack_fails_in_window_not_racks(self, tmp_path):
         poisoned_index = 2
         metrics = Metrics()
         with pytest.raises(WorkerTaskError) as excinfo:
-            generate_region_dataset_parallel(
-                REGION_A,
-                CONFIG,
-                jobs=JOBS,
+            _build(
+                tmp_path,
                 synthesizer=PoisonedSynthesizer(_rack_name(poisoned_index)),
                 metrics=metrics,
             )
@@ -146,25 +156,20 @@ class TestCrashContainment:
         sentinel = tmp_path / "kill-once"
         sentinel.write_text("armed")
         config = dataclasses.replace(CONFIG, racks_per_region=6)
-        crashed = generate_region_dataset_parallel(
-            REGION_A,
+        crashed = _build(
+            tmp_path / "crashed",
             config,
-            jobs=JOBS,
             synthesizer=KillSynthesizer(_rack_name(3), once_path=str(sentinel)),
         )
-        oracle = generate_region_dataset_parallel(
-            REGION_A, config, jobs=JOBS, synthesizer=FastSynthesizer()
-        )
+        oracle = _build(tmp_path / "oracle", config, synthesizer=FastSynthesizer())
         assert not sentinel.exists()  # the kill actually fired
-        assert fingerprint(crashed) == fingerprint(oracle)
+        assert _hashes(crashed) == _hashes(oracle)
 
-    def test_second_break_raises_worker_crash_error(self):
+    def test_second_break_raises_worker_crash_error(self, tmp_path):
         config = dataclasses.replace(CONFIG, racks_per_region=6)
         rack = _rack_name(3)
         with pytest.raises(WorkerCrashError) as excinfo:
-            generate_region_dataset_parallel(
-                REGION_A, config, jobs=JOBS, synthesizer=KillSynthesizer(rack)
-            )
+            _build(tmp_path, config, synthesizer=KillSynthesizer(rack))
         assert rack in " ".join(excinfo.value.suspects)
 
     def test_external_pool_never_retried(self):
@@ -228,19 +233,17 @@ class TestGracefulDrain:
         assert handled == []
         assert "0/10" in str(excinfo.value)
 
-    def test_cancelled_generation_raises(self):
+    def test_cancelled_generation_raises(self, tmp_path):
         import threading
 
         event = threading.Event()
         event.set()
+        config = dataclasses.replace(CONFIG, racks_per_region=4)
         with pytest.raises(WorkerCancelled):
-            generate_region_dataset_parallel(
-                REGION_A,
-                dataclasses.replace(CONFIG, racks_per_region=4),
-                jobs=JOBS,
-                synthesizer=FastSynthesizer(),
-                cancel_event=event,
-            )
+            _build(tmp_path, config, synthesizer=FastSynthesizer(), cancel_event=event)
+        # Manifest-last: the drained build leaves a miss, not a store.
+        store = RegionShardStore(root=str(tmp_path), spec=REGION_A, config=config, shard_racks=1)
+        assert store.load_manifest() is None
 
 
 class TestResolveJobsReserved:

@@ -1,14 +1,16 @@
 """Determinism of parallel generation and the on-disk dataset cache.
 
 The tentpole guarantee: for a fixed seed, a region-day is byte-identical
-whether generated serially, by a process pool of any size, or loaded
-back from the cache.  The comparison below is exact float equality
-(with NaN treated as equal to NaN, since per-server stats carry NaN for
-burst-free servers), which is equivalent to byte identity for the
-summary dataclasses.
+whether generated in memory (the oracle), built into a shard store
+serially or by a process pool of any size, or reopened from a built
+store — the store is the dataset cache.  The comparison below is exact
+float equality (with NaN treated as equal to NaN, since per-server stats
+carry NaN for burst-free servers), which is equivalent to byte identity
+for the summary dataclasses.
 """
 
 import dataclasses
+import json
 import math
 import os
 
@@ -18,9 +20,10 @@ from repro.config import FleetConfig
 from repro.errors import ConfigError
 from repro.experiments.context import ExperimentContext
 from repro.fleet import cache as cache_module
-from repro.fleet.cache import DatasetCache, dataset_cache_key, default_cache_dir
+from repro.fleet.cache import dataset_cache_key
 from repro.fleet.dataset import generate_region_dataset
 from repro.fleet.parallel import resolve_jobs
+from repro.fleet.shards import RegionShardStore, default_store_dir, generate_region_shards
 from repro.workload.region import REGION_A, REGION_B
 
 CONFIG = FleetConfig(racks_per_region=3, runs_per_rack=2, seed=77)
@@ -45,29 +48,38 @@ def fingerprint(dataset):
     return [comparable(summary) for summary in dataset.summaries]
 
 
+def shard_hashes(dataset):
+    return [record["sha256"] for record in dataset.manifest["shards"]]
+
+
+def build_store(root, spec=REGION_A, config=CONFIG, jobs=1, **geometry):
+    return generate_region_shards(spec, config, str(root), jobs=jobs, **geometry)
+
+
 @pytest.fixture(scope="module")
 def serial_rega():
-    return generate_region_dataset(REGION_A, CONFIG, jobs=1)
+    return generate_region_dataset(REGION_A, CONFIG)
 
 
 class TestParallelDeterminism:
-    def test_parallel_matches_serial_rega(self, serial_rega):
-        parallel = generate_region_dataset(REGION_A, CONFIG, jobs=4)
+    def test_parallel_matches_serial_rega(self, tmp_path, serial_rega):
+        parallel = build_store(tmp_path, jobs=4)  # more jobs than racks
         assert fingerprint(parallel) == fingerprint(serial_rega)
         assert [comparable(w) for w in parallel.workloads] == [
             comparable(w) for w in serial_rega.workloads
         ]
 
-    def test_parallel_matches_serial_regb(self):
-        serial = generate_region_dataset(REGION_B, CONFIG, jobs=1)
-        parallel = generate_region_dataset(REGION_B, CONFIG, jobs=3)
+    def test_parallel_matches_serial_regb(self, tmp_path):
+        serial = build_store(tmp_path / "serial", REGION_B, jobs=1, shard_racks=2, shard_hours=8)
+        parallel = build_store(tmp_path / "parallel", REGION_B, jobs=3, shard_racks=2, shard_hours=8)
         assert fingerprint(parallel) == fingerprint(serial)
+        assert shard_hashes(parallel) == shard_hashes(serial)
 
-    def test_jobs_taken_from_config(self, serial_rega):
+    def test_jobs_taken_from_config(self, tmp_path, serial_rega):
         config = dataclasses.replace(CONFIG, jobs=2)
-        assert fingerprint(generate_region_dataset(REGION_A, config)) == fingerprint(
-            serial_rega
-        )
+        ctx = ExperimentContext(fleet=config, store_dir=str(tmp_path))
+        assert ctx.resolved_jobs() == 2
+        assert fingerprint(ctx.dataset("RegA")) == fingerprint(serial_rega)
 
     def test_resolve_jobs(self):
         assert resolve_jobs(1) == 1
@@ -82,41 +94,43 @@ class TestParallelDeterminism:
 
 
 class TestDatasetCache:
+    """The shard store is the dataset cache: a built region-day is
+    reopened, never regenerated, until its key or files go stale."""
+
     def test_cache_hit_matches_generation(self, tmp_path, serial_rega):
-        cache = DatasetCache(str(tmp_path))
-        cache.store(REGION_A, CONFIG, serial_rega)
-        loaded = cache.load(REGION_A, CONFIG)
-        assert loaded is not None
-        assert fingerprint(loaded) == fingerprint(serial_rega)
+        build_store(tmp_path)
+        reopened = build_store(tmp_path)
+        assert reopened.store.metrics.counter("dataset.shards.hit") == 1
+        assert reopened.store.metrics.counter("dataset.shards.generated") == 0
+        assert fingerprint(reopened) == fingerprint(serial_rega)
 
     def test_context_roundtrip_skips_generation(self, tmp_path, monkeypatch, serial_rega):
-        first = ExperimentContext(fleet=CONFIG, cache_dir=str(tmp_path))
+        first = ExperimentContext(fleet=CONFIG, store_dir=str(tmp_path))
         warm = first.dataset("RegA")
 
         # A fresh context must satisfy the same request purely from disk.
-        from repro.experiments import context as context_module
-
         def boom(*args, **kwargs):
-            raise AssertionError("cache hit should not regenerate")
+            raise AssertionError("a built store should not regenerate")
 
-        monkeypatch.setattr(context_module, "generate_region_dataset", boom)
-        second = ExperimentContext(fleet=CONFIG, cache_dir=str(tmp_path))
+        monkeypatch.setattr(RegionShardStore, "build", boom)
+        second = ExperimentContext(fleet=CONFIG, store_dir=str(tmp_path))
         assert fingerprint(second.dataset("RegA")) == fingerprint(warm)
         assert fingerprint(warm) == fingerprint(serial_rega)
 
     def test_corrupted_entry_regenerates_and_overwrites(self, tmp_path, serial_rega):
-        cache = DatasetCache(str(tmp_path))
-        path = cache.store(REGION_A, CONFIG, serial_rega)
-        with open(path, "wb") as handle:
+        store = build_store(tmp_path).store
+        victim = store.load_manifest()["shards"][0]["files"]["summaries"]
+        with open(os.path.join(store.directory, victim), "wb") as handle:
             handle.write(b"not a pickle")
-        assert cache.load(REGION_A, CONFIG) is None
+        assert store.load_manifest() is None
 
         # The context treats it as a miss: regenerates, overwrites, and
-        # the entry is readable again.
-        ctx = ExperimentContext(fleet=CONFIG, cache_dir=str(tmp_path))
+        # the store is readable again.
+        ctx = ExperimentContext(fleet=CONFIG, store_dir=str(tmp_path))
         dataset = ctx.dataset("RegA")
         assert fingerprint(dataset) == fingerprint(serial_rega)
-        assert fingerprint(cache.load(REGION_A, CONFIG)) == fingerprint(serial_rega)
+        manifest = store.load_manifest()
+        assert manifest is not None and store.verify_hashes(manifest)
 
     def test_key_invalidates_on_config_change(self):
         base = dataset_cache_key(REGION_A, CONFIG)
@@ -136,30 +150,27 @@ class TestDatasetCache:
         monkeypatch.setattr(cache_module, "DATASET_FORMAT_VERSION", 999)
         assert dataset_cache_key(REGION_A, CONFIG) != base
 
-    def test_stale_format_version_is_a_miss(self, tmp_path, monkeypatch, serial_rega):
-        cache = DatasetCache(str(tmp_path))
-        path = cache.store(REGION_A, CONFIG, serial_rega)
-        # Keep the key (file name) fixed but mark the payload stale, as
-        # an old writer would have: the loader must reject it.
-        import pickle
-
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        payload["format"] = 0
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle)
-        assert cache.load(REGION_A, CONFIG) is None
+    def test_stale_format_version_is_a_miss(self, tmp_path):
+        store = build_store(tmp_path).store
+        # Keep the key (directory name) fixed but mark the manifest
+        # stale, as an old writer would have: the loader must reject it.
+        with open(store.manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["format"] = 0
+        with open(store.manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        assert store.load_manifest() is None
 
     def test_jobs_excluded_from_key(self):
         assert dataset_cache_key(
             REGION_A, dataclasses.replace(CONFIG, jobs=1)
         ) == dataset_cache_key(REGION_A, dataclasses.replace(CONFIG, jobs=8))
 
-    def test_default_cache_dir_env_override(self, monkeypatch):
-        monkeypatch.setenv("MILLISAMPLER_CACHE_DIR", "/tmp/somewhere")
-        assert default_cache_dir() == "/tmp/somewhere"
-        monkeypatch.delenv("MILLISAMPLER_CACHE_DIR")
-        assert default_cache_dir().endswith("millisampler-repro")
+    def test_default_store_dir_env_override(self, monkeypatch):
+        monkeypatch.setenv("MILLISAMPLER_STORE_DIR", "/tmp/somewhere")
+        assert default_store_dir() == "/tmp/somewhere"
+        monkeypatch.delenv("MILLISAMPLER_STORE_DIR")
+        assert default_store_dir().endswith("millisampler-shards")
 
 
 class TestDegenerateScales:
@@ -170,24 +181,26 @@ class TestDegenerateScales:
     racks from ``workloads`` while the parallel path kept them.
     """
 
-    def test_zero_racks_parallel_matches_serial(self):
+    def test_zero_racks_parallel_matches_serial(self, tmp_path):
         config = FleetConfig(racks_per_region=0, runs_per_rack=2, seed=77)
-        serial = generate_region_dataset(REGION_A, config, jobs=1)
-        parallel = generate_region_dataset(REGION_A, config, jobs=4)
+        serial = build_store(tmp_path / "serial", config=config, jobs=1)
+        parallel = build_store(tmp_path / "parallel", config=config, jobs=4)
         assert serial.summaries == [] and parallel.summaries == []
         assert serial.workloads == [] and parallel.workloads == []
         assert serial.region == parallel.region == "RegA"
 
-    def test_zero_runs_per_rack_workloads_parity(self):
+    def test_zero_runs_per_rack_workloads_parity(self, tmp_path):
         config = FleetConfig(racks_per_region=3, runs_per_rack=0, seed=77)
-        serial = generate_region_dataset(REGION_A, config, jobs=1)
-        parallel = generate_region_dataset(REGION_A, config, jobs=2)
+        serial = build_store(tmp_path / "serial", config=config, jobs=1)
+        parallel = build_store(tmp_path / "parallel", config=config, jobs=2)
         assert serial.summaries == [] and parallel.summaries == []
-        # Every *planned* rack contributes its workload on both paths.
+        # Every *planned* rack contributes its workload on both paths,
+        # and the in-memory oracle agrees.
+        oracle = generate_region_dataset(REGION_A, config)
         assert len(serial.workloads) == 3
         assert [comparable(w) for w in serial.workloads] == [
             comparable(w) for w in parallel.workloads
-        ]
+        ] == [comparable(w) for w in oracle.workloads]
 
     def test_negative_scales_still_rejected(self):
         with pytest.raises(ConfigError):
@@ -197,21 +210,24 @@ class TestDegenerateScales:
 
 
 class TestCacheHardening:
-    def test_stale_tmp_files_swept_on_store(self, tmp_path, serial_rega):
-        from repro.fleet.cache import STALE_TMP_AGE_S, sweep_stale_tmp_files
+    def test_stale_tmp_files_swept_on_store(self, tmp_path):
+        from repro.fleet.cache import STALE_TMP_AGE_S
 
-        stale = tmp_path / "dead-writer.tmp"
-        stale.write_bytes(b"orphan")
+        store = RegionShardStore(root=str(tmp_path), spec=REGION_A, config=CONFIG)
+        os.makedirs(store.directory)
+        stale = os.path.join(store.directory, "dead-writer.tmp")
+        with open(stale, "wb") as handle:
+            handle.write(b"orphan")
         old = 2 * STALE_TMP_AGE_S
         os.utime(stale, (os.path.getmtime(stale) - old, os.path.getmtime(stale) - old))
-        fresh = tmp_path / "live-writer.tmp"
-        fresh.write_bytes(b"in flight")
+        fresh = os.path.join(store.directory, "live-writer.tmp")
+        with open(fresh, "wb") as handle:
+            handle.write(b"in flight")
 
-        cache = DatasetCache(str(tmp_path))
-        cache.store(REGION_A, CONFIG, serial_rega)
-        assert not stale.exists()  # orphan removed
-        assert fresh.exists()  # live writer untouched
-        assert cache.metrics.counter("dataset.cache.swept_tmp") == 1
+        store.build(jobs=1)
+        assert not os.path.exists(stale)  # orphan removed
+        assert os.path.exists(fresh)  # live writer untouched
+        assert store.metrics.counter("dataset.shards.swept_tmp") == 1
 
     def test_sweep_missing_directory_is_noop(self, tmp_path):
         from repro.fleet.cache import sweep_stale_tmp_files

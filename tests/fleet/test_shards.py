@@ -1,11 +1,12 @@
 """The sharded out-of-core region store (repro.fleet.shards).
 
 The store's contract has three legs, each tested here against the
-legacy in-memory path as the oracle:
+in-memory :func:`generate_region_dataset` as the oracle:
 
 * **Bit-exactness** — every aggregation computed shard-by-shard equals
   the monolithic in-memory result exactly, for any shard geometry, any
-  job count, and on reload from an existing store.
+  job count (parallel builds write byte-identical shards), and on
+  reload from an existing store.
 * **Out-of-core** — aggregating streams one shard at a time; peak
   traced memory stays well below materializing the whole region.
 * **Corruption tolerance** — a missing, truncated, or stale store is a
@@ -22,13 +23,10 @@ import pytest
 
 from repro.analysis.diurnal import hourly_box_stats
 from repro.analysis.racks import rack_profiles
-from repro.analysis.streaming import (
-    burst_contention_from_summaries,
-    run_contention_from_summaries,
-)
 from repro.config import FleetConfig
 from repro.errors import ConfigError
-from repro.fleet.dataset import generate_region_dataset, plan_region
+from repro.fleet.dataset import generate_region_dataset
+from repro.fleet.rackrun import RackRunSynthesizer
 from repro.fleet.shards import (
     RUN_COLUMNS,
     RegionShardStore,
@@ -37,13 +35,24 @@ from repro.fleet.shards import (
     plan_region_shards,
 )
 from repro.workload.region import REGION_A, REGION_B
+from tests.analysis.streaming_reference import (
+    burst_contention_from_summaries,
+    run_contention_from_summaries,
+)
 
 CONFIG = FleetConfig(racks_per_region=6, runs_per_rack=3, seed=77)
 
 
+class TrimmedSynthesizer(RackRunSynthesizer):
+    """Short runs; module-level so it pickles into pool workers."""
+
+    def __init__(self) -> None:
+        super().__init__(trimmed_buckets_mean=120, trimmed_buckets_std=10)
+
+
 @pytest.fixture(scope="module")
 def oracle():
-    return generate_region_dataset(REGION_A, CONFIG, jobs=1)
+    return generate_region_dataset(REGION_A, CONFIG)
 
 
 @pytest.fixture(scope="module")
@@ -332,9 +341,80 @@ class TestContextIntegration:
         assert ctx.hourly_boxes("RegA") == hourly_box_stats(oracle.summaries)
 
     def test_context_without_store_unchanged(self, oracle):
+        """Without a store root the context builds into a private
+        temporary one — same results — deleted with the context."""
+        import gc
+
         from repro.experiments.context import ExperimentContext
-        from repro.fleet.dataset import RegionDataset
 
         ctx = ExperimentContext(fleet=CONFIG)
-        assert isinstance(ctx.dataset("RegA"), RegionDataset)
+        root = ctx.store_dir
+        assert os.path.isdir(root)
+        assert isinstance(ctx.dataset("RegA"), ShardedRegionDataset)
+        assert ctx.dataset("RegA").store.directory.startswith(root)
         assert ctx.table1_row("RegA") == oracle.table1_row()
+        assert ctx.profiles("RegA") == rack_profiles(oracle.summaries)
+        del ctx
+        gc.collect()
+        assert not os.path.exists(root)
+
+
+def _shard_hashes(root, config, jobs, shard_racks, shard_hours, **kwargs):
+    store = RegionShardStore(
+        root=str(root), spec=REGION_A, config=config,
+        shard_racks=shard_racks, shard_hours=shard_hours,
+    )
+    manifest = store.build(jobs=jobs, **kwargs)
+    assert store.verify_hashes(manifest)
+    return [(record["tag"], record["sha256"]) for record in manifest["shards"]]
+
+
+class TestParallelBuild:
+    """A parallel build fans rack days out and writes every shard in
+    the building process; its files must equal a serial build's."""
+
+    PARITY = FleetConfig(racks_per_region=4, runs_per_rack=2, seed=11)
+
+    @pytest.mark.parametrize("geometry", [(64, 12), (1, 12), (2, 4)])
+    def test_shard_bytes_independent_of_jobs(self, tmp_path, geometry):
+        serial = _shard_hashes(tmp_path / "serial", self.PARITY, 1, *geometry)
+        parallel = _shard_hashes(tmp_path / "parallel", self.PARITY, 2, *geometry)
+        assert parallel == serial
+
+    def test_one_shard_region_with_more_jobs_than_shards(self, tmp_path):
+        config = FleetConfig(racks_per_region=2, runs_per_rack=2, seed=12)
+        serial = _shard_hashes(tmp_path / "serial", config, 1, 64, 24)
+        parallel = _shard_hashes(tmp_path / "parallel", config, 3, 64, 24)
+        assert len(serial) == 1
+        assert parallel == serial
+
+    def test_parallel_build_uses_the_callers_synthesizer(self, tmp_path):
+        serial = _shard_hashes(
+            tmp_path / "serial", self.PARITY, 1, 2, 12, synthesizer=TrimmedSynthesizer()
+        )
+        parallel = _shard_hashes(
+            tmp_path / "parallel", self.PARITY, 2, 2, 12, synthesizer=TrimmedSynthesizer()
+        )
+        default = _shard_hashes(tmp_path / "default", self.PARITY, 1, 2, 12)
+        assert parallel == serial
+        assert parallel != default
+
+    def test_progress_and_on_shard_fire_per_shard(self, tmp_path):
+        records, progress = [], []
+        store = RegionShardStore(
+            root=str(tmp_path), spec=REGION_A, config=self.PARITY,
+            shard_racks=1, shard_hours=12,
+        )
+        manifest = store.build(
+            jobs=2,
+            synthesizer=TrimmedSynthesizer(),
+            on_shard=records.append,
+            progress=lambda done, total: progress.append((done, total)),
+        )
+        assert sorted(r["tag"] for r in records) == sorted(
+            r["tag"] for r in manifest["shards"]
+        )
+        assert len(progress) == len(records)
+        assert progress[-1] == (manifest["total_runs"], manifest["total_runs"])
+        assert store.metrics.counter("dataset.parallel.rack_days") == 4
+        assert store.metrics.counter("dataset.generated_runs") == manifest["total_runs"]

@@ -87,7 +87,7 @@ class TestSingleFlight:
         self, tmp_path, monkeypatch
     ):
         service = QueryService(
-            ServiceConfig(fleet=FLEET, cache_dir=str(tmp_path), request_threads=2)
+            ServiceConfig(fleet=FLEET, store_dir=str(tmp_path), request_threads=2)
         )
         try:
             release = threading.Event()
@@ -154,7 +154,6 @@ def served(tmp_path):
     service = QueryService(
         ServiceConfig(
             fleet=FLEET,
-            cache_dir=str(tmp_path / "cache"),
             store_dir=str(tmp_path / "store"),
             shard_racks=1,
             shard_hours=12,
@@ -223,10 +222,10 @@ class TestHTTPService:
         assert any(e["event"] == "shard" for e in events)
         assert events[-1]["event"] == "result"
 
-        # The one-shot CLI path: a fresh context on a separate cache,
+        # The one-shot CLI path: a fresh context on a separate store,
         # serialized through the same module-level projection.
         oracle_ctx = ExperimentContext(
-            fleet=FLEET, cache_dir=str(tmp_path / "oracle-cache")
+            fleet=FLEET, store_dir=str(tmp_path / "oracle-store")
         )
         oracle = serialize_table1(oracle_ctx.table1_row("RegA"))
         assert json.dumps(events[-1]["data"], sort_keys=True) == json.dumps(
@@ -283,7 +282,6 @@ class TestCrashRecovery:
         return QueryService(
             ServiceConfig(
                 fleet=FLEET,
-                cache_dir=str(tmp_path / "cache"),
                 store_dir=str(tmp_path / "store"),
                 shard_racks=1,
                 shard_hours=12,
@@ -340,7 +338,6 @@ class TestCrashRecovery:
             # store now opens it without rebuilding and agrees exactly.
             verify_ctx = ExperimentContext(
                 fleet=FLEET,
-                cache_dir=str(tmp_path / "verify-cache"),
                 store_dir=str(tmp_path / "store"),
                 shard_racks=1,
                 shard_hours=12,
@@ -359,7 +356,7 @@ class TestCrashRecovery:
 class TestLifecycleAndMetrics:
     def test_metrics_document_round_trip_and_tamper(self, tmp_path):
         service = QueryService(
-            ServiceConfig(fleet=FLEET, cache_dir=str(tmp_path), request_threads=1)
+            ServiceConfig(fleet=FLEET, store_dir=str(tmp_path), request_threads=1)
         )
         try:
             document = service.metrics_document()
@@ -377,7 +374,7 @@ class TestLifecycleAndMetrics:
 
     def test_shutdown_drains_and_rejects_new_queries(self, tmp_path):
         service = QueryService(
-            ServiceConfig(fleet=FLEET, cache_dir=str(tmp_path), request_threads=1)
+            ServiceConfig(fleet=FLEET, store_dir=str(tmp_path), request_threads=1)
         )
         service.shutdown()
         service.shutdown()  # idempotent

@@ -3,10 +3,13 @@
 Operates on :class:`~repro.core.run.SyncRun` objects regardless of
 whether they came from the packet-level simulator or the fleet fluid
 model.  The heavy lifting happens once per run in
-:func:`~repro.analysis.summary.summarize_run`; experiments then
-aggregate lightweight :class:`~repro.analysis.summary.RunSummary`
-records — mirroring how a production pipeline reduces raw samples
-before fleet-wide analysis.
+:func:`~repro.analysis.summary.summarize_run`, which reduces the raw
+samples to a :class:`~repro.analysis.summary.RunSummary` — mirroring
+how a production pipeline reduces raw samples before fleet-wide
+analysis.  The shard store keeps those summaries as run, burst and
+server-run columns (:mod:`repro.fleet.shards`); the fleet-wide
+experiments aggregate the columns, and the streaming partials of
+:mod:`repro.analysis.streaming` fold them shard by shard.
 """
 
 from .stats import cdf, percentile, box_stats, BoxStats

@@ -26,6 +26,15 @@ def cdf(values: np.ndarray | list) -> tuple[np.ndarray, np.ndarray]:
     return ordered, percent
 
 
+def running_sum(values: np.ndarray) -> float:
+    """``total = 0.0; for v in values: total += v``, bit for bit.
+
+    ``np.sum`` adds pairwise, so it can differ from the loop in the last
+    bits; ``np.cumsum`` adds left to right like the loop.
+    """
+    return float(np.cumsum(np.append(0.0, values))[-1])
+
+
 def percentile(values: np.ndarray | list, q: float) -> float:
     """The q-th percentile (q in [0, 100])."""
     array = np.asarray(values, dtype=np.float64)

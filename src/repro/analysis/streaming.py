@@ -6,10 +6,9 @@ Figures 9/12/13/15/16 must therefore run *shard by shard*, with peak
 memory bounded by one shard regardless of rack count.  This module
 provides the partials that make that possible:
 
-* **Generic partials** — :class:`CountSum`, :class:`Histogram`, and
-  :class:`QuantileSketch`: associative, commutative-where-documented
-  merge operations over bounded state, the classic building blocks of
-  distributed aggregation.
+* **A generic partial** — :class:`QuantileSketch`: an associative
+  merge over bounded state, the classic building block of distributed
+  quantile aggregation.
 
 * **Exact figure accumulators** — :class:`Table1Accumulator`,
   :class:`RackProfileAccumulator`, :class:`HourlyBoxAccumulator`,
@@ -40,8 +39,6 @@ from .racks import RackProfile
 from .stats import BoxStats
 
 __all__ = [
-    "CountSum",
-    "Histogram",
     "QuantileSketch",
     "Table1Partial",
     "Table1Accumulator",
@@ -54,87 +51,7 @@ __all__ = [
 ]
 
 
-# -- generic mergeable partials ---------------------------------------------
-
-
-@dataclass
-class CountSum:
-    """Count/sum/min/max of a stream — the cheapest mergeable moment set."""
-
-    count: int = 0
-    total: float = 0.0
-    minimum: float = float("inf")
-    maximum: float = float("-inf")
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    def add_array(self, values: np.ndarray) -> None:
-        array = np.asarray(values, dtype=np.float64)
-        if array.size == 0:
-            return
-        self.count += int(array.size)
-        self.total += float(array.sum())
-        self.minimum = min(self.minimum, float(array.min()))
-        self.maximum = max(self.maximum, float(array.max()))
-
-    def merge(self, other: "CountSum") -> "CountSum":
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        return self
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-class Histogram:
-    """Fixed-edge histogram; merge adds counts bin-wise.
-
-    Edges are part of the partial's identity: merging histograms with
-    different edges is a logic error and raises.
-    """
-
-    def __init__(self, edges: np.ndarray | list) -> None:
-        self.edges = np.asarray(edges, dtype=np.float64)
-        if self.edges.size < 2:
-            raise AnalysisError("histogram needs at least two edges")
-        if np.any(np.diff(self.edges) <= 0):
-            raise AnalysisError("histogram edges must be strictly increasing")
-        self.counts = np.zeros(self.edges.size - 1, dtype=np.int64)
-        #: Values outside [edges[0], edges[-1]] land here, never lost.
-        self.underflow = 0
-        self.overflow = 0
-
-    def add_array(self, values: np.ndarray | list) -> None:
-        array = np.asarray(values, dtype=np.float64)
-        if array.size == 0:
-            return
-        self.underflow += int((array < self.edges[0]).sum())
-        self.overflow += int((array > self.edges[-1]).sum())
-        inside = array[(array >= self.edges[0]) & (array <= self.edges[-1])]
-        counts, _ = np.histogram(inside, bins=self.edges)
-        self.counts += counts
-
-    def add(self, value: float) -> None:
-        self.add_array([value])
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        if not np.array_equal(self.edges, other.edges):
-            raise AnalysisError("cannot merge histograms with different edges")
-        self.counts += other.counts
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-        return self
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum()) + self.underflow + self.overflow
+# -- generic mergeable partial ----------------------------------------------
 
 
 class QuantileSketch:
@@ -296,10 +213,6 @@ class _RowBlocks:
         self._hours.extend(other._hours)
         self._subs.extend(other._subs)
         self._values.extend(other._values)
-
-    @property
-    def rows(self) -> int:
-        return sum(block.shape[0] for block in self._racks)
 
     def sorted_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(racks, hours, values) stable-sorted by (rack, hour, sub)."""

@@ -13,6 +13,8 @@ import threading
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..analysis.racks import (
     DEFAULT_CONTENTION_SPLIT,
     RackClass,
@@ -21,7 +23,6 @@ from ..analysis.racks import (
 )
 from ..analysis.stats import BoxStats
 from ..analysis.streaming import BurstContentionView, RunContentionView
-from ..analysis.summary import RunSummary
 from ..config import FleetConfig
 from ..errors import ConfigError
 from ..fleet.dataset import DatasetSummary
@@ -172,9 +173,6 @@ class ExperimentContext:
                     )
         return self._datasets[region]
 
-    def summaries(self, region: str) -> list[RunSummary]:
-        return self.dataset(region).summaries
-
     # -- derived classifications ------------------------------------------
 
     def profiles(self, region: str, busy_hour_only: bool = False) -> list[RackProfile]:
@@ -225,19 +223,11 @@ class ExperimentContext:
     def rega_high_racks(self) -> set[str]:
         return {profile.rack for profile in self.rega_classes()[RackClass.HIGH]}
 
-    def class_of_rack(self, region: str, rack: str) -> str:
-        """'RegA-Typical' / 'RegA-High' / 'RegB' for a rack name.
-
-        Callers classifying many runs/bursts should hoist
-        :meth:`rega_high_racks` and test membership directly — this
-        recomputes the split each call.
-        """
-        if region == "RegB":
-            return "RegB"
-        if rack in self.rega_high_racks():
-            return RackClass.HIGH.value
-        return RackClass.TYPICAL.value
-
-    def class_of_run(self, summary: RunSummary) -> str:
-        """'RegA-Typical' / 'RegA-High' / 'RegB' for a run summary."""
-        return self.class_of_rack(summary.region, summary.rack)
+    def rega_high_mask(self, rack_ids: np.ndarray) -> np.ndarray:
+        """Which rows of a RegA ``rack_id`` column belong to RegA-High
+        racks (one class split per call)."""
+        high = self.rega_high_racks()
+        is_high = np.array(
+            [name in high for name in self.dataset("RegA").rack_names], dtype=bool
+        )
+        return is_high[rack_ids.astype(np.int64)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.stats import cdf, percentile
+from ..analysis.stats import cdf, percentile, running_sum
 from ..viz.ascii import ascii_cdf
 from ..viz.series import Series
 from .base import ExperimentResult
@@ -20,30 +20,30 @@ from .context import ExperimentContext
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
     """Regenerate this artifact (see module docstring)."""
-    summaries = ctx.summaries("RegA")
-    frequencies = []
-    in_util = []
-    out_util = []
-    run_avg_util = []
-    total_bytes = 0.0
-    burst_bytes = 0.0
-    bursty_runs = 0
-    server_runs = 0
-    for summary in summaries:
-        for stat in summary.server_stats:
-            server_runs += 1
-            total_bytes += stat.total_in_bytes
-            burst_bytes += stat.in_burst_bytes
-            if stat.bursty:
-                bursty_runs += 1
-                frequencies.append(stat.bursts_per_second)
-                run_avg_util.append(stat.avg_utilization)
-                if np.isfinite(stat.utilization_in_bursts):
-                    in_util.append(stat.utilization_in_bursts)
-                if np.isfinite(stat.utilization_outside_bursts):
-                    out_util.append(stat.utilization_outside_bursts)
+    stats = ctx.dataset("RegA").columns(
+        "servers",
+        (
+            "bursty",
+            "bursts_per_second",
+            "avg_utilization",
+            "utilization_in_bursts",
+            "utilization_outside_bursts",
+            "total_in_bytes",
+            "in_burst_bytes",
+        ),
+    )
+    bursty = stats["bursty"] != 0
+    in_util = stats["utilization_in_bursts"]
+    out_util = stats["utilization_outside_bursts"]
+    in_util = in_util[bursty & np.isfinite(in_util)]
+    out_util = out_util[bursty & np.isfinite(out_util)]
+    run_avg_util = stats["avg_utilization"][bursty]
+    total_bytes = running_sum(stats["total_in_bytes"])
+    burst_bytes = running_sum(stats["in_burst_bytes"])
+    bursty_runs = int(np.count_nonzero(bursty))
+    server_runs = int(bursty.size)
 
-    freq = np.array(frequencies)
+    freq = stats["bursts_per_second"][bursty]
     x, y = cdf(freq)
     series = [Series("bursts-per-second", x, y)]
     metrics = {

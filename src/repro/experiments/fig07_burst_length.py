@@ -18,26 +18,16 @@ from .context import ExperimentContext
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
     """Regenerate this artifact (see module docstring)."""
-    summaries = ctx.summaries("RegA")
-    all_lengths = []
-    contended_lengths = []
-    non_contended_lengths = []
-    all_volumes = []
-    non_contended_volumes = []
-    for summary in summaries:
-        ms = summary.sampling_interval / 1e-3
-        for burst in summary.bursts:
-            length = burst.length * ms
-            all_lengths.append(length)
-            all_volumes.append(burst.volume)
-            if burst.contended:
-                contended_lengths.append(length)
-            else:
-                non_contended_lengths.append(length)
-                non_contended_volumes.append(burst.volume)
-
-    all_arr = np.array(all_lengths)
-    contended_fraction = len(contended_lengths) / len(all_lengths)
+    dataset = ctx.dataset("RegA")
+    interval = dataset.columns("runs", ("sampling_interval",))["sampling_interval"]
+    bursts = dataset.columns("bursts", ("run_row", "length", "volume", "max_contention"))
+    all_arr = bursts["length"] * (interval / 1e-3)[bursts["run_row"].astype(np.int64)]
+    all_volumes = bursts["volume"]
+    contended = bursts["max_contention"] >= 2
+    contended_lengths = all_arr[contended]
+    non_contended_lengths = all_arr[~contended]
+    non_contended_volumes = all_volumes[~contended]
+    contended_fraction = contended_lengths.size / all_arr.size
     metrics = {
         "median_length_ms": percentile(all_arr, 50),
         "p90_length_ms": percentile(all_arr, 90),
@@ -50,8 +40,8 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     }
     groups = {
         "all": all_arr,
-        "non-contended": np.array(non_contended_lengths),
-        "contended": np.array(contended_lengths),
+        "non-contended": non_contended_lengths,
+        "contended": contended_lengths,
     }
     series = []
     for name, values in groups.items():

@@ -17,27 +17,18 @@ from .context import ExperimentContext
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
     """Regenerate this artifact (see module docstring)."""
-    summaries = ctx.summaries("RegA")
-    inside = []
-    outside = []
-    ratios = []
-    for summary in summaries:
-        for stat in summary.server_stats:
-            if not stat.bursty:
-                continue
-            if np.isfinite(stat.conns_inside):
-                inside.append(stat.conns_inside)
-            if np.isfinite(stat.conns_outside):
-                outside.append(stat.conns_outside)
-            if (
-                np.isfinite(stat.conns_inside)
-                and np.isfinite(stat.conns_outside)
-                and stat.conns_outside > 0
-            ):
-                ratios.append(stat.conns_inside / stat.conns_outside)
-
-    inside_arr = np.array(inside)
-    outside_arr = np.array(outside)
+    stats = ctx.dataset("RegA").columns(
+        "servers", ("bursty", "conns_inside", "conns_outside")
+    )
+    bursty = stats["bursty"] != 0
+    conns_inside = stats["conns_inside"]
+    conns_outside = stats["conns_outside"]
+    inside_arr = conns_inside[bursty & np.isfinite(conns_inside)]
+    outside_arr = conns_outside[bursty & np.isfinite(conns_outside)]
+    with_ratio = (
+        bursty & np.isfinite(conns_inside) & np.isfinite(conns_outside) & (conns_outside > 0)
+    )
+    ratios = conns_inside[with_ratio] / conns_outside[with_ratio]
     series = []
     for name, values in (("outside-burst", outside_arr), ("inside-burst", inside_arr)):
         x, y = cdf(values)

@@ -19,17 +19,14 @@ from .context import ExperimentContext
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
     """Regenerate this artifact (see module docstring)."""
-    summaries = ctx.summaries("RegA")
-    volumes = []
-    contentions = []
-    for summary in summaries:
-        if summary.duration_s <= 0:
-            continue
-        per_minute = summary.switch_ingress_bytes / summary.duration_s * 60.0
-        volumes.append(per_minute / 1e9)  # GB per minute
-        contentions.append(summary.contention.mean)
-    volumes_arr = np.array(volumes)
-    contentions_arr = np.array(contentions)
+    runs = ctx.dataset("RegA").columns(
+        "runs", ("buckets", "sampling_interval", "switch_ingress_bytes", "contention_mean")
+    )
+    duration_s = runs["buckets"] * runs["sampling_interval"]
+    timed = duration_s > 0
+    per_minute = runs["switch_ingress_bytes"][timed] / duration_s[timed] * 60.0
+    volumes_arr = per_minute / 1e9  # GB per minute
+    contentions_arr = runs["contention_mean"][timed]
 
     edges = np.percentile(volumes_arr, np.linspace(0, 100, 9))
     edges = np.unique(edges)

@@ -8,7 +8,7 @@ bursts stay lossier than non-contended ones.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from typing import Callable
 
 import numpy as np
 
@@ -21,27 +21,43 @@ from .context import ExperimentContext
 LENGTH_EDGES = np.array([1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24])
 
 
+def typical_loss_counts(
+    ctx: ExperimentContext, bucket_of: Callable[[dict[str, np.ndarray]], np.ndarray]
+) -> dict[str, dict[int, tuple[int, int]]]:
+    """group -> bucket -> (bursts, lossy bursts) over RegA-Typical
+    bursts; ``bucket_of`` maps the burst columns to bucket indices."""
+    dataset = ctx.dataset("RegA")
+    runs = dataset.columns("runs", ("rack_id", "sampling_interval"))
+    bursts = dataset.columns(
+        "bursts", ("run_row", "length", "avg_connections", "max_contention", "lossy")
+    )
+    run_row = bursts["run_row"].astype(np.int64)
+    bursts["sampling_interval"] = runs["sampling_interval"][run_row]
+    typical = ~ctx.rega_high_mask(runs["rack_id"])[run_row]
+    buckets = bucket_of(bursts)
+    lossy = bursts["lossy"] != 0
+    contended = bursts["max_contention"] >= 2
+    counts: dict[str, dict[int, tuple[int, int]]] = {}
+    for name, group in (("contended", contended), ("non-contended", ~contended)):
+        group = group & typical
+        counts[name] = {}
+        for bucket in np.unique(buckets[group]).tolist():
+            in_bucket = group & (buckets == bucket)
+            counts[name][bucket] = (
+                int(np.count_nonzero(in_bucket)),
+                int(np.count_nonzero(in_bucket & lossy)),
+            )
+    return counts
+
+
 def loss_by_length(ctx: ExperimentContext) -> dict[str, dict[int, tuple[int, int]]]:
     """group -> length bucket -> (bursts, lossy bursts), RegA-Typical only."""
-    counts: dict[str, dict[int, list[int]]] = {
-        "contended": defaultdict(lambda: [0, 0]),
-        "non-contended": defaultdict(lambda: [0, 0]),
-    }
-    for summary in ctx.summaries("RegA"):
-        if ctx.class_of_run(summary) != "RegA-Typical":
-            continue
-        ms = summary.sampling_interval / 1e-3
-        for burst in summary.bursts:
-            length = burst.length * ms
-            bucket = int(np.digitize(length, LENGTH_EDGES))
-            key = "contended" if burst.contended else "non-contended"
-            entry = counts[key][bucket]
-            entry[0] += 1
-            entry[1] += int(burst.lossy)
-    return {
-        name: {b: (v[0], v[1]) for b, v in buckets.items()}
-        for name, buckets in counts.items()
-    }
+    return typical_loss_counts(
+        ctx,
+        lambda bursts: np.digitize(
+            bursts["length"] * (bursts["sampling_interval"] / 1e-3), LENGTH_EDGES
+        ),
+    )
 
 
 def run(ctx: ExperimentContext) -> ExperimentResult:

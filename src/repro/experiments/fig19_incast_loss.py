@@ -8,14 +8,13 @@ the rack is contended.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from ..viz.ascii import ascii_plot
 from ..viz.series import Series
 from .base import ExperimentResult
 from .context import ExperimentContext
+from .fig18_length_loss import typical_loss_counts
 
 #: Average-connection-count bucket edges.
 CONN_EDGES = np.array([5, 10, 20, 30, 40, 50, 60, 80, 100])
@@ -23,23 +22,9 @@ CONN_EDGES = np.array([5, 10, 20, 30, 40, 50, 60, 80, 100])
 
 def loss_by_connections(ctx: ExperimentContext) -> dict[str, dict[int, tuple[int, int]]]:
     """group -> connection bucket -> (bursts, lossy), RegA-Typical only."""
-    counts: dict[str, dict[int, list[int]]] = {
-        "contended": defaultdict(lambda: [0, 0]),
-        "non-contended": defaultdict(lambda: [0, 0]),
-    }
-    for summary in ctx.summaries("RegA"):
-        if ctx.class_of_run(summary) != "RegA-Typical":
-            continue
-        for burst in summary.bursts:
-            bucket = int(np.digitize(burst.avg_connections, CONN_EDGES))
-            key = "contended" if burst.contended else "non-contended"
-            entry = counts[key][bucket]
-            entry[0] += 1
-            entry[1] += int(burst.lossy)
-    return {
-        name: {b: (v[0], v[1]) for b, v in buckets.items()}
-        for name, buckets in counts.items()
-    }
+    return typical_loss_counts(
+        ctx, lambda bursts: np.digitize(bursts["avg_connections"], CONN_EDGES)
+    )
 
 
 def run(ctx: ExperimentContext) -> ExperimentResult:

@@ -15,15 +15,24 @@ fraction.
 
 from __future__ import annotations
 
-
-from ..analysis.placement_metrics import rank_correlation, score_racks
+from ..analysis.placement_metrics import (
+    SCORE_BURST_COLUMNS,
+    SCORE_RUN_COLUMNS,
+    rank_correlation,
+    score_racks,
+)
 from .base import ExperimentResult, ResultTable
 from .context import ExperimentContext
 
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
     """Regenerate this artifact (see module docstring)."""
-    scores = score_racks(ctx.summaries("RegA"))
+    dataset = ctx.dataset("RegA")
+    scores = score_racks(
+        dataset.rack_names,
+        dataset.columns("runs", SCORE_RUN_COLUMNS),
+        dataset.columns("bursts", SCORE_BURST_COLUMNS),
+    )
     racks = sorted(scores)
     losses = [scores[r]["realized_loss"] for r in racks]
 

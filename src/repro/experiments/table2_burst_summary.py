@@ -17,7 +17,7 @@ surprise — RegA-Typical is 2.9x lossier than RegA-High.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import numpy as np
 
 from .base import ExperimentResult, ResultTable
 from .context import ExperimentContext
@@ -31,15 +31,26 @@ PAPER = {
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
     """Regenerate this artifact (see module docstring)."""
-    totals: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])  # bursts, contended, lossy
+    totals: dict[str, list[int]] = {}  # bursts, contended, lossy
     for region in ("RegA", "RegB"):
-        for summary in ctx.summaries(region):
-            burst_class = ctx.class_of_run(summary)
-            entry = totals[burst_class]
-            for burst in summary.bursts:
-                entry[0] += 1
-                entry[1] += int(burst.contended)
-                entry[2] += int(burst.lossy)
+        dataset = ctx.dataset(region)
+        rack_ids = dataset.columns("runs", ("rack_id",))["rack_id"]
+        bursts = dataset.columns("bursts", ("run_row", "max_contention", "lossy"))
+        if region == "RegA":
+            high = ctx.rega_high_mask(rack_ids)
+            classes = {"RegA-Typical": ~high, "RegA-High": high}
+        else:
+            classes = {"RegB": np.ones(rack_ids.size, dtype=bool)}
+        run_row = bursts["run_row"].astype(np.int64)
+        is_contended = bursts["max_contention"] >= 2
+        is_lossy = bursts["lossy"] != 0
+        for name, runs in classes.items():
+            in_class = runs[run_row]
+            totals[name] = [
+                int(np.count_nonzero(in_class)),
+                int(np.count_nonzero(in_class & is_contended)),
+                int(np.count_nonzero(in_class & is_lossy)),
+            ]
 
     rows = []
     metrics = {}

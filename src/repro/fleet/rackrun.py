@@ -47,6 +47,16 @@ def sketch_estimates(true_counts: np.ndarray, rng: np.random.Generator) -> np.nd
     return estimates
 
 
+def run_extras(workload: RackWorkload) -> dict:
+    """The rack facts every run of ``workload`` carries as ``extras``."""
+    return {
+        "colocated": workload.colocated,
+        "distinct_tasks": workload.placement.distinct_tasks(),
+        "dominant_share": workload.placement.dominant_share(),
+        "dominant_task": workload.placement.dominant_task(),
+    }
+
+
 class RackRunSynthesizer:
     """Generates :class:`SyncRun` objects for rack workloads."""
 
@@ -198,12 +208,7 @@ class RackRunSynthesizer:
             hour=hour,
             switch_discard_bytes=float(batch.dropped[row, :buckets].sum()),
             switch_ingress_bytes=float(demand.demand.sum()),
-            extras={
-                "colocated": workload.colocated,
-                "distinct_tasks": workload.placement.distinct_tasks(),
-                "dominant_share": workload.placement.dominant_share(),
-                "dominant_task": workload.placement.dominant_task(),
-            },
+            extras=run_extras(workload),
         )
 
     def synthesize_batch(

@@ -12,21 +12,21 @@ On disk a store is one directory per (region, dataset key, shard
 geometry)::
 
     <store-dir>/RegA-<dataset_key>-r64h12/
-        manifest.json            # shard index: keys, hashes, counts
-        workloads.pkl            # every planned RackWorkload, rack order
-        r0000-0064-h00-12.runs.npy    # columnar numeric run summary fields
-        r0000-0064-h00-12.bursts.npy  # columnar per-burst annotations
-        r0000-0064-h00-12.pkl         # full RunSummary objects (pickled)
+        manifest.json                   # shard index: keys, hashes, counts
+        workloads.pkl                   # every planned RackWorkload, rack order
+        r0000-0064-h00-12.runs.npy      # one row per rack run
+        r0000-0064-h00-12.bursts.npy    # one row per burst
+        r0000-0064-h00-12.servers.npy   # one row per server run
 
-* ``*.runs.npy`` / ``*.bursts.npy`` are plain ``.npy`` arrays loaded
-  with ``np.load(mmap_mode="r")`` — zero-copy columnar access for the
-  streaming aggregations (:mod:`repro.analysis.streaming`).
-* ``*.pkl`` holds the full :class:`RunSummary` objects for consumers
-  that need burst records or server stats beyond the numeric columns;
-  it is only ever loaded one shard at a time.
+* the ``*.npy`` tables (columns named in :data:`TABLES`) are loaded
+  with ``np.load(mmap_mode="r")``; with the workloads they hold every
+  :class:`RunSummary` field.  The streaming aggregations
+  (:mod:`repro.analysis.streaming`) fold them shard by shard, and
+  :meth:`ShardedRegionDataset.columns` reads whole-region columns;
 * every file is written to a ``*.tmp`` sibling and atomically renamed;
   the manifest is written last, so a crashed writer can never leave a
-  store that *looks* complete.  Stale temp files are swept on build.
+  store that *looks* complete.  Stale temp files are swept on build,
+  and files the new manifest does not list are deleted after it.
 
 A store is built serially (one shard at a time, in this process) or
 by fanning rack days out over a process pool, with this process writing
@@ -40,22 +40,25 @@ oracle the tests hold every shard and aggregation to.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import os
 import pickle
 import shutil
-import sys
 import tempfile
 import threading
 import weakref
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from operator import attrgetter
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ..analysis.bursts import Burst
+from ..analysis.contention import ContentionStats
 from ..analysis.streaming import (
     BurstContentionAccumulator,
     BurstContentionView,
@@ -64,8 +67,9 @@ from ..analysis.streaming import (
     RunContentionAccumulator,
     RunContentionView,
     Table1Accumulator,
+    _RowBlocks,
 )
-from ..analysis.summary import RunSummary
+from ..analysis.summary import RunSummary, ServerRunStats
 from ..config import FleetConfig
 from ..errors import ConfigError, WorkerCancelled
 from ..obs.metrics import Metrics
@@ -80,13 +84,13 @@ from .dataset import (
     summarize_batches,
 )
 from .kernels import pool_initializer
-from .rackrun import BatchItem, RackRunSynthesizer
+from .rackrun import BatchItem, RackRunSynthesizer, run_extras
 
 logger = logging.getLogger(__name__)
 
 #: Bump whenever the shard layout or the summary reduction changes in a
 #: way that invalidates existing stores.
-SHARD_FORMAT_VERSION = 1
+SHARD_FORMAT_VERSION = 2
 
 #: Schema tag distinguishing a shard-store manifest from any other JSON.
 STORE_SCHEMA = "millisampler-repro/shard-store"
@@ -101,9 +105,8 @@ STORE_DIR_ENV = "MILLISAMPLER_STORE_DIR"
 DEFAULT_SHARD_RACKS = 64
 DEFAULT_SHARD_HOURS = 12
 
-#: Numeric per-run summary columns (one row per rack run).  These are
-#: what the streaming aggregations read; the full RunSummary objects
-#: stay in the pickle sidecar.
+#: One row per rack run.  The streaming aggregations read these; rack
+#: name, region and extras come from the workload of ``rack_id``.
 RUN_COLUMNS: tuple[str, ...] = (
     "rack_id",
     "hour",
@@ -124,19 +127,59 @@ RUN_COLUMNS: tuple[str, ...] = (
     "distinct_tasks",
     "dominant_share",
 )
-RUN_COL: dict[str, int] = {name: index for index, name in enumerate(RUN_COLUMNS)}
 
-#: Numeric per-burst columns (one row per detected burst).
+#: One row per burst, in its run's burst order: the run's row in the
+#: runs table, the burst's index within the run, then the fields of
+#: :class:`~repro.analysis.bursts.Burst` in order (``length`` in
+#: buckets, ``volume`` in bytes).
 BURST_COLUMNS: tuple[str, ...] = (
     "run_row",
     "burst_index",
+    "server",
+    "start",
+    "length",
+    "volume",
+    "avg_connections",
+    "retx_bytes",
     "max_contention",
     "lossy",
     "first_loss_contention",
-    "length_buckets",
-    "volume_bytes",
 )
-BURST_COL: dict[str, int] = {name: index for index, name in enumerate(BURST_COLUMNS)}
+
+#: One row per server run: the run's row, then the fields of
+#: :class:`~repro.analysis.summary.ServerRunStats` in order except
+#: ``task``, which the workload supplies.
+SERVER_COLUMNS: tuple[str, ...] = (
+    "run_row",
+    "server",
+    "bursty",
+    "avg_utilization",
+    "utilization_in_bursts",
+    "utilization_outside_bursts",
+    "bursts_per_second",
+    "conns_inside",
+    "conns_outside",
+    "total_in_bytes",
+    "in_burst_bytes",
+)
+
+#: A shard's tables by file kind, each a plain 2-D float64 matrix.
+TABLES: dict[str, tuple[str, ...]] = {
+    "runs": RUN_COLUMNS,
+    "bursts": BURST_COLUMNS,
+    "servers": SERVER_COLUMNS,
+}
+_COLUMN: dict[str, dict[str, int]] = {
+    kind: {name: index for index, name in enumerate(columns)}
+    for kind, columns in TABLES.items()
+}
+
+#: Columns that decode to Python ``int`` and ``bool``; the rest are floats.
+_INT_COLUMNS = frozenset(
+    {"rack_id", "hour", "servers", "buckets", "run_row", "server", "start",
+     "length", "max_contention", "first_loss_contention"}
+)
+_BOOL_COLUMNS = frozenset({"lossy", "bursty"})
 
 
 def default_store_dir() -> str:
@@ -259,55 +302,127 @@ def plan_region_shards(
     return plans, tasks
 
 
-# -- columnar projection -----------------------------------------------------
+# -- columnar encoding -------------------------------------------------------
+
+_burst_fields = attrgetter(*BURST_COLUMNS[2:])
+_server_fields = attrgetter(*SERVER_COLUMNS[1:])
 
 
-def summaries_to_columns(
+def encode_tables(
     summaries: list[RunSummary], rack_ids: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project summaries onto the (runs, bursts) numeric column arrays."""
-    runs = np.zeros((len(summaries), len(RUN_COLUMNS)), dtype=np.float64)
-    burst_rows: list[list[float]] = []
-    for row, (summary, rack_id) in enumerate(zip(summaries, rack_ids)):
-        contention = summary.contention
-        runs[row] = (
-            rack_id,
-            summary.hour,
-            summary.servers,
-            summary.buckets,
-            summary.sampling_interval,
-            contention.mean,
-            contention.min_active,
-            contention.p90,
-            contention.max,
-            contention.frac_zero,
-            len(summary.bursts),
-            summary.bursty_server_runs(),
-            summary.switch_discard_bytes,
-            summary.switch_ingress_bytes,
-            summary.total_in_bytes,
-            float(bool(summary.extras.get("colocated", False))),
-            float(summary.extras.get("distinct_tasks", 0)),
-            float(summary.extras.get("dominant_share", 0.0)),
-        )
-        for burst_index, burst in enumerate(summary.bursts):
-            burst_rows.append(
-                [
-                    float(row),
-                    float(burst_index),
-                    float(burst.max_contention),
-                    float(burst.lossy),
-                    float(burst.first_loss_contention),
-                    float(burst.length),
-                    float(burst.volume),
-                ]
+) -> dict[str, np.ndarray]:
+    """One shard's summaries as its tables (see :data:`TABLES`)."""
+    runs = np.array(
+        [
+            (
+                rack_id,
+                summary.hour,
+                summary.servers,
+                summary.buckets,
+                summary.sampling_interval,
+                summary.contention.mean,
+                summary.contention.min_active,
+                summary.contention.p90,
+                summary.contention.max,
+                summary.contention.frac_zero,
+                len(summary.bursts),
+                summary.bursty_server_runs(),
+                summary.switch_discard_bytes,
+                summary.switch_ingress_bytes,
+                summary.total_in_bytes,
+                bool(summary.extras.get("colocated", False)),
+                summary.extras.get("distinct_tasks", 0),
+                summary.extras.get("dominant_share", 0.0),
             )
-    bursts = (
-        np.asarray(burst_rows, dtype=np.float64)
-        if burst_rows
-        else np.zeros((0, len(BURST_COLUMNS)), dtype=np.float64)
+            for summary, rack_id in zip(summaries, rack_ids)
+        ],
+        dtype=np.float64,
+    ).reshape(-1, len(RUN_COLUMNS))
+    bursts = np.array(
+        [
+            (row, index, *_burst_fields(burst))
+            for row, summary in enumerate(summaries)
+            for index, burst in enumerate(summary.bursts)
+        ],
+        dtype=np.float64,
+    ).reshape(-1, len(BURST_COLUMNS))
+    servers = np.array(
+        [
+            (row, *_server_fields(stat))
+            for row, summary in enumerate(summaries)
+            for stat in summary.server_stats
+        ],
+        dtype=np.float64,
+    ).reshape(-1, len(SERVER_COLUMNS))
+    return {"runs": runs, "bursts": bursts, "servers": servers}
+
+
+def _values(columns: dict[str, np.ndarray], name: str) -> list:
+    """A column as plain Python values: ``int``, ``bool`` or ``float``,
+    as the summarizer produces them (``repr`` of a numpy scalar differs)."""
+    column = columns[name]
+    if name in _INT_COLUMNS:
+        return column.astype(np.int64).tolist()
+    if name in _BOOL_COLUMNS:
+        return (column != 0).tolist()
+    return column.tolist()
+
+
+def _per_run(rows: list, run_row: np.ndarray, runs: int) -> list[list]:
+    """Rows sorted by ``run_row``, split into one list per run."""
+    bounds = np.searchsorted(run_row, np.arange(runs + 1)).tolist()
+    return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _decode_summaries(
+    runs: dict[str, np.ndarray],
+    bursts: dict[str, np.ndarray],
+    servers: dict[str, np.ndarray],
+    workloads: list[RackWorkload],
+) -> list[RunSummary]:
+    """Whole-region tables in global order (see
+    :meth:`ShardedRegionDataset.columns`) back into run summaries."""
+    run = {name: _values(runs, name) for name in RUN_COLUMNS}
+    count = len(run["rack_id"])
+    # BURST_COLUMNS[2:] and SERVER_COLUMNS[2:] follow the dataclass fields.
+    burst_lists = _per_run(
+        list(map(Burst, *(_values(bursts, name) for name in BURST_COLUMNS[2:]))),
+        bursts["run_row"],
+        count,
     )
-    return runs, bursts
+    server_ids = _values(servers, "server")
+    tasks = [
+        workloads[run["rack_id"][row]].placement.tasks[server]
+        for row, server in zip(_values(servers, "run_row"), server_ids)
+    ]
+    stat_lists = _per_run(
+        list(map(ServerRunStats, server_ids, tasks, *(_values(servers, name) for name in SERVER_COLUMNS[2:]))),
+        servers["run_row"],
+        count,
+    )
+    contention = map(
+        ContentionStats,
+        *(run[f"contention_{name}"] for name in ("mean", "min_active", "p90", "max", "frac_zero")),
+    )
+    racks = [workloads[rack_id] for rack_id in run["rack_id"]]
+    # Positional, in RunSummary's field order.
+    return list(
+        map(
+            RunSummary,
+            [workload.rack for workload in racks],
+            [workload.region for workload in racks],
+            run["hour"],
+            run["servers"],
+            run["buckets"],
+            run["sampling_interval"],
+            contention,
+            burst_lists,
+            stat_lists,
+            run["switch_discard_bytes"],
+            run["switch_ingress_bytes"],
+            [run_extras(workload) for workload in racks],
+        )
+    )
 
 
 # -- atomic file plumbing ----------------------------------------------------
@@ -364,53 +479,28 @@ def synthesize_shard(
     ]
 
 
-def _reshare(plan: RackRunPlan, summaries: list[RunSummary]) -> list[RunSummary]:
-    """Point a rack day unpickled from a worker at this process's strings.
-
-    Pickle writes an object once per file and refers back to it after
-    that, by identity.  Summaries synthesized in this process share one
-    region name and the interned ``extras`` keys across every rack of a
-    shard, but each rack day from a worker brings its own copies, which
-    would make the shard's summaries file longer by a few bytes per
-    rack.  Restoring the sharing keeps parallel shards byte-identical to
-    serial ones.
-    """
-    for summary in summaries:
-        summary.region = plan.workload.region
-        summary.extras = {sys.intern(key): value for key, value in summary.extras.items()}
-    return summaries
-
-
 def _write_shard(
     directory: str,
     task: ShardTask,
     summaries: list[RunSummary],
     metrics: Metrics,
 ) -> dict:
-    """Write one shard's three files atomically; return its manifest record."""
+    """Write one shard's tables atomically; return its manifest record."""
     rack_ids = [
         plan.rack_index
         for plan, indices in zip(task.plans, task.run_indices)
         for _ in indices
     ]
-    runs, bursts = summaries_to_columns(summaries, rack_ids)
     tag = task.key.tag
-    names = {
-        "runs": f"{tag}.runs.npy",
-        "bursts": f"{tag}.bursts.npy",
-        "summaries": f"{tag}.pkl",
-    }
+    names = {kind: f"{tag}.{kind}.npy" for kind in TABLES}
     with metrics.span("shards/write"):
-        _atomic_write(
-            os.path.join(directory, names["runs"]), lambda s: np.save(s, runs)
-        )
-        _atomic_write(
-            os.path.join(directory, names["bursts"]), lambda s: np.save(s, bursts)
-        )
-        _atomic_write(
-            os.path.join(directory, names["summaries"]),
-            lambda s: pickle.dump(summaries, s, protocol=pickle.HIGHEST_PROTOCOL),
-        )
+        tables = encode_tables(summaries, rack_ids)
+        for kind, table in tables.items():
+            _atomic_write(
+                os.path.join(directory, names[kind]),
+                lambda stream, table=table: np.save(stream, table),
+            )
+    runs = tables["runs"]
     record = {
         "tag": tag,
         "region": task.key.region,
@@ -419,8 +509,8 @@ def _write_shard(
         "hour_lo": task.key.hour_lo,
         "hour_hi": task.key.hour_hi,
         "runs": int(runs.shape[0]),
-        "bursts": int(bursts.shape[0]),
-        "racks_present": int(np.unique(runs[:, RUN_COL["rack_id"]]).size),
+        "bursts": int(tables["bursts"].shape[0]),
+        "racks_present": int(np.unique(runs[:, _COLUMN["runs"]["rack_id"]]).size),
         "files": names,
         "bytes": {
             kind: os.path.getsize(os.path.join(directory, name))
@@ -516,9 +606,9 @@ class RegionShardStore:
             or manifest.get("shard_hours") != self.shard_hours
         ):
             raise ShardStoreError("shard geometry mismatch")
-        if list(manifest.get("run_columns", [])) != list(RUN_COLUMNS) or list(
-            manifest.get("burst_columns", [])
-        ) != list(BURST_COLUMNS):
+        if manifest.get("columns") != {
+            kind: list(columns) for kind, columns in TABLES.items()
+        }:
             raise ShardStoreError("column layout mismatch")
         for record in manifest.get("shards", []):
             for kind, name in record["files"].items():
@@ -642,8 +732,7 @@ class RegionShardStore:
             },
             "rack_names": [plan.workload.rack for plan in plans],
             "workloads_file": "workloads.pkl",
-            "run_columns": list(RUN_COLUMNS),
-            "burst_columns": list(BURST_COLUMNS),
+            "columns": {kind: list(columns) for kind, columns in TABLES.items()},
             "total_runs": total,
             "shards": [records[task.key.tag] for task in tasks],
         }
@@ -652,7 +741,20 @@ class RegionShardStore:
             lambda s: s.write(json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")),
         )
         self.metrics.incr("dataset.shards.stored", len(tasks))
+        self._prune(manifest)
         return manifest
+
+    def _prune(self, manifest: dict) -> None:
+        """Delete the files ``manifest`` does not list: a format bump
+        keeps the directory name, and a rebuild in place must not keep
+        the old format's files.  ``*.tmp`` files belong to the sweep."""
+        listed = {"manifest.json", manifest["workloads_file"]}
+        listed.update(name for record in manifest["shards"] for name in record["files"].values())
+        for name in set(os.listdir(self.directory)) - listed:
+            if not name.endswith(".tmp"):
+                with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+                    os.unlink(os.path.join(self.directory, name))
+                    self.metrics.incr("dataset.shards.pruned")
 
     def _fan_out(
         self,
@@ -686,7 +788,7 @@ class RegionShardStore:
             summaries, snapshot = result
             self.metrics.merge(snapshot)
             self.metrics.incr("dataset.parallel.rack_days")
-            days[plan.rack_index] = _reshare(plan, summaries)
+            days[plan.rack_index] = summaries
             rack_lo = plan.rack_index - plan.rack_index % self.shard_racks
             waiting[rack_lo].discard(plan.rack_index)
             if waiting[rack_lo]:
@@ -754,10 +856,10 @@ class ShardFrame:
     bursts: np.ndarray  # (n_bursts, len(BURST_COLUMNS)) float64, mmap
 
     def run_column(self, name: str) -> np.ndarray:
-        return self.runs[:, RUN_COL[name]]
+        return self.runs[:, _COLUMN["runs"][name]]
 
     def burst_column(self, name: str) -> np.ndarray:
-        return self.bursts[:, BURST_COL[name]]
+        return self.bursts[:, _COLUMN["bursts"][name]]
 
     def close(self) -> None:
         """Release both file mappings (and their fds) eagerly.
@@ -774,17 +876,14 @@ class ShardFrame:
 class ShardedRegionDataset:
     """Lazy region-day view over a shard store.
 
-    Duck-types the parts of :class:`RegionDataset` the experiment layer
-    uses (``region``, ``summaries``, ``workloads``, ``table1_row``) but
-    computes aggregations **streamingly**, one shard at a time, through
-    the mergeable partials of :mod:`repro.analysis.streaming`.
-    Accessing :attr:`summaries` materializes every shard and is the
-    compatibility path for analyses not yet converted to streaming.
+    Folds Table 1 and the streaming views one shard at a time through
+    the mergeable partials of :mod:`repro.analysis.streaming`;
+    :meth:`columns` reads any columns of the whole region in global
+    order.
     """
 
     store: RegionShardStore
     manifest: dict
-    _summaries: list[RunSummary] | None = field(default=None, repr=False)
     _workloads: list[RackWorkload] | None = field(default=None, repr=False)
 
     @property
@@ -799,10 +898,23 @@ class ShardedRegionDataset:
     def metrics(self) -> Metrics:
         return self.store.metrics
 
-    # -- shard iteration -------------------------------------------------
+    # -- shard reads -----------------------------------------------------
+
+    def _load(self, record: dict, kinds: Sequence[str]) -> list[np.ndarray]:
+        """Memory-map one shard's tables of the given kinds: one load."""
+        with self.metrics.span("shards/load"):
+            tables = [
+                np.load(
+                    os.path.join(self.store.directory, record["files"][kind]),
+                    mmap_mode="r",
+                )
+                for kind in kinds
+            ]
+        self.metrics.incr("dataset.shards.loaded")
+        return tables
 
     def iter_frames(self) -> Iterator[ShardFrame]:
-        """Memmap-backed columnar frames, shard by shard.
+        """Memmap-backed runs and bursts tables, shard by shard.
 
         Each frame holds two open fds until its :meth:`ShardFrame.close`
         is called; the streaming consumers below close every frame as
@@ -810,64 +922,55 @@ class ShardedRegionDataset:
         the same.
         """
         for record in self.manifest["shards"]:
-            with self.metrics.span("shards/load"):
-                runs = np.load(
-                    os.path.join(self.store.directory, record["files"]["runs"]),
-                    mmap_mode="r",
-                )
-                bursts = np.load(
-                    os.path.join(self.store.directory, record["files"]["bursts"]),
-                    mmap_mode="r",
-                )
-            self.metrics.incr("dataset.shards.loaded")
+            runs, bursts = self._load(record, ("runs", "bursts"))
             yield ShardFrame(record=record, runs=runs, bursts=bursts)
 
-    def iter_summaries(self) -> Iterator[RunSummary]:
-        """Every run summary in **global order** (rack-major, hour asc),
-        holding one shard in memory at a time.
+    def columns(self, table: str, names: Sequence[str]) -> dict[str, np.ndarray]:
+        """The named columns of one table (see :data:`TABLES`) for the
+        whole region, in global order: rack-major, hours ascending, then
+        row order within a run.  A bursts or servers ``run_row`` indexes
+        the region's runs in that order.
 
-        Shards are stored (rack range major, hour band minor), so a
-        rack's runs are split across hour bands; re-interleaving needs
-        the shards of one rack range open together — that is one
-        rack-range stripe, still far below whole-region footprint.
+        Loads each shard once and closes every mapping it opens; the
+        columns are float64 copies.
         """
-        stripes: dict[int, list[dict]] = {}
+        picked = [_COLUMN[table][name] for name in names]
+        rack_col, hour_col = _COLUMN["runs"]["rack_id"], _COLUMN["runs"]["hour"]
+        # Both blocks carry each run's position in shard order, sorted
+        # into global order by the (rack, hour) keys.
+        run_order = _RowBlocks(1)
+        rows = _RowBlocks(len(picked) + 1)
+        seen = 0
         for record in self.manifest["shards"]:
-            stripes.setdefault(record["rack_lo"], []).append(record)
-        for rack_lo in sorted(stripes):
-            per_rack: dict[int, list[tuple[int, RunSummary]]] = {}
-            for record in sorted(stripes[rack_lo], key=lambda r: r["hour_lo"]):
-                with self.metrics.span("shards/load"):
-                    path = os.path.join(
-                        self.store.directory, record["files"]["summaries"]
-                    )
-                    with open(path, "rb") as stream:
-                        summaries = pickle.load(stream)
-                runs = np.load(
-                    os.path.join(self.store.directory, record["files"]["runs"]),
-                    mmap_mode="r",
+            loaded = self._load(record, ("runs",) if table == "runs" else ("runs", table))
+            try:
+                runs, own = loaded[0], loaded[-1]
+                racks = runs[:, rack_col].astype(np.int64)
+                hours = runs[:, hour_col].astype(np.int64)
+                position = np.arange(seen, seen + racks.size)
+                seen += racks.size
+                owner = (
+                    np.arange(racks.size)
+                    if table == "runs"
+                    else own[:, _COLUMN[table]["run_row"]].astype(np.int64)
                 )
-                self.metrics.incr("dataset.shards.loaded")
-                # astype copies, so the mapping (and its fd) can be
-                # released before the next shard is opened.
-                rack_ids = runs[:, RUN_COL["rack_id"]].astype(np.int64)
-                hours = runs[:, RUN_COL["hour"]].astype(np.int64)
-                _close_mmap(runs)
-                for rack_id, hour, summary in zip(rack_ids, hours, summaries):
-                    per_rack.setdefault(int(rack_id), []).append((int(hour), summary))
-            for rack_id in sorted(per_rack):
-                for _hour, summary in sorted(per_rack[rack_id], key=lambda p: p[0]):
-                    yield summary
-
-    # -- RegionDataset compatibility -------------------------------------
-
-    @property
-    def summaries(self) -> list[RunSummary]:
-        """Materialized full summary list, for analyses that still read
-        whole :class:`RunSummary` objects."""
-        if self._summaries is None:
-            self._summaries = list(self.iter_summaries())
-        return self._summaries
+                run_order.add_block(racks, hours, position)
+                rows.add_block(
+                    racks[owner],
+                    hours[owner],
+                    np.column_stack([own[:, picked], position[owner]]),
+                )
+            finally:
+                for array in loaded:
+                    _close_mmap(array)
+        _racks, _hours, values = rows.sorted_rows()
+        result = dict(zip(names, np.ascontiguousarray(values[:, :-1].T)))
+        if table != "runs" and "run_row" in result:
+            _racks, _hours, positions = run_order.sorted_rows()
+            rank = np.empty(positions.shape[0])
+            rank[positions[:, 0].astype(np.int64)] = np.arange(positions.shape[0])
+            result["run_row"] = rank[values[:, -1].astype(np.int64)]
+        return result
 
     @property
     def workloads(self) -> list[RackWorkload]:
@@ -880,21 +983,28 @@ class ShardedRegionDataset:
         return self._workloads
 
     def to_region_dataset(self) -> RegionDataset:
-        """Materialize the equivalent in-memory :class:`RegionDataset`."""
+        """Decode the store into the equivalent in-memory
+        :class:`RegionDataset` — the object form the exactness checks
+        compare against."""
+        tables = [self.columns(kind, columns) for kind, columns in TABLES.items()]
         return RegionDataset(
-            region=self.region, summaries=self.summaries, workloads=self.workloads
+            region=self.region,
+            summaries=_decode_summaries(*tables, self.workloads),
+            workloads=self.workloads,
         )
 
     # -- streaming aggregations ------------------------------------------
 
     def _merge_frames(self, make, feed):
         """Run one accumulator per shard and fold them left-to-right —
-        the associative-merge shape a distributed reducer would use."""
+        the associative-merge shape a distributed reducer would use.
+        ``feed`` gets each frame with the rack name of each of its runs."""
+        names = np.asarray(self.rack_names)
         merged = None
         for frame in self.iter_frames():
             partial = make()
             try:
-                feed(partial, frame)
+                feed(partial, frame, names[frame.run_column("rack_id").astype(np.int64)])
             finally:
                 # Accumulators copy out of memmap-backed blocks (see
                 # _RowBlocks._materialized), so the shard's fds can be
@@ -911,12 +1021,9 @@ class ShardedRegionDataset:
         return merged
 
     def table1_row(self) -> DatasetSummary:
-        names = np.asarray(self.rack_names)
-
-        def feed(acc: Table1Accumulator, frame: ShardFrame) -> None:
-            rack_ids = frame.run_column("rack_id").astype(np.int64)
+        def feed(acc: Table1Accumulator, frame: ShardFrame, rack_names: np.ndarray) -> None:
             acc.add_columns(
-                names[rack_ids],
+                rack_names,
                 frame.run_column("servers"),
                 frame.run_column("bursty_server_runs"),
                 frame.run_column("n_bursts"),
@@ -925,14 +1032,10 @@ class ShardedRegionDataset:
         return self._merge_frames(lambda: Table1Accumulator(self.region), feed).finalize()
 
     def rack_profiles(self, hours: set[int] | None = None):
-        names = np.asarray(self.rack_names)
-        region = self.region
-
-        def feed(acc: RackProfileAccumulator, frame: ShardFrame) -> None:
-            rack_ids = frame.run_column("rack_id").astype(np.int64)
+        def feed(acc: RackProfileAccumulator, frame: ShardFrame, rack_names: np.ndarray) -> None:
             acc.add_columns(
-                region,
-                names[rack_ids],
+                self.region,
+                rack_names,
                 frame.run_column("hour").astype(np.int64),
                 frame.run_column("contention_mean"),
                 frame.run_column("switch_discard_bytes"),
@@ -947,12 +1050,9 @@ class ShardedRegionDataset:
         ).finalize()
 
     def hourly_boxes(self, racks: set[str] | None = None):
-        names = np.asarray(self.rack_names)
-
-        def feed(acc: HourlyBoxAccumulator, frame: ShardFrame) -> None:
-            rack_ids = frame.run_column("rack_id").astype(np.int64)
+        def feed(acc: HourlyBoxAccumulator, frame: ShardFrame, rack_names: np.ndarray) -> None:
             acc.add_columns(
-                names[rack_ids],
+                rack_names,
                 frame.run_column("hour").astype(np.int64),
                 frame.run_column("contention_mean"),
             )
@@ -960,12 +1060,9 @@ class ShardedRegionDataset:
         return self._merge_frames(lambda: HourlyBoxAccumulator(racks=racks), feed).finalize()
 
     def run_contention(self) -> RunContentionView:
-        names = np.asarray(self.rack_names)
-
-        def feed(acc: RunContentionAccumulator, frame: ShardFrame) -> None:
-            rack_ids = frame.run_column("rack_id").astype(np.int64)
+        def feed(acc: RunContentionAccumulator, frame: ShardFrame, rack_names: np.ndarray) -> None:
             acc.add_columns(
-                names[rack_ids],
+                rack_names,
                 frame.run_column("hour").astype(np.int64),
                 frame.run_column("contention_min_active"),
                 frame.run_column("contention_p90"),
@@ -974,19 +1071,15 @@ class ShardedRegionDataset:
         return self._merge_frames(lambda: RunContentionAccumulator(), feed).finalize()
 
     def burst_contention(self) -> BurstContentionView:
-        names = np.asarray(self.rack_names)
-
-        def feed(acc: BurstContentionAccumulator, frame: ShardFrame) -> None:
+        def feed(acc: BurstContentionAccumulator, frame: ShardFrame, rack_names: np.ndarray) -> None:
             if frame.bursts.shape[0] == 0:
                 return
             run_rows = frame.burst_column("run_row").astype(np.int64)
-            rack_ids = frame.runs[run_rows, RUN_COL["rack_id"]].astype(np.int64)
-            hours = frame.runs[run_rows, RUN_COL["hour"]].astype(np.int64)
             # Sub-key: preserve intra-run burst order under the stable
             # global (rack, hour, sub) sort.
             acc.add_columns(
-                names[rack_ids],
-                hours,
+                rack_names[run_rows],
+                frame.run_column("hour")[run_rows].astype(np.int64),
                 frame.burst_column("burst_index").astype(np.int64),
                 frame.burst_column("max_contention"),
                 frame.burst_column("lossy"),
@@ -1034,23 +1127,23 @@ def generate_region_shards(
 
 
 __all__ = [
-    "BURST_COL",
     "BURST_COLUMNS",
     "DEFAULT_SHARD_HOURS",
     "DEFAULT_SHARD_RACKS",
-    "RUN_COL",
     "RUN_COLUMNS",
     "RegionShardStore",
+    "SERVER_COLUMNS",
     "ShardFrame",
     "ShardKey",
     "ShardStoreError",
     "ShardTask",
     "ShardedRegionDataset",
+    "TABLES",
     "check_shard_geometry",
     "default_store_dir",
+    "encode_tables",
     "generate_region_shards",
     "plan_region_shards",
     "private_store_root",
-    "summaries_to_columns",
     "synthesize_shard",
 ]

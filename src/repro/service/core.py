@@ -143,12 +143,12 @@ def serialize_profiles(profiles: list) -> dict:
 
 def serialize_dataset(dataset) -> dict:
     """The ``/v1/dataset`` result: presence/shape, not the data itself."""
-    summaries = dataset.summaries
+    runs = dataset.columns("runs", ("rack_id", "hour"))
     return {
         "region": dataset.region,
-        "runs": len(summaries),
-        "racks": len({s.rack for s in summaries}),
-        "hours": sorted({s.hour for s in summaries}),
+        "runs": int(runs["rack_id"].size),
+        "racks": int(np.unique(runs["rack_id"]).size),
+        "hours": np.unique(runs["hour"]).astype(np.int64).tolist(),
     }
 
 

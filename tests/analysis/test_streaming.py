@@ -2,8 +2,8 @@
 
 Two families of guarantees:
 
-* the generic partials (CountSum, Histogram, QuantileSketch) merge
-  associatively and agree with direct computation;
+* the generic QuantileSketch merges associatively and agrees with
+  direct computation;
 * the exact figure accumulators are **bit-identical** to their
   in-memory oracles for any split of the summaries into shards and any
   merge order — the property the shard store's correctness rests on.
@@ -13,14 +13,10 @@ Two families of guarantees:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.diurnal import hourly_box_stats
 from repro.analysis.racks import rack_profiles
 from repro.analysis.streaming import (
-    CountSum,
-    Histogram,
     HourlyBoxAccumulator,
     QuantileSketch,
     RackProfileAccumulator,
@@ -56,56 +52,6 @@ def split_into(items, pieces, seed):
         [item for item, piece in zip(items, assignment) if piece == index]
         for index in range(pieces)
     ]
-
-
-class TestCountSum:
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
-           st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_merge_equals_concat(self, left, right):
-        merged = CountSum()
-        merged.add_array(np.asarray(left))
-        other = CountSum()
-        other.add_array(np.asarray(right))
-        merged.merge(other)
-        direct = CountSum()
-        direct.add_array(np.asarray(left + right))
-        assert merged.count == direct.count
-        assert merged.minimum == direct.minimum
-        assert merged.maximum == direct.maximum
-        assert merged.total == pytest.approx(direct.total, rel=1e-12)
-
-    def test_empty_mean(self):
-        assert CountSum().mean == 0.0
-
-
-class TestHistogram:
-    def test_counts_and_flows(self):
-        histogram = Histogram([0.0, 1.0, 2.0])
-        histogram.add_array([-1.0, 0.5, 1.5, 3.0, 1.0])
-        assert histogram.underflow == 1
-        assert histogram.overflow == 1
-        assert histogram.counts.tolist() == [1, 2]
-        assert histogram.total == 5
-
-    def test_merge_requires_same_edges(self):
-        with pytest.raises(AnalysisError):
-            Histogram([0, 1]).merge(Histogram([0, 2]))
-
-    def test_merge_adds_counts(self):
-        left = Histogram([0, 1, 2])
-        right = Histogram([0, 1, 2])
-        left.add_array([0.5, 1.5])
-        right.add_array([0.25, -3.0])
-        left.merge(right)
-        assert left.counts.tolist() == [2, 1]
-        assert left.underflow == 1
-
-    def test_bad_edges_rejected(self):
-        with pytest.raises(AnalysisError):
-            Histogram([1.0])
-        with pytest.raises(AnalysisError):
-            Histogram([0.0, 0.0, 1.0])
 
 
 class TestQuantileSketch:

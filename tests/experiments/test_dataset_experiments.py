@@ -6,6 +6,7 @@ inversion, and the burst-property/loss shapes.  Absolute numbers are
 checked only loosely (the dataset here is tiny).
 """
 
+import hashlib
 import math
 
 import pytest
@@ -26,6 +27,7 @@ from repro.experiments import (
     fig17_switch_discards,
     fig18_length_loss,
     fig19_incast_loss,
+    implication_placement,
     table1_dataset,
     table2_burst_summary,
 )
@@ -173,6 +175,59 @@ class TestDatasetAccounting:
     def test_table1_bursty_fraction_band(self, results):
         fraction = results["table1"].metric("RegA_bursty_fraction")
         assert 0.1 <= fraction <= 0.6
+
+
+class TestColumnExperimentsPinned:
+    """The eight experiments that read burst and server-run columns
+    (figs 6/7/8/14/18/19, Table 2, implication-placement), pinned by a
+    digest of every metric captured while they still read
+    ``RunSummary`` objects: the column formulas must reproduce each
+    value bit for bit."""
+
+    METRICS_DIGEST = (
+        "c45a5f5f8179542a3cbb343713d1a7bcca6eeecf574c6751abdce8c2fd235a79"
+    )
+
+    def test_metrics_digest_pinned(self, results, small_ctx):
+        pinned = {
+            name: results[name]
+            for name in ("fig6", "fig7", "fig8", "fig14", "fig18", "fig19", "table2")
+        }
+        pinned["implication-placement"] = implication_placement.run(small_ctx)
+        digest = hashlib.sha256()
+        for name in sorted(pinned):
+            for metric, value in sorted(pinned[name].metrics.items()):
+                digest.update(f"{name}.{metric}={value!r};".encode())
+        assert digest.hexdigest() == self.METRICS_DIGEST
+
+
+class TestShardLoads:
+    """table2, fig18 and fig19 read each table a region at a time; the
+    object path re-read every shard once per RegA run to classify it."""
+
+    def test_load_at_most_three_passes(self, tmp_path):
+        from repro.config import FleetConfig
+        from repro.experiments.context import ExperimentContext
+        from repro.fleet.shards import RegionShardStore
+        from repro.workload.region import REGION_A, REGION_B
+        from tests.fleet.test_failfast import FastSynthesizer
+
+        config = FleetConfig(racks_per_region=16, runs_per_rack=4, seed=11)
+        shards = 0
+        for spec in (REGION_A, REGION_B):
+            store = RegionShardStore(
+                root=str(tmp_path), spec=spec, config=config, shard_racks=4, shard_hours=12
+            )
+            shards += len(store.build(jobs=1, synthesizer=FastSynthesizer())["shards"])
+        assert shards == 16
+        ctx = ExperimentContext(
+            fleet=config, store_dir=str(tmp_path), shard_racks=4, shard_hours=12
+        )
+        for module in (table2_burst_summary, fig18_length_loss, fig19_incast_loss):
+            before = ctx.metrics.counter("dataset.shards.loaded")
+            module.run(ctx)
+            loaded = ctx.metrics.counter("dataset.shards.loaded") - before
+            assert loaded <= 3 * shards, f"{module.__name__} loaded {loaded} shards"
 
 
 class Fig13Ctx:

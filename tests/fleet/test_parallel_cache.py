@@ -23,7 +23,12 @@ from repro.fleet import cache as cache_module
 from repro.fleet.cache import dataset_cache_key
 from repro.fleet.dataset import generate_region_dataset
 from repro.fleet.parallel import resolve_jobs
-from repro.fleet.shards import RegionShardStore, default_store_dir, generate_region_shards
+from repro.fleet.shards import (
+    RegionShardStore,
+    ShardedRegionDataset,
+    default_store_dir,
+    generate_region_shards,
+)
 from repro.workload.region import REGION_A, REGION_B
 
 CONFIG = FleetConfig(racks_per_region=3, runs_per_rack=2, seed=77)
@@ -44,8 +49,16 @@ def comparable(obj):
     return obj
 
 
+def summaries_of(dataset):
+    """A store's summaries decoded from its tables, or an in-memory
+    dataset's own."""
+    if isinstance(dataset, ShardedRegionDataset):
+        return dataset.to_region_dataset().summaries
+    return dataset.summaries
+
+
 def fingerprint(dataset):
-    return [comparable(summary) for summary in dataset.summaries]
+    return [comparable(summary) for summary in summaries_of(dataset)]
 
 
 def shard_hashes(dataset):
@@ -119,9 +132,9 @@ class TestDatasetCache:
 
     def test_corrupted_entry_regenerates_and_overwrites(self, tmp_path, serial_rega):
         store = build_store(tmp_path).store
-        victim = store.load_manifest()["shards"][0]["files"]["summaries"]
+        victim = store.load_manifest()["shards"][0]["files"]["servers"]
         with open(os.path.join(store.directory, victim), "wb") as handle:
-            handle.write(b"not a pickle")
+            handle.write(b"not a table")
         assert store.load_manifest() is None
 
         # The context treats it as a miss: regenerates, overwrites, and
@@ -185,7 +198,7 @@ class TestDegenerateScales:
         config = FleetConfig(racks_per_region=0, runs_per_rack=2, seed=77)
         serial = build_store(tmp_path / "serial", config=config, jobs=1)
         parallel = build_store(tmp_path / "parallel", config=config, jobs=4)
-        assert serial.summaries == [] and parallel.summaries == []
+        assert summaries_of(serial) == [] and summaries_of(parallel) == []
         assert serial.workloads == [] and parallel.workloads == []
         assert serial.region == parallel.region == "RegA"
 
@@ -193,7 +206,7 @@ class TestDegenerateScales:
         config = FleetConfig(racks_per_region=3, runs_per_rack=0, seed=77)
         serial = build_store(tmp_path / "serial", config=config, jobs=1)
         parallel = build_store(tmp_path / "parallel", config=config, jobs=2)
-        assert serial.summaries == [] and parallel.summaries == []
+        assert summaries_of(serial) == [] and summaries_of(parallel) == []
         # Every *planned* rack contributes its workload on both paths,
         # and the in-memory oracle agrees.
         oracle = generate_region_dataset(REGION_A, config)
@@ -380,13 +393,28 @@ class TestDefaultPolicyDatasetNoOp:
         else:
             raise TypeError(f"{tag}: {type(value)}")
 
-    def test_dataset_content_digest_pinned(self, serial_rega):
+    @classmethod
+    def _digest(cls, summaries) -> str:
         import hashlib
 
         h = hashlib.sha256()
-        for summary in serial_rega.summaries:
-            self._feed(h, summary, "summary")
-        assert h.hexdigest() == self.PRE_REFACTOR_FINGERPRINT
+        for summary in summaries:
+            cls._feed(h, summary, "summary")
+        return h.hexdigest()
+
+    def test_dataset_content_digest_pinned(self, serial_rega):
+        assert self._digest(serial_rega.summaries) == self.PRE_REFACTOR_FINGERPRINT
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("geometry", [(64, 12), (1, 12)])
+    def test_store_decodes_to_pinned_digest(self, tmp_path, geometry, jobs):
+        """The shard tables plus the workloads hold every summary field:
+        decoding a store reproduces the pinned digest, types included."""
+        store = build_store(
+            tmp_path, jobs=jobs, shard_racks=geometry[0], shard_hours=geometry[1]
+        )
+        decoded = store.to_region_dataset().summaries
+        assert self._digest(decoded) == self.PRE_REFACTOR_FINGERPRINT
 
     def test_table1_row_pinned(self, serial_rega):
         row = serial_rega.table1_row()

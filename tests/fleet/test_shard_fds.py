@@ -1,8 +1,8 @@
 """File-descriptor hygiene of the streaming shard consumers.
 
-Every streamed aggregation memmaps each shard's two arrays; a frame
-left unclosed leaks two fds per shard, so a few hundred shards exhaust
-the default ulimit mid-report.  These tests regress the leak directly:
+Every streamed aggregation and every ``columns()`` read memmaps each
+shard's tables; a mapping left open leaks an fd per table per shard, so
+a few hundred shards exhaust the default ulimit mid-report.  These tests regress the leak directly:
 with >100 shards on disk, repeated full-store streaming passes must
 leave the process fd count where it started.
 """
@@ -53,6 +53,9 @@ def test_streaming_aggregations_do_not_leak_fds(sharded):
         ("burst_contention", sharded.burst_contention),
         ("rack_profiles", sharded.rack_profiles),
         ("hour_counts", sharded.hour_counts),
+        ("columns(runs)", lambda: sharded.columns("runs", ("hour",))),
+        ("columns(bursts)", lambda: sharded.columns("bursts", ("run_row", "lossy"))),
+        ("columns(servers)", lambda: sharded.columns("servers", ("run_row", "bursty"))),
     ]
     # Warm one pass first: lazily-imported modules and pytest machinery
     # legitimately open a few fds the first time through.

@@ -15,7 +15,6 @@ in-memory :func:`generate_region_dataset` as the oracle:
 
 import json
 import os
-import pickle
 import tracemalloc
 
 import numpy as np
@@ -28,7 +27,7 @@ from repro.errors import ConfigError
 from repro.fleet.dataset import generate_region_dataset
 from repro.fleet.rackrun import RackRunSynthesizer
 from repro.fleet.shards import (
-    RUN_COLUMNS,
+    TABLES,
     RegionShardStore,
     ShardedRegionDataset,
     generate_region_shards,
@@ -120,7 +119,32 @@ class TestShardPlanning:
 
 class TestBitExactness:
     def test_summaries_in_global_order(self, oracle, sharded):
-        assert_summaries_identical(oracle.summaries, sharded.summaries)
+        assert_summaries_identical(
+            oracle.summaries, sharded.to_region_dataset().summaries
+        )
+
+    def test_columns_in_global_order(self, oracle, sharded):
+        """columns() re-interleaves hour bands into global order and
+        re-bases run_row onto it."""
+        runs = sharded.columns("runs", ("hour", "contention_mean"))
+        assert runs["hour"].tolist() == [s.hour for s in oracle.summaries]
+        assert runs["contention_mean"].tolist() == [
+            s.contention.mean for s in oracle.summaries
+        ]
+        bursts = sharded.columns("bursts", ("run_row", "volume"))
+        assert bursts["run_row"].tolist() == [
+            row for row, s in enumerate(oracle.summaries) for _ in s.bursts
+        ]
+        assert bursts["volume"].tolist() == [
+            b.volume for s in oracle.summaries for b in s.bursts
+        ]
+        servers = sharded.columns("servers", ("run_row", "total_in_bytes"))
+        assert servers["total_in_bytes"].tolist() == [
+            stat.total_in_bytes for s in oracle.summaries for stat in s.server_stats
+        ]
+        assert servers["run_row"].tolist() == [
+            row for row, s in enumerate(oracle.summaries) for _ in s.server_stats
+        ]
 
     def test_workloads_match(self, oracle, sharded):
         assert [w.rack for w in sharded.workloads] == [w.rack for w in oracle.workloads]
@@ -163,14 +187,16 @@ class TestBitExactness:
             REGION_A, CONFIG, store_dir, shard_racks=5, shard_hours=24, jobs=1
         )
         assert other.table1_row() == oracle.table1_row()
-        assert_summaries_identical(oracle.summaries, other.summaries)
+        assert_summaries_identical(oracle.summaries, other.to_region_dataset().summaries)
 
     def test_parallel_build_identical(self, oracle, tmp_path):
         parallel = generate_region_shards(
             REGION_A, CONFIG, str(tmp_path), shard_racks=2, shard_hours=8, jobs=3
         )
         assert parallel.table1_row() == oracle.table1_row()
-        assert_summaries_identical(oracle.summaries, parallel.summaries)
+        assert_summaries_identical(
+            oracle.summaries, parallel.to_region_dataset().summaries
+        )
 
     def test_reload_hits_manifest_and_matches(self, oracle, sharded, store_dir):
         reloaded = generate_region_shards(
@@ -198,11 +224,21 @@ class TestStoreLayout:
         assert sum(record["runs"] for record in manifest["shards"]) == len(
             oracle.summaries
         )
-        assert manifest["run_columns"] == list(RUN_COLUMNS)
+        assert manifest["columns"] == {
+            kind: list(columns) for kind, columns in TABLES.items()
+        }
         for record in manifest["shards"]:
-            assert set(record["files"]) == {"runs", "bursts", "summaries"}
-            assert set(record["sha256"]) == {"runs", "bursts", "summaries"}
+            assert set(record["files"]) == {"runs", "bursts", "servers"}
+            assert set(record["sha256"]) == {"runs", "bursts", "servers"}
         assert sharded.store.verify_hashes(manifest)
+
+    def test_store_holds_no_pickled_summaries(self, sharded):
+        """Only the manifest, the workloads and the shard tables."""
+        names = sorted(os.listdir(sharded.store.directory))
+        assert [n for n in names if not n.endswith(".npy")] == [
+            "manifest.json",
+            "workloads.pkl",
+        ]
 
     def test_no_tmp_files_left_behind(self, sharded):
         leftovers = [
@@ -216,7 +252,8 @@ class TestStoreLayout:
         empty = FleetConfig(racks_per_region=0, runs_per_rack=3, seed=1)
         dataset = generate_region_shards(REGION_A, empty, str(tmp_path), jobs=1)
         assert dataset.manifest["shards"] == []
-        assert dataset.summaries == []
+        assert dataset.to_region_dataset().summaries == []
+        assert dataset.columns("bursts", ("run_row",))["run_row"].size == 0
         assert dataset.workloads == []
         assert dataset.table1_row().runs == 0
 
@@ -252,9 +289,38 @@ class TestCorruptionTolerance:
     def test_format_version_bump_is_a_miss(self, tmp_path, monkeypatch):
         store = self.make_store(tmp_path)
         manifest = json.loads(open(store.manifest_path, encoding="utf-8").read())
-        assert manifest["format"] == 1
-        monkeypatch.setattr("repro.fleet.shards.SHARD_FORMAT_VERSION", 2)
+        assert manifest["format"] == 2
+        monkeypatch.setattr("repro.fleet.shards.SHARD_FORMAT_VERSION", 3)
         assert store.load_manifest() is None
+
+    def test_rebuild_removes_previous_format_files(self, tmp_path, oracle):
+        """A format bump keeps the directory name, so a format-1 store
+        (with its pickled summaries) is rebuilt in place; the rebuild
+        must not keep the old files."""
+        store = self.make_store(tmp_path)
+        with open(store.manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["format"] = 1
+        with open(store.manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        for record in manifest["shards"]:
+            with open(os.path.join(store.directory, f"{record['tag']}.pkl"), "wb") as handle:
+                handle.write(b"format-1 summaries")
+        in_flight = os.path.join(store.directory, "live-writer.tmp")
+        with open(in_flight, "wb") as handle:
+            handle.write(b"in flight")
+
+        reopened = RegionShardStore(
+            root=str(tmp_path), spec=REGION_A, config=CONFIG,
+            shard_racks=2, shard_hours=8,
+        )
+        dataset = reopened.open(jobs=1)
+        assert dataset.manifest["format"] == 2
+        names = os.listdir(store.directory)
+        assert not [name for name in names if name.endswith(".pkl") and name != "workloads.pkl"]
+        assert "live-writer.tmp" in names  # the tmp sweep's, not the prune's
+        assert reopened.metrics.counter("dataset.shards.pruned") == len(manifest["shards"])
+        assert dataset.table1_row() == oracle.table1_row()
 
     def test_different_seed_does_not_alias(self, tmp_path):
         store = self.make_store(tmp_path)
@@ -282,12 +348,12 @@ class TestOutOfCore:
     def test_streaming_peak_below_materialized(self, tmp_path):
         """The acceptance bound: aggregating shard-by-shard must not
         materialize the region — peak traced memory for the streaming
-        aggregations stays well below loading every summary at once."""
+        aggregations stays well below decoding every summary at once."""
         config = FleetConfig(racks_per_region=12, runs_per_rack=6, seed=5)
         dataset = generate_region_shards(
             REGION_A, config, str(tmp_path), shard_racks=3, shard_hours=12, jobs=1
         )
-        shard_bytes = [r["bytes"]["summaries"] for r in dataset.manifest["shards"]]
+        shard_bytes = [sum(r["bytes"].values()) for r in dataset.manifest["shards"]]
         total_bytes = sum(shard_bytes)
         assert len(shard_bytes) >= 4  # the bound is vacuous with one shard
 
@@ -308,15 +374,12 @@ class TestOutOfCore:
         streaming_peak = traced(
             lambda: (fresh.table1_row(), fresh.rack_profiles(), fresh.run_contention())
         )
-        materialized_peak = traced(
-            lambda: pickle.loads(
-                pickle.dumps(dataset.summaries, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-        )
-        # Streaming holds one shard's summaries plus scalar partials;
-        # materializing holds all of them.  The margins are generous so
-        # allocator noise cannot flake the test, but a regression to
-        # whole-region loading (4x one shard here) trips both bounds.
+        materialized_peak = traced(dataset.to_region_dataset)
+        # Streaming holds one shard's rows plus scalar partials;
+        # decoding holds every summary object.  The margins are
+        # generous so allocator noise cannot flake the test, but a
+        # regression to whole-region loading (4x one shard here) trips
+        # both bounds.
         assert streaming_peak < materialized_peak
         assert streaming_peak < total_bytes * 0.75 + 256 * 1024
 

@@ -168,6 +168,6 @@ class TestFluidVsPacketConsistency:
     def test_same_metrics_schema(self, small_ctx):
         """Fluid-model summaries and packet-level summaries are the same
         type, so every analysis runs on both substrates."""
-        fluid_summary = small_ctx.summaries("RegA")[0]
+        fluid_summary = small_ctx.dataset("RegA").to_region_dataset().summaries[0]
         assert fluid_summary.contention.mean >= 0
         assert fluid_summary.servers == 92

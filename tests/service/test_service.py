@@ -238,6 +238,22 @@ class TestHTTPService:
         assert again[-1] == events[-1]
         assert not any(e["event"] == "shard" for e in again)
 
+    def test_dataset_body_matches_decoded_summaries(self, served, tmp_path):
+        """``/v1/dataset`` answers from the run table; its body equals
+        the shape of the summaries decoded from a one-shot store."""
+        server, _service, _socket_path = served
+        events = _get_ndjson(server.bound_port, "/v1/dataset?region=RegA")
+        oracle_ctx = ExperimentContext(
+            fleet=FLEET, store_dir=str(tmp_path / "oracle-store")
+        )
+        summaries = oracle_ctx.dataset("RegA").to_region_dataset().summaries
+        assert events[-1]["data"] == {
+            "region": "RegA",
+            "runs": len(summaries),
+            "racks": len({s.rack for s in summaries}),
+            "hours": sorted({s.hour for s in summaries}),
+        }
+
     def test_error_routes(self, served):
         server, _service, _socket_path = served
         port = server.bound_port

@@ -278,8 +278,10 @@ class FleetConfig:
     #: :meth:`repro.fleet.buffermodel.FluidBufferModel.run_batch`).
     #: Execution-only like ``jobs``: any batch size produces
     #: bit-identical data, larger batches amortize the per-bucket time
-    #: loop over more runs at the cost of holding that many raw runs in
-    #: memory at once (~20 MB per run at paper scale).  16 is the
+    #: loop over more runs at the cost of holding that many runs' demand
+    #: and fluid outputs in memory at once (~7 MB per run of traced
+    #: allocations at 92 servers x ~1,850 buckets on the numpy kernel;
+    #: the native kernel keeps all six outputs).  16 is the
     #: measured knee: roughly 2x end-to-end region generation vs
     #: one-run batches, with diminishing returns (and growing footprint)
     #: beyond it.

@@ -140,9 +140,15 @@ class CounterSet:
 
     @property
     def nbytes(self) -> int:
-        """Total in-kernel footprint: byte counters plus, if enabled, one
-        128-bit sketch bitmap per bucket per CPU."""
-        total = sum(pc.nbytes for pc in self._counters.values())
-        if self.count_flows:
-            total += self.cpus * self.buckets * 16  # 128 bits per sketch
+        """Total in-kernel footprint (see :meth:`footprint`)."""
+        return self.footprint(self.cpus, self.buckets, self.count_flows)
+
+    @staticmethod
+    def footprint(cpus: int, buckets: int, count_flows: bool = True) -> int:
+        """In-kernel bytes of a counter set of this shape: one 64-bit
+        counter per byte kind, bucket and CPU, plus, if flows are
+        counted, one 128-bit sketch bitmap per bucket per CPU."""
+        total = len(BYTE_COUNTER_KINDS) * cpus * buckets * 8
+        if count_flows:
+            total += cpus * buckets * 16  # 128 bits per sketch
         return total

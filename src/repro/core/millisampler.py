@@ -151,12 +151,14 @@ class Millisampler:
         self.stats = SamplerStats()
 
         self._state = SamplerState.DETACHED
-        self._counters = CounterSet(cpus, buckets, count_flows=count_flows)
+        # The maps are allocated by the first enable(): most hosts of a
+        # simulated rack never record a run.
+        self._counters: CounterSet | None = None
         # Per-CPU, per-bucket sketch bitmaps, backed by one
         # (cpus, buckets, SKETCH_WORDS) uint64 array so the batch path
         # can scatter-OR bits and read-out can OR-reduce across CPUs
         # without materializing a FlowSketch per cell.
-        self._sketch_words = np.zeros((cpus, buckets, SKETCH_WORDS), dtype=np.uint64)
+        self._sketch_words: np.ndarray | None = None
         self._start_time: float | None = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -186,8 +188,14 @@ class Millisampler:
             raise SamplerError("cannot enable a detached filter")
         if self._state is SamplerState.ENABLED:
             raise SamplerError("run already in progress")
-        self._counters.reset()
-        self._sketch_words.fill(0)
+        if self._counters is None:
+            self._counters = CounterSet(self.cpus, self.buckets, count_flows=self.count_flows)
+            self._sketch_words = np.zeros(
+                (self.cpus, self.buckets, SKETCH_WORDS), dtype=np.uint64
+            )
+        else:
+            self._counters.reset()
+            self._sketch_words.fill(0)
         self._start_time = None
         self._state = SamplerState.ENABLED
 
@@ -391,6 +399,8 @@ class Millisampler:
         """
         if not 0 <= cpu < self.cpus or not 0 <= bucket < self.buckets:
             raise SamplerError("sketch index out of range")
+        if self._sketch_words is None:  # never enabled: every bitmap empty
+            return FlowSketch.from_words(np.zeros(SKETCH_WORDS, dtype=np.uint64))
         return FlowSketch.from_words(self._sketch_words[cpu, bucket])
 
     def finish(self, now: float) -> None:
@@ -457,5 +467,6 @@ class Millisampler:
 
     @property
     def memory_footprint_bytes(self) -> int:
-        """In-kernel footprint (Section 4.3: ~3.6 MB on average)."""
-        return self._counters.nbytes
+        """In-kernel footprint (Section 4.3: ~3.6 MB on average), whether
+        or not the maps are allocated yet."""
+        return CounterSet.footprint(self.cpus, self.buckets, self.count_flows)

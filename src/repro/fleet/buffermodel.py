@@ -32,6 +32,7 @@ behind Section 8.1's loss inversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -43,20 +44,42 @@ from .kernels import fluid as _native
 from .policies import DynamicThresholdPolicy, SharingPolicy
 
 
+#: The fluid loop's float outputs, in the order the native kernel packs
+#: them; :meth:`FluidBufferModel.run_batch` writes all six by default.
+FLUID_OUTPUTS = (
+    "delivered",
+    "delivered_retx",
+    "ecn_marked",
+    "dropped",
+    "queue_occupancy",
+    "rate_multiplier",
+)
+
+#: Optional boolean output: True where a bucket's delivered bytes carried
+#: CE marks, so ``ecn_marked == delivered * ecn_mask`` bit for bit at an
+#: eighth of ``ecn_marked``'s memory.
+ECN_MASK = "ecn_mask"
+
+#: The outputs every fluid step computes anyway; each output set must
+#: name them.
+CORE_OUTPUTS = ("delivered", "delivered_retx", "dropped")
+
+
 @dataclass
 class FluidBufferResult:
     """Per-server, per-millisecond outputs of one fluid run.
 
     All arrays are ``(buckets, servers)`` float64, bytes per bucket
-    except where noted.
+    except where noted; an optional output the caller did not ask for
+    is None.
     """
 
     delivered: np.ndarray  # bytes handed to each host (fresh + retx)
     delivered_retx: np.ndarray  # the retransmitted subset of delivered
-    ecn_marked: np.ndarray  # delivered bytes that carried CE marks
+    ecn_marked: np.ndarray | None  # delivered bytes that carried CE marks
     dropped: np.ndarray  # bytes discarded at the buffer
-    queue_occupancy: np.ndarray  # end-of-bucket queue depth, bytes
-    rate_multiplier: np.ndarray  # the senders' fluid DCTCP multiplier m
+    queue_occupancy: np.ndarray | None  # end-of-bucket queue depth, bytes
+    rate_multiplier: np.ndarray | None  # the senders' fluid DCTCP multiplier m
 
     @property
     def total_dropped(self) -> float:
@@ -67,42 +90,46 @@ class FluidBufferResult:
         return float(self.delivered.sum())
 
 
-@dataclass
+@dataclass(kw_only=True)
 class FluidBufferBatchResult:
     """Outputs of one batched fluid pass over many independent runs.
 
-    All arrays are ``(runs, buckets, servers)`` float64, where
+    Every array is indexed ``(runs, buckets, servers)``, where
     ``buckets`` is the padded batch length (the longest run in the
     batch).  ``lengths`` holds each run's true bucket count; buckets at
-    or past a run's length are padding and carry no demand.
+    or past a run's length are padding and carry no demand.  The numpy
+    loop stores its outputs time-major, so these are transposed views of
+    ``(buckets, runs, servers)`` buffers; an optional output the caller
+    did not ask for is None.
     """
 
+    lengths: np.ndarray  # (runs,) int64 true bucket counts
     delivered: np.ndarray
     delivered_retx: np.ndarray
-    ecn_marked: np.ndarray
     dropped: np.ndarray
-    queue_occupancy: np.ndarray
-    rate_multiplier: np.ndarray
-    lengths: np.ndarray  # (runs,) int64 true bucket counts
+    ecn_marked: np.ndarray | None = None
+    queue_occupancy: np.ndarray | None = None
+    rate_multiplier: np.ndarray | None = None
+    ecn_mask: np.ndarray | None = None  # bool; see ECN_MASK
 
     @property
     def runs(self) -> int:
-        return self.delivered.shape[0]
+        return self.lengths.shape[0]
 
     def per_run(self, run: int) -> FluidBufferResult:
-        """The ``run``-th run's outputs, trimmed to its true length.
+        """The ``run``-th run's float outputs, trimmed to its true
+        length and copied C-contiguous.
 
         Runs are independent along the leading axis, so the trimmed
         arrays are exactly what a batch of that run alone produces.
         """
         length = int(self.lengths[run])
+
+        def trimmed(series: np.ndarray | None) -> np.ndarray | None:
+            return None if series is None else series[run, :length].copy()
+
         return FluidBufferResult(
-            delivered=self.delivered[run, :length].copy(),
-            delivered_retx=self.delivered_retx[run, :length].copy(),
-            ecn_marked=self.ecn_marked[run, :length].copy(),
-            dropped=self.dropped[run, :length].copy(),
-            queue_occupancy=self.queue_occupancy[run, :length].copy(),
-            rate_multiplier=self.rate_multiplier[run, :length].copy(),
+            **{name: trimmed(getattr(self, name)) for name in FLUID_OUTPUTS}
         )
 
 
@@ -244,7 +271,7 @@ class FluidBufferModel:
         constant in seconds.  ``initial_multiplier``/``initial_alpha``
         seed the DCTCP state (persistent-sender services start adapted;
         default is fresh senders).  This is :meth:`run_batch` over a
-        batch of one run.
+        batch of one run, with all six outputs.
         """
         demand = np.asarray(demand, dtype=np.float64)
         if demand.ndim != 2 or demand.shape[1] != self.servers:
@@ -279,24 +306,41 @@ class FluidBufferModel:
         initial_multiplier: np.ndarray | None = None,
         initial_alpha: np.ndarray | None = None,
         lengths: np.ndarray | None = None,
+        outputs: Iterable[str] = FLUID_OUTPUTS,
     ) -> FluidBufferBatchResult:
         """Simulate a batch of independent runs in one vectorized time loop.
 
         ``demand`` is ``(runs, buckets, servers)``: a stack of per-run
         demand matrices, zero-padded on the bucket axis to the longest
         run (``lengths`` gives each run's true bucket count; omitted, all
-        runs span the full bucket axis).  ``sender_persistence``,
-        ``initial_multiplier`` and ``initial_alpha`` accept either one
-        row shared by every run (``(servers,)``) or per-run rows
-        (``(runs, servers)``).
+        runs span the full bucket axis).  It must be finite and
+        non-negative.  ``sender_persistence``, ``initial_multiplier`` and
+        ``initial_alpha`` accept either one row shared by every run
+        (``(servers,)``) or per-run rows (``(runs, servers)``).
 
-        Runs never interact: every update is elementwise over the
-        leading axis and the per-quadrant pool sums are segmented per
-        run, so each run's outputs are bit-identical to a batch of that
-        run alone (which is what :meth:`run` executes) — the time loop
-        runs once per *batch* instead of once per run, which is where
-        the region-dataset speedup comes from (the per-bucket numpy
-        dispatch overhead is amortized over the whole batch).
+        ``outputs`` names the outputs to allocate and write (all six of
+        :data:`FLUID_OUTPUTS` by default).  It must include
+        :data:`CORE_OUTPUTS`, which every step computes; ``ecn_marked``,
+        ``queue_occupancy``, ``rate_multiplier`` and :data:`ECN_MASK`
+        are optional, and the result holds None for each one left out.
+        On the native kernel ``outputs`` only selects what the result
+        exposes: the kernel computes all six.
+
+        The loop is time-major: each step reads the ``(runs, servers)``
+        demand slab of one bucket and writes one slab per output into a
+        ``(buckets, runs, servers)`` buffer, and the result exposes those
+        buffers as ``(runs, buckets, servers)`` transposed views.  A
+        caller that builds its demand as a C-contiguous ``(buckets, runs,
+        servers)`` buffer and passes ``buffer.transpose(1, 0, 2)`` gives
+        the loop contiguous slabs without a copy.
+
+        Runs never interact: every update is elementwise over the runs
+        axis and the per-quadrant pool sums are segmented per run, so
+        each run's outputs are bit-identical to a batch of that run alone
+        (which is what :meth:`run` executes) — the time loop runs once
+        per *batch* instead of once per run, which is where the
+        region-dataset speedup comes from (the per-bucket numpy dispatch
+        overhead is amortized over the whole batch).
         """
         demand = np.asarray(demand, dtype=np.float64)
         if demand.ndim != 3 or demand.shape[2] != self.servers:
@@ -304,8 +348,9 @@ class FluidBufferModel:
                 f"batch demand must be (runs, buckets, {self.servers}); "
                 f"got {demand.shape}"
             )
-        if np.any(demand < 0):
-            raise SimulationError("demand cannot be negative")
+        # min/max propagate NaN, which fails both comparisons.
+        if demand.size and not 0.0 <= demand.min() <= demand.max() < np.inf:
+            raise SimulationError("demand must be finite and non-negative")
         runs, buckets, _ = demand.shape
         if runs == 0:
             raise SimulationError("batch must contain at least one run")
@@ -322,7 +367,80 @@ class FluidBufferModel:
                 raise SimulationError("lengths must have one entry per run")
             if np.any(lengths_arr < 1) or np.any(lengths_arr > buckets):
                 raise SimulationError("run lengths must be in [1, buckets]")
+        wanted = set(outputs)
+        unknown = wanted - set(FLUID_OUTPUTS) - {ECN_MASK}
+        if unknown:
+            raise SimulationError(f"unknown fluid outputs: {sorted(unknown)}")
+        if not wanted.issuperset(CORE_OUTPUTS):
+            raise SimulationError(f"fluid outputs must include {', '.join(CORE_OUTPUTS)}")
+        gap_steps = np.maximum(persistence / self.step, 1.0)
+        initial_multiplier = self._batch_state(initial_multiplier, runs, 1.0)
+        initial_alpha = self._batch_state(initial_alpha, runs, 0.0)
 
+        if self.effective_kernel == "native":
+            packed = dict(
+                zip(
+                    FLUID_OUTPUTS,
+                    self._native_outputs(
+                        demand, gap_steps, initial_multiplier, initial_alpha
+                    ),
+                )
+            )
+            series = {name: packed[name] for name in FLUID_OUTPUTS if name in wanted}
+            if ECN_MASK in wanted:
+                # delivered * (ecn_marked != 0) == ecn_marked bit for bit.
+                series[ECN_MASK] = packed["ecn_marked"] != 0.0
+            return FluidBufferBatchResult(lengths=lengths_arr, **series)
+
+        stored = {
+            name: np.zeros((buckets, runs, self.servers))
+            for name in FLUID_OUTPUTS
+            if name in wanted
+        }
+        if ECN_MASK in wanted:
+            stored[ECN_MASK] = np.zeros((buckets, runs, self.servers), dtype=bool)
+        # Guarded divisions divide by zero before masking the result.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._time_loop(
+                demand.transpose(1, 0, 2),
+                gap_steps,
+                initial_multiplier,
+                initial_alpha,
+                stored,
+            )
+        return FluidBufferBatchResult(
+            lengths=lengths_arr,
+            **{name: buffer.transpose(1, 0, 2) for name, buffer in stored.items()},
+        )
+
+    def _time_loop(
+        self,
+        demand: np.ndarray,
+        gap_steps: np.ndarray,
+        m: np.ndarray,
+        dctcp_alpha: np.ndarray,
+        stored: dict[str, np.ndarray],
+    ) -> None:
+        """The numpy time loop over time-major ``(buckets, runs,
+        servers)`` demand, writing each step's slab of every output in
+        ``stored`` (time-major buffers keyed by output name, the core
+        outputs always among them).  ``m`` and
+        ``dctcp_alpha`` are the ``(runs, servers)`` initial state, updated
+        in place.
+
+        Every step works in preallocated ``(runs, servers)`` arrays
+        through ``out=``, ``np.putmask`` and in-place operators (a
+        ``where=`` ufunc call costs several times more), and each
+        float operation keeps the operands and evaluation order of the
+        expression noted beside it (the historical loop, kept in
+        ``tests/fleet/fluid_reference.py``), so outputs are bit-identical
+        to it.  ``x + y`` and ``x * y`` may swap operands (IEEE addition
+        and multiplication commute); ``np.minimum``/``np.maximum`` may
+        not (numpy returns the second operand on ties, ``-0.0`` vs
+        ``0.0`` included).  A bool array in float arithmetic is exactly
+        0.0/1.0, so it stands in for ``np.where(mask, 1.0, 0.0)``.
+        """
+        buckets, runs, servers = demand.shape
         cfg = self.buffer_config
         dedicated = float(cfg.dedicated_bytes_per_queue)
         shared_total = float(cfg.shared_bytes)
@@ -330,49 +448,59 @@ class FluidBufferModel:
         drain = self.drain_per_step
         max_offered = self.max_offered_factor * drain
         activity_floor = self.activity_threshold_fraction * drain
-        gap_steps = np.maximum(persistence / self.step, 1.0)
-
-        if self.effective_kernel == "native":
-            out = self._native_outputs(
-                demand,
-                gap_steps,
-                initial_multiplier=self._batch_state(initial_multiplier, runs, 1.0),
-                initial_alpha=self._batch_state(initial_alpha, runs, 0.0),
-            )
-            return FluidBufferBatchResult(
-                delivered=out[0],
-                delivered_retx=out[1],
-                ecn_marked=out[2],
-                dropped=out[3],
-                queue_occupancy=out[4],
-                rate_multiplier=out[5],
-                lengths=lengths_arr,
-            )
-
-        # State, one row per run.
-        q_fresh = np.zeros((runs, self.servers))
-        q_retx = np.zeros((runs, self.servers))
-        backlog = np.zeros((runs, self.servers))  # sender-side unsent bytes
-        m = self._batch_state(initial_multiplier, runs, 1.0)
-        dctcp_alpha = self._batch_state(initial_alpha, runs, 0.0)
-        # At run start every sender pool counts as recently active: the
-        # initial m/alpha already encode its adapted-or-fresh state.
-        steps_since_active = np.zeros((runs, self.servers))
-        #: Consecutive steps each queue has held bytes (the sharing
-        #: policies' mice/elephant signal).
-        queue_active_steps = np.zeros((runs, self.servers))
-        retx_pipe = np.zeros((self.retx_delay_steps, runs, self.servers))
-
-        # Outputs
-        delivered = np.zeros((runs, buckets, self.servers))
-        delivered_retx = np.zeros((runs, buckets, self.servers))
-        ecn_marked = np.zeros((runs, buckets, self.servers))
-        dropped = np.zeros((runs, buckets, self.servers))
-        occupancy = np.zeros((runs, buckets, self.servers))
-        multiplier = np.zeros((runs, buckets, self.servers))
-
+        gain = self.dctcp_gain
+        additive_increase = self.additive_increase
+        windows_per_step = self.windows_per_step
+        responsive = self.responsive_sources
+        retransmit = self.retransmit_losses
+        retx_slots = self.retx_delay_steps
+        policy = self.policy
         quadrant = self.quadrant
         nq = self.num_quadrants
+
+        def plane(dtype=np.float64) -> np.ndarray:
+            return np.zeros((runs, servers), dtype=dtype)
+
+        # Model state.
+        q_fresh = plane()
+        q_retx = plane()
+        backlog = plane()  # sender-side unsent bytes
+        # At run start every sender pool counts as recently active: the
+        # initial m/alpha already encode its adapted-or-fresh state.
+        steps_since_active = plane()
+        #: Consecutive steps each queue has held bytes (the sharing
+        #: policies' mice/elephant signal).
+        queue_active_steps = plane()
+        retx_pipe = np.zeros((retx_slots, runs, servers))
+        # End-of-bucket queue depth (q_fresh + q_retx), which is also the
+        # next bucket's pre-arrival depth; the two planes swap every step.
+        q_end = plane()
+        q_before = plane()
+
+        # Scratch planes, reused every step.
+        tmp = plane()
+        shared_used = plane()
+        accepted = plane()
+        base_shared = plane()
+        new_shared = plane()
+        offered = plane()
+        window = plane()
+        q_total = plane()
+        share = plane()
+        wants_to_send = plane(bool)
+        flag = plane(bool)
+        marked_plane = plane(bool)
+        lost = plane(bool)
+        grow = plane(bool)
+        not_positive = plane(bool)
+        delivered = stored["delivered"]
+        delivered_retx = stored["delivered_retx"]
+        dropped = stored["dropped"]
+        ecn_marked = stored.get("ecn_marked")
+        mask_buffer = stored.get(ECN_MASK)
+        occupancy = stored.get("queue_occupancy")
+        multiplier = stored.get("rate_multiplier")
+
         # Flattened (run, quadrant) bin index per (run, server) cell: the
         # per-quadrant pool sums of every run compute in one bincount.
         flat_quadrant = (
@@ -392,37 +520,66 @@ class FluidBufferModel:
                 flat_quadrant, weights=per_queue.ravel(), minlength=flat_bins
             ).reshape(runs, nq)
 
+        def guarded_divide(numerator, denominator, out) -> None:
+            """``out = where(denominator > 0, numerator / denominator, 0)``.
+
+            Divides everywhere (the caller runs under ``np.errstate``)
+            and zeroes the rest with ``putmask``: the same values as a
+            ``where=`` ufunc call, which costs several times more.
+            """
+            np.divide(numerator, denominator, out=out)
+            np.greater(denominator, 0.0, out=not_positive)
+            np.logical_not(not_positive, out=not_positive)
+            np.putmask(out, not_positive, 0.0)
+
         for t in range(buckets):
-            demand_t = demand[:, t, :]
+            demand_t = demand[t]
+            # The retransmissions due now; the slot is refilled with this
+            # bucket's drops at the end of the step.
+            retx_in = retx_pipe[t % retx_slots]
+            q_before, q_end = q_end, q_before
+
             # --- connection churn: fresh senders after long gaps --------
-            slot = t % self.retx_delay_steps
-            retx_in = retx_pipe[slot].copy()
-            retx_pipe[slot] = 0.0
-            wants_to_send = (demand_t + backlog + retx_in) > activity_floor
-            reset = wants_to_send & (steps_since_active > gap_steps)
-            if np.any(reset):
-                m[reset] = 1.0
-                dctcp_alpha[reset] = 0.0
+            # wants_to_send = (demand_t + backlog + retx_in) > activity_floor
+            np.add(demand_t, backlog, out=tmp)
+            tmp += retx_in
+            np.greater(tmp, activity_floor, out=wants_to_send)
+            # reset = wants_to_send & (steps_since_active > gap_steps)
+            np.greater(steps_since_active, gap_steps, out=flag)
+            flag &= wants_to_send
+            if np.count_nonzero(flag):
+                np.putmask(m, flag, 1.0)
+                np.putmask(dctcp_alpha, flag, 0.0)
 
             # --- sources offer traffic, throttled by their windows ------
             backlog += demand_t
-            window_budget = np.maximum(m * max_offered - retx_in, 0.0)
-            offered_fresh = np.minimum(backlog, window_budget)
-            backlog -= offered_fresh
-            offered = offered_fresh + retx_in
+            # offered_fresh = min(backlog, max(m * max_offered - retx_in, 0))
+            np.multiply(m, max_offered, out=window)
+            window -= retx_in
+            np.maximum(window, 0.0, out=window)
+            np.minimum(backlog, window, out=window)
+            backlog -= window
+            np.add(window, retx_in, out=offered)
 
             # --- policy-governed admission, per quadrant ----------------
-            q_total = q_fresh + q_retx
-            q_before = q_total
-            shared_used = np.maximum(q_total - dedicated, 0.0)
-            pool_used = pool_sums(shared_used)
-            threshold = self.policy.limits_batch(
-                shared_total, pool_used, quadrant, shared_used, queue_active_steps
+            # shared_used = max(q_total - dedicated, 0), q_total = q_before
+            np.subtract(q_before, dedicated, out=shared_used)
+            np.maximum(shared_used, 0.0, out=shared_used)
+            threshold = policy.limits_batch(
+                shared_total,
+                pool_sums(shared_used),
+                quadrant,
+                shared_used,
+                queue_active_steps,
             )
-            allowed_occ = dedicated + threshold
-            # Space freed by draining during the bucket also admits bytes.
-            room = np.maximum(allowed_occ - q_total, 0.0) + drain
-            accepted = np.minimum(offered, room)
+            # Space freed by draining during the bucket also admits bytes:
+            # room = max(dedicated + threshold - q_total, 0) + drain,
+            # accepted = min(offered, room)
+            np.add(dedicated, threshold, out=accepted)
+            accepted -= q_before
+            np.maximum(accepted, 0.0, out=accepted)
+            accepted += drain
+            np.minimum(offered, accepted, out=accepted)
 
             # Respect the absolute pool size: a quadrant's end-of-bucket
             # shared usage can never exceed its physical shared bytes.
@@ -430,90 +587,116 @@ class FluidBufferModel:
             # shared draw until the constraint holds (a couple of passes
             # suffice; the clamp to non-negative acceptance is the only
             # nonlinearity).
-            base_shared = q_total - drain - dedicated
+            # base_shared = q_total - drain - dedicated
+            np.subtract(q_before, drain, out=base_shared)
+            base_shared -= dedicated
             for _ in range(3):
-                new_shared = np.maximum(base_shared + accepted, 0.0)
+                np.add(base_shared, accepted, out=new_shared)
+                np.maximum(new_shared, 0.0, out=new_shared)
                 new_pool = pool_sums(new_shared)
-                excess = np.maximum(new_pool - shared_total, 0.0)
-                if not np.any(excess > 0):
+                # max(new_pool - shared_total, 0) > 0 iff new_pool > shared_total
+                if not np.count_nonzero(new_pool > shared_total):
                     break
-                pool_per_queue = new_pool[:, quadrant]
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    frac = np.where(
-                        pool_per_queue > 0, new_shared / pool_per_queue, 0.0
-                    )
-                reduction = np.minimum(excess[:, quadrant] * frac, accepted)
-                accepted = accepted - reduction
+                excess = np.maximum(new_pool - shared_total, 0.0)
+                # frac = where(pool_per_queue > 0, new_shared / pool_per_queue, 0)
+                guarded_divide(new_shared, new_pool[:, quadrant], share)
+                # accepted = accepted - min(excess[:, quadrant] * frac, accepted)
+                np.multiply(excess[:, quadrant], share, out=share)
+                np.minimum(share, accepted, out=share)
+                accepted -= share
 
-            drop = offered - accepted
-            # Acceptance and drops split pro-rata between fresh and retx.
-            with np.errstate(invalid="ignore", divide="ignore"):
-                retx_frac_in = np.where(offered > 0, retx_in / offered, 0.0)
-            accepted_retx = accepted * retx_frac_in
+            drop = dropped[t]
+            np.subtract(offered, accepted, out=drop)
+            # Acceptance and drops split pro-rata between fresh and retx:
+            # accepted_retx = accepted * where(offered > 0, retx_in / offered, 0)
+            guarded_divide(retx_in, offered, share)
+            share *= accepted
 
             # --- queue update and delivery -------------------------------
-            q_fresh += accepted - accepted_retx
-            q_retx += accepted_retx
-            q_total = q_fresh + q_retx
-            out = np.minimum(q_total, drain)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                retx_share = np.where(q_total > 0, q_retx / q_total, 0.0)
-            out_retx = out * retx_share
-            q_fresh -= out - out_retx
+            # q_fresh += accepted - accepted_retx; q_retx += accepted_retx
+            np.subtract(accepted, share, out=tmp)
+            q_fresh += tmp
+            q_retx += share
+            np.add(q_fresh, q_retx, out=q_total)
+            out = delivered[t]
+            np.minimum(q_total, drain, out=out)
+            # out_retx = out * where(q_total > 0, q_retx / q_total, 0)
+            out_retx = delivered_retx[t]
+            guarded_divide(q_retx, q_total, share)
+            np.multiply(out, share, out=out_retx)
+            # q_fresh -= out - out_retx; q_retx -= out_retx
+            np.subtract(out, out_retx, out=tmp)
+            q_fresh -= tmp
             q_retx -= out_retx
-            q_end = q_fresh + q_retx
+            np.add(q_fresh, q_retx, out=q_end)
 
             # --- ECN marking ----------------------------------------------
             # Fluid occupancy: arrivals spread over the bucket drain
             # concurrently, so the standing queue is the average of the
             # pre-arrival and post-drain depths — an arrival rate below
             # the drain rate leaves the queue (and ECN) untouched.
-            mid_occupancy = 0.5 * (q_before + q_end)
-            marked = mid_occupancy > ecn_threshold
-            mark_fraction = np.where(marked, 1.0, 0.0)
+            # marked = 0.5 * (q_before + q_end) > ecn_threshold
+            marked = marked_plane if mask_buffer is None else mask_buffer[t]
+            np.add(q_before, q_end, out=tmp)
+            tmp *= 0.5
+            np.greater(tmp, ecn_threshold, out=marked)
+            if ecn_marked is not None:
+                np.multiply(out, marked, out=ecn_marked[t])
 
             # --- fluid DCTCP source response ------------------------------
             # Activity follows *demand*, not throughput: a sender pool
             # throttled below the floor is still clocking ACKs and
-            # growing its windows.
-            active = wants_to_send & self.responsive_sources
-            lost = (drop > 0) & self.responsive_sources
-            # alpha only updates on active senders (per window of data).
-            dctcp_alpha = np.where(
-                active,
-                dctcp_alpha + self.dctcp_gain * (mark_fraction - dctcp_alpha),
-                dctcp_alpha,
-            )
-            m = np.where(
-                active & marked,
-                m * (1.0 - dctcp_alpha / 2.0) ** self.windows_per_step,
-                m,
-            )
-            m = np.where(lost, m * 0.5, m)
-            grow = active & ~(marked | lost)
-            m = np.where(grow, m + self.additive_increase, m)
-            np.clip(m, 0.05, 1.0, out=m)
-            steps_since_active = np.where(active, 0.0, steps_since_active + 1.0)
-            queue_busy = (q_end > 0) | (accepted > 0)
-            queue_active_steps = np.where(queue_busy, queue_active_steps + 1.0, 0.0)
+            # growing its windows.  Open-loop sources are never active
+            # and never lose, so their state only ages.
+            if responsive:
+                active = wants_to_send
+                np.greater(drop, 0.0, out=lost)
+                # alpha only updates on active senders (per window of data):
+                # alpha = where(active, alpha + gain * (marked - alpha), alpha)
+                np.subtract(marked, dctcp_alpha, out=tmp)
+                tmp *= gain
+                tmp += dctcp_alpha
+                np.putmask(dctcp_alpha, active, tmp)
+                # m = where(active & marked, m * (1 - alpha / 2) ** wps, m);
+                # the power runs on the full plane, as the oracle's does.
+                np.logical_and(active, marked, out=flag)
+                if np.count_nonzero(flag):
+                    np.divide(dctcp_alpha, 2.0, out=tmp)
+                    np.subtract(1.0, tmp, out=tmp)
+                    np.power(tmp, windows_per_step, out=tmp)
+                    tmp *= m
+                    np.putmask(m, flag, tmp)
+                # m = where(lost, m * 0.5, m)
+                np.multiply(m, 0.5, out=tmp)
+                np.putmask(m, lost, tmp)
+                # m = where(active & ~(marked | lost), m + additive_increase, m)
+                np.logical_or(marked, lost, out=grow)
+                np.greater(active, grow, out=grow)
+                np.add(m, additive_increase, out=tmp)
+                np.putmask(m, grow, tmp)
+            # np.clip(m, 0.05, 1.0)
+            np.maximum(m, 0.05, out=m)
+            np.minimum(m, 1.0, out=m)
+            # steps_since_active = where(active, 0, steps_since_active + 1)
+            steps_since_active += 1.0
+            if responsive:
+                np.putmask(steps_since_active, wants_to_send, 0.0)
+            # queue_active_steps = where((q_end > 0) | (accepted > 0),
+            #                            queue_active_steps + 1, 0);
+            # the incremented count is >= 1, so * 0.0 is +0.0.
+            np.greater(q_end, 0.0, out=flag)
+            np.greater(accepted, 0.0, out=grow)
+            flag |= grow
+            queue_active_steps += 1.0
+            queue_active_steps *= flag
 
             # --- retransmissions: dropped bytes return one RTT+ later ----
-            if self.retransmit_losses:
-                retx_pipe[(t + self.retx_delay_steps) % self.retx_delay_steps] += drop
+            # 0.0 + drop, not a copy: the oracle zeroes the slot, then
+            # adds, which turns -0.0 into 0.0.
+            if retransmit:
+                np.add(drop, 0.0, out=retx_in)
 
-            delivered[:, t, :] = out
-            delivered_retx[:, t, :] = out_retx
-            ecn_marked[:, t, :] = out * mark_fraction
-            dropped[:, t, :] = drop
-            occupancy[:, t, :] = q_end
-            multiplier[:, t, :] = m
-
-        return FluidBufferBatchResult(
-            delivered=delivered,
-            delivered_retx=delivered_retx,
-            ecn_marked=ecn_marked,
-            dropped=dropped,
-            queue_occupancy=occupancy,
-            rate_multiplier=multiplier,
-            lengths=lengths_arr,
-        )
+            if occupancy is not None:
+                occupancy[t] = q_end
+            if multiplier is not None:
+                multiplier[t] = m

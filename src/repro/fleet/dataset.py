@@ -216,18 +216,19 @@ def summarize_batches(
     metrics: Metrics | None = None,
 ) -> Iterator[tuple[RunSummary, RackWorkload]]:
     """The one batching loop: synthesize ``items`` in consecutive fluid
-    batches of ``config.fluid_batch`` and reduce every run of a batch to
-    its summary before the next batch starts, so peak memory is one
-    batch of raw runs.  ``items`` is consumed lazily."""
+    batches of ``config.fluid_batch`` and reduce every run to its summary
+    as soon as it is assembled, so peak memory is one batch's fluid
+    outputs plus one raw run.  ``items`` is consumed lazily."""
     synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy, kernel=config.kernel)
     metrics = metrics if metrics is not None else Metrics()
+
+    def summarize(sync_run) -> RunSummary:
+        with metrics.span("synthesis/summarize"):
+            return summarize_run(sync_run)
+
     items = iter(items)
     while chunk := list(islice(items, config.fluid_batch)):
-        sync_runs = synthesizer.synthesize_batch(chunk, metrics=metrics)
-        with metrics.span("synthesis/summarize"):
-            summaries = [summarize_run(sync_run) for sync_run in sync_runs]
-        # Free this batch's raw runs before the next batch is built.
-        del sync_runs
+        summaries = synthesizer.synthesize_batch(chunk, metrics=metrics, reduce=summarize)
         for summary, (workload, _hour, _rng) in zip(summaries, chunk):
             yield summary, workload
 
@@ -257,7 +258,7 @@ def iter_region_summaries(
 
     Consecutive rack runs — across rack boundaries — are synthesized in
     fluid batches of ``config.fluid_batch`` and reduced immediately, so
-    peak memory is one batch of raw runs regardless of region scale.
+    peak memory is one fluid batch regardless of region scale.
     """
     return summarize_batches(
         _region_items(plan_region(spec, config), config), config, synthesizer, metrics

@@ -7,7 +7,8 @@ stack is agnostic to which substrate generated the data.
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -25,6 +26,12 @@ from .policies import SharingPolicy, build_policy
 
 #: One entry of a synthesis batch: (workload, hour, rng-or-seed-leaf).
 BatchItem = tuple[RackWorkload, int, "np.random.Generator | np.random.SeedSequence"]
+
+T = TypeVar("T")
+
+#: The fluid outputs assembly reads: the ECN mask stands in for the
+#: float ``ecn_marked`` and only the per-run sum of ``dropped`` is kept.
+SYNTHESIS_OUTPUTS = ("delivered", "delivered_retx", "ecn_mask", "dropped")
 
 
 def sketch_estimates(true_counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -55,6 +62,21 @@ def run_extras(workload: RackWorkload) -> dict:
         "dominant_share": workload.placement.dominant_share(),
         "dominant_task": workload.placement.dominant_task(),
     }
+
+
+@dataclass
+class _PreparedRun:
+    """One item between its demand draw and its assembly."""
+
+    workload: RackWorkload
+    hour: int
+    rng: np.random.Generator
+    buckets: int
+    #: Dropped once copied into the fluid batch.
+    demand: ServerDemand | None
+    connections: np.ndarray
+    #: Summed over the contiguous ``(buckets, servers)`` demand matrix.
+    ingress_bytes: float
 
 
 class RackRunSynthesizer:
@@ -149,10 +171,7 @@ class RackRunSynthesizer:
 
     def _assemble(
         self,
-        workload: RackWorkload,
-        hour: int,
-        rng: np.random.Generator,
-        demand: ServerDemand,
+        prepared: _PreparedRun,
         batch: FluidBufferBatchResult,
         row: int,
         start_time: float,
@@ -163,26 +182,31 @@ class RackRunSynthesizer:
         Consumes this run's remaining RNG draws (sketch noise, egress
         echo) right after its run-length and demand draws, so a run is
         byte-identical per seed leaf whatever batch it is part of.  Both
-        are drawn on ``(buckets, servers)`` arrays.  Each series then
-        gets one ``(servers, buckets)`` copy, whose rows are the
-        servers' :class:`MillisamplerRun` arrays.
+        are drawn on ``(buckets, servers)`` arrays.  Each series is the
+        transpose of a ``(buckets, servers)`` array, so the servers'
+        :class:`MillisamplerRun` arrays are its rows; the delivered and
+        retransmitted series are read-only views of the batch outputs,
+        not copies.
         """
+        workload, rng = prepared.workload, prepared.rng
         servers = workload.placement.servers
         line_rate = workload.rack_config.server_link_rate
         buckets = int(batch.lengths[row])
         delivered = batch.delivered[row, :buckets]
         with metrics.span("sketch"):
-            conn = sketch_estimates(demand.connections, rng)
+            conn = sketch_estimates(prepared.connections, rng)
         out_bytes = self.egress_echo * delivered * rng.lognormal(
             mean=-0.05, sigma=0.3, size=delivered.shape
         )
         series = {
-            "in_bytes": delivered.T.copy(),
-            "out_bytes": out_bytes.T.copy(),
-            "in_retx_bytes": batch.delivered_retx[row, :buckets].T.copy(),
+            "in_bytes": delivered.T,
+            "out_bytes": out_bytes.T,
+            "in_retx_bytes": batch.delivered_retx[row, :buckets].T,
             "out_retx_bytes": np.zeros((servers, buckets)),
-            "in_ecn_bytes": batch.ecn_marked[row, :buckets].T.copy(),
-            "conn_estimate": conn.T.copy(),
+            # delivered * mask is delivered * 0.0/1.0: the fluid loop's
+            # ecn_marked, bit for bit.
+            "in_ecn_bytes": (delivered * batch.ecn_mask[row, :buckets]).T,
+            "conn_estimate": conn.T,
         }
 
         runs = [
@@ -205,9 +229,13 @@ class RackRunSynthesizer:
             rack=workload.rack,
             region=workload.region,
             runs=runs,
-            hour=hour,
-            switch_discard_bytes=float(batch.dropped[row, :buckets].sum()),
-            switch_ingress_bytes=float(demand.demand.sum()),
+            hour=prepared.hour,
+            # A contiguous copy: .sum() over the strided view would add
+            # in another order and change the last bits.
+            switch_discard_bytes=float(
+                np.ascontiguousarray(batch.dropped[row, :buckets]).sum()
+            ),
+            switch_ingress_bytes=prepared.ingress_bytes,
             extras=run_extras(workload),
         )
 
@@ -216,7 +244,8 @@ class RackRunSynthesizer:
         items: Sequence[BatchItem],
         start_time: float = 0.0,
         metrics: Metrics | None = None,
-    ) -> list[SyncRun]:
+        reduce: Callable[[SyncRun], T] | None = None,
+    ) -> list[SyncRun] | list[T]:
         """Synthesize many rack runs through one batched fluid pass.
 
         ``items`` is a sequence of ``(workload, hour, rng)`` triples —
@@ -229,16 +258,21 @@ class RackRunSynthesizer:
         config).  Items never interact, so each returned run is
         byte-identical to synthesizing its item alone.
 
+        ``reduce``, when given, is called on each run as soon as it is
+        assembled, and the list holds its results instead of the runs:
+        only one assembled run is then alive at a time.
+
         ``metrics`` records where synthesis time goes, as
         ``synthesis/demand``, ``synthesis/fluid`` and
         ``synthesis/assemble`` timers, with the sketch noise nested
-        inside assembly as ``synthesis/assemble/sketch``.
+        inside assembly as ``synthesis/assemble/sketch``.  ``reduce``
+        runs outside those spans.
         """
         recording = metrics is not None
         metrics = metrics if recording else Metrics()
 
         # Phase 1 — per-run RNG work: run lengths and demand synthesis.
-        prepared = []
+        prepared: list[_PreparedRun] = []
         with metrics.span("synthesis/demand"):
             for workload, hour, rng in items:
                 if isinstance(rng, np.random.SeedSequence):
@@ -247,15 +281,25 @@ class RackRunSynthesizer:
                     raise SimulationError("hour must be in [0, 24)")
                 buckets = self._run_length(rng)
                 demand = self.demand_model.generate(workload, hour, buckets, rng)
-                prepared.append((workload, hour, rng, buckets, demand))
+                prepared.append(
+                    _PreparedRun(
+                        workload,
+                        hour,
+                        rng,
+                        buckets,
+                        demand,
+                        demand.connections,
+                        float(demand.demand.sum()),
+                    )
+                )
 
         # Phase 2 — one vectorized fluid pass per rack profile.
         groups: dict[tuple, list[int]] = {}
-        for index, (workload, _, _, _, _) in enumerate(prepared):
+        for index, entry in enumerate(prepared):
             key = (
-                workload.placement.servers,
-                workload.rack_config.server_link_rate,
-                workload.rack_config.buffer,
+                entry.workload.placement.servers,
+                entry.workload.rack_config.server_link_rate,
+                entry.workload.rack_config.buffer,
             )
             groups.setdefault(key, []).append(index)
 
@@ -263,23 +307,29 @@ class RackRunSynthesizer:
         fluid_rows: list[tuple[FluidBufferBatchResult, int] | None] = [None] * len(prepared)
         with metrics.span("synthesis/fluid"):
             for member_indices in groups.values():
-                model = self._fluid_model(prepared[member_indices[0]][0])
+                model = self._fluid_model(prepared[member_indices[0]].workload)
                 # Which kernel actually ran, next to the span's timing.
                 metrics.incr(f"synthesis.fluid.kernel.{model.effective_kernel}")
                 if model.kernel_choice == "native" and not model.native_supported:
                     metrics.incr(POLICY_FALLBACK_COUNTER)
                 lengths = np.array(
-                    [prepared[i][3] for i in member_indices], dtype=np.int64
+                    [prepared[i].buckets for i in member_indices], dtype=np.int64
                 )
-                max_buckets = int(lengths.max())
-                batch_demand = np.zeros(
-                    (len(member_indices), max_buckets, model.servers)
-                )
-                persistence = np.empty((len(member_indices), model.servers))
-                initial_m = np.empty((len(member_indices), model.servers))
-                initial_alpha = np.empty((len(member_indices), model.servers))
+                runs, max_buckets = len(member_indices), int(lengths.max())
+                # A (runs, buckets, servers) view either way: stored
+                # time-major for the numpy loop, so each step reads one
+                # contiguous slab, and run-major for the native kernel,
+                # which would otherwise copy it.
+                if model.effective_kernel == "numpy":
+                    batch_demand = np.zeros((max_buckets, runs, model.servers)).transpose(1, 0, 2)
+                else:
+                    batch_demand = np.zeros((runs, max_buckets, model.servers))
+                persistence = np.empty((runs, model.servers))
+                initial_m = np.empty((runs, model.servers))
+                initial_alpha = np.empty((runs, model.servers))
                 for row, i in enumerate(member_indices):
-                    demand = prepared[i][4]
+                    demand = prepared[i].demand
+                    prepared[i].demand = None
                     batch_demand[row, : lengths[row]] = demand.demand
                     persistence[row] = demand.persistence
                     initial_m[row] = demand.initial_multiplier
@@ -290,23 +340,25 @@ class RackRunSynthesizer:
                     initial_m,
                     initial_alpha,
                     lengths=lengths,
+                    outputs=SYNTHESIS_OUTPUTS,
                 )
+                del batch_demand
+                for name in SYNTHESIS_OUTPUTS:
+                    # Runs hold views of these: an in-place write fails.
+                    getattr(batch, name).flags.writeable = False
                 for row, i in enumerate(member_indices):
                     fluid_rows[i] = (batch, row)
 
         # Phase 3 — per-run RNG work again: sketch noise, egress echo,
         # SyncRun assembly (each item's RNG resumes right after its
         # demand draws, because the fluid step drew nothing).
-        out: list[SyncRun] = []
-        with metrics.span("synthesis/assemble"):
-            for (workload, hour, rng, _buckets, demand), (batch, row) in zip(
-                prepared, fluid_rows
-            ):
-                out.append(
-                    self._assemble(
-                        workload, hour, rng, demand, batch, row, start_time, metrics
-                    )
-                )
+        out: list = []
+        for entry, (batch, row) in zip(prepared, fluid_rows):
+            with metrics.span("synthesis/assemble"):
+                sync_run = self._assemble(entry, batch, row, start_time, metrics)
+            out.append(sync_run if reduce is None else reduce(sync_run))
+            # Freed before the next run is assembled.
+            del sync_run
         metrics.incr("synthesis.batched_runs", len(out))
         # Kernel counters staged outside a metrics scope (import-time
         # numba probe, pool-initializer compile time) surface in the

@@ -129,13 +129,17 @@ class TestRunFailureIsolation:
 
 
 class TestSynthesisTelemetry:
-    def test_manifest_times_the_sketch_inside_assembly(self, tmp_path, capsys):
+    @staticmethod
+    def assert_stage_timers(tmp_path, jobs):
         """The sketch noise is a nested ``synthesis/assemble/sketch``
-        timer: one observation per rack-run, inside its assembly."""
+        timer: one observation per rack-run, inside its assembly.
+        Assembly and summarize are timed once per rack-run too, side by
+        side: each run is summarized as soon as it is assembled, never
+        inside the assembly span."""
         manifest_path = str(tmp_path / "manifest.json")
         assert cli.main(
             ["run", "table1", "--racks", "2", "--runs-per-rack", "1", "--no-cache",
-             "--quiet", "--manifest", manifest_path]
+             "--jobs", str(jobs), "--quiet", "--manifest", manifest_path]
         ) == 0
         with open(manifest_path) as handle:
             timers = json.load(handle)["telemetry"]["timers"]
@@ -149,9 +153,20 @@ class TestSynthesisTelemetry:
             return sum(s["count"] for s in matching), sum(s["total_s"] for s in matching)
 
         sketch_count, sketch_s = total("synthesis/assemble/sketch")
-        _, assemble_s = total("synthesis/assemble")
+        assemble_count, assemble_s = total("synthesis/assemble")
+        summarize_count, _ = total("synthesis/summarize")
         assert sketch_count == 2 * 2 * 1  # regions x racks x runs per rack
         assert 0 < sketch_s <= assemble_s
+        assert assemble_count == summarize_count == sketch_count
+        assert not [name for name in timers if "assemble/" in name and "summarize" in name]
+
+    def test_manifest_times_the_sketch_inside_assembly(self, tmp_path, capsys):
+        self.assert_stage_timers(tmp_path, jobs=1)
+
+    def test_parallel_build_merges_the_same_stage_timers(self, tmp_path, capsys):
+        """Workers time their rack days; the build merges their snapshots
+        into the same per-rack-run counts as a serial build."""
+        self.assert_stage_timers(tmp_path, jobs=2)
 
 
 class TestPolicyFlag:

@@ -168,6 +168,31 @@ class TestBatchValidation:
         with pytest.raises(SimulationError):
             model.run_batch(demand, np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_demand_rejected(self, value):
+        """NaN passes a ``demand < 0`` check and would poison every
+        output; inf would too.  Both entry points refuse them."""
+        model = FluidBufferModel(servers=2)
+        demand = np.zeros((2, 10, 2))
+        demand[1, 7, 0] = value
+        with pytest.raises(SimulationError, match="finite and non-negative"):
+            model.run_batch(demand, np.zeros((2, 2)))
+        with pytest.raises(SimulationError, match="finite and non-negative"):
+            model.run(demand[1], np.zeros(2))
+
+    def test_unknown_output_rejected(self):
+        model = FluidBufferModel(servers=2)
+        with pytest.raises(SimulationError, match="unknown fluid outputs"):
+            model.run_batch(np.zeros((1, 10, 2)), np.zeros(2), outputs=("delivered", "drops"))
+
+    @pytest.mark.parametrize("omitted", ["delivered", "delivered_retx", "dropped"])
+    def test_output_set_without_a_core_output_rejected(self, omitted):
+        """Every step computes the core three, so each output set names them."""
+        model = FluidBufferModel(servers=2)
+        outputs = {"delivered", "delivered_retx", "dropped", "ecn_mask"} - {omitted}
+        with pytest.raises(SimulationError, match="must include"):
+            model.run_batch(np.zeros((1, 10, 2)), np.zeros(2), outputs=outputs)
+
     def test_server_mismatch_rejected(self):
         model = FluidBufferModel(servers=3)
         with pytest.raises(SimulationError):

@@ -57,10 +57,10 @@ class PoisonedSynthesizer(FastSynthesizer):
         super().__init__()
         self.rack = rack
 
-    def synthesize_batch(self, items, metrics=None):
+    def synthesize_batch(self, items, metrics=None, reduce=None):
         if any(workload.rack == self.rack for workload, _hour, _rng in items):
             raise RuntimeError(f"poisoned rack {self.rack}")
-        return super().synthesize_batch(items, metrics=metrics)
+        return super().synthesize_batch(items, metrics=metrics, reduce=reduce)
 
 
 class KillSynthesizer(FastSynthesizer):
@@ -76,7 +76,7 @@ class KillSynthesizer(FastSynthesizer):
         self.rack = rack
         self.once_path = once_path
 
-    def synthesize_batch(self, items, metrics=None):
+    def synthesize_batch(self, items, metrics=None, reduce=None):
         if any(workload.rack == self.rack for workload, _hour, _rng in items):
             if self.once_path is None:
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -87,7 +87,7 @@ class KillSynthesizer(FastSynthesizer):
                     pass
                 else:
                     os.kill(os.getpid(), signal.SIGKILL)
-        return super().synthesize_batch(items, metrics=metrics)
+        return super().synthesize_batch(items, metrics=metrics, reduce=reduce)
 
 
 def _rack_name(index: int) -> str:

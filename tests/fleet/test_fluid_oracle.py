@@ -1,0 +1,209 @@
+"""The lean time-major fluid loop against the historical loop, bit for bit.
+
+``FluidBufferModel.run_batch`` (numpy path) must reproduce
+:func:`tests.fleet.fluid_reference.run_batch_reference` exactly: every
+output compared as ``.view(np.uint64)``, because ``np.array_equal``
+treats -0.0 and 0.0 as equal.  The sweep covers every registered
+policy, open-loop sources, no retransmission, retransmission delays of
+1 and 3 buckets, ragged lengths, seeded initial state, every choice of
+optional outputs (and the boolean ECN mask), both demand layouts, and
+one real synthesis batch.
+
+Select the deterministic CI profile with HYPOTHESIS_PROFILE=ci.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import units
+from repro.config import FleetConfig
+from repro.fleet.buffermodel import CORE_OUTPUTS, ECN_MASK, FLUID_OUTPUTS, FluidBufferModel
+from repro.fleet.dataset import _plan_items, plan_region
+from repro.fleet.policies import build_policy, registered_policy_specs
+from repro.fleet.rackrun import SYNTHESIS_OUTPUTS, RackRunSynthesizer
+from repro.workload.region import REGION_A
+from tests.fleet.fluid_reference import run_batch_reference
+
+DRAIN = units.SERVER_LINK_RATE * units.ANALYSIS_INTERVAL
+ALL_SPECS = registered_policy_specs()
+
+
+def bits(array: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def assert_bitwise(result, reference, outputs=FLUID_OUTPUTS, label=""):
+    """Every requested output equals the reference bit for bit; every
+    other output is absent."""
+    for name in FLUID_OUTPUTS:
+        series = getattr(result, name)
+        if name not in outputs:
+            assert series is None, f"{label}: {name} was not requested"
+            continue
+        assert series.shape == reference[name].shape, f"{label}: {name}"
+        assert np.array_equal(bits(series), bits(reference[name])), (
+            f"{label}: {name} differs from the reference loop"
+        )
+    if ECN_MASK in outputs:
+        assert result.ecn_mask.dtype == bool
+        assert np.array_equal(
+            bits(reference["delivered"] * result.ecn_mask), bits(reference["ecn_marked"])
+        ), f"{label}: delivered * ecn_mask differs from ecn_marked"
+    else:
+        assert result.ecn_mask is None
+    assert np.array_equal(result.lengths, reference["lengths"])
+
+
+def make_demand(rng, runs, buckets, servers):
+    """Bursty demand: exponential background plus spikes that force
+    drops, ECN marks, retransmissions and the physical pool clamp."""
+    demand = rng.exponential(0.4 * DRAIN, (runs, buckets, servers))
+    demand[rng.random((runs, buckets, servers)) < 0.08] = 4.0 * DRAIN
+    return demand
+
+
+def model_for(spec, servers, **kwargs) -> FluidBufferModel:
+    num_quadrants = min(units.NUM_QUADRANTS, servers)
+    policy = build_policy(spec, queues_per_quadrant=-(-servers // num_quadrants))
+    return FluidBufferModel(servers=servers, policy=policy, kernel="numpy", **kwargs)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize(
+    "options",
+    [
+        {},
+        {"responsive_sources": False},
+        {"retransmit_losses": False},
+        {"retx_delay_steps": 3},
+        {"responsive_sources": False, "retransmit_losses": False, "retx_delay_steps": 3},
+    ],
+    ids=["default", "open-loop", "no-retx", "retx-delay-3", "all-off"],
+)
+def test_every_policy_and_option_matches_reference(spec, options):
+    rng = np.random.default_rng(7)
+    servers = 9
+    model = model_for(spec, servers, **options)
+    demand = make_demand(rng, 4, 90, servers)
+    persistence = rng.uniform(0.001, 0.05, (4, servers))
+    initial_m = rng.uniform(0.05, 1.0, (4, servers))
+    initial_alpha = rng.uniform(0.0, 1.0, (4, servers))
+    lengths = np.array([90, 41, 1, 77])
+    reference = run_batch_reference(
+        model, demand, persistence, initial_m, initial_alpha, lengths=lengths
+    )
+    result = model.run_batch(
+        demand, persistence, initial_m, initial_alpha, lengths=lengths
+    )
+    assert_bitwise(result, reference, label=f"{spec.name} {options}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec_index=st.integers(0, len(ALL_SPECS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    runs=st.integers(1, 4),
+    buckets=st.integers(1, 50),
+    servers=st.integers(1, 8),
+    seeded_state=st.booleans(),
+    shared_state=st.booleans(),
+    responsive=st.booleans(),
+    retransmit=st.booleans(),
+    retx_delay=st.integers(1, 3),
+    optional=st.sets(
+        st.sampled_from(tuple(set(FLUID_OUTPUTS) - set(CORE_OUTPUTS)) + (ECN_MASK,))
+    ),
+    time_major=st.booleans(),
+)
+def test_random_batches_match_reference(
+    spec_index, seed, runs, buckets, servers, seeded_state, shared_state,
+    responsive, retransmit, retx_delay, optional, time_major,
+):
+    outputs = set(CORE_OUTPUTS) | optional
+    rng = np.random.default_rng(seed)
+    model = model_for(
+        ALL_SPECS[spec_index],
+        servers,
+        responsive_sources=responsive,
+        retransmit_losses=retransmit,
+        retx_delay_steps=retx_delay,
+    )
+    demand = make_demand(rng, runs, buckets, servers)
+    lengths = rng.integers(1, buckets + 1, runs)
+    for run, length in enumerate(lengths):
+        demand[run, length:] = 0.0
+    state_shape = (servers,) if shared_state else (runs, servers)
+    persistence = rng.uniform(0.001, 0.05, state_shape)
+    initial_m = rng.uniform(0.05, 1.0, state_shape) if seeded_state else None
+    initial_alpha = rng.uniform(0.0, 1.0, state_shape) if seeded_state else None
+    reference = run_batch_reference(
+        model, demand, persistence, initial_m, initial_alpha, lengths=lengths
+    )
+    if time_major:
+        # The layout synthesis builds: a (buckets, runs, servers) buffer
+        # passed as its transposed view.
+        demand = np.ascontiguousarray(demand.transpose(1, 0, 2)).transpose(1, 0, 2)
+    result = model.run_batch(
+        demand, persistence, initial_m, initial_alpha, lengths=lengths, outputs=outputs
+    )
+    assert_bitwise(result, reference, outputs)
+
+
+def test_outputs_are_time_major_views():
+    model = FluidBufferModel(servers=3, kernel="numpy")
+    demand = make_demand(np.random.default_rng(1), 2, 20, 3)
+    result = model.run_batch(demand, np.full(3, 0.01))
+    for name in FLUID_OUTPUTS:
+        series = getattr(result, name)
+        assert series.shape == (2, 20, 3)
+        assert series.transpose(1, 0, 2).flags.c_contiguous
+        # per_run hands out C-contiguous copies.
+        assert getattr(result.per_run(1), name).flags.c_contiguous
+
+
+def test_real_synthesis_batch_matches_reference():
+    """Four REGION_A rack runs, built exactly as ``synthesize_batch``
+    builds them: a time-major demand buffer, ragged lengths, the runs'
+    own persistence and initial DCTCP state, and the outputs synthesis
+    asks for."""
+    config = FleetConfig(racks_per_region=2, runs_per_rack=2, seed=11)
+    synthesizer = RackRunSynthesizer()
+    demands = []
+    for workload, hour, leaf in (
+        item for plan in plan_region(REGION_A, config) for item in _plan_items(plan, config)
+    ):
+        rng = np.random.default_rng(leaf)
+        buckets = synthesizer._run_length(rng)
+        demands.append(synthesizer.demand_model.generate(workload, hour, buckets, rng))
+        servers = workload.placement.servers
+    assert all(d.demand.shape[1] == servers for d in demands)
+    lengths = np.array([d.demand.shape[0] for d in demands])
+    assert len(set(lengths.tolist())) > 1
+    buffer = np.zeros((lengths.max(), len(demands), servers))
+    for row, d in enumerate(demands):
+        buffer[: lengths[row], row] = d.demand
+    persistence = np.stack([d.persistence for d in demands])
+    initial_m = np.stack([d.initial_multiplier for d in demands])
+    initial_alpha = np.stack([d.initial_alpha for d in demands])
+    model = synthesizer._fluid_model(workload)
+    model.kernel_choice = "numpy"
+    reference = run_batch_reference(
+        model,
+        np.ascontiguousarray(buffer.transpose(1, 0, 2)),
+        persistence,
+        initial_m,
+        initial_alpha,
+        lengths=lengths,
+    )
+    assert reference["dropped"].sum() > 0 and reference["ecn_marked"].sum() > 0
+    for outputs in (FLUID_OUTPUTS, SYNTHESIS_OUTPUTS):
+        result = model.run_batch(
+            buffer.transpose(1, 0, 2),
+            persistence,
+            initial_m,
+            initial_alpha,
+            lengths=lengths,
+            outputs=outputs,
+        )
+        assert_bitwise(result, reference, outputs, label=str(outputs))

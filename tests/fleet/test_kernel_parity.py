@@ -24,7 +24,7 @@ from repro import units
 from repro.config import BufferConfig, FleetConfig, KERNEL_CHOICES
 from repro.errors import ConfigError, SimulationError
 from repro.fleet import kernels
-from repro.fleet.buffermodel import FluidBufferModel
+from repro.fleet.buffermodel import CORE_OUTPUTS, ECN_MASK, FluidBufferModel
 from repro.fleet.policies import SharingPolicy, build_policy, registered_policy_specs
 
 DRAIN = units.SERVER_LINK_RATE * units.ANALYSIS_INTERVAL
@@ -126,6 +126,41 @@ def test_native_matches_numpy_scalar_run(spec_index, seed, buckets, servers):
     oracle = FluidBufferModel(servers=servers, policy=policy).run(demand, persistence)
     native = native_model(servers, policy=policy).run(demand, persistence)
     assert_identical(native, oracle)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    spec_index=st.integers(0, len(ALL_SPECS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    optional=st.sets(st.sampled_from(tuple(set(FIELDS) - set(CORE_OUTPUTS)) + (ECN_MASK,))),
+)
+def test_native_matches_numpy_output_subsets(spec_index, seed, optional):
+    """Both kernels return exactly the outputs asked for, with the same
+    bytes; the native kernel derives the ECN mask from its float
+    ``ecn_marked``, the numpy loop stores it directly."""
+    outputs = set(CORE_OUTPUTS) | optional
+    rng = np.random.default_rng(seed)
+    servers = 5
+    policy = build_policy(ALL_SPECS[spec_index], queues_per_quadrant=2)
+    demand = make_demand(rng, 2, 30, servers)
+    persistence = rng.uniform(0.001, 0.05, (2, servers))
+    lengths = np.array([30, 17])
+    oracle = FluidBufferModel(servers=servers, policy=policy, kernel="numpy").run_batch(
+        demand, persistence, lengths=lengths, outputs=outputs
+    )
+    native = native_model(servers, policy=policy).run_batch(
+        demand, persistence, lengths=lengths, outputs=outputs
+    )
+    for field in FIELDS + (ECN_MASK,):
+        a, b = getattr(native, field), getattr(oracle, field)
+        if field not in outputs:
+            assert a is None and b is None, field
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        # Raw bytes: -0.0 and 0.0 must not compare equal.
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), (
+            f"{field} differs between kernels"
+        )
 
 
 # -- edge cases --------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for rack-run synthesis and dataset generation."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,11 @@ from repro.config import FleetConfig
 from repro.core.run import SyncRun
 from repro.errors import ConfigError, SimulationError
 from repro.fleet.dataset import (
+    _region_items,
     generate_region_dataset,
     iter_region_summaries,
+    plan_region,
+    summarize_batches,
 )
 from repro.fleet.rackrun import RackRunSynthesizer, sketch_estimates
 from repro.workload.region import REGION_A, build_region_workloads
@@ -181,6 +187,60 @@ class TestBatchSynthesis:
         timers = metrics.snapshot()["timers"]
         for stage in ("synthesis/demand", "synthesis/fluid", "synthesis/assemble"):
             assert stage in timers and timers[stage]["count"] >= 1
+
+    def test_reduce_keeps_one_run_alive(self, rng):
+        """``reduce`` sees every run as soon as it is assembled, in item
+        order, and the previous run is gone by then; the results equal
+        reducing the eager list."""
+        workloads = build_region_workloads(REGION_A, racks=2, rng=rng)
+        items = [
+            (workload, hour, np.random.SeedSequence([index, hour]))
+            for index, workload in enumerate(workloads)
+            for hour in (3, 9)
+        ]
+        synthesizer = RackRunSynthesizer()
+        alive = []
+
+        def reduce(sync_run):
+            alive.append(weakref.ref(sync_run))
+            assert all(ref() is None for ref in alive[:-1])
+            return sync_run.switch_discard_bytes, sync_run.runs[0].in_bytes.sum()
+
+        reduced = synthesizer.synthesize_batch(items, reduce=reduce)
+        eager = synthesizer.synthesize_batch(items)
+        assert reduced == [
+            (run.switch_discard_bytes, run.runs[0].in_bytes.sum()) for run in eager
+        ]
+
+    def test_batch_output_views_are_read_only(self, rng):
+        """Delivered and retransmitted series are views of the shared
+        fluid outputs; an in-place writer fails loudly."""
+        workload = build_region_workloads(REGION_A, racks=1, rng=rng)[0]
+        run = RackRunSynthesizer().synthesize(workload, 4, np.random.SeedSequence(1)).runs[0]
+        for series in (run.in_bytes, run.in_retx_bytes):
+            with pytest.raises(ValueError):
+                series[0] = 1.0
+
+    def test_summarize_batches_working_set(self):
+        """One 16-run fluid batch of 92-server racks peaks at no more than
+        8 MB of traced allocations per run: the fluid loop keeps only the
+        outputs synthesis reads, assembly copies no series and each run
+        is summarized as soon as it is assembled (the full six outputs,
+        five series copies and a batch of live runs peaked at ~20 MB).
+        Pinned to the numpy loop: the native kernel computes all six
+        outputs whatever synthesis asks for."""
+        config = FleetConfig(racks_per_region=8, runs_per_rack=2, seed=11, kernel="numpy")
+        items = list(_region_items(plan_region(REGION_A, config), config))
+        assert len(items) == config.fluid_batch == 16
+        assert {workload.placement.servers for workload, _, _ in items} == {92}
+        tracemalloc.start()
+        try:
+            summaries = list(summarize_batches(items, config))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(summaries) == 16
+        assert peak / len(items) <= 8e6, f"{peak / len(items) / 1e6:.1f} MB per run"
 
     def test_fluid_batch_size_does_not_change_dataset(self):
         """The batch size is an execution knob: any value produces the

@@ -1,11 +1,14 @@
 """Tests for hosts, tap chains, and rack topology assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.config import SamplerConfig
+from repro.core.counters import CounterSet
 from repro.core.millisampler import Direction
-from repro.errors import SimulationError
+from repro.errors import SamplerError, SimulationError
 from repro.simnet.host import Host
 from repro.simnet.engine import Engine
 from repro.simnet.packet import FlowKey, Packet
@@ -127,6 +130,26 @@ class TestBuildRack:
         rack = build_rack(servers=2, sampler_config=SamplerConfig(buckets=500, cpus=2))
         assert rack.sampled_hosts[0].sampler.buckets == 500
         assert rack.sampled_hosts[0].sampler.cpus == 2
+
+    def test_building_a_rack_allocates_no_sampler_maps(self):
+        """Samplers allocate their counter maps and sketch words on the
+        first enable(): a 93-host rack whose samplers never run holds
+        less than one sampler's maps (2.9 MB each at the defaults)."""
+        tracemalloc.start()
+        try:
+            rack = build_rack(servers=93)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sampler = rack.sampled_hosts[0].sampler
+        footprint = CounterSet.footprint(sampler.cpus, sampler.buckets)
+        assert sampler.memory_footprint_bytes == footprint
+        assert peak < footprint
+        # A sampler that never ran reads as before: empty sketches and
+        # no run to read.
+        assert sampler.sketch(0, 0).bits_set == 0
+        with pytest.raises(SamplerError):
+            sampler.read_run()
 
     def test_lookup_helpers(self):
         rack = build_rack(servers=2)

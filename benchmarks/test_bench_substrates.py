@@ -402,71 +402,33 @@ def test_bench_shard_generation(benchmark, tmp_path):
     benchmark.extra_info["runs_per_s"] = record["runs"] / benchmark.stats.stats.mean
 
 
-def test_bench_streaming_merge(benchmark):
-    """Merging shard-level streaming partials into figure aggregates
-    (Table 1 + rack profiles + run contention) — the reduce side of the
-    out-of-core pipeline, pure numpy over columnar blocks."""
-    from repro.analysis.streaming import (
-        RackProfileAccumulator,
-        RunContentionAccumulator,
-        Table1Accumulator,
-    )
-
-    rng = np.random.default_rng(3)
-    shards = 16
-    runs_per_shard = 512
-    blocks = []
-    for shard in range(shards):
-        racks = np.array(
-            [f"RegA-rack{index:04d}" for index in rng.integers(0, 200, runs_per_shard)]
-        )
-        blocks.append(
-            {
-                "racks": racks,
-                "hours": rng.integers(0, 24, runs_per_shard),
-                "servers": rng.integers(60, 92, runs_per_shard),
-                "bursty": rng.integers(0, 40, runs_per_shard),
-                "n_bursts": rng.integers(0, 300, runs_per_shard),
-                "mean": rng.exponential(1.0, runs_per_shard),
-                "discard": rng.exponential(1e6, runs_per_shard),
-                "ingress": rng.exponential(1e9, runs_per_shard),
-                "tasks": rng.integers(1, 6, runs_per_shard),
-                "share": rng.uniform(0.3, 1.0, runs_per_shard),
-                "coloc": rng.random(runs_per_shard) < 0.5,
-                "min_active": rng.exponential(1.0, runs_per_shard),
-                "p90": rng.exponential(2.0, runs_per_shard),
-            }
-        )
+def test_bench_store_views(benchmark, bench_ctx):
+    """Table 1 and the four figure views over both regions' warm shard
+    stores — the read side of the store, every shard loaded through
+    ``columns()`` per view."""
+    datasets = [bench_ctx.dataset(region) for region in ("RegA", "RegB")]
 
     def run():
-        table1 = Table1Accumulator("RegA")
-        profiles = RackProfileAccumulator()
-        contention = RunContentionAccumulator()
-        for block in blocks:
-            t_part = Table1Accumulator("RegA")
-            t_part.add_columns(
-                block["racks"], block["servers"], block["bursty"], block["n_bursts"]
+        return [
+            (
+                dataset.table1_row(),
+                dataset.rack_profiles(),
+                dataset.hourly_boxes(),
+                dataset.run_contention(),
+                dataset.burst_contention(),
             )
-            table1.merge(t_part)
-            p_part = RackProfileAccumulator()
-            p_part.add_columns(
-                "RegA", block["racks"], block["hours"], block["mean"],
-                block["discard"], block["ingress"], block["tasks"],
-                block["share"], block["coloc"],
-            )
-            profiles.merge(p_part)
-            c_part = RunContentionAccumulator()
-            c_part.add_columns(
-                block["racks"], block["hours"], block["min_active"], block["p90"]
-            )
-            contention.merge(c_part)
-        return table1.finalize(), profiles.finalize(), contention.finalize()
+            for dataset in datasets
+        ]
 
-    row, rack_list, view = benchmark(run)
-    assert row.runs == shards * runs_per_shard
-    assert view.total == shards * runs_per_shard
-    assert len(rack_list) == 200
-    benchmark.extra_info["rows_per_s"] = row.runs / benchmark.stats.stats.mean
+    views = benchmark(run)
+    runs = 0
+    for (row, profiles, boxes, contention, bursts), dataset in zip(views, datasets):
+        assert contention.total == row.runs == dataset.manifest["total_runs"]
+        assert len(profiles) == row.racks
+        assert sum(box.count for box in boxes.values()) == row.runs
+        assert bursts.lossy.size == row.bursts
+        runs += row.runs
+    benchmark.extra_info["runs_per_s"] = runs / benchmark.stats.stats.mean
 
 
 def test_bench_serve_latency(benchmark, bench_ctx):

@@ -7,9 +7,8 @@ model.  The heavy lifting happens once per run in
 samples to a :class:`~repro.analysis.summary.RunSummary` — mirroring
 how a production pipeline reduces raw samples before fleet-wide
 analysis.  The shard store keeps those summaries as run, burst and
-server-run columns (:mod:`repro.fleet.shards`); the fleet-wide
-experiments aggregate the columns, and the streaming partials of
-:mod:`repro.analysis.streaming` fold them shard by shard.
+server-run tables (:mod:`repro.fleet.shards`), and every fleet-wide
+experiment folds the whole-region columns it reads from them.
 """
 
 from .stats import cdf, percentile, box_stats, BoxStats

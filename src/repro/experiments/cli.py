@@ -5,7 +5,7 @@ Examples::
     millisampler-repro list
     millisampler-repro run fig9 fig16 --racks 60
     millisampler-repro run all --out results/ --racks 150
-    millisampler-repro run all --exp-jobs 4 --manifest out/manifest.json
+    millisampler-repro run all --manifest out/manifest.json
     millisampler-repro run fig9 --trace-memory --manifest out/manifest.json
 
 Suite runs (`run`, `report`) go through the experiment orchestrator:
@@ -141,17 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_orchestration_args(parser: argparse.ArgumentParser) -> None:
     """Orchestration/observability knobs shared by `run` and `report`."""
     parser.add_argument(
-        "--exp-jobs", type=int, default=1,
-        help="run experiments on a thread pool of this size after a "
-             "shared dataset warm-up (0 = all cores, 1 = serial; "
-             "default 1); results are identical for any value",
-    )
-    parser.add_argument(
         "--trace-memory", action="store_true",
         help="also record each experiment's tracemalloc peak (analysis "
-             "only: datasets are built first, untraced); runs one "
-             "experiment at a time and slows the run, so peak RSS is "
-             "the default memory figure",
+             "only: datasets are built first, untraced); slows the run, "
+             "so peak RSS is the default memory figure",
     )
     parser.add_argument(
         "--manifest", type=str, default=None, metavar="PATH",
@@ -353,7 +346,6 @@ def _finish_orchestrated(args, ctx, orchestration) -> int:
             shard_racks=ctx.shard_racks,
             shard_hours=ctx.shard_hours,
             telemetry=ctx.metrics.snapshot(),
-            exp_jobs=args.exp_jobs,
             trace_memory=args.trace_memory,
         )
         print(f"wrote manifest {write_manifest(manifest, args.manifest)}")
@@ -415,7 +407,6 @@ def _report(args) -> int:
     ctx = _context(args)
     orchestration = orchestrate(
         ctx,
-        exp_jobs=args.exp_jobs,
         progress=lambda eid, took: print(f"  {eid}: {took:.1f}s"),
         trace_memory=args.trace_memory,
     )
@@ -465,7 +456,6 @@ def _run(args) -> int:
     orchestration = run_experiments(
         ctx,
         requested,
-        exp_jobs=args.exp_jobs,
         progress=progress,
         trace_memory=args.trace_memory,
     )
@@ -479,8 +469,8 @@ _COMMANDS = {"export": _export, "analyze": _analyze, "serve": _serve,
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    A bad configuration (a negative ``--racks``, ``--trace-memory`` with
-    parallel experiments, ...) exits 2 with one ``error:`` line.
+    A bad configuration (a negative ``--racks``, a shard geometry below
+    one rack x one hour, ...) exits 2 with one ``error:`` line.
     """
     args = _build_parser().parse_args(argv)
     if args.command == "list":

@@ -54,10 +54,10 @@ class ExperimentContext:
     verbose: bool = False
     #: Root of the sharded out-of-core region store (see
     #: :mod:`repro.fleet.shards`): region-days are generated into it,
-    #: reused from it, and aggregated shard by shard — peak memory is
-    #: one shard.  None means a private temporary root that nothing else
-    #: opens: it is created with the context, recorded here, and deleted
-    #: when the context is collected or the process exits.
+    #: reused from it, and read through its whole-region columns.  None
+    #: means a private temporary root that nothing else opens: it is
+    #: created with the context, recorded here, and deleted when the
+    #: context is collected or the process exits.
     store_dir: str | None = None
     #: Shard geometry: racks per shard x hours per shard.
     shard_racks: int = DEFAULT_SHARD_RACKS
@@ -67,10 +67,9 @@ class ExperimentContext:
     metrics: Metrics = field(default_factory=Metrics, repr=False, compare=False)
     #: Cores already committed elsewhere in this process — the query
     #: service passes its request-thread count here.  Subtracted when
-    #: ``fleet.jobs == 0`` auto-sizes, so a persistent pool plus a
-    #: thread fan-out (``--exp-jobs`` or service request threads) never
-    #: double-subscribes the machine; an explicit job count is honored
-    #: as given.
+    #: ``fleet.jobs == 0`` auto-sizes, so a persistent pool plus the
+    #: service's request threads never double-subscribe the machine; an
+    #: explicit job count is honored as given.
     reserved_cores: int = 0
     #: External persistent executor for dataset fan-out (the query
     #: service's process pool).  None — the default — lets each build
@@ -91,8 +90,8 @@ class ExperimentContext:
     _datasets: dict[str, ShardedRegionDataset] = field(
         default_factory=dict, repr=False
     )
-    #: Serializes lazy dataset construction so parallel experiments
-    #: never generate the same region twice.
+    #: Serializes lazy dataset construction so concurrent queries (the
+    #: service's request threads) never generate the same region twice.
     _dataset_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -135,7 +134,7 @@ class ExperimentContext:
     def resolved_jobs(self) -> int:
         """``fleet.jobs`` with the auto-size case (0) discounted by
         :attr:`reserved_cores`, so dataset fan-out never double-subscribes
-        cores the process already committed to request/experiment threads."""
+        cores the process already committed to request threads."""
         return resolve_jobs(self.fleet.jobs, reserved=self.reserved_cores)
 
     def dataset(self, region: str, on_shard=None) -> ShardedRegionDataset:
@@ -183,22 +182,19 @@ class ExperimentContext:
         hours: set[int] | None = None
         if busy_hour_only:
             hours = {self.busy_hour - 1, self.busy_hour, self.busy_hour + 1}
-            counts = self.hour_counts(region)
-            if not hours & set(counts):
+            counts = self.dataset(region).hour_counts()
+            if counts and not hours & set(counts):
                 # Tiny test datasets may miss the window entirely; fall
-                # back to the fullest hour.
+                # back to the fullest hour.  A region without runs keeps
+                # the window, and the view reports that nothing matched.
                 hours = {max(set(counts), key=lambda h: counts[h])}
         return self.dataset(region).rack_profiles(hours=hours)
 
-    def hour_counts(self, region: str) -> dict[int, int]:
-        """Runs per hour, computed without materializing the summaries."""
-        return self.dataset(region).hour_counts()
-
-    # -- streaming aggregations -------------------------------------------
+    # -- store views ------------------------------------------------------
     #
-    # Each method folds the store's columnar shards through the mergeable
-    # partials of repro.analysis.streaming, one shard at a time; the
-    # results are bit-identical to the in-memory oracle (by test).
+    # Each method folds the store's whole-region columns (see
+    # ShardedRegionDataset.columns) with a fold of repro.analysis.streaming;
+    # the results are bit-identical to the in-memory oracle (by test).
 
     def table1_row(self, region: str) -> DatasetSummary:
         """Table 1's row for one region."""

@@ -18,24 +18,20 @@ telemetry:
   experiment's analysis and nothing else (worker pools never inherit
   the tracer, see :func:`repro.fleet.kernels.pool_initializer`);
 * a raising experiment is recorded and the suite continues; the caller
-  decides the exit code from :attr:`OrchestrationResult.failures`;
-* ``exp_jobs > 1`` fans experiments out over a thread pool after a
-  single shared dataset warm-up, with outcomes collected in requested
-  order so output and manifests are deterministic.  Experiments are
-  pure functions of the (pre-warmed, immutable) context, so thread
-  scheduling cannot change their metrics.
+  decides the exit code from :attr:`OrchestrationResult.failures`.
+
+Experiments run one at a time, in requested order: they are Python code
+that holds the GIL, so threads would not make them faster.
 """
 
 from __future__ import annotations
 
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import ConfigError
-from ..fleet.parallel import resolve_jobs
 from .base import ExperimentResult
 from .context import ExperimentContext
 from .registry import EXPERIMENTS, get_experiment
@@ -51,7 +47,7 @@ except ImportError:  # pragma: no cover
 CACHE_HIT_COUNTER = "dataset.shards.hit"
 CACHE_MISS_COUNTER = "dataset.shards.miss"
 
-#: Regions the shared warm-up generates before a parallel run.
+#: Regions the shared warm-up generates before a traced run.
 WARMUP_REGIONS = ("RegA", "RegB")
 
 
@@ -65,7 +61,7 @@ class ExperimentOutcome:
     error: str | None = None
     #: tracemalloc traced-allocation peak during the experiment; None
     #: unless the run asked for ``trace_memory`` (the tracer slows every
-    #: allocation, so it is opt-in and serial-only).
+    #: allocation, so it is opt-in).
     peak_tracemalloc_bytes: int | None = None
     #: Process RSS high-water mark after the experiment (monotonic
     #: per process, so attribution is approximate); None off-POSIX.
@@ -123,8 +119,8 @@ def warm_datasets(
 ) -> None:
     """Build (or open) the shared region-day stores once, up front.
 
-    Run before fanning experiments out so workers never race to build
-    the same region-day; afterwards every ``ctx.dataset()`` call is an
+    Run before memory tracing starts, so the traced peaks are analysis,
+    not generation; afterwards every ``ctx.dataset()`` call is an
     in-memory lookup.
     """
     with ctx.metrics.span("warmup"):
@@ -195,22 +191,19 @@ def _run_one(
 def run_experiments(
     ctx: ExperimentContext,
     experiment_ids: list[str],
-    exp_jobs: int = 1,
     progress: Callable[[ExperimentOutcome, ExperimentResult | None], None] | None = None,
     on_error: str = "collect",
     trace_memory: bool = False,
 ) -> OrchestrationResult:
-    """Run experiments with per-experiment isolation and telemetry.
+    """Run experiments one at a time with per-experiment isolation and
+    telemetry.
 
-    ``exp_jobs`` follows the ``--jobs`` convention (0 = every core,
-    1 = serial).  ``on_error`` is ``"collect"`` (record the failure,
-    keep going — the orchestrated default) or ``"raise"`` (legacy
-    fail-fast, used where callers want the exception).  ``progress``
-    is invoked once per experiment *in requested order* with the
-    outcome and the result (None on failure), so streamed output is
-    identical for any job count.  ``trace_memory`` records each
-    experiment's ``tracemalloc`` peak; it needs a serial run, because
-    the tracer is process-global.
+    ``on_error`` is ``"collect"`` (record the failure, keep going — the
+    orchestrated default) or ``"raise"`` (legacy fail-fast, used where
+    callers want the exception).  ``progress`` is invoked once per
+    experiment, in requested order, with the outcome and the result
+    (None on failure).  ``trace_memory`` records each experiment's
+    ``tracemalloc`` peak.
     """
     if on_error not in ("collect", "raise"):
         raise ConfigError(f"on_error must be 'collect' or 'raise', got {on_error!r}")
@@ -220,14 +213,6 @@ def run_experiments(
             f"unknown experiments {unknown}; known: {sorted(EXPERIMENTS)}"
         )
     reraise = on_error == "raise"
-    jobs = min(resolve_jobs(exp_jobs), max(len(experiment_ids), 1))
-    if trace_memory and jobs > 1:
-        raise ConfigError(
-            f"memory tracing needs one experiment at a time, got {jobs} "
-            "concurrent experiments (the tracer is process-global and "
-            "cannot attribute a peak to one of them)"
-        )
-
     outcomes: list[ExperimentOutcome] = []
     results: dict[str, ExperimentResult] = {}
 
@@ -239,11 +224,9 @@ def run_experiments(
             progress(outcome, result)
 
     skip_reason: str | None = None
-    # Warm up before fanning out (so workers never race to build a
-    # region-day) and before tracing (so the traced peak is analysis,
-    # not generation).
-    warm_first = jobs > 1 or trace_memory
-    if warm_first and any(EXPERIMENTS[e].needs_dataset for e in experiment_ids):
+    # Warm up before tracing, so the traced peak is analysis, not
+    # generation.
+    if trace_memory and any(EXPERIMENTS[e].needs_dataset for e in experiment_ids):
         try:
             warm_datasets(ctx)
         except Exception as exc:
@@ -254,39 +237,17 @@ def run_experiments(
             # root cause and still run the standalone experiments.
             skip_reason = f"dataset warm-up failed: {type(exc).__name__}: {exc}"
 
-    def runnable(experiment_id: str) -> bool:
-        return skip_reason is None or not EXPERIMENTS[experiment_id].needs_dataset
-
-    def skipped(experiment_id: str) -> ExperimentOutcome:
-        return ExperimentOutcome(
-            experiment_id=experiment_id,
-            status="skipped",
-            error=skip_reason,
-            peak_rss_bytes=_peak_rss_bytes(),
-        )
-
-    if jobs == 1:
-        for experiment_id in experiment_ids:
-            if runnable(experiment_id):
-                collect(*_run_one(ctx, experiment_id, trace_memory, reraise))
-            else:
-                collect(skipped(experiment_id), None)
-    else:
-        with ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="experiment"
-        ) as pool:
-            futures = [
-                (
-                    experiment_id,
-                    pool.submit(_run_one, ctx, experiment_id, False, reraise)
-                    if runnable(experiment_id)
-                    else None,
-                )
-                for experiment_id in experiment_ids
-            ]
-            for experiment_id, future in futures:
-                if future is None:
-                    collect(skipped(experiment_id), None)
-                else:
-                    collect(*future.result())
+    for experiment_id in experiment_ids:
+        if skip_reason is None or not EXPERIMENTS[experiment_id].needs_dataset:
+            collect(*_run_one(ctx, experiment_id, trace_memory, reraise))
+        else:
+            collect(
+                ExperimentOutcome(
+                    experiment_id=experiment_id,
+                    status="skipped",
+                    error=skip_reason,
+                    peak_rss_bytes=_peak_rss_bytes(),
+                ),
+                None,
+            )
     return OrchestrationResult(outcomes=outcomes, results=results)

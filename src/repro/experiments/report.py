@@ -41,7 +41,6 @@ def run_all(
 def orchestrate(
     ctx: ExperimentContext,
     experiment_ids: list[str] | None = None,
-    exp_jobs: int = 1,
     progress=None,
     on_error: str = "collect",
     trace_memory: bool = False,
@@ -60,7 +59,6 @@ def orchestrate(
     return run_experiments(
         ctx,
         ids,
-        exp_jobs=exp_jobs,
         progress=outcome_progress,
         on_error=on_error,
         trace_memory=trace_memory,
@@ -127,7 +125,6 @@ def write_report(
     path: str,
     experiment_ids: list[str] | None = None,
     progress=None,
-    exp_jobs: int = 1,
 ) -> str:
     """Run and write the combined report; returns the path.
 
@@ -135,7 +132,7 @@ def write_report(
     section when experiments broke (inspect the returned file, or run
     :func:`orchestrate` directly for structured outcomes).
     """
-    orchestration = orchestrate(ctx, experiment_ids, exp_jobs=exp_jobs, progress=progress)
+    orchestration = orchestrate(ctx, experiment_ids, progress=progress)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(render_markdown(orchestration.results, ctx, orchestration.outcomes))
     return path

@@ -55,8 +55,8 @@ def resolve_jobs(jobs: int, reserved: int = 0) -> int:
 
     ``reserved`` subtracts cores already committed elsewhere from the
     auto-detected count — the query service passes its active request
-    thread count so a persistent pool plus ``--exp-jobs`` style thread
-    fan-out cannot double-subscribe the machine.  An *explicit* job
+    thread count so a persistent pool plus its request threads cannot
+    double-subscribe the machine.  An *explicit* job
     count is honored as given (the caller said exactly what they want);
     only the ``0 = everything`` auto mode is clamped.  At least one
     worker always survives the clamp.

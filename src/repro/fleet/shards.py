@@ -5,8 +5,8 @@ The paper's primary dataset is 2 regions x ~1000 racks x 24 h — an
 :class:`RegionDataset` behind a single pickle blob.  This module
 partitions a region-day into per-``(region, rack-range, hour-band)``
 **shards**, each drawn from the per-(rack, run) seed streams of
-:mod:`repro.fleet.dataset`, so storage and analysis pipeline shard by
-shard with peak memory bounded by one shard.
+:mod:`repro.fleet.dataset`, so a build synthesizes and writes one shard
+(or, in parallel, one rack stripe) at a time.
 
 On disk a store is one directory per (region, dataset key, shard
 geometry)::
@@ -18,11 +18,15 @@ geometry)::
         r0000-0064-h00-12.bursts.npy    # one row per burst
         r0000-0064-h00-12.servers.npy   # one row per server run
 
-* the ``*.npy`` tables (columns named in :data:`TABLES`) are loaded
-  with ``np.load(mmap_mode="r")``; with the workloads they hold every
-  :class:`RunSummary` field.  The streaming aggregations
-  (:mod:`repro.analysis.streaming`) fold them shard by shard, and
-  :meth:`ShardedRegionDataset.columns` reads whole-region columns;
+* the ``*.npy`` tables (columns named in :data:`TABLES`) hold, with
+  the workloads, every :class:`RunSummary` field.  There is one read
+  path: :meth:`ShardedRegionDataset.columns` memory-maps the shards one
+  at a time (:meth:`ShardedRegionDataset.iter_frames`) and returns
+  whole-region columns in global order.  Table 1 and the figure views
+  fold them with the folds of :mod:`repro.analysis.streaming`, and the
+  column experiments fold them directly.  Exact views keep every value
+  they fold, so read memory grows with the columns asked for, not with
+  one shard;
 * every file is written to a ``*.tmp`` sibling and atomically renamed;
   the manifest is written last, so a crashed writer can never leave a
   store that *looks* complete.  Stale temp files are swept on build,
@@ -59,6 +63,8 @@ import numpy as np
 
 from ..analysis.bursts import Burst
 from ..analysis.contention import ContentionStats
+from ..analysis.racks import RackProfile
+from ..analysis.stats import BoxStats
 from ..analysis.streaming import (
     BurstContentionAccumulator,
     BurstContentionView,
@@ -67,7 +73,6 @@ from ..analysis.streaming import (
     RunContentionAccumulator,
     RunContentionView,
     Table1Accumulator,
-    _RowBlocks,
 )
 from ..analysis.summary import RunSummary, ServerRunStats
 from ..config import FleetConfig
@@ -105,7 +110,7 @@ STORE_DIR_ENV = "MILLISAMPLER_STORE_DIR"
 DEFAULT_SHARD_RACKS = 64
 DEFAULT_SHARD_HOURS = 12
 
-#: One row per rack run.  The streaming aggregations read these; rack
+#: One row per rack run.  Table 1 and the figure views read these; rack
 #: name, region and extras come from the workload of ``rack_id``.
 RUN_COLUMNS: tuple[str, ...] = (
     "rack_id",
@@ -848,38 +853,13 @@ def _close_mmap(array: np.ndarray) -> None:
 
 
 @dataclass
-class ShardFrame:
-    """One shard's columnar arrays (memmap-backed) plus its record."""
-
-    record: dict
-    runs: np.ndarray  # (n_runs, len(RUN_COLUMNS)) float64, mmap
-    bursts: np.ndarray  # (n_bursts, len(BURST_COLUMNS)) float64, mmap
-
-    def run_column(self, name: str) -> np.ndarray:
-        return self.runs[:, _COLUMN["runs"][name]]
-
-    def burst_column(self, name: str) -> np.ndarray:
-        return self.bursts[:, _COLUMN["bursts"][name]]
-
-    def close(self) -> None:
-        """Release both file mappings (and their fds) eagerly.
-
-        Consumers that stream shard-by-shard call this as soon as the
-        shard's rows are folded into an accumulator, keeping the open-fd
-        count O(1) in the number of shards instead of O(shards)-until-GC.
-        """
-        _close_mmap(self.runs)
-        _close_mmap(self.bursts)
-
-
-@dataclass
 class ShardedRegionDataset:
     """Lazy region-day view over a shard store.
 
-    Folds Table 1 and the streaming views one shard at a time through
-    the mergeable partials of :mod:`repro.analysis.streaming`;
-    :meth:`columns` reads any columns of the whole region in global
-    order.
+    Every read goes through :meth:`columns`, which loads the shards one
+    at a time through :meth:`iter_frames`; Table 1 and the figure views
+    below feed its whole-region columns to a fold of
+    :mod:`repro.analysis.streaming`.
     """
 
     store: RegionShardStore
@@ -900,77 +880,76 @@ class ShardedRegionDataset:
 
     # -- shard reads -----------------------------------------------------
 
-    def _load(self, record: dict, kinds: Sequence[str]) -> list[np.ndarray]:
-        """Memory-map one shard's tables of the given kinds: one load."""
-        with self.metrics.span("shards/load"):
-            tables = [
-                np.load(
-                    os.path.join(self.store.directory, record["files"][kind]),
-                    mmap_mode="r",
-                )
-                for kind in kinds
-            ]
-        self.metrics.incr("dataset.shards.loaded")
-        return tables
+    def iter_frames(self, kinds: Sequence[str]) -> Iterator[tuple[np.ndarray, ...]]:
+        """Each shard's tables of the given kinds (see :data:`TABLES`),
+        memory-mapped, one shard at a time: the only shard loader.
 
-    def iter_frames(self) -> Iterator[ShardFrame]:
-        """Memmap-backed runs and bursts tables, shard by shard.
-
-        Each frame holds two open fds until its :meth:`ShardFrame.close`
-        is called; the streaming consumers below close every frame as
-        soon as it is folded, and callers iterating directly should do
-        the same.
+        A shard's mappings (one fd each) are closed when the next shard
+        is requested or the iteration ends, so the caller copies what it
+        keeps before advancing.
         """
         for record in self.manifest["shards"]:
-            runs, bursts = self._load(record, ("runs", "bursts"))
-            yield ShardFrame(record=record, runs=runs, bursts=bursts)
+            with self.metrics.span("shards/load"):
+                tables = tuple(
+                    np.load(
+                        os.path.join(self.store.directory, record["files"][kind]),
+                        mmap_mode="r",
+                    )
+                    for kind in kinds
+                )
+            self.metrics.incr("dataset.shards.loaded")
+            try:
+                yield tables
+            finally:
+                for table in tables:
+                    _close_mmap(table)
 
     def columns(self, table: str, names: Sequence[str]) -> dict[str, np.ndarray]:
         """The named columns of one table (see :data:`TABLES`) for the
         whole region, in global order: rack-major, hours ascending, then
         row order within a run.  A bursts or servers ``run_row`` indexes
-        the region's runs in that order.
+        the region's runs in that order, and its ``rack_id`` is the rack
+        of the row's run.
 
-        Loads each shard once and closes every mapping it opens; the
-        columns are float64 copies.
+        Loads each shard once; the columns are float64 copies.
         """
-        picked = [_COLUMN[table][name] for name in names]
-        rack_col, hour_col = _COLUMN["runs"]["rack_id"], _COLUMN["runs"]["hour"]
-        # Both blocks carry each run's position in shard order, sorted
-        # into global order by the (rack, hour) keys.
-        run_order = _RowBlocks(1)
-        rows = _RowBlocks(len(picked) + 1)
+        rows_are_runs = table == "runs"
+        derived = set() if rows_are_runs else {"run_row", "rack_id"}
+        stored = [name for name in names if name not in derived]
+        picked = [_COLUMN[table][name] for name in stored]
+        keys_at = [_COLUMN["runs"]["hour"], _COLUMN["runs"]["rack_id"]]
+        run_row_at = _COLUMN[table].get("run_row")
+        keys, blocks, owners = [], [], []
         seen = 0
-        for record in self.manifest["shards"]:
-            loaded = self._load(record, ("runs",) if table == "runs" else ("runs", table))
-            try:
-                runs, own = loaded[0], loaded[-1]
-                racks = runs[:, rack_col].astype(np.int64)
-                hours = runs[:, hour_col].astype(np.int64)
-                position = np.arange(seen, seen + racks.size)
-                seen += racks.size
-                owner = (
-                    np.arange(racks.size)
-                    if table == "runs"
-                    else own[:, _COLUMN[table]["run_row"]].astype(np.int64)
-                )
-                run_order.add_block(racks, hours, position)
-                rows.add_block(
-                    racks[owner],
-                    hours[owner],
-                    np.column_stack([own[:, picked], position[owner]]),
-                )
-            finally:
-                for array in loaded:
-                    _close_mmap(array)
-        _racks, _hours, values = rows.sorted_rows()
-        result = dict(zip(names, np.ascontiguousarray(values[:, :-1].T)))
-        if table != "runs" and "run_row" in result:
-            _racks, _hours, positions = run_order.sorted_rows()
-            rank = np.empty(positions.shape[0])
-            rank[positions[:, 0].astype(np.int64)] = np.arange(positions.shape[0])
-            result["run_row"] = rank[values[:, -1].astype(np.int64)]
-        return result
+        for tables in self.iter_frames(("runs",) if rows_are_runs else ("runs", table)):
+            runs, rows = tables[0], tables[-1]
+            keys.append(runs[:, keys_at])
+            blocks.append(rows[:, picked])
+            if not rows_are_runs:
+                owners.append(rows[:, run_row_at].astype(np.int64) + seen)
+            seen += runs.shape[0]
+        if not keys:
+            return {name: np.empty(0) for name in names}
+        keys = np.concatenate(keys)
+        # The one sort: runs into (rack, hour) order.  Stable, so runs
+        # sharing a key keep their shard order.
+        order = np.lexsort(keys.T)
+        if rows_are_runs:
+            rows_at = order
+        else:
+            # A shard lists each run's rows contiguously and in run order,
+            # so each run's rows are one slice of the concatenated blocks:
+            # gather the slices in sorted run order, with no sort of rows.
+            counts = np.bincount(np.concatenate(owners), minlength=seen)
+            first = np.cumsum(counts) - counts
+            counts = counts[order]
+            shift = first[order] - (np.cumsum(counts) - counts)
+            rows_at = np.repeat(shift, counts) + np.arange(counts.sum())
+        result = dict(zip(stored, np.ascontiguousarray(np.concatenate(blocks)[rows_at].T)))
+        if not rows_are_runs:
+            result["run_row"] = np.repeat(np.arange(seen, dtype=np.float64), counts)
+            result["rack_id"] = np.repeat(keys[order, 1], counts)
+        return {name: result[name] for name in names}
 
     @property
     def workloads(self) -> list[RackWorkload]:
@@ -993,114 +972,38 @@ class ShardedRegionDataset:
             workloads=self.workloads,
         )
 
-    # -- streaming aggregations ------------------------------------------
+    # -- Table 1 and the figure views ------------------------------------
 
-    def _merge_frames(self, make, feed):
-        """Run one accumulator per shard and fold them left-to-right —
-        the associative-merge shape a distributed reducer would use.
-        ``feed`` gets each frame with the rack name of each of its runs."""
-        names = np.asarray(self.rack_names)
-        merged = None
-        for frame in self.iter_frames():
-            partial = make()
-            try:
-                feed(partial, frame, names[frame.run_column("rack_id").astype(np.int64)])
-            finally:
-                # Accumulators copy out of memmap-backed blocks (see
-                # _RowBlocks._materialized), so the shard's fds can be
-                # released the moment its rows are folded.
-                frame.close()
-            with self.metrics.span("shards/merge"):
-                if merged is None:
-                    merged = partial
-                else:
-                    merged.merge(partial)
-                self.metrics.incr("dataset.shards.merged")
-        if merged is None:
-            merged = make()
-        return merged
+    def _fold(self, fold):
+        """Feed ``fold`` the columns it names and finalize it."""
+        fold.add_columns(self.columns(fold.TABLE, fold.COLUMNS))
+        return fold.finalize()
 
     def table1_row(self) -> DatasetSummary:
-        def feed(acc: Table1Accumulator, frame: ShardFrame, rack_names: np.ndarray) -> None:
-            acc.add_columns(
-                rack_names,
-                frame.run_column("servers"),
-                frame.run_column("bursty_server_runs"),
-                frame.run_column("n_bursts"),
-            )
+        return self._fold(Table1Accumulator(self.region))
 
-        return self._merge_frames(lambda: Table1Accumulator(self.region), feed).finalize()
+    def rack_profiles(self, hours: set[int] | None = None) -> list[RackProfile]:
+        """Per-rack aggregates (Figures 9-12 and 17, the RegA class
+        split), optionally over the runs of some hours only."""
+        return self._fold(RackProfileAccumulator(self.region, self.rack_names, hours))
 
-    def rack_profiles(self, hours: set[int] | None = None):
-        def feed(acc: RackProfileAccumulator, frame: ShardFrame, rack_names: np.ndarray) -> None:
-            acc.add_columns(
-                self.region,
-                rack_names,
-                frame.run_column("hour").astype(np.int64),
-                frame.run_column("contention_mean"),
-                frame.run_column("switch_discard_bytes"),
-                frame.run_column("switch_ingress_bytes"),
-                frame.run_column("distinct_tasks"),
-                frame.run_column("dominant_share"),
-                frame.run_column("colocated"),
-            )
-
-        return self._merge_frames(
-            lambda: RackProfileAccumulator(hours=hours), feed
-        ).finalize()
-
-    def hourly_boxes(self, racks: set[str] | None = None):
-        def feed(acc: HourlyBoxAccumulator, frame: ShardFrame, rack_names: np.ndarray) -> None:
-            acc.add_columns(
-                rack_names,
-                frame.run_column("hour").astype(np.int64),
-                frame.run_column("contention_mean"),
-            )
-
-        return self._merge_frames(lambda: HourlyBoxAccumulator(racks=racks), feed).finalize()
+    def hourly_boxes(self, racks: set[str] | None = None) -> dict[int, BoxStats]:
+        """Figure 13's per-hour boxes of per-run mean contention,
+        optionally over some racks only."""
+        return self._fold(HourlyBoxAccumulator(self.rack_names, racks))
 
     def run_contention(self) -> RunContentionView:
-        def feed(acc: RunContentionAccumulator, frame: ShardFrame, rack_names: np.ndarray) -> None:
-            acc.add_columns(
-                rack_names,
-                frame.run_column("hour").astype(np.int64),
-                frame.run_column("contention_min_active"),
-                frame.run_column("contention_p90"),
-            )
-
-        return self._merge_frames(lambda: RunContentionAccumulator(), feed).finalize()
+        return self._fold(RunContentionAccumulator())
 
     def burst_contention(self) -> BurstContentionView:
-        def feed(acc: BurstContentionAccumulator, frame: ShardFrame, rack_names: np.ndarray) -> None:
-            if frame.bursts.shape[0] == 0:
-                return
-            run_rows = frame.burst_column("run_row").astype(np.int64)
-            # Sub-key: preserve intra-run burst order under the stable
-            # global (rack, hour, sub) sort.
-            acc.add_columns(
-                rack_names[run_rows],
-                frame.run_column("hour")[run_rows].astype(np.int64),
-                frame.burst_column("burst_index").astype(np.int64),
-                frame.burst_column("max_contention"),
-                frame.burst_column("lossy"),
-                frame.burst_column("first_loss_contention"),
-            )
-
-        return self._merge_frames(lambda: BurstContentionAccumulator(), feed).finalize()
+        return self._fold(BurstContentionAccumulator(self.rack_names))
 
     def hour_counts(self) -> dict[int, int]:
         """Runs per hour — the busy-hour fallback needs coverage counts."""
-        counts: dict[int, int] = {}
-        for frame in self.iter_frames():
-            try:
-                hours, per_hour = np.unique(
-                    frame.run_column("hour").astype(np.int64), return_counts=True
-                )
-            finally:
-                frame.close()
-            for hour, count in zip(hours.tolist(), per_hour.tolist()):
-                counts[hour] = counts.get(hour, 0) + count
-        return counts
+        hours, counts = np.unique(
+            self.columns("runs", ("hour",))["hour"].astype(np.int64), return_counts=True
+        )
+        return dict(zip(hours.tolist(), counts.tolist()))
 
 
 def generate_region_shards(
@@ -1133,7 +1036,6 @@ __all__ = [
     "RUN_COLUMNS",
     "RegionShardStore",
     "SERVER_COLUMNS",
-    "ShardFrame",
     "ShardKey",
     "ShardStoreError",
     "ShardTask",

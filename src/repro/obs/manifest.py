@@ -7,20 +7,19 @@ and one outcome entry per experiment (status, wall time, peak memory,
 headline metrics).  CI, regression tooling, and
 later scaling PRs read this instead of parsing terminal output.
 
-Schema (version 1) — see :data:`MANIFEST_SCHEMA` for the field-level
+Schema (version 2) — see :data:`MANIFEST_SCHEMA` for the field-level
 contract enforced by :func:`validate_manifest`:
 
 ```json
 {
   "schema": "millisampler-repro/run-manifest",
-  "schema_version": 1,
+  "schema_version": 2,
   "created_at": 1754438400.0,
   "config": {"racks_per_region": 100, "runs_per_rack": 10,
              "hours": 24, "seed": 20221025, "jobs": 0,
              "policy": "{...}", "kernel": "numpy",
              "store_dir": "~/.cache/millisampler-shards",
              "shard_racks": 64, "shard_hours": 12},
-  "exp_jobs": 4,
   "trace_memory": false,
   "status": "failed",
   "failed": ["fig9"],
@@ -60,7 +59,7 @@ from ..errors import ManifestError
 MANIFEST_SCHEMA = "millisampler-repro/run-manifest"
 
 #: Bump on any backwards-incompatible change to the manifest layout.
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 #: Valid values of an experiment outcome's ``status`` field.
 OUTCOME_STATUSES = ("ok", "failed", "skipped")
@@ -154,7 +153,6 @@ def build_manifest(
     shard_racks: int,
     shard_hours: int,
     telemetry: dict | None = None,
-    exp_jobs: int = 1,
     trace_memory: bool = False,
 ) -> dict:
     """Assemble a schema-valid manifest dict.
@@ -171,7 +169,6 @@ def build_manifest(
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "created_at": time.time(),
         "config": _config_block(fleet_config, store_dir, shard_racks, shard_hours),
-        "exp_jobs": exp_jobs,
         "trace_memory": trace_memory,
         "status": "failed" if failed else "ok",
         "failed": failed,
@@ -199,7 +196,7 @@ def build_manifest(
 
 
 def validate_manifest(manifest: dict) -> None:
-    """Check a manifest against the version-1 schema.
+    """Check a manifest against the current schema version.
 
     Raises :class:`~repro.errors.ManifestError` listing *every*
     violation, so a failing CI run reports the whole story at once.
@@ -222,7 +219,6 @@ def validate_manifest(manifest: dict) -> None:
           "created_at is not a timestamp")
     check(manifest.get("status") in ("ok", "failed"),
           "status is not 'ok' or 'failed'")
-    check(isinstance(manifest.get("exp_jobs"), int), "exp_jobs is not an int")
     check(isinstance(manifest.get("trace_memory", False), bool),
           "trace_memory is not a bool")
     check(isinstance(manifest.get("failed"), list), "failed is not a list")
@@ -266,7 +262,7 @@ def validate_manifest(manifest: dict) -> None:
 #: (and validator) so tooling reading one can read the other.
 SERVICE_METRICS_SCHEMA = "millisampler-repro/service-metrics"
 
-#: Version of the service-metrics layout; tracks the manifest version.
+#: Version of the service-metrics layout.
 SERVICE_METRICS_SCHEMA_VERSION = 1
 
 #: Required service block fields -> accepted types.

@@ -8,8 +8,8 @@ design constraints, in order:
 * **Always on** — recording a counter is a dict update under a lock;
   a span is two ``perf_counter`` calls.  Nothing here is worth a
   feature flag.
-* **Thread-safe** — ``run all --exp-jobs N`` runs experiments on a
-  thread pool against one shared registry.
+* **Thread-safe** — ``repro serve`` answers queries on several request
+  threads against one shared context, hence one registry.
 * **Serializable** — :meth:`Metrics.snapshot` is plain JSON-ready data,
   which is what the run manifest embeds.
 

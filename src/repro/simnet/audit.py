@@ -284,9 +284,10 @@ class InvariantAuditor(AuditTap):
     """Checks conservation laws on every accounting event it observes.
 
     Thread-safe: one auditor may watch components built on several
-    threads (the orchestrator's ``--exp-jobs`` pool).  Violations are
-    recorded on :attr:`violations`, counted on the metrics registry,
-    and raised as :class:`~repro.errors.InvariantViolation` unless
+    threads (the query service's request threads share one context).
+    Violations are recorded on :attr:`violations`, counted on the
+    metrics registry, and raised as
+    :class:`~repro.errors.InvariantViolation` unless
     ``raise_on_violation`` is False.
     """
 

@@ -1,15 +1,18 @@
-"""Mergeable streaming partials (repro.analysis.streaming).
+"""The shard store's view folds and the mergeable quantile sketch
+(repro.analysis.streaming).
 
-Two families of guarantees:
-
-* the generic QuantileSketch merges associatively and agrees with
-  direct computation;
-* the exact figure accumulators are **bit-identical** to their
-  in-memory oracles for any split of the summaries into shards and any
-  merge order — the property the shard store's correctness rests on.
-  They are fed per summary through the ``add_summary`` feeders of
-  ``tests/analysis/streaming_reference.py``.
+* The store's Table 1 and figure views are **bit-identical** to their
+  in-memory oracles for any split of a region's runs into shard files,
+  listed in any order: ``columns()`` puts every row back into global
+  order.  (Real build geometries are covered in
+  ``tests/fleet/test_shards.py``.)
+* Folds of consecutive rack ranges merge into the fold of the whole
+  region; folds with different parameters refuse to merge.
+* The generic QuantileSketch merges associatively and agrees with
+  direct computation.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -17,41 +20,190 @@ import pytest
 from repro.analysis.diurnal import hourly_box_stats
 from repro.analysis.racks import rack_profiles
 from repro.analysis.streaming import (
+    BurstContentionAccumulator,
+    BurstContentionView,
     HourlyBoxAccumulator,
     QuantileSketch,
     RackProfileAccumulator,
     RunContentionAccumulator,
+    RunContentionView,
     Table1Accumulator,
 )
 from repro.config import FleetConfig
 from repro.errors import AnalysisError
-from repro.fleet.dataset import generate_region_dataset
+from repro.fleet.dataset import DatasetSummary, RegionDataset, generate_region_dataset
+from repro.fleet.shards import (
+    RegionShardStore,
+    ShardedRegionDataset,
+    encode_tables,
+    generate_region_shards,
+)
 from repro.workload.region import REGION_A
 from tests.analysis.streaming_reference import (
-    BurstContentionReference,
-    HourlyBoxReference,
-    RackProfileReference,
-    RunContentionReference,
-    Table1Reference,
     burst_contention_from_summaries,
     run_contention_from_summaries,
 )
 
+CONFIG = FleetConfig(racks_per_region=5, runs_per_rack=4, seed=13)
+
 
 @pytest.fixture(scope="module")
-def summaries():
-    config = FleetConfig(racks_per_region=5, runs_per_rack=4, seed=13)
-    return generate_region_dataset(REGION_A, config).summaries
+def dataset():
+    return generate_region_dataset(REGION_A, CONFIG)
 
 
-def split_into(items, pieces, seed):
-    """A deterministic arbitrary partition of items into pieces chunks."""
+def split_store(root, dataset: RegionDataset, pieces: int, seed: int) -> ShardedRegionDataset:
+    """The region's runs dealt at random into ``pieces`` shard files,
+    shuffled within each file, and the files listed in random order."""
     rng = np.random.default_rng(seed)
-    assignment = rng.integers(0, pieces, size=len(items))
+    summaries = dataset.summaries
+    assignment = rng.integers(0, pieces, size=len(summaries))
+    rack_index = {workload.rack: index for index, workload in enumerate(dataset.workloads)}
+    store = RegionShardStore(root=str(root), spec=REGION_A, config=CONFIG)
+    os.makedirs(store.directory)
+    records = []
+    for piece in rng.permutation(pieces).tolist():
+        chunk = [summaries[i] for i in rng.permutation(np.flatnonzero(assignment == piece))]
+        if not chunk:
+            continue
+        tables = encode_tables(chunk, [rack_index[summary.rack] for summary in chunk])
+        files = {kind: f"piece{piece}.{kind}.npy" for kind in tables}
+        for kind, table in tables.items():
+            np.save(os.path.join(store.directory, files[kind]), table)
+        records.append({"files": files})
+    manifest = {
+        "region": dataset.region,
+        "rack_names": [workload.rack for workload in dataset.workloads],
+        "shards": records,
+    }
+    return ShardedRegionDataset(store=store, manifest=manifest)
+
+
+@pytest.mark.parametrize("pieces,seed", [(1, 0), (3, 1), (7, 2), (16, 3)])
+class TestAccumulatorsMatchOracles:
+    """Every view equals its oracle for any split into shards:
+    ``columns()`` restores global order before a fold sees a row."""
+
+    def test_table1(self, dataset, tmp_path, pieces, seed):
+        store = split_store(tmp_path, dataset, pieces, seed)
+        assert store.table1_row() == dataset.table1_row()
+
+    def test_rack_profiles(self, dataset, tmp_path, pieces, seed):
+        store = split_store(tmp_path, dataset, pieces, seed)
+        assert store.rack_profiles() == rack_profiles(dataset.summaries)
+
+    def test_rack_profiles_hour_filter(self, dataset, tmp_path, pieces, seed):
+        hours = {s.hour for s in dataset.summaries[::3]}
+        store = split_store(tmp_path, dataset, pieces, seed)
+        assert store.rack_profiles(hours=hours) == rack_profiles(
+            dataset.summaries, hours=hours
+        )
+
+    def test_hourly_boxes(self, dataset, tmp_path, pieces, seed):
+        store = split_store(tmp_path, dataset, pieces, seed)
+        assert store.hourly_boxes() == hourly_box_stats(dataset.summaries)
+
+    def test_run_contention(self, dataset, tmp_path, pieces, seed):
+        actual = split_store(tmp_path, dataset, pieces, seed).run_contention()
+        expected = run_contention_from_summaries(dataset.summaries)
+        assert actual.total == expected.total
+        assert actual.excluded == expected.excluded
+        assert np.array_equal(actual.mins, expected.mins)
+        assert np.array_equal(actual.p90s, expected.p90s)
+
+    def test_burst_contention(self, dataset, tmp_path, pieces, seed):
+        actual = split_store(tmp_path, dataset, pieces, seed).burst_contention()
+        expected = burst_contention_from_summaries(dataset.summaries)
+        assert np.array_equal(actual.racks, expected.racks)
+        assert np.array_equal(actual.max_contention, expected.max_contention)
+        assert np.array_equal(actual.lossy, expected.lossy)
+        assert np.array_equal(
+            actual.first_loss_contention, expected.first_loss_contention
+        )
+
+
+class TestAccumulatorEdgeCases:
+    """Views that match nothing fail like their oracles; an empty store's
+    views are empty; folds with different parameters refuse to merge."""
+
+    def test_empty_profile_raises_like_oracle(self, dataset, tmp_path):
+        with pytest.raises(AnalysisError):
+            rack_profiles(dataset.summaries, hours={24})
+        store = split_store(tmp_path, dataset, 3, 0)
+        with pytest.raises(AnalysisError, match="no runs matched the requested hours"):
+            store.rack_profiles(hours={24})
+
+    def test_empty_boxes_raise_like_oracle(self, dataset, tmp_path):
+        with pytest.raises(AnalysisError):
+            hourly_box_stats(dataset.summaries, racks={"no-such-rack"})
+        store = split_store(tmp_path, dataset, 3, 0)
+        with pytest.raises(AnalysisError, match="no runs matched the rack filter"):
+            store.hourly_boxes(racks={"no-such-rack"})
+
+    def test_table1_merge_rejects_cross_region(self):
+        with pytest.raises(AnalysisError):
+            Table1Accumulator("RegA").merge(Table1Accumulator("RegB"))
+
+    def test_profile_merge_rejects_filter_mismatch(self):
+        names = ["RegA-rack0000"]
+        with pytest.raises(AnalysisError):
+            RackProfileAccumulator("RegA", names, hours={1}).merge(
+                RackProfileAccumulator("RegA", names, hours={2})
+            )
+
+    def test_empty_run_contention_finalizes(self, tmp_path):
+        empty = FleetConfig(racks_per_region=0, runs_per_rack=4, seed=13)
+        store = generate_region_shards(REGION_A, empty, str(tmp_path), jobs=1)
+        assert store.manifest["shards"] == []
+        assert store.table1_row() == DatasetSummary("RegA", 0, 0, 0, 0, 0)
+        assert store.hour_counts() == {}
+        view = store.run_contention()
+        assert view.total == 0 and view.excluded == 0
+        assert view.mins.size == 0 and view.p90s.size == 0
+        bursts = store.burst_contention()
+        assert bursts.racks.size == bursts.lossy.size == 0
+
+
+def _folds(store: ShardedRegionDataset) -> list:
+    names = store.rack_names
+    hours = set(store.columns("runs", ("hour",))["hour"][::3].astype(int).tolist())
     return [
-        [item for item, piece in zip(items, assignment) if piece == index]
-        for index in range(pieces)
+        lambda: Table1Accumulator(store.region),
+        lambda: RackProfileAccumulator(store.region, names),
+        lambda: RackProfileAccumulator(store.region, names, hours=hours),
+        lambda: HourlyBoxAccumulator(names),
+        lambda: HourlyBoxAccumulator(names, racks={names[1], names[3]}),
+        RunContentionAccumulator,
+        lambda: BurstContentionAccumulator(names),
     ]
+
+
+def _same(actual, expected) -> bool:
+    if isinstance(expected, (RunContentionView, BurstContentionView)):
+        return all(
+            np.array_equal(getattr(actual, name), getattr(expected, name))
+            for name in vars(expected)
+        )
+    return actual == expected
+
+
+class TestFoldMerge:
+    """A region folded in two rack ranges and merged equals its view."""
+
+    @pytest.mark.parametrize("cut_rack", [0, 2, 5])
+    def test_merged_rack_ranges_equal_the_view(self, dataset, tmp_path, cut_rack):
+        store = split_store(tmp_path, dataset, 3, 0)
+        for make in _folds(store):
+            whole = make()
+            columns = store.columns(whole.TABLE, ("rack_id", *whole.COLUMNS))
+            cut = int(np.searchsorted(columns["rack_id"], cut_rack))
+            pieces = []
+            for rows in (slice(0, cut), slice(cut, None)):
+                piece = make()
+                piece.add_columns({name: columns[name][rows] for name in piece.COLUMNS})
+                pieces.append(piece)
+            whole.add_columns({name: columns[name] for name in whole.COLUMNS})
+            assert _same(pieces[0].merge(pieces[1]).finalize(), whole.finalize())
 
 
 class TestQuantileSketch:
@@ -95,94 +247,3 @@ class TestQuantileSketch:
             sketch.quantile(1.5)
         with pytest.raises(AnalysisError):
             sketch.quantile(0.5)  # empty
-
-
-def accumulate_split(make, summaries, pieces, seed):
-    """Feed an arbitrary partition through per-piece accumulators and
-    merge them in shuffled order — exactly what shard merging does."""
-    chunks = split_into(summaries, pieces, seed)
-    accumulators = []
-    for chunk in chunks:
-        accumulator = make()
-        for summary in chunk:
-            accumulator.add_summary(summary)
-        accumulators.append(accumulator)
-    rng = np.random.default_rng(seed + 1)
-    order = rng.permutation(len(accumulators))
-    merged = accumulators[order[0]]
-    for index in order[1:]:
-        merged.merge(accumulators[index])
-    return merged
-
-
-@pytest.mark.parametrize("pieces,seed", [(1, 0), (3, 1), (7, 2), (16, 3)])
-class TestAccumulatorsMatchOracles:
-    def test_table1(self, summaries, pieces, seed):
-        merged = accumulate_split(
-            lambda: Table1Reference("RegA"), summaries, pieces, seed
-        )
-        runs = len(summaries)
-        row = merged.finalize()
-        assert row.runs == runs
-        assert row.server_runs == sum(s.servers for s in summaries)
-        assert row.bursty_server_runs == sum(s.bursty_server_runs() for s in summaries)
-        assert row.bursts == sum(len(s.bursts) for s in summaries)
-        assert row.racks == len({s.rack for s in summaries})
-
-    def test_rack_profiles(self, summaries, pieces, seed):
-        merged = accumulate_split(RackProfileReference, summaries, pieces, seed)
-        assert merged.finalize() == rack_profiles(summaries)
-
-    def test_rack_profiles_hour_filter(self, summaries, pieces, seed):
-        hours = {s.hour for s in summaries[::3]}
-        merged = accumulate_split(
-            lambda: RackProfileReference(hours=hours), summaries, pieces, seed
-        )
-        assert merged.finalize() == rack_profiles(summaries, hours=hours)
-
-    def test_hourly_boxes(self, summaries, pieces, seed):
-        merged = accumulate_split(HourlyBoxReference, summaries, pieces, seed)
-        assert merged.finalize() == hourly_box_stats(summaries)
-
-    def test_run_contention(self, summaries, pieces, seed):
-        merged = accumulate_split(RunContentionReference, summaries, pieces, seed)
-        actual = merged.finalize()
-        expected = run_contention_from_summaries(summaries)
-        assert actual.total == expected.total
-        assert actual.excluded == expected.excluded
-        assert np.array_equal(actual.mins, expected.mins)
-        assert np.array_equal(actual.p90s, expected.p90s)
-
-    def test_burst_contention(self, summaries, pieces, seed):
-        merged = accumulate_split(BurstContentionReference, summaries, pieces, seed)
-        actual = merged.finalize()
-        expected = burst_contention_from_summaries(summaries)
-        assert np.array_equal(actual.racks, expected.racks)
-        assert np.array_equal(actual.max_contention, expected.max_contention)
-        assert np.array_equal(actual.lossy, expected.lossy)
-        assert np.array_equal(
-            actual.first_loss_contention, expected.first_loss_contention
-        )
-
-
-class TestAccumulatorEdgeCases:
-    def test_empty_profile_raises_like_oracle(self):
-        with pytest.raises(AnalysisError):
-            RackProfileAccumulator().finalize()
-
-    def test_empty_boxes_raise_like_oracle(self):
-        with pytest.raises(AnalysisError):
-            HourlyBoxAccumulator().finalize()
-
-    def test_table1_merge_rejects_cross_region(self):
-        with pytest.raises(AnalysisError):
-            Table1Accumulator("RegA").merge(Table1Accumulator("RegB"))
-
-    def test_profile_merge_rejects_filter_mismatch(self):
-        with pytest.raises(AnalysisError):
-            RackProfileAccumulator(hours={1}).merge(RackProfileAccumulator(hours={2}))
-
-    def test_empty_run_contention_finalizes(self):
-        view = RunContentionAccumulator().finalize()
-        assert view.total == 0 and view.excluded == 0
-        assert view.mins.size == 0 and view.p90s.size == 0

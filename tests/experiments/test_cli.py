@@ -204,28 +204,6 @@ class TestPolicyFlag:
         assert "does not take parameter" in capsys.readouterr().err
 
 
-class TestExpJobsParity:
-    def test_parallel_manifest_metrics_byte_identical(
-        self, tmp_path, capsys
-    ):
-        ids = ["fig1", "fig4", "perf"]
-
-        def metrics_blob(exp_jobs, name):
-            path = str(tmp_path / name)
-            assert cli.main(
-                ["run", *ids, "--exp-jobs", str(exp_jobs), "--manifest", path]
-                + FAST_ARGS
-            ) == 0
-            with open(path) as handle:
-                manifest = json.load(handle)
-            return json.dumps(
-                [[e["experiment_id"], e["metrics"]] for e in manifest["experiments"]],
-                sort_keys=True,
-            )
-
-        assert metrics_blob(1, "serial.json") == metrics_blob(4, "parallel.json")
-
-
 class TestTraceMemoryFlag:
     IDS = ["table1", "fig1"]
 
@@ -261,18 +239,21 @@ class TestTraceMemoryFlag:
         assert blob(plain) == blob(traced)
 
     @pytest.mark.parametrize("command", [
-        ["run", "fig1", "perf"],
+        ["run", "fig1"],
         ["report", "unused.md"],
     ])
     def test_with_exp_jobs_is_a_one_line_error(self, command, capsys):
-        rc = cli.main(command + ["--trace-memory", "--exp-jobs", "2",
-                                 "--racks", "2", "--runs-per-rack", "2",
-                                 "--no-cache"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: memory tracing needs one experiment at a time")
-        assert "Traceback" not in err
+        """``--exp-jobs`` is gone (experiments run one at a time): asking
+        for it, traced or not, is an unknown argument."""
+        for extra in ([], ["--trace-memory"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(command + ["--exp-jobs", "2", *extra,
+                                    "--racks", "2", "--runs-per-rack", "2",
+                                    "--no-cache"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err == "millisampler-repro: error: unrecognized arguments: --exp-jobs 2\n"
 
 
 class TestConfigErrors:

@@ -266,3 +266,19 @@ class TestFig13SmallScale:
         ctx = ExperimentContext.small(racks=4, runs_per_rack=2, seed=11)
         (outcome,) = run_experiments(ctx, ["fig13"]).outcomes
         assert outcome.status == "ok", outcome.error
+
+
+class TestEmptyRegion:
+    """A region without runs: fig9, fig13 and fig16 all report that no
+    run matched, instead of an unrelated error."""
+
+    @pytest.mark.parametrize("racks,runs_per_rack", [(0, 2), (2, 0)])
+    def test_fig9_fig13_fig16_report_no_matching_runs(self, racks, runs_per_rack):
+        from repro.experiments.context import ExperimentContext
+        from repro.experiments.orchestrator import run_experiments
+
+        ctx = ExperimentContext.small(racks=racks, runs_per_rack=runs_per_rack, seed=11)
+        outcomes = run_experiments(ctx, ["fig9", "fig13", "fig16"]).outcomes
+        assert [o.error for o in outcomes] == [
+            "AnalysisError: no runs matched the requested hours"
+        ] * 3

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from repro.config import FleetConfig
 from repro.errors import ConfigError
 from repro.experiments import orchestrator
 from repro.experiments.context import ExperimentContext
@@ -13,6 +14,7 @@ from repro.experiments.orchestrator import (
     run_experiments,
     warm_datasets,
 )
+from repro.fleet import parallel
 
 
 def tiny_ctx(**kwargs) -> ExperimentContext:
@@ -177,16 +179,6 @@ class TestTraceMemory:
         for plain, with_tracer in zip(untraced.outcomes, traced.outcomes):
             assert plain.metrics == with_tracer.metrics  # exact equality
 
-    def test_rejects_concurrent_experiments(self):
-        with pytest.raises(ConfigError, match="one experiment at a time"):
-            run_experiments(tiny_ctx(), FAST, exp_jobs=2, trace_memory=True)
-
-    def test_single_experiment_may_ask_for_a_pool(self):
-        (outcome,) = run_experiments(
-            tiny_ctx(), ["fig1"], exp_jobs=4, trace_memory=True
-        ).outcomes
-        assert outcome.peak_tracemalloc_bytes > 0
-
     def test_warmup_failure_skips_dataset_experiments(self, monkeypatch):
         def broken_warmup(ctx, regions=orchestrator.WARMUP_REGIONS):
             raise RuntimeError("generation exploded")
@@ -219,31 +211,51 @@ class TestTraceMemory:
         assert seen == [False, False]
 
 
+def pool_ctx() -> ExperimentContext:
+    """``tiny_ctx`` with its region-days built on a two-worker pool."""
+    return ExperimentContext(
+        fleet=FleetConfig(racks_per_region=2, runs_per_rack=2, seed=3, jobs=2)
+    )
+
+
+def exploding_rack_day(plan, config, synthesizer):
+    """Stands in for the pool's rack-day task and always raises."""
+    raise RuntimeError("generation exploded")
+
+
 class TestParallel:
+    """Experiments run one at a time; their datasets may be built in
+    parallel (``--jobs``), and that changes nothing they report."""
+
     def test_parallel_metrics_identical_to_serial(self):
         ids = ["fig1", "perf", "table1"]
-        serial = run_experiments(tiny_ctx(), ids, exp_jobs=1)
-        parallel = run_experiments(tiny_ctx(), ids, exp_jobs=4)
+        serial = run_experiments(tiny_ctx(), ids)
+        ctx = pool_ctx()
+        parallel = run_experiments(ctx, ids)
+        assert ctx.metrics.counter("dataset.parallel.rack_days") > 0
         assert [o.experiment_id for o in parallel.outcomes] == ids
         assert all(o.ok for o in parallel.outcomes)
         for ser, par in zip(serial.outcomes, parallel.outcomes):
             assert ser.metrics == par.metrics  # exact float equality
 
     def test_parallel_isolates_failures_and_keeps_order(self, monkeypatch):
-        failing_registry(monkeypatch, "fig4")
-        orch = run_experiments(tiny_ctx(), ["fig1", "fig4", "perf"], exp_jobs=3)
-        assert [o.experiment_id for o in orch.outcomes] == ["fig1", "fig4", "perf"]
+        failing_registry(monkeypatch, "perf")
+        ctx = pool_ctx()
+        orch = run_experiments(ctx, ["table1", "perf", "fig1"])
+        assert ctx.metrics.counter("dataset.parallel.rack_days") > 0
+        assert [o.experiment_id for o in orch.outcomes] == ["table1", "perf", "fig1"]
         assert [o.status for o in orch.outcomes] == ["ok", "failed", "ok"]
 
     def test_warmup_failure_skips_dataset_experiments(self, monkeypatch):
-        def broken_warmup(ctx, regions=orchestrator.WARMUP_REGIONS):
-            raise RuntimeError("generation exploded")
-
-        monkeypatch.setattr(orchestrator, "warm_datasets", broken_warmup)
-        orch = run_experiments(tiny_ctx(), ["fig1", "table1"], exp_jobs=2)
+        # A rack day that raises in a pool worker fails the traced run's
+        # warm-up: the dataset experiments are skipped with that root
+        # cause, and the standalone one still runs.
+        monkeypatch.setattr(parallel, "_rack_day_task", exploding_rack_day)
+        orch = run_experiments(pool_ctx(), ["fig1", "table1"], trace_memory=True)
         by_id = {o.experiment_id: o for o in orch.outcomes}
         assert by_id["fig1"].status == "ok"
         assert by_id["table1"].status == "skipped"
+        assert "WorkerTaskError" in by_id["table1"].error
         assert "generation exploded" in by_id["table1"].error
         assert not orch.ok
 
@@ -261,7 +273,6 @@ class TestProgress:
         run_experiments(
             tiny_ctx(),
             ["fig1", "perf"],
-            exp_jobs=2,
             progress=lambda outcome, result: seen.append(
                 (outcome.experiment_id, outcome.status, result is not None)
             ),

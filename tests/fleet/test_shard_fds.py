@@ -1,14 +1,16 @@
-"""File-descriptor hygiene of the streaming shard consumers.
+"""File-descriptor hygiene of the shard loader.
 
-Every streamed aggregation and every ``columns()`` read memmaps each
-shard's tables; a mapping left open leaks an fd per table per shard, so
-a few hundred shards exhaust the default ulimit mid-report.  These tests regress the leak directly:
-with >100 shards on disk, repeated full-store streaming passes must
-leave the process fd count where it started.
+Every view reads through ``columns()``, which memmaps each shard's
+tables through ``iter_frames()``; a mapping left open leaks an fd per
+table per shard, so a few hundred shards exhaust the default ulimit
+mid-report.  These tests regress the leak directly: with >100 shards on
+disk, repeated full-store passes must leave the process fd count where
+it started.
 """
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.config import FleetConfig
@@ -62,7 +64,7 @@ def test_streaming_aggregations_do_not_leak_fds(sharded):
     for _name, run in aggregations:
         run()
     baseline = _open_fds()
-    # Two further full passes stream >600 shard merges; the fd count
+    # Two further full passes load >1,800 shards; the fd count
     # must never drift above the post-warmup baseline (small slack for
     # allocator/introspection noise, far below 2 fds per shard).
     for _round in range(2):
@@ -75,15 +77,14 @@ def test_streaming_aggregations_do_not_leak_fds(sharded):
 
 
 def test_direct_frame_iteration_bounds_fds(sharded):
+    """The loader closes each shard's maps before it opens the next."""
     baseline = _open_fds()
     streamed = 0
-    for frame in sharded.iter_frames():
-        try:
-            assert frame.runs.shape[0] >= 1
-            # While one frame is open at most its own two fds are extra.
-            assert _open_fds() <= baseline + 2 + 4
-        finally:
-            frame.close()
+    for runs, bursts in sharded.iter_frames(("runs", "bursts")):
+        assert isinstance(runs, np.memmap) and isinstance(bursts, np.memmap)
+        assert runs.shape[0] >= 1
+        # While one frame is open at most its own two fds are extra.
+        assert _open_fds() <= baseline + 2 + 4
         streamed += 1
     assert streamed > 100
     assert _open_fds() <= baseline + 4

@@ -3,12 +3,13 @@
 The store's contract has three legs, each tested here against the
 in-memory :func:`generate_region_dataset` as the oracle:
 
-* **Bit-exactness** — every aggregation computed shard-by-shard equals
-  the monolithic in-memory result exactly, for any shard geometry, any
-  job count (parallel builds write byte-identical shards), and on
-  reload from an existing store.
-* **Out-of-core** — aggregating streams one shard at a time; peak
-  traced memory stays well below materializing the whole region.
+* **Bit-exactness** — every view read through ``columns()`` equals the
+  monolithic in-memory result exactly, for any shard geometry, any job
+  count (parallel builds write byte-identical shards), and on reload
+  from an existing store.
+* **Out-of-core** — reads load one shard at a time and keep only the
+  columns asked for; peak traced memory stays well below materializing
+  the whole region.
 * **Corruption tolerance** — a missing, truncated, or stale store is a
   miss (rebuilt), never an exception or silently wrong data.
 """
@@ -16,6 +17,7 @@ in-memory :func:`generate_region_dataset` as the oracle:
 import json
 import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -123,8 +125,13 @@ class TestBitExactness:
             oracle.summaries, sharded.to_region_dataset().summaries
         )
 
+    def test_workloads_match(self, oracle, sharded):
+        assert [w.rack for w in sharded.workloads] == [w.rack for w in oracle.workloads]
+
+    # -- the views (the shared store is 2x8) ---------------------------
+
     def test_columns_in_global_order(self, oracle, sharded):
-        """columns() re-interleaves hour bands into global order and
+        """columns() re-interleaves shards into global order and
         re-bases run_row onto it."""
         runs = sharded.columns("runs", ("hour", "contention_mean"))
         assert runs["hour"].tolist() == [s.hour for s in oracle.summaries]
@@ -146,8 +153,27 @@ class TestBitExactness:
             row for row, s in enumerate(oracle.summaries) for _ in s.server_stats
         ]
 
-    def test_workloads_match(self, oracle, sharded):
-        assert [w.rack for w in sharded.workloads] == [w.rack for w in oracle.workloads]
+    def test_row_columns_carry_their_runs_rack(self, oracle, sharded):
+        """A bursts or servers ``rack_id`` is the rack of the row's run,
+        in any position among the requested names."""
+        rack_index = {w.rack: index for index, w in enumerate(oracle.workloads)}
+        bursts = sharded.columns("bursts", ("rack_id", "run_row", "lossy"))
+        assert list(bursts) == ["rack_id", "run_row", "lossy"]
+        assert bursts["rack_id"].dtype == np.float64
+        assert bursts["rack_id"].tolist() == [
+            rack_index[s.rack] for s in oracle.summaries for _ in s.bursts
+        ]
+        assert bursts["lossy"].tolist() == [
+            float(b.lossy) for s in oracle.summaries for b in s.bursts
+        ]
+        run_racks = sharded.columns("runs", ("rack_id",))["rack_id"]
+        assert np.array_equal(
+            bursts["rack_id"], run_racks[bursts["run_row"].astype(np.int64)]
+        )
+        servers = sharded.columns("servers", ("server", "rack_id"))
+        assert servers["rack_id"].tolist() == [
+            rack_index[s.rack] for s in oracle.summaries for _ in s.server_stats
+        ]
 
     def test_table1_row(self, oracle, sharded):
         assert sharded.table1_row() == oracle.table1_row()
@@ -156,13 +182,19 @@ class TestBitExactness:
         assert sharded.rack_profiles() == rack_profiles(oracle.summaries)
 
     def test_rack_profiles_hour_filtered(self, oracle, sharded):
-        hours = {plan for plan in range(0, 24, 2)}
+        hours = set(range(0, 24, 2))
         assert sharded.rack_profiles(hours=hours) == rack_profiles(
             oracle.summaries, hours=hours
         )
 
     def test_hourly_boxes(self, oracle, sharded):
         assert sharded.hourly_boxes() == hourly_box_stats(oracle.summaries)
+
+    def test_hourly_boxes_rack_filtered(self, oracle, sharded):
+        racks = {w.rack for w in oracle.workloads[::2]}
+        assert sharded.hourly_boxes(racks=racks) == hourly_box_stats(
+            oracle.summaries, racks=racks
+        )
 
     def test_run_contention(self, oracle, sharded):
         expected = run_contention_from_summaries(oracle.summaries)
@@ -175,12 +207,41 @@ class TestBitExactness:
     def test_burst_contention(self, oracle, sharded):
         expected = burst_contention_from_summaries(oracle.summaries)
         actual = sharded.burst_contention()
+        assert actual.racks.dtype == expected.racks.dtype
         assert np.array_equal(actual.racks, expected.racks)
         assert np.array_equal(actual.max_contention, expected.max_contention)
         assert np.array_equal(actual.lossy, expected.lossy)
         assert np.array_equal(
             actual.first_loss_contention, expected.first_loss_contention
         )
+
+    def test_hour_counts(self, oracle, sharded):
+        assert sharded.hour_counts() == Counter(s.hour for s in oracle.summaries)
+
+    @pytest.mark.parametrize("geometry", [(1, 1), (5, 24)], ids=["1x1", "5x24"])
+    def test_views_at_other_geometries(self, oracle, store_dir, geometry):
+        """Every view test above at one run per shard, and at one hour
+        band per rack range."""
+        shard_racks, shard_hours = geometry
+        other = generate_region_shards(
+            REGION_A, CONFIG, store_dir,
+            shard_racks=shard_racks, shard_hours=shard_hours, jobs=1,
+        )
+        for check in (
+            self.test_columns_in_global_order,
+            self.test_row_columns_carry_their_runs_rack,
+            self.test_table1_row,
+            self.test_rack_profiles,
+            self.test_rack_profiles_hour_filtered,
+            self.test_hourly_boxes,
+            self.test_hourly_boxes_rack_filtered,
+            self.test_run_contention,
+            self.test_burst_contention,
+            self.test_hour_counts,
+        ):
+            check(oracle, other)
+
+    # -- other geometries, builds and reloads ---------------------------
 
     def test_other_geometry_same_results(self, oracle, store_dir):
         other = generate_region_shards(
@@ -375,19 +436,21 @@ class TestOutOfCore:
             lambda: (fresh.table1_row(), fresh.rack_profiles(), fresh.run_contention())
         )
         materialized_peak = traced(dataset.to_region_dataset)
-        # Streaming holds one shard's rows plus scalar partials;
-        # decoding holds every summary object.  The margins are
-        # generous so allocator noise cannot flake the test, but a
-        # regression to whole-region loading (4x one shard here) trips
-        # both bounds.
+        # The views hold a few run columns of the region; decoding
+        # holds every summary object.  The margins are generous so
+        # allocator noise cannot flake the test, but a regression to
+        # whole-region loading (4x one shard here) trips both bounds.
         assert streaming_peak < materialized_peak
         assert streaming_peak < total_bytes * 0.75 + 256 * 1024
 
     def test_iteration_is_lazy(self, sharded):
         """iter_frames yields memmap-backed arrays, not in-heap copies."""
-        frame = next(iter(sharded.iter_frames()))
-        assert isinstance(frame.runs, np.memmap)
-        assert isinstance(frame.bursts, np.memmap)
+        frames = sharded.iter_frames(("runs", "bursts"))
+        runs, bursts = next(frames)
+        assert isinstance(runs, np.memmap)
+        assert isinstance(bursts, np.memmap)
+        assert runs.shape[1] == len(TABLES["runs"])
+        frames.close()
 
 
 class TestContextIntegration:

@@ -315,6 +315,38 @@ def test_bench_demand_generate(benchmark):
     assert reference_s / new_s >= 1.5
 
 
+def test_bench_sketch_estimates(benchmark):
+    """``sketch_estimates`` (one normal plane, the exact binomial only
+    in the tails) vs the one-binomial-per-cell estimator the test suite
+    keeps as its distribution oracle, on the connection matrices of the
+    same store-build rack runs in one process.  The floor sits under the
+    ~4.4x measured on a 2-vCPU Xeon."""
+    from repro.fleet.rackrun import sketch_estimates
+    from tests.fleet.sketch_reference import sketch_estimates as sketch_reference
+
+    model = DemandModel()
+    synthesizer = RackRunSynthesizer(demand_model=model)
+    connections = []
+    for workload, hour, rng in _store_build_items():
+        buckets = synthesizer._run_length(rng)
+        connections.append(model.generate(workload, hour, buckets, rng).connections)
+
+    def estimate_all(estimate=sketch_estimates):
+        rng = np.random.default_rng(0)
+        return [estimate(counts, rng) for counts in connections]
+
+    reference_s = _best_of(2, tuple, lambda: estimate_all(sketch_reference))
+    estimates = benchmark.pedantic(estimate_all, rounds=3)
+    new_s = benchmark.stats.stats.min
+
+    assert all(e.shape == c.shape for e, c in zip(estimates, connections))
+    benchmark.extra_info["rack_runs"] = len(estimates)
+    benchmark.extra_info["cells"] = sum(c.size for c in connections)
+    benchmark.extra_info["reference_s"] = reference_s
+    benchmark.extra_info["speedup"] = reference_s / new_s
+    assert reference_s / new_s >= 3.0
+
+
 def test_bench_summarize_run(benchmark):
     """``summarize_run`` (one segment pass over the stacked run) vs the
     historical per-server loop the test suite keeps as its ``==``

@@ -33,19 +33,17 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     """Regenerate this artifact (see module docstring)."""
     totals: dict[str, list[int]] = {}  # bursts, contended, lossy
     for region in ("RegA", "RegB"):
-        dataset = ctx.dataset(region)
-        rack_ids = dataset.columns("runs", ("rack_id",))["rack_id"]
-        bursts = dataset.columns("bursts", ("run_row", "max_contention", "lossy"))
+        bursts = ctx.dataset(region).columns(
+            "bursts", ("rack_id", "max_contention", "lossy")
+        )
         if region == "RegA":
-            high = ctx.rega_high_mask(rack_ids)
+            high = ctx.rega_high_mask(bursts["rack_id"])
             classes = {"RegA-Typical": ~high, "RegA-High": high}
         else:
-            classes = {"RegB": np.ones(rack_ids.size, dtype=bool)}
-        run_row = bursts["run_row"].astype(np.int64)
+            classes = {"RegB": np.ones(bursts["rack_id"].size, dtype=bool)}
         is_contended = bursts["max_contention"] >= 2
         is_lossy = bursts["lossy"] != 0
-        for name, runs in classes.items():
-            in_class = runs[run_row]
+        for name, in_class in classes.items():
             totals[name] = [
                 int(np.count_nonzero(in_class)),
                 int(np.count_nonzero(in_class & is_contended)),

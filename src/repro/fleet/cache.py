@@ -29,8 +29,10 @@ from ..obs.metrics import Metrics
 from ..workload.region import RegionSpec
 
 #: Bump whenever generation or the summary layout changes in a way that
-#: invalidates previously generated datasets.
-DATASET_FORMAT_VERSION = 1
+#: invalidates previously generated datasets.  2: sketch noise draws a
+#: moment-matched normal zero-bit count
+#: (:func:`repro.fleet.rackrun.sketch_estimates`).
+DATASET_FORMAT_VERSION = 2
 
 
 def _canonical(value):

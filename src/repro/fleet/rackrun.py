@@ -34,23 +34,60 @@ T = TypeVar("T")
 SYNTHESIS_OUTPUTS = ("delivered", "delivered_retx", "ecn_mask", "dropped")
 
 
+#: The linear-counting estimate for each zero-bit count: ``128 *
+#: ln(128 / zeros)``, and the saturation value for a full bitmap.
+_ESTIMATES = np.concatenate(
+    (
+        [float(SATURATION_ESTIMATE)],
+        SKETCH_BITS * np.log(SKETCH_BITS / np.arange(1, SKETCH_BITS + 1)),
+    )
+)
+
+#: Cells whose expected one-bit or zero-bit count falls below these get
+#: the exact binomial: below ~4 and above ~177 connections, where a
+#: rounded normal is visibly off.
+_MIN_EXPECTED_ONES = 4
+_MIN_EXPECTED_ZEROS = 32
+
+#: Cells per block of the estimate pass: each temporary is 64 KiB,
+#: under glibc's default 128 KiB mmap threshold, so blocks reuse heap
+#: memory instead of faulting in fresh plane-sized pages.
+_SKETCH_BLOCK = 8192
+
+
 def sketch_estimates(true_counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Apply 128-bit-sketch estimation noise to true connection counts.
 
-    Each of ``n`` flows independently occupies one of 128 bits, so the
-    number of zero bits is approximately Binomial(128, (1-1/128)^n);
-    the linear-counting estimate is ``128 * ln(128 / zeros)``, and a
-    full bitmap reports the saturation value (Section 4.2: "precise up
-    to a dozen connections and saturates at around 500").
+    Each of ``n`` flows independently occupies one of 128 bits, so a
+    bit stays zero with probability p = (1-1/128)^n, and the model
+    takes the number of zero bits as Binomial(128, p) (bits treated as
+    independent, which overstates the spread: see ablation-sketch); the
+    linear-counting estimate is ``128 * ln(128 / zeros)``, and a full
+    bitmap reports the saturation value (Section 4.2: "precise up to a
+    dozen connections and saturates at around 500").
+
+    The zero-bit count is drawn as a normal with the binomial's mean
+    128p and variance 128p(1-p), rounded and clipped to [0, 128], then
+    mapped through the 129-entry estimate table.  Where the expected
+    one-bit count is below 4 or the expected zero-bit count below 32,
+    the cell draws the exact ``rng.binomial(128, p)`` instead.  Draw
+    order is fixed: one ``standard_normal`` plane over every cell
+    first, then one binomial per such tail cell, in C order.
     """
     counts = np.asarray(true_counts, dtype=np.float64)
-    p_zero = (1.0 - 1.0 / SKETCH_BITS) ** counts
-    zeros = rng.binomial(SKETCH_BITS, p_zero)
-    estimates = np.where(
-        zeros == 0,
-        float(SATURATION_ESTIMATE),
-        SKETCH_BITS * np.log(SKETCH_BITS / np.maximum(zeros, 1)),
-    )
+    estimates = rng.standard_normal(counts.shape)
+    flat_counts, flat = counts.reshape(-1), estimates.reshape(-1)
+    for start in range(0, flat.size, _SKETCH_BLOCK):
+        zeros = flat[start : start + _SKETCH_BLOCK]
+        p_zero = (1.0 - 1.0 / SKETCH_BITS) ** flat_counts[start : start + _SKETCH_BLOCK]
+        mean = SKETCH_BITS * p_zero
+        zeros *= np.sqrt(mean * (1.0 - p_zero))
+        zeros += mean
+        np.rint(zeros, out=zeros)
+        np.clip(zeros, 0, SKETCH_BITS, out=zeros)
+        tails = (SKETCH_BITS - mean < _MIN_EXPECTED_ONES) | (mean < _MIN_EXPECTED_ZEROS)
+        zeros[tails] = rng.binomial(SKETCH_BITS, p_zero[tails])
+        zeros[:] = _ESTIMATES[zeros.astype(np.intp)]
     return estimates
 
 

@@ -372,6 +372,43 @@ def test_bench_summarize_run(benchmark):
     assert reference_s / new_s >= 2.0
 
 
+def test_bench_store_path(benchmark):
+    """The store path — ``synthesize_batch(reduce=summarize_run)``,
+    which builds each run's stacked series straight from the fluid
+    batch and asks the loop for its core outputs only — vs synthesizing
+    raw SyncRuns (egress echo, ECN series, 92 server runs each) and
+    summarizing those, on the same store-build rack runs in one process.
+    The two sides alternate round by round, and the speedup is the
+    median of the five paired ratios, so drift on a shared machine
+    hits both sides alike.  The summaries are equal by repr; the floor
+    sits under the 1.2-1.3x measured on a 2-vCPU Xeon."""
+    from repro.analysis.summary import summarize_run
+
+    synthesizer = RackRunSynthesizer()
+
+    def raw_path(items):
+        return [summarize_run(sync_run) for sync_run in synthesizer.synthesize_batch(items)]
+
+    def store_path(items):
+        return synthesizer.synthesize_batch(items, reduce=summarize_run)
+
+    raw_times = []
+
+    def raw_round_then_items():
+        # A raw round right before each store round.
+        raw_times.append(_best_of(1, lambda: (_store_build_items(),), raw_path))
+        return (_store_build_items(),), {}
+
+    summaries = benchmark.pedantic(store_path, setup=raw_round_then_items, rounds=5)
+    speedup = float(np.median(np.array(raw_times) / np.array(benchmark.stats.stats.data)))
+
+    assert repr(summaries) == repr(raw_path(_store_build_items()))
+    benchmark.extra_info["rack_runs"] = len(summaries)
+    benchmark.extra_info["raw_s"] = float(np.median(raw_times))
+    benchmark.extra_info["speedup"] = speedup
+    assert speedup >= 1.15
+
+
 def test_bench_region_generation_fluid_batching(benchmark):
     """End-to-end region-day generation with the batched fluid kernel
     vs the same pipeline forced to one-run batches.  Bench scale matches the acceptance bar: 20 racks x 4
@@ -413,9 +450,11 @@ def test_bench_packet_sim_tcp_transfer(benchmark):
 def test_bench_shard_generation(benchmark, tmp_path):
     """Generating and writing one shard of the out-of-core region store
     (synthesis + columnar projection + atomic writes + hashing) — the
-    unit of work of a serial store build.  The per-shard run
+    unit of work of a serial store build, which takes the shard's runs
+    from a synthesis stream over its items.  The per-shard run
     throughput in extra_info is what the CI gate tracks."""
-    from repro.fleet.shards import _write_shard, plan_region_shards, synthesize_shard
+    from repro.fleet.dataset import summarize_batches
+    from repro.fleet.shards import _shard_items, _write_shard, plan_region_shards, synthesize_shard
     from repro.obs.metrics import Metrics
 
     config = FleetConfig(racks_per_region=4, runs_per_rack=3, seed=7)
@@ -425,7 +464,8 @@ def test_bench_shard_generation(benchmark, tmp_path):
 
     def run():
         metrics = Metrics()
-        summaries = synthesize_shard(task, config, synthesizer, metrics=metrics)
+        runs = summarize_batches(_shard_items(tasks, config), config, synthesizer, metrics)
+        summaries = synthesize_shard(task, runs)
         return _write_shard(str(tmp_path), task, summaries, metrics)
 
     record = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import units
-from ..core.run import MillisamplerRun, SyncRun
+from ..core.run import MillisamplerRun, StackedRun, SyncRun
 from ..errors import AnalysisError
 
 
@@ -171,22 +171,11 @@ def _find_bursts(
     )
 
 
-def _run_matrices(sync_run: SyncRun, threshold: float) -> tuple[np.ndarray, ...]:
-    """A rack run's ``(servers, buckets)`` matrices: ingress bytes,
-    retransmitted ingress bytes, connection estimates, ingress
-    utilization, and the bursty-sample mask (utilization above
-    ``threshold``)."""
-    runs = sync_run.runs
-    in_bytes = np.vstack([run.in_bytes for run in runs])
-    capacity = np.array([run.meta.line_rate * run.meta.sampling_interval for run in runs])
-    utilization = in_bytes / capacity[:, None]
-    return (
-        in_bytes,
-        np.vstack([run.in_retx_bytes for run in runs]),
-        np.vstack([run.conn_estimate for run in runs]),
-        utilization,
-        utilization > threshold,
-    )
+def _run_matrices(run: StackedRun, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """A stacked rack run's ``(servers, buckets)`` ingress utilization
+    and bursty-sample mask (utilization above ``threshold``)."""
+    utilization = run.in_bytes / run.capacity[:, None]
+    return utilization, utilization > threshold
 
 
 def detect_bursts(
@@ -228,11 +217,10 @@ def detect_run_bursts(
     methodology: "we consider the contention level at each sample point
     of the burst, and take the maximum") and with the contention at its
     first loss."""
-    in_bytes, in_retx_bytes, conn_estimate, _utilization, mask = _run_matrices(
-        sync_run, threshold
-    )
+    run = sync_run.stacked()
+    _utilization, mask = _run_matrices(run, threshold)
     return _find_bursts(
-        in_bytes, in_retx_bytes, conn_estimate, mask, loss_lag_buckets,
+        run.in_bytes, run.in_retx_bytes, run.conn_estimate, mask, loss_lag_buckets,
         contention=mask.sum(axis=0),
     )
 

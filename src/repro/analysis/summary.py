@@ -4,9 +4,11 @@ keeping raw sample series in memory.
 A full day of the paper's data is 8.16 billion samples; the analyses
 all operate on per-run aggregates (burst records, contention
 statistics, utilization summaries).  :func:`summarize_run` computes
-those once per :class:`~repro.core.run.SyncRun`, letting the dataset
-generator discard the raw series immediately — the same
-reduce-then-aggregate shape a production pipeline uses.
+those once per rack run — a :class:`~repro.core.run.SyncRun`, or the
+:class:`~repro.core.run.StackedRun` the fleet synthesizer builds
+straight from its fluid batch — letting the dataset generator discard
+the raw series immediately, the same reduce-then-aggregate shape a
+production pipeline uses.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import units
-from ..core.run import SyncRun
+from ..core.run import StackedRun, SyncRun
 from ..errors import AnalysisError
 from .bursts import Burst, _find_bursts, _run_matrices
 from .contention import ContentionStats, contention_stats
@@ -69,36 +71,42 @@ class RunSummary:
 
 
 def summarize_run(
-    sync_run: SyncRun,
+    run: SyncRun | StackedRun,
     threshold: float = units.BURST_UTILIZATION_THRESHOLD,
     loss_lag_buckets: int = 2,
 ) -> RunSummary:
     """Reduce one rack run to its :class:`RunSummary`.
 
-    Works on the run's stacked ``(servers, buckets)`` matrices: one
-    segment pass finds every burst of every server, and the per-server
-    aggregates are row reductions.  Only bursty servers need the masked
-    means inside and outside their bursts, taken as ``.mean()`` of the
-    compacted row.
+    Works on the run's stacked ``(servers, buckets)`` matrices: a
+    :class:`SyncRun` is stacked first (:meth:`SyncRun.stacked`), and a
+    :class:`StackedRun` is read as it is, so both give the same summary
+    for the same run.  Only its ingress, retransmitted-ingress and
+    connection-estimate series are read.  One segment pass finds every
+    burst of every server, and the per-server aggregates are row
+    reductions.  Only bursty servers need the masked means inside and
+    outside their bursts, taken as ``.mean()`` of the compacted row.
     """
-    if sync_run.buckets == 0:
+    if isinstance(run, SyncRun):
+        run = run.stacked()
+    if run.buckets == 0:
         raise AnalysisError("cannot summarize an empty run")
-    runs = sync_run.runs
-    in_bytes, in_retx_bytes, conns, utilization, mask = _run_matrices(sync_run, threshold)
+    servers = run.servers
+    in_bytes, conns = run.in_bytes, run.conn_estimate
+    utilization, mask = _run_matrices(run, threshold)
     contention = mask.sum(axis=0)
     bursts = _find_bursts(
-        in_bytes, in_retx_bytes, conns, mask, loss_lag_buckets, contention=contention
+        in_bytes, run.in_retx_bytes, conns, mask, loss_lag_buckets, contention=contention
     )
 
     # Bursts per server: the rising edges of each row's mask.
     burst_counts = mask[:, 0] + np.count_nonzero(mask[:, 1:] & ~mask[:, :-1], axis=1)
     bursty = mask.any(axis=1)
     avg_utilization = utilization.mean(axis=1)
-    utilization_inside = np.full(len(runs), np.nan)
+    utilization_inside = np.full(servers, np.nan)
     utilization_outside = avg_utilization.copy()
-    conns_inside = np.full(len(runs), np.nan)
+    conns_inside = np.full(servers, np.nan)
     conns_outside = conns.mean(axis=1)
-    in_burst_bytes = np.zeros(len(runs))
+    in_burst_bytes = np.zeros(servers)
     for index in np.flatnonzero(bursty).tolist():
         inside = mask[index]
         outside = ~inside
@@ -113,13 +121,13 @@ def summarize_run(
     server_stats = list(
         map(
             ServerRunStats,
-            range(len(runs)),
-            [run.meta.task for run in runs],
+            range(servers),
+            run.tasks,
             bursty.tolist(),
             avg_utilization.tolist(),
             utilization_inside.tolist(),
             utilization_outside.tolist(),
-            (burst_counts / sync_run.duration).tolist(),
+            (burst_counts / run.duration).tolist(),
             conns_inside.tolist(),
             conns_outside.tolist(),
             in_bytes.sum(axis=1).tolist(),
@@ -128,16 +136,16 @@ def summarize_run(
     )
 
     return RunSummary(
-        rack=sync_run.rack,
-        region=sync_run.region,
-        hour=sync_run.hour,
-        servers=sync_run.servers,
-        buckets=sync_run.buckets,
-        sampling_interval=sync_run.sampling_interval,
+        rack=run.rack,
+        region=run.region,
+        hour=run.hour,
+        servers=servers,
+        buckets=run.buckets,
+        sampling_interval=run.sampling_interval,
         contention=contention_stats(contention),
         bursts=bursts,
         server_stats=server_stats,
-        switch_discard_bytes=sync_run.switch_discard_bytes,
-        switch_ingress_bytes=sync_run.switch_ingress_bytes,
-        extras=dict(sync_run.extras),
+        switch_discard_bytes=run.switch_discard_bytes,
+        switch_ingress_bytes=run.switch_ingress_bytes,
+        extras=dict(run.extras),
     )

@@ -11,7 +11,7 @@ a rack.
 
 from .counters import CounterKind, CounterSet, PerCpuCounters
 from .millisampler import CostModel, Millisampler, PacketObservation
-from .run import MillisamplerRun, RunMetadata, SyncRun
+from .run import MillisamplerRun, RunMetadata, StackedRun, SyncRun
 from .scheduler import (
     CadenceSpec,
     MultiRateScheduler,
@@ -33,6 +33,7 @@ __all__ = [
     "PacketObservation",
     "MillisamplerRun",
     "RunMetadata",
+    "StackedRun",
     "SyncRun",
     "CadenceSpec",
     "MultiRateScheduler",

@@ -4,7 +4,9 @@ A :class:`MillisamplerRun` is the read-out of one sampler run on one
 server: aggregated (cross-CPU) per-bucket series for every counter kind
 plus metadata.  A :class:`SyncRun` is a rack-wide collection of runs
 that SyncMillisampler has aligned onto a common time base; it is the
-unit every analysis in Sections 5-8 consumes.
+unit every analysis in Sections 5-8 consumes.  A :class:`StackedRun`
+is the part of a rack run that summarizing reads, with each series
+stacked into one ``(servers, buckets)`` matrix.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -199,6 +202,26 @@ class SyncRun:
     def buckets(self) -> int:
         return self.runs[0].buckets
 
+    def stacked(self) -> "StackedRun":
+        """This run as a :class:`StackedRun`: each server's ingress,
+        retransmitted-ingress and connection-estimate series become one
+        row of a stacked matrix."""
+        runs = self.runs
+        return StackedRun(
+            rack=self.rack,
+            region=self.region,
+            hour=self.hour,
+            sampling_interval=self.sampling_interval,
+            tasks=[run.meta.task for run in runs],
+            capacity=np.array([run.meta.line_rate * run.meta.sampling_interval for run in runs]),
+            in_bytes=np.vstack([run.in_bytes for run in runs]),
+            in_retx_bytes=np.vstack([run.in_retx_bytes for run in runs]),
+            conn_estimate=np.vstack([run.conn_estimate for run in runs]),
+            switch_discard_bytes=self.switch_discard_bytes,
+            switch_ingress_bytes=self.switch_ingress_bytes,
+            extras=self.extras,
+        )
+
     @property
     def sampling_interval(self) -> float:
         return self.runs[0].meta.sampling_interval
@@ -221,3 +244,45 @@ class SyncRun:
         """Per-bucket contention: number of simultaneously bursty servers
         (the paper's definition, Section 5)."""
         return self.bursty_matrix(threshold).sum(axis=0)
+
+
+@dataclass
+class StackedRun:
+    """A rack run as summarizing reads it: its identity, the switch
+    counters, and three ``(servers, buckets)`` matrices whose row ``i``
+    is server ``i``'s ingress bytes, retransmitted ingress bytes and
+    connection estimates.
+
+    :meth:`SyncRun.stacked` builds one from any aligned run.  The fleet
+    synthesizer builds one straight from a fluid batch, so a shard-store
+    build never assembles a :class:`SyncRun`.
+    """
+
+    rack: str
+    region: str
+    hour: int
+    sampling_interval: float
+    #: Each server's task, in server order.
+    tasks: Sequence[str]
+    #: ``(servers,)``: the bytes each server's link carries in one
+    #: bucket at line rate.
+    capacity: np.ndarray
+    in_bytes: np.ndarray
+    in_retx_bytes: np.ndarray
+    conn_estimate: np.ndarray
+    switch_discard_bytes: float = 0.0
+    switch_ingress_bytes: float = 0.0
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def servers(self) -> int:
+        return self.in_bytes.shape[0]
+
+    @property
+    def buckets(self) -> int:
+        return self.in_bytes.shape[1]
+
+    @property
+    def duration(self) -> float:
+        """Observed duration in seconds."""
+        return self.buckets * self.sampling_interval

@@ -24,7 +24,7 @@ import argparse
 import sys
 
 from ..config import KERNEL_CHOICES, FleetConfig
-from ..errors import ConfigError
+from ..errors import ConfigError, StorageError
 from ..fleet.shards import (
     DEFAULT_SHARD_HOURS,
     DEFAULT_SHARD_RACKS,
@@ -282,7 +282,13 @@ def _analyze(args) -> int:
     from ..io.msdata import load_rack_directory
     from ..viz.table import render_table
 
-    sync_runs = load_rack_directory(args.directory)
+    try:
+        sync_runs = load_rack_directory(args.directory)
+    except StorageError as exc:
+        # A missing, empty or unreadable dataset is a usage error, like
+        # a bad configuration: one line, exit 2.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     summaries = [summarize_run(run) for run in sync_runs]
     bursts = [b for s in summaries for b in s.bursts]
     if not bursts:

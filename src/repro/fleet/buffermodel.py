@@ -439,6 +439,26 @@ class FluidBufferModel:
         not (numpy returns the second operand on ties, ``-0.0`` vs
         ``0.0`` included).  A bool array in float arithmetic is exactly
         0.0/1.0, so it stands in for ``np.where(mask, 1.0, 0.0)``.
+
+        A step skips three updates where they would change nothing (most
+        store-build steps retransmit and drop nothing):
+
+        * the admission split between fresh and retransmitted bytes, when
+          no retransmission is due anywhere in the batch: the
+          retransmitted share is then a zero, and ``q_fresh += accepted``;
+        * the delivery split, when no retransmitted bytes are queued:
+          ``delivered_retx`` is ``out * 0.0`` and ``q_fresh`` drains
+          alone;
+        * the loss halving, when no cell dropped: ``grow`` is then
+          ``active & ~marked``.
+
+        Each skip is exact, not approximate: a queue plane starts at
+        +0.0 and only ever adds and subtracts, so it never holds -0.0,
+        and ``q + 0.0`` is ``q`` bit for bit.  A queue can still round
+        a hair below zero (``q_fresh -= out - out_retx``), and then
+        delivers a negative ``out`` whose ``out * 0.0`` is -0.0: the
+        delivery skip writes that product rather than trusting the
+        zeroed buffer.
         """
         buckets, runs, servers = demand.shape
         cfg = self.buffer_config
@@ -607,28 +627,44 @@ class FluidBufferModel:
 
             drop = dropped[t]
             np.subtract(offered, accepted, out=drop)
-            # Acceptance and drops split pro-rata between fresh and retx:
-            # accepted_retx = accepted * where(offered > 0, retx_in / offered, 0)
-            guarded_divide(retx_in, offered, share)
-            share *= accepted
 
             # --- queue update and delivery -------------------------------
+            # Acceptance and drops split pro-rata between fresh and retx:
+            # accepted_retx = accepted * where(offered > 0, retx_in / offered, 0)
             # q_fresh += accepted - accepted_retx; q_retx += accepted_retx
-            np.subtract(accepted, share, out=tmp)
-            q_fresh += tmp
-            q_retx += share
-            np.add(q_fresh, q_retx, out=q_total)
+            if np.count_nonzero(retx_in):
+                guarded_divide(retx_in, offered, share)
+                share *= accepted
+                np.subtract(accepted, share, out=tmp)
+                q_fresh += tmp
+                q_retx += share
+            else:
+                # Nothing due: accepted_retx is a zero, and adding a zero
+                # to a queue changes nothing (a queue is never -0.0).
+                q_fresh += accepted
             out = delivered[t]
-            np.minimum(q_total, drain, out=out)
-            # out_retx = out * where(q_total > 0, q_retx / q_total, 0)
-            out_retx = delivered_retx[t]
-            guarded_divide(q_retx, q_total, share)
-            np.multiply(out, share, out=out_retx)
-            # q_fresh -= out - out_retx; q_retx -= out_retx
-            np.subtract(out, out_retx, out=tmp)
-            q_fresh -= tmp
-            q_retx -= out_retx
-            np.add(q_fresh, q_retx, out=q_end)
+            if np.count_nonzero(q_retx):
+                np.add(q_fresh, q_retx, out=q_total)
+                np.minimum(q_total, drain, out=out)
+                # out_retx = out * where(q_total > 0, q_retx / q_total, 0)
+                out_retx = delivered_retx[t]
+                guarded_divide(q_retx, q_total, share)
+                np.multiply(out, share, out=out_retx)
+                # q_fresh -= out - out_retx; q_retx -= out_retx
+                np.subtract(out, out_retx, out=tmp)
+                q_fresh -= tmp
+                q_retx -= out_retx
+                np.add(q_fresh, q_retx, out=q_end)
+            else:
+                # Nothing queued for retransmission: q_total is q_fresh,
+                # the retransmitted share is +0.0 and q_retx stays zero.
+                # out_retx = out * 0.0 is -0.0 where rounding left the
+                # queue a hair below zero (out < 0), so it is written,
+                # not left to the zeroed buffer.
+                np.minimum(q_fresh, drain, out=out)
+                np.multiply(out, 0.0, out=delivered_retx[t])
+                q_fresh -= out
+                np.copyto(q_end, q_fresh)
 
             # --- ECN marking ----------------------------------------------
             # Fluid occupancy: arrivals spread over the bucket drain
@@ -651,6 +687,7 @@ class FluidBufferModel:
             if responsive:
                 active = wants_to_send
                 np.greater(drop, 0.0, out=lost)
+                any_lost = np.count_nonzero(lost)
                 # alpha only updates on active senders (per window of data):
                 # alpha = where(active, alpha + gain * (marked - alpha), alpha)
                 np.subtract(marked, dctcp_alpha, out=tmp)
@@ -667,11 +704,14 @@ class FluidBufferModel:
                     tmp *= m
                     np.putmask(m, flag, tmp)
                 # m = where(lost, m * 0.5, m)
-                np.multiply(m, 0.5, out=tmp)
-                np.putmask(m, lost, tmp)
                 # m = where(active & ~(marked | lost), m + additive_increase, m)
-                np.logical_or(marked, lost, out=grow)
-                np.greater(active, grow, out=grow)
+                if any_lost:
+                    np.multiply(m, 0.5, out=tmp)
+                    np.putmask(m, lost, tmp)
+                    np.logical_or(marked, lost, out=grow)
+                    np.greater(active, grow, out=grow)
+                else:
+                    np.greater(active, marked, out=grow)
                 np.add(m, additive_increase, out=tmp)
                 np.putmask(m, grow, tmp)
             # np.clip(m, 0.05, 1.0)

@@ -37,6 +37,7 @@ import numpy as np
 
 from ..analysis.summary import RunSummary, summarize_run
 from ..config import FleetConfig
+from ..core.run import StackedRun
 from ..obs.metrics import Metrics
 from ..workload.region import RackWorkload, RegionSpec, build_region_workloads
 from .rackrun import BatchItem, RackRunSynthesizer
@@ -217,14 +218,19 @@ def summarize_batches(
 ) -> Iterator[tuple[RunSummary, RackWorkload]]:
     """The one batching loop: synthesize ``items`` in consecutive fluid
     batches of ``config.fluid_batch`` and reduce every run to its summary
-    as soon as it is assembled, so peak memory is one batch's fluid
-    outputs plus one raw run.  ``items`` is consumed lazily."""
+    as soon as it is built, so peak memory is one batch's fluid outputs
+    plus one run's stacked series.  Each run reaches :func:`summarize_run`
+    as the :class:`~repro.core.run.StackedRun` that
+    :meth:`RackRunSynthesizer.synthesize_batch` builds straight from its
+    fluid batch: no :class:`~repro.core.run.SyncRun` is assembled and no
+    egress echo is drawn.  ``items`` is consumed lazily, one batch at a
+    time, and the summaries come out in item order."""
     synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy, kernel=config.kernel)
     metrics = metrics if metrics is not None else Metrics()
 
-    def summarize(sync_run) -> RunSummary:
+    def summarize(run: StackedRun) -> RunSummary:
         with metrics.span("synthesis/summarize"):
-            return summarize_run(sync_run)
+            return summarize_run(run)
 
     items = iter(items)
     while chunk := list(islice(items, config.fluid_batch)):

@@ -2,7 +2,10 @@
 
 Output is byte-for-byte the same :class:`~repro.core.run.SyncRun`
 structure the packet-level pipeline produces, so the entire analysis
-stack is agnostic to which substrate generated the data.
+stack is agnostic to which substrate generated the data.  A caller that
+only summarizes (the shard store) gets each run as the
+:class:`~repro.core.run.StackedRun` summarizing reads instead, built
+straight from the fluid batch.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ import numpy as np
 
 from .. import units
 from ..config import DEFAULT_POLICY_SPEC, PolicySpec
-from ..core.run import MillisamplerRun, RunMetadata, SyncRun
+from ..core.run import MillisamplerRun, RunMetadata, StackedRun, SyncRun
 from ..core.sketch import SATURATION_ESTIMATE, SKETCH_BITS
 from ..errors import SimulationError
 from ..obs.metrics import Metrics
 from ..workload.region import RackWorkload
-from .buffermodel import FluidBufferBatchResult, FluidBufferModel
+from .buffermodel import CORE_OUTPUTS, FluidBufferBatchResult, FluidBufferModel
 from .demand import DemandModel, ServerDemand
 from .kernels import POLICY_FALLBACK_COUNTER, consume_pending, warm_kernels
 from .policies import SharingPolicy, build_policy
@@ -29,8 +32,10 @@ BatchItem = tuple[RackWorkload, int, "np.random.Generator | np.random.SeedSequen
 
 T = TypeVar("T")
 
-#: The fluid outputs assembly reads: the ECN mask stands in for the
-#: float ``ecn_marked`` and only the per-run sum of ``dropped`` is kept.
+#: The fluid outputs a raw :class:`SyncRun` is assembled from: the ECN
+#: mask stands in for the float ``ecn_marked`` and only the per-run sum
+#: of ``dropped`` is kept.  A :class:`StackedRun` needs only the core
+#: outputs.
 SYNTHESIS_OUTPUTS = ("delivered", "delivered_retx", "ecn_mask", "dropped")
 
 
@@ -89,6 +94,15 @@ def sketch_estimates(true_counts: np.ndarray, rng: np.random.Generator) -> np.nd
         zeros[tails] = rng.binomial(SKETCH_BITS, p_zero[tails])
         zeros[:] = _ESTIMATES[zeros.astype(np.intp)]
     return estimates
+
+
+def _rows(series: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous ``(servers, buckets)`` copy of a
+    ``(buckets, servers)`` series: one transpose copy, its rows the
+    servers' series."""
+    rows = np.ascontiguousarray(series.T)
+    rows.flags.writeable = False
+    return rows
 
 
 def run_extras(workload: RackWorkload) -> dict:
@@ -206,67 +220,38 @@ class RackRunSynthesizer:
             self.policy, queues_per_quadrant=-(-servers // num_quadrants)
         )
 
-    def _assemble(
+    def _stack(
         self,
         prepared: _PreparedRun,
         batch: FluidBufferBatchResult,
         row: int,
-        start_time: float,
         metrics: Metrics,
-    ) -> SyncRun:
-        """Turn run ``row`` of a fluid batch into a :class:`SyncRun`.
+    ) -> StackedRun:
+        """Run ``row`` of a fluid batch as a :class:`StackedRun`.
 
-        Consumes this run's remaining RNG draws (sketch noise, egress
-        echo) right after its run-length and demand draws, so a run is
-        byte-identical per seed leaf whatever batch it is part of.  Both
-        are drawn on ``(buckets, servers)`` arrays.  Each series is the
-        transpose of a ``(buckets, servers)`` array, so the servers'
-        :class:`MillisamplerRun` arrays are its rows; the delivered and
-        retransmitted series are read-only views of the batch outputs,
-        not copies.
+        Draws this run's sketch noise right after its run-length and
+        demand draws, so a run is byte-identical per seed leaf whatever
+        batch it is part of.  The noise is drawn on the ``(buckets,
+        servers)`` connection matrix; each series is then one transpose
+        copy of its ``(buckets, servers)`` source.
         """
-        workload, rng = prepared.workload, prepared.rng
-        servers = workload.placement.servers
-        line_rate = workload.rack_config.server_link_rate
+        workload = prepared.workload
         buckets = int(batch.lengths[row])
-        delivered = batch.delivered[row, :buckets]
         with metrics.span("sketch"):
-            conn = sketch_estimates(prepared.connections, rng)
-        out_bytes = self.egress_echo * delivered * rng.lognormal(
-            mean=-0.05, sigma=0.3, size=delivered.shape
-        )
-        series = {
-            "in_bytes": delivered.T,
-            "out_bytes": out_bytes.T,
-            "in_retx_bytes": batch.delivered_retx[row, :buckets].T,
-            "out_retx_bytes": np.zeros((servers, buckets)),
-            # delivered * mask is delivered * 0.0/1.0: the fluid loop's
-            # ecn_marked, bit for bit.
-            "in_ecn_bytes": (delivered * batch.ecn_mask[row, :buckets]).T,
-            "conn_estimate": conn.T,
-        }
-
-        runs = [
-            MillisamplerRun(
-                RunMetadata(
-                    host=f"{workload.rack}-s{index}",
-                    rack=workload.rack,
-                    region=workload.region,
-                    task=workload.placement.tasks[index],
-                    start_time=start_time,
-                    sampling_interval=self.sampling_interval,
-                    line_rate=line_rate,
-                ),
-                **{name: rows[index] for name, rows in series.items()},
-            )
-            for index in range(servers)
-        ]
-
-        return SyncRun(
+            conn = sketch_estimates(prepared.connections, prepared.rng)
+        return StackedRun(
             rack=workload.rack,
             region=workload.region,
-            runs=runs,
             hour=prepared.hour,
+            sampling_interval=self.sampling_interval,
+            tasks=workload.placement.tasks,
+            capacity=np.full(
+                workload.placement.servers,
+                workload.rack_config.server_link_rate * self.sampling_interval,
+            ),
+            in_bytes=_rows(batch.delivered[row, :buckets]),
+            in_retx_bytes=_rows(batch.delivered_retx[row, :buckets]),
+            conn_estimate=_rows(conn),
             # A contiguous copy: .sum() over the strided view would add
             # in another order and change the last bits.
             switch_discard_bytes=float(
@@ -276,12 +261,66 @@ class RackRunSynthesizer:
             extras=run_extras(workload),
         )
 
+    def _assemble(
+        self,
+        stacked: StackedRun,
+        prepared: _PreparedRun,
+        ecn_mask: np.ndarray,
+        start_time: float,
+    ) -> SyncRun:
+        """The raw :class:`SyncRun` of a stacked run: its three series,
+        plus the egress echo (the run's last draw, on a ``(buckets,
+        servers)`` array), zero egress retransmissions and the ECN
+        series (``ecn_mask`` is the run's ``(buckets, servers)`` mask).
+        Each server's :class:`MillisamplerRun` arrays are rows of
+        ``(servers, buckets)`` arrays."""
+        workload = prepared.workload
+        delivered = stacked.in_bytes.T
+        out_bytes = self.egress_echo * delivered * prepared.rng.lognormal(
+            mean=-0.05, sigma=0.3, size=delivered.shape
+        )
+        series = {
+            "in_bytes": stacked.in_bytes,
+            "out_bytes": out_bytes.T,
+            "in_retx_bytes": stacked.in_retx_bytes,
+            "out_retx_bytes": np.zeros((stacked.servers, stacked.buckets)),
+            # delivered * mask is delivered * 0.0/1.0: the fluid loop's
+            # ecn_marked, bit for bit.
+            "in_ecn_bytes": (delivered * ecn_mask).T,
+            "conn_estimate": stacked.conn_estimate,
+        }
+        line_rate = workload.rack_config.server_link_rate
+        runs = [
+            MillisamplerRun(
+                RunMetadata(
+                    host=f"{workload.rack}-s{index}",
+                    rack=workload.rack,
+                    region=workload.region,
+                    task=task,
+                    start_time=start_time,
+                    sampling_interval=self.sampling_interval,
+                    line_rate=line_rate,
+                ),
+                **{name: rows[index] for name, rows in series.items()},
+            )
+            for index, task in enumerate(stacked.tasks)
+        ]
+        return SyncRun(
+            rack=stacked.rack,
+            region=stacked.region,
+            runs=runs,
+            hour=stacked.hour,
+            switch_discard_bytes=stacked.switch_discard_bytes,
+            switch_ingress_bytes=stacked.switch_ingress_bytes,
+            extras=stacked.extras,
+        )
+
     def synthesize_batch(
         self,
         items: Sequence[BatchItem],
         start_time: float = 0.0,
         metrics: Metrics | None = None,
-        reduce: Callable[[SyncRun], T] | None = None,
+        reduce: Callable[[StackedRun], T] | None = None,
     ) -> list[SyncRun] | list[T]:
         """Synthesize many rack runs through one batched fluid pass.
 
@@ -295,9 +334,15 @@ class RackRunSynthesizer:
         config).  Items never interact, so each returned run is
         byte-identical to synthesizing its item alone.
 
-        ``reduce``, when given, is called on each run as soon as it is
-        assembled, and the list holds its results instead of the runs:
-        only one assembled run is then alive at a time.
+        ``reduce``, when given, is called on each run's
+        :class:`StackedRun` (what :func:`~repro.analysis.summary.summarize_run`
+        reads) as soon as it is built, and the list holds its results:
+        only one run is then alive at a time, and no :class:`SyncRun` is
+        assembled.  The fluid loop then writes only its core outputs and
+        no egress echo is drawn; the echo is each run's last draw on its
+        own generator, so skipping it moves nothing else.  Without
+        ``reduce`` the list holds :class:`SyncRun` objects: the stacked
+        run plus the echo, zero egress-retransmission and ECN series.
 
         ``metrics`` records where synthesis time goes, as
         ``synthesis/demand``, ``synthesis/fluid`` and
@@ -340,6 +385,7 @@ class RackRunSynthesizer:
             )
             groups.setdefault(key, []).append(index)
 
+        outputs = SYNTHESIS_OUTPUTS if reduce is None else CORE_OUTPUTS
         # Each item's fluid outputs: its batch and its row in it.
         fluid_rows: list[tuple[FluidBufferBatchResult, int] | None] = [None] * len(prepared)
         with metrics.span("synthesis/fluid"):
@@ -377,25 +423,27 @@ class RackRunSynthesizer:
                     initial_m,
                     initial_alpha,
                     lengths=lengths,
-                    outputs=SYNTHESIS_OUTPUTS,
+                    outputs=outputs,
                 )
                 del batch_demand
-                for name in SYNTHESIS_OUTPUTS:
-                    # Runs hold views of these: an in-place write fails.
-                    getattr(batch, name).flags.writeable = False
                 for row, i in enumerate(member_indices):
                     fluid_rows[i] = (batch, row)
 
-        # Phase 3 — per-run RNG work again: sketch noise, egress echo,
-        # SyncRun assembly (each item's RNG resumes right after its
-        # demand draws, because the fluid step drew nothing).
+        # Phase 3 — per-run RNG work again: sketch noise, then (for a
+        # raw run) the egress echo and SyncRun assembly.  Each item's
+        # RNG resumes right after its demand draws, because the fluid
+        # step drew nothing.
         out: list = []
         for entry, (batch, row) in zip(prepared, fluid_rows):
             with metrics.span("synthesis/assemble"):
-                sync_run = self._assemble(entry, batch, row, start_time, metrics)
-            out.append(sync_run if reduce is None else reduce(sync_run))
-            # Freed before the next run is assembled.
-            del sync_run
+                run = self._stack(entry, batch, row, metrics)
+                if reduce is None:
+                    run = self._assemble(
+                        run, entry, batch.ecn_mask[row, : run.buckets], start_time
+                    )
+            out.append(run if reduce is None else reduce(run))
+            # Freed before the next run is built.
+            del run
         metrics.incr("synthesis.batched_runs", len(out))
         # Kernel counters staged outside a metrics scope (import-time
         # numba probe, pool-initializer compile time) surface in the

@@ -32,10 +32,11 @@ geometry)::
   store that *looks* complete.  Stale temp files are swept on build,
   and files the new manifest does not list are deleted after it.
 
-A store is built serially (one shard at a time, in this process) or
-by fanning rack days out over a process pool, with this process writing
-each rack stripe's shards as soon as the stripe is complete.  Because
-every (rack, run) pair owns an independent seed-stream leaf, shard
+A store is built serially (one shard at a time, in this process, from
+one synthesis stream whose fluid batches fill across shard boundaries)
+or by fanning rack days out over a process pool, with this process
+writing each rack stripe's shards as soon as the stripe is complete.
+Because every (rack, run) pair owns an independent seed-stream leaf, shard
 contents are **bit-identical** for any job count and equal the
 corresponding slice of the in-memory
 :func:`~repro.fleet.dataset.generate_region_dataset` — the exactness
@@ -56,8 +57,9 @@ import threading
 import weakref
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -460,28 +462,33 @@ def _sha256_file(path: str) -> str:
 # -- shard generation --------------------------------------------------------
 
 
+def _shard_items(tasks: Iterable[ShardTask], config: FleetConfig) -> Iterator[BatchItem]:
+    """Every run of ``tasks`` as a batch item on its own seed-stream
+    leaf, shard by shard and, within a shard, rack-major and
+    hour-ascending."""
+    for task in tasks:
+        for plan, run_indices in zip(task.plans, task.run_indices):
+            for run_index in run_indices:
+                yield (
+                    plan.workload,
+                    plan.hours[run_index],
+                    run_rng(task.key.region, config.seed, plan.rack_index, run_index),
+                )
+
+
 def synthesize_shard(
-    task: ShardTask,
-    config: FleetConfig,
-    synthesizer: RackRunSynthesizer | None = None,
-    metrics: Metrics | None = None,
+    task: ShardTask, runs: Iterator[tuple[RunSummary, RackWorkload]]
 ) -> list[RunSummary]:
-    """Synthesize one shard's runs (rack-major, hour-ascending order),
-    reducing each fluid batch immediately — a serial build's unit of
-    work."""
-    items: list[BatchItem] = [
-        (
-            plan.workload,
-            plan.hours[run_index],
-            run_rng(task.key.region, config.seed, plan.rack_index, run_index),
-        )
-        for plan, run_indices in zip(task.plans, task.run_indices)
-        for run_index in run_indices
-    ]
-    return [
-        summary
-        for summary, _workload in summarize_batches(items, config, synthesizer, metrics)
-    ]
+    """Take one shard's summaries from ``runs`` — a serial build's unit
+    of work.
+
+    ``runs`` is one :func:`~repro.fleet.dataset.summarize_batches`
+    stream over the items of this shard and the shards after it, in
+    shard order (:func:`_shard_items`), so fluid batches fill to
+    ``fluid_batch`` across shard boundaries.  The stream is lazy: the
+    batch that holds this shard's last run is synthesized here, and its
+    later runs wait in the stream for the next shard."""
+    return [summary for summary, _workload in islice(runs, task.total_runs)]
 
 
 def _write_shard(
@@ -652,8 +659,11 @@ class RegionShardStore:
         """Generate every shard and atomically publish the manifest.
         Returns the manifest.
 
-        With ``jobs == 1`` and no ``pool`` this process synthesizes the
-        shards one at a time.  Otherwise rack days fan out over a
+        With ``jobs == 1`` and no ``pool`` this process synthesizes and
+        writes the shards one at a time, every shard taking its runs
+        from one :func:`~repro.fleet.dataset.summarize_batches` stream
+        (:func:`synthesize_shard`), so fluid batches stay full across
+        shard boundaries.  Otherwise rack days fan out over a
         process pool (``pool`` injects an external executor — the
         service's persistent pool — instead of creating one per build)
         and this process writes each rack stripe's shards as soon as the
@@ -699,14 +709,17 @@ class RegionShardStore:
                     plans, tasks, collect, jobs, synthesizer, pool, cancel_event
                 )
             else:
-                synthesizer = synthesizer or RackRunSynthesizer(policy=self.config.policy, kernel=self.config.kernel)
+                # One stream over every shard's runs: fluid batches fill
+                # across shard boundaries, and shards are still written
+                # one at a time.
+                runs = summarize_batches(
+                    _shard_items(tasks, self.config), self.config, synthesizer, self.metrics
+                )
                 for index, task in enumerate(tasks):
                     if cancel_event is not None and cancel_event.is_set():
                         raise WorkerCancelled(index, len(tasks))
                     with self.metrics.span("shards/generate"):
-                        summaries = synthesize_shard(
-                            task, self.config, synthesizer, metrics=self.metrics
-                        )
+                        summaries = synthesize_shard(task, runs)
                         record = _write_shard(self.directory, task, summaries, self.metrics)
                     collect(record)
         self.metrics.incr("dataset.generated_runs", total)

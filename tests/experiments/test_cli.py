@@ -62,6 +62,27 @@ class TestExportAnalyzeRoundTrip:
         )
         assert "0.3" in median_row
 
+    @staticmethod
+    def assert_one_error_line(capsys, rc, expected):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert expected in err
+        assert "Traceback" not in err
+
+    def test_analyze_missing_directory_is_one_error_line(self, tmp_path, capsys):
+        rc = cli.main(["analyze", str(tmp_path / "absent")])
+        self.assert_one_error_line(capsys, rc, "no dataset files")
+
+    def test_analyze_empty_directory_is_one_error_line(self, tmp_path, capsys):
+        rc = cli.main(["analyze", str(tmp_path)])
+        self.assert_one_error_line(capsys, rc, "no dataset files")
+
+    def test_analyze_corrupt_file_is_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "rack__h03.ndjson").write_text('{"host": "h0", "in_bytes": [1\n')
+        rc = cli.main(["analyze", str(tmp_path)])
+        self.assert_one_error_line(capsys, rc, "invalid JSON")
+
 
 def inject_failure(monkeypatch, failing_id="perf"):
     from repro.experiments.registry import get_experiment as real

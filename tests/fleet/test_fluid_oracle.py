@@ -6,8 +6,9 @@ output compared as ``.view(np.uint64)``, because ``np.array_equal``
 treats -0.0 and 0.0 as equal.  The sweep covers every registered
 policy, open-loop sources, no retransmission, retransmission delays of
 1 and 3 buckets, ragged lengths, seeded initial state, every choice of
-optional outputs (and the boolean ECN mask), both demand layouts, and
-one real synthesis batch.
+optional outputs (and the boolean ECN mask), both demand layouts, one
+real synthesis batch, and targeted cases for the steps the loop skips
+(``TestQuietSteps``).
 
 Select the deterministic CI profile with HYPOTHESIS_PROFILE=ci.
 """
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import units
-from repro.config import FleetConfig
+from repro.config import FleetConfig, PolicySpec
 from repro.fleet.buffermodel import CORE_OUTPUTS, ECN_MASK, FLUID_OUTPUTS, FluidBufferModel
 from repro.fleet.dataset import _plan_items, plan_region
 from repro.fleet.policies import build_policy, registered_policy_specs
@@ -197,7 +198,7 @@ def test_real_synthesis_batch_matches_reference():
         lengths=lengths,
     )
     assert reference["dropped"].sum() > 0 and reference["ecn_marked"].sum() > 0
-    for outputs in (FLUID_OUTPUTS, SYNTHESIS_OUTPUTS):
+    for outputs in (FLUID_OUTPUTS, SYNTHESIS_OUTPUTS, CORE_OUTPUTS):
         result = model.run_batch(
             buffer.transpose(1, 0, 2),
             persistence,
@@ -207,3 +208,103 @@ def test_real_synthesis_batch_matches_reference():
             outputs=outputs,
         )
         assert_bitwise(result, reference, outputs, label=str(outputs))
+
+
+class TestQuietSteps:
+    """The loop skips the admission retransmission split when nothing is
+    due anywhere in the batch, the delivery split when no retransmitted
+    bytes are queued, and the loss halving when nothing dropped.  Each
+    case puts a skip at a boundary where a wrong gate would show, and
+    checks all six outputs against the reference bit for bit."""
+
+    @staticmethod
+    def compare(model, demand, persistence, lengths=None):
+        reference = run_batch_reference(model, demand, persistence, lengths=lengths)
+        result = model.run_batch(demand, persistence, lengths=lengths)
+        assert_bitwise(result, reference)
+        return reference
+
+    def test_retransmissions_in_some_runs_only(self):
+        """One run of three drops and retransmits; the other two never
+        do, so every retransmitting step also updates runs with nothing
+        due."""
+        rng = np.random.default_rng(5)
+        model = FluidBufferModel(servers=8, kernel="numpy")
+        demand = rng.exponential(0.1 * DRAIN, (3, 80, 8))
+        demand[0] = make_demand(rng, 1, 80, 8)[0]
+        reference = self.compare(model, demand, np.full(8, 0.01))
+        assert reference["dropped"][0].sum() > 0
+        assert reference["delivered_retx"][0].sum() > 0
+        assert reference["dropped"][1:].sum() == 0
+        assert reference["delivered_retx"][1:].sum() == 0
+
+    def test_drops_in_the_last_retx_delay_steps(self):
+        """Drops in the last ``retx_delay_steps`` buckets are never due
+        inside the run; an earlier spike's are."""
+        rng = np.random.default_rng(6)
+        model = FluidBufferModel(servers=6, retx_delay_steps=3, kernel="numpy")
+        demand = rng.exponential(0.1 * DRAIN, (2, 40, 6))
+        demand[:, 10] = 6.0 * DRAIN
+        demand[:, -3:] = 6.0 * DRAIN
+        reference = self.compare(model, demand, np.full(6, 0.01), lengths=np.array([40, 40]))
+        assert (reference["dropped"][:, -3:].sum(axis=(1, 2)) > 0).all()
+        assert reference["delivered_retx"][:, 13:16].sum() > 0
+
+    def test_retransmission_queue_drains_to_exactly_zero(self):
+        """Server 0 of run 0 loses ~4.3 drains of one spike, and its
+        retransmission reaches an empty queue six buckets later: every
+        queued byte is retransmitted, so the queue delivers it over four
+        buckets with nothing newly due and drains to exactly 0.0.  A
+        fresh queue on server 1 follows with no retransmitted bytes."""
+        model = FluidBufferModel(servers=4, retx_delay_steps=6, kernel="numpy")
+        demand = np.zeros((2, 40, 4))
+        demand[0, 0, 0] = 8.0 * DRAIN
+        demand[0, 20:30, 1] = 1.2 * DRAIN
+        demand[1] = np.random.default_rng(3).exponential(0.1 * DRAIN, (40, 4))
+        reference = self.compare(model, demand, np.full(4, 0.01))
+        retx = reference["delivered_retx"][0, :, 0]
+        queue = reference["queue_occupancy"][0, :, 0]
+        # Retransmitted bytes leave the queue on buckets with nothing due.
+        assert (retx[6:10] > 0).all() and retx[7:10].sum() > DRAIN
+        assert queue[8] > 0 and queue[9] == 0.0
+        assert (reference["queue_occupancy"][0, 20:30, 1] > 0).any()
+        assert reference["delivered_retx"][0, 13:, :].sum() == 0
+
+    def test_queue_rounded_below_zero_with_nothing_queued_for_retx(self):
+        """Run 0's queue on server 0 rounds to -5.8e-11 at bucket 15
+        with no retransmitted bytes queued anywhere, so bucket 16
+        delivers that negative amount and the reference's ``out_retx``
+        is ``out * 0.0 = -0.0``, not the +0.0 a zeroed buffer holds."""
+        rng = np.random.default_rng(17)
+        model = model_for(PolicySpec(name="flow-aware"), 2, retx_delay_steps=2)
+        demand = make_demand(rng, 3, 17, 2)
+        lengths = rng.integers(1, 18, 3)
+        for run, length in enumerate(lengths):
+            demand[run, length:] = 0.0
+        persistence = rng.uniform(0.001, 0.05, (3, 2))
+        initial_m = rng.uniform(0.05, 1.0, (3, 2))
+        initial_alpha = rng.uniform(0.0, 1.0, (3, 2))
+        reference = run_batch_reference(
+            model, demand, persistence, initial_m, initial_alpha, lengths=lengths
+        )
+        assert reference["queue_occupancy"][0, 15, 0] < 0
+        assert reference["delivered"][0, 16, 0] < 0
+        assert np.signbit(reference["delivered_retx"][0, 16, 0])
+        result = model.run_batch(
+            demand, persistence, initial_m, initial_alpha, lengths=lengths
+        )
+        assert_bitwise(result, reference)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"retransmit_losses": False}, {"responsive_sources": False}],
+        ids=["no-retx", "open-loop"],
+    )
+    def test_drops_with_a_mechanism_off(self, options):
+        rng = np.random.default_rng(8)
+        model = FluidBufferModel(servers=9, kernel="numpy", **options)
+        demand = make_demand(rng, 3, 70, 9)
+        reference = self.compare(model, demand, np.full(9, 0.01))
+        assert reference["dropped"].sum() > 0
+        if not options.get("retransmit_losses", True):
+            assert reference["delivered_retx"].sum() == 0

@@ -189,9 +189,9 @@ class TestBatchSynthesis:
             assert stage in timers and timers[stage]["count"] >= 1
 
     def test_reduce_keeps_one_run_alive(self, rng):
-        """``reduce`` sees every run as soon as it is assembled, in item
-        order, and the previous run is gone by then; the results equal
-        reducing the eager list."""
+        """``reduce`` sees every run's stacked series as soon as they are
+        built, in item order, and the previous run is gone by then; the
+        results equal reducing the eager list of raw runs."""
         workloads = build_region_workloads(REGION_A, racks=2, rng=rng)
         items = [
             (workload, hour, np.random.SeedSequence([index, hour]))
@@ -201,10 +201,10 @@ class TestBatchSynthesis:
         synthesizer = RackRunSynthesizer()
         alive = []
 
-        def reduce(sync_run):
-            alive.append(weakref.ref(sync_run))
+        def reduce(run):
+            alive.append(weakref.ref(run))
             assert all(ref() is None for ref in alive[:-1])
-            return sync_run.switch_discard_bytes, sync_run.runs[0].in_bytes.sum()
+            return run.switch_discard_bytes, run.in_bytes[0].sum()
 
         reduced = synthesizer.synthesize_batch(items, reduce=reduce)
         eager = synthesizer.synthesize_batch(items)
@@ -213,8 +213,9 @@ class TestBatchSynthesis:
         ]
 
     def test_batch_output_views_are_read_only(self, rng):
-        """Delivered and retransmitted series are views of the shared
-        fluid outputs; an in-place writer fails loudly."""
+        """Delivered and retransmitted series are rows of the run's
+        read-only stacked copies of the fluid outputs; an in-place
+        writer fails loudly."""
         workload = build_region_workloads(REGION_A, racks=1, rng=rng)[0]
         run = RackRunSynthesizer().synthesize(workload, 4, np.random.SeedSequence(1)).runs[0]
         for series in (run.in_bytes, run.in_retx_bytes):

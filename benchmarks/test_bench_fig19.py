@@ -9,4 +9,4 @@ from repro.experiments import fig19_incast_loss as experiment
 
 def test_bench_fig19(benchmark, bench_ctx):
     result = benchmark(experiment.run, bench_ctx)
-    assert result.metric("median_contended_to_nc_ratio") >= 0
+    assert result.metric("pooled_contended_to_nc_ratio") >= 0

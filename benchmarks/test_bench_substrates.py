@@ -5,9 +5,11 @@ buffer model step rate, and the packet-level simulator event rate.
 These bound how far the experiment scale can be pushed.
 """
 
+import os
 import time
 
 import numpy as np
+import pytest
 
 from repro import units
 from repro.config import FleetConfig
@@ -19,12 +21,13 @@ from repro.core.millisampler import (
 from repro.core.run import RunMetadata
 from repro.core.sketch import hash_flow_keys
 from repro.fleet.buffermodel import FluidBufferModel
-from repro.fleet.dataset import _plan_items, generate_region_dataset, plan_region
+from repro.fleet.dataset import plan_region
 from repro.fleet.demand import DemandModel
 from repro.fleet.rackrun import RackRunSynthesizer
 from repro.simnet.tcp import DctcpControl, open_connection
 from repro.simnet.topology import build_rack
 from repro.workload.region import REGION_A, REGION_B, build_region_workloads
+from tests.fleet.dataset_reference import generate_region_dataset, plan_items
 
 DRAIN = units.SERVER_LINK_RATE * units.ANALYSIS_INTERVAL
 
@@ -258,7 +261,7 @@ def _store_build_items(racks_per_region: int = 4) -> list:
         item
         for spec in (REGION_A, REGION_B)
         for plan in plan_region(spec, STORE_BUILD)[:racks_per_region]
-        for item in _plan_items(plan, STORE_BUILD)
+        for item in plan_items(plan, STORE_BUILD)
     ]
 
 
@@ -373,24 +376,24 @@ def test_bench_summarize_run(benchmark):
 
 
 def test_bench_store_path(benchmark):
-    """The store path — ``synthesize_batch(reduce=summarize_run)``,
-    which builds each run's stacked series straight from the fluid
-    batch and asks the loop for its core outputs only — vs synthesizing
-    raw SyncRuns (egress echo, ECN series, 92 server runs each) and
-    summarizing those, on the same store-build rack runs in one process.
-    The two sides alternate round by round, and the speedup is the
-    median of the five paired ratios, so drift on a shared machine
-    hits both sides alike.  The summaries are equal by repr; the floor
+    """The store path — ``synthesize_batch(reduce=run_rows)``, which
+    builds each run's stacked series straight from the fluid batch and
+    asks the loop for its core outputs only — vs synthesizing raw
+    SyncRuns (egress echo, ECN series, 92 server runs each) and reducing
+    their stacked series, on the same store-build rack runs in one
+    process.  The two sides alternate round by round, and the speedup is
+    the median of the five paired ratios, so drift on a shared machine
+    hits both sides alike.  The rows are equal byte for byte; the floor
     sits under the 1.2-1.3x measured on a 2-vCPU Xeon."""
-    from repro.analysis.summary import summarize_run
+    from repro.analysis.summary import run_rows
 
     synthesizer = RackRunSynthesizer()
 
     def raw_path(items):
-        return [summarize_run(sync_run) for sync_run in synthesizer.synthesize_batch(items)]
+        return [run_rows(sync_run.stacked()) for sync_run in synthesizer.synthesize_batch(items)]
 
     def store_path(items):
-        return synthesizer.synthesize_batch(items, reduce=summarize_run)
+        return synthesizer.synthesize_batch(items, reduce=run_rows)
 
     raw_times = []
 
@@ -399,11 +402,14 @@ def test_bench_store_path(benchmark):
         raw_times.append(_best_of(1, lambda: (_store_build_items(),), raw_path))
         return (_store_build_items(),), {}
 
-    summaries = benchmark.pedantic(store_path, setup=raw_round_then_items, rounds=5)
+    rows = benchmark.pedantic(store_path, setup=raw_round_then_items, rounds=5)
     speedup = float(np.median(np.array(raw_times) / np.array(benchmark.stats.stats.data)))
 
-    assert repr(summaries) == repr(raw_path(_store_build_items()))
-    benchmark.extra_info["rack_runs"] = len(summaries)
+    raw_rows = raw_path(_store_build_items())
+    assert [[part.tobytes() for part in run] for run in rows] == [
+        [part.tobytes() for part in run] for run in raw_rows
+    ]
+    benchmark.extra_info["rack_runs"] = len(rows)
     benchmark.extra_info["raw_s"] = float(np.median(raw_times))
     benchmark.extra_info["speedup"] = speedup
     assert speedup >= 1.15
@@ -449,27 +455,34 @@ def test_bench_packet_sim_tcp_transfer(benchmark):
 
 def test_bench_shard_generation(benchmark, tmp_path):
     """Generating and writing one shard of the out-of-core region store
-    (synthesis + columnar projection + atomic writes + hashing) — the
-    unit of work of a serial store build, which takes the shard's runs
-    from a synthesis stream over its items.  The per-shard run
-    throughput in extra_info is what the CI gate tracks."""
-    from repro.fleet.dataset import summarize_batches
-    from repro.fleet.shards import _shard_items, _write_shard, plan_region_shards, synthesize_shard
+    (synthesis + row reduction + atomic writes + hashing) — a serial
+    store build's work for one shard: its build tasks' table rows, cut
+    into the shard's tables and written.  The per-shard run throughput
+    in extra_info is what the CI gate tracks."""
+    from repro.fleet.shards import (
+        _write_shard,
+        plan_build_tasks,
+        plan_region_shards,
+        synthesize_shard,
+        task_tables,
+    )
     from repro.obs.metrics import Metrics
 
     config = FleetConfig(racks_per_region=4, runs_per_rack=3, seed=7)
-    _plans, tasks = plan_region_shards(REGION_A, config, shard_racks=4, shard_hours=24)
-    (task,) = tasks
+    _plans, shards = plan_region_shards(REGION_A, config, shard_racks=4, shard_hours=24)
+    (shard,) = shards
     synthesizer = RackRunSynthesizer()
 
     def run():
         metrics = Metrics()
-        runs = summarize_batches(_shard_items(tasks, config), config, synthesizer, metrics)
-        summaries = synthesize_shard(task, runs)
-        return _write_shard(str(tmp_path), task, summaries, metrics)
+        parts = [
+            (task.start, task_tables(task, config, synthesizer, metrics))
+            for task in plan_build_tasks(shards, config, jobs=1)
+        ]
+        return _write_shard(str(tmp_path), shard, synthesize_shard(shard, 0, parts), metrics)
 
     record = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert record["runs"] == task.total_runs == 12
+    assert record["runs"] == shard.total_runs == 12
     benchmark.extra_info["runs_per_shard"] = record["runs"]
     benchmark.extra_info["runs_per_s"] = record["runs"] / benchmark.stats.stats.mean
 
@@ -530,3 +543,53 @@ def test_bench_serve_latency(benchmark, bench_ctx):
         benchmark.extra_info["queries_per_s"] = 1.0 / benchmark.stats.stats.mean
     finally:
         service.shutdown()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a 2-worker pool needs 2 cores")
+def test_bench_pool_build(benchmark, tmp_path):
+    """A pool build of both regions at ``repro serve``'s benchmark
+    config (4 racks x 4 runs per region, 2 x 4 shards, 2 workers on one
+    persistent pool) the store's way — build tasks that are 8-run fluid
+    batches and return table rows — vs the rack-day fan-out kept in
+    ``tests/fleet/dataset_reference.py`` (4-run batches, summary objects
+    pickled back and encoded one tuple per row).  The two sides
+    alternate round by round and the speedup is the median of the five
+    paired ratios; every shard's sha256 is equal on both sides."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.fleet.kernels import pool_initializer
+    from repro.fleet.shards import RegionShardStore
+    from tests.fleet.dataset_reference import rack_day_build
+
+    config = FleetConfig(racks_per_region=4, runs_per_rack=4, seed=11)
+    rounds = iter(range(10))
+
+    def stores(kind: str) -> list[RegionShardStore]:
+        root = str(tmp_path / f"{kind}-{next(rounds)}")
+        return [
+            RegionShardStore(root=root, spec=spec, config=config, shard_racks=2, shard_hours=4)
+            for spec in (REGION_A, REGION_B)
+        ]
+
+    with ProcessPoolExecutor(max_workers=2, initializer=pool_initializer, initargs=("auto",)) as pool:
+        for _ in pool.map(abs, range(2)):
+            pass  # both workers forked before the first timed round
+        day_times, day_hashes = [], []
+
+        def rack_days_round():
+            start = time.perf_counter()
+            records = [rack_day_build(store, 2, pool=pool) for store in stores("rack-days")]
+            day_times.append(time.perf_counter() - start)
+            day_hashes.append([[record["sha256"] for record in shard] for shard in records])
+            return (stores("tasks"),), {}
+
+        def task_build(targets):
+            return [[r["sha256"] for r in store.build(jobs=2, pool=pool)["shards"]] for store in targets]
+
+        hashes = benchmark.pedantic(task_build, setup=rack_days_round, rounds=5)
+
+    speedup = float(np.median(np.array(day_times) / np.array(benchmark.stats.stats.data)))
+    assert all(round_hashes == hashes for round_hashes in day_hashes)
+    benchmark.extra_info["rack_days_s"] = float(np.median(day_times))
+    benchmark.extra_info["speedup"] = speedup
+    assert speedup >= 1.2

@@ -11,13 +11,14 @@ Run:  python examples/contention_study.py [racks-per-region]
 """
 
 import sys
+import tempfile
 
 import numpy as np
 
 from repro.analysis.contention import buffer_share_drop
 from repro.analysis.racks import classify_racks, rack_profiles, RackClass
 from repro.config import FleetConfig
-from repro.fleet.dataset import generate_region_dataset
+from repro.fleet.shards import generate_region_shards
 from repro.viz.ascii import ascii_cdf
 from repro.workload.region import REGION_A
 
@@ -27,7 +28,8 @@ def main() -> None:
     config = FleetConfig(racks_per_region=racks, runs_per_rack=8, seed=42)
     print(f"Generating RegA: {racks} racks x {config.runs_per_rack} runs "
           f"(92 servers each, ~1.85 s at 1 ms)...")
-    dataset = generate_region_dataset(REGION_A, config)
+    with tempfile.TemporaryDirectory() as store_dir:
+        dataset = generate_region_shards(REGION_A, config, store_dir).to_region_dataset()
     print(f"  {len(dataset.summaries)} rack runs, "
           f"{sum(len(s.bursts) for s in dataset.summaries):,} bursts\n")
 

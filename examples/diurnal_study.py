@@ -10,6 +10,7 @@ Run:  python examples/diurnal_study.py [racks]
 """
 
 import sys
+import tempfile
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from repro.analysis.diurnal import hourly_box_stats, peak_window_increase, hourl
 from repro.analysis.racks import RackClass, classify_racks, rack_profiles
 from repro.analysis.stats import pearson_correlation
 from repro.config import FleetConfig
-from repro.fleet.dataset import generate_region_dataset
+from repro.fleet.shards import generate_region_shards
 from repro.viz.ascii import ascii_boxplot
 from repro.workload.region import REGION_A
 
@@ -26,7 +27,8 @@ def main() -> None:
     racks = int(sys.argv[1]) if len(sys.argv) > 1 else 24
     config = FleetConfig(racks_per_region=racks, runs_per_rack=10, seed=11)
     print(f"Generating a RegA day: {racks} racks x 10 runs...")
-    dataset = generate_region_dataset(REGION_A, config)
+    with tempfile.TemporaryDirectory() as store_dir:
+        dataset = generate_region_shards(REGION_A, config, store_dir).to_region_dataset()
 
     profiles = rack_profiles(dataset.summaries)
     classes = classify_racks(profiles)

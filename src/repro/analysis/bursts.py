@@ -12,6 +12,7 @@ Section 4.6).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,40 @@ def _segment_sums(matrix: np.ndarray, rows: np.ndarray, starts: np.ndarray, leng
     return totals
 
 
-def _find_bursts(
+#: A burst row's columns: the fields of :class:`Burst`, in order.
+BURST_FIELDS: tuple[str, ...] = tuple(field.name for field in dataclasses.fields(Burst))
+
+#: Row columns that hold integers and booleans; the rest are floats.
+INT_FIELDS = frozenset(
+    {"rack_id", "hour", "servers", "buckets", "run_row", "server", "start",
+     "length", "max_contention", "first_loss_contention"}
+)
+BOOL_FIELDS = frozenset({"lossy", "bursty"})
+
+
+def typed_values(column: np.ndarray, name: str) -> list:
+    """A float64 row column as plain Python values: ``int``, ``bool`` or
+    ``float``, as the object form holds them (``repr`` of a numpy scalar
+    differs)."""
+    if name in INT_FIELDS:
+        return column.astype(np.int64).tolist()
+    if name in BOOL_FIELDS:
+        return (column != 0).tolist()
+    return column.tolist()
+
+
+def bursts_from_rows(columns) -> list[Burst]:
+    """:class:`Burst` objects from burst-row columns (a mapping from the
+    names in :data:`BURST_FIELDS` to float64 columns)."""
+    return list(map(Burst, *(typed_values(columns[name], name) for name in BURST_FIELDS)))
+
+
+def _find_bursts(*args, **kwargs) -> list[Burst]:
+    """:func:`_burst_rows` as :class:`Burst` objects."""
+    return bursts_from_rows(dict(zip(BURST_FIELDS, np.asfortranarray(_burst_rows(*args, **kwargs)).T)))
+
+
+def _burst_rows(
     in_bytes: np.ndarray,
     in_retx_bytes: np.ndarray,
     conn_estimate: np.ndarray,
@@ -90,8 +124,9 @@ def _find_bursts(
     loss_lag_buckets: int,
     contention: np.ndarray | None = None,
     first_server: int = 0,
-) -> list[Burst]:
-    """Every burst of a run, from its ``(servers, buckets)`` matrices.
+) -> np.ndarray:
+    """Every burst of a run, from its ``(servers, buckets)`` matrices,
+    as one float64 row per burst (columns :data:`BURST_FIELDS`).
 
     ``mask`` marks the bursty samples.  One segment pass finds the
     bursts of every server, in server order and, within a server, in
@@ -111,7 +146,7 @@ def _find_bursts(
     ends = edges[1::2]
     lengths = ends - starts
     if len(starts) == 0:
-        return []
+        return np.empty((0, len(BURST_FIELDS)))
 
     # The loss window runs `loss_lag_buckets` past the burst (a loss is
     # repaired about an RTT later, Section 4.6), clipped at the end of
@@ -153,22 +188,20 @@ def _find_bursts(
                 ends[lossy_index] - 1,
             )
             first_loss[lossy_index] = contention[loss_bucket]
-    # Positional construction from plain-Python columns: every field is
-    # an int, float or bool, never a numpy scalar.
-    return list(
-        map(
-            Burst,
-            (rows + first_server).tolist(),
-            starts.tolist(),
-            lengths.tolist(),
-            volume.tolist(),
-            avg_connections.tolist(),
-            retx.tolist(),
-            max_contention.tolist(),
-            lossy.tolist(),
-            first_loss.tolist(),
+    # In BURST_FIELDS order; every value is exact in float64.
+    return np.column_stack(
+        (
+            rows + first_server,
+            starts,
+            lengths,
+            volume,
+            avg_connections,
+            retx,
+            max_contention,
+            lossy,
+            first_loss,
         )
-    )
+    ).astype(np.float64, copy=False)
 
 
 def _run_matrices(run: StackedRun, threshold: float) -> tuple[np.ndarray, np.ndarray]:

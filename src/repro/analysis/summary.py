@@ -3,24 +3,27 @@ keeping raw sample series in memory.
 
 A full day of the paper's data is 8.16 billion samples; the analyses
 all operate on per-run aggregates (burst records, contention
-statistics, utilization summaries).  :func:`summarize_run` computes
-those once per rack run — a :class:`~repro.core.run.SyncRun`, or the
-:class:`~repro.core.run.StackedRun` the fleet synthesizer builds
-straight from its fluid batch — letting the dataset generator discard
-the raw series immediately, the same reduce-then-aggregate shape a
-production pipeline uses.
+statistics, utilization summaries).  :func:`run_rows` computes those
+once per rack run — the :class:`~repro.core.run.StackedRun` the fleet
+synthesizer builds straight from its fluid batch, or a stacked
+:class:`~repro.core.run.SyncRun` — as float64 rows of the shard
+store's three tables, letting the dataset generator discard the raw
+series immediately, the same reduce-then-aggregate shape a production
+pipeline uses.  :func:`summarize_run` is the same reduction as a
+:class:`RunSummary` object, for the callers that hold raw runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .. import units
 from ..core.run import StackedRun, SyncRun
 from ..errors import AnalysisError
-from .bursts import Burst, _find_bursts, _run_matrices
+from .bursts import BURST_FIELDS, Burst, _burst_rows, _run_matrices, bursts_from_rows, typed_values
 from .contention import ContentionStats, contention_stats
 
 
@@ -70,31 +73,84 @@ class RunSummary:
         return sum(1 for stat in self.server_stats if stat.bursty)
 
 
-def summarize_run(
-    run: SyncRun | StackedRun,
+#: A run row's columns (the shard store prepends the run's rack id).
+RUN_FIELDS: tuple[str, ...] = (
+    "hour",
+    "servers",
+    "buckets",
+    "sampling_interval",
+    "contention_mean",
+    "contention_min_active",
+    "contention_p90",
+    "contention_max",
+    "contention_frac_zero",
+    "n_bursts",
+    "bursty_server_runs",
+    "switch_discard_bytes",
+    "switch_ingress_bytes",
+    "total_in_bytes",
+    "colocated",
+    "distinct_tasks",
+    "dominant_share",
+)
+
+#: A server row's columns: the fields of :class:`ServerRunStats` in
+#: order except ``task``, which the run's placement supplies.
+SERVER_FIELDS: tuple[str, ...] = (
+    "server",
+    "bursty",
+    "avg_utilization",
+    "utilization_in_bursts",
+    "utilization_outside_bursts",
+    "bursts_per_second",
+    "conns_inside",
+    "conns_outside",
+    "total_in_bytes",
+    "in_burst_bytes",
+)
+
+
+class RunRows(NamedTuple):
+    """One rack run reduced to float64 rows: its run row
+    (:data:`RUN_FIELDS`), one row per burst
+    (:data:`~repro.analysis.bursts.BURST_FIELDS`) and one per server
+    (:data:`SERVER_FIELDS`)."""
+
+    run: np.ndarray
+    bursts: np.ndarray
+    servers: np.ndarray
+
+
+def server_stats_from_rows(columns, tasks: list[str]) -> list[ServerRunStats]:
+    """:class:`ServerRunStats` objects from server-row columns (a mapping
+    from the names in :data:`SERVER_FIELDS` to float64 columns) and each
+    row's task."""
+    values = [typed_values(columns[name], name) for name in SERVER_FIELDS]
+    return list(map(ServerRunStats, values[0], tasks, *values[1:]))
+
+
+def run_rows(
+    run: StackedRun,
     threshold: float = units.BURST_UTILIZATION_THRESHOLD,
     loss_lag_buckets: int = 2,
-) -> RunSummary:
-    """Reduce one rack run to its :class:`RunSummary`.
+) -> RunRows:
+    """Reduce one stacked rack run to its :class:`RunRows`: the one
+    reduction core.
 
-    Works on the run's stacked ``(servers, buckets)`` matrices: a
-    :class:`SyncRun` is stacked first (:meth:`SyncRun.stacked`), and a
-    :class:`StackedRun` is read as it is, so both give the same summary
-    for the same run.  Only its ingress, retransmitted-ingress and
-    connection-estimate series are read.  One segment pass finds every
-    burst of every server, and the per-server aggregates are row
-    reductions.  Only bursty servers need the masked means inside and
-    outside their bursts, taken as ``.mean()`` of the compacted row.
+    Works on the run's stacked ``(servers, buckets)`` matrices; only its
+    ingress, retransmitted-ingress and connection-estimate series are
+    read.  One segment pass finds every burst of every server, and the
+    per-server aggregates are row reductions.  Only bursty servers need
+    the masked means inside and outside their bursts, taken as
+    ``.mean()`` of the compacted row.
     """
-    if isinstance(run, SyncRun):
-        run = run.stacked()
     if run.buckets == 0:
         raise AnalysisError("cannot summarize an empty run")
     servers = run.servers
     in_bytes, conns = run.in_bytes, run.conn_estimate
     utilization, mask = _run_matrices(run, threshold)
     contention = mask.sum(axis=0)
-    bursts = _find_bursts(
+    bursts = _burst_rows(
         in_bytes, run.in_retx_bytes, conns, mask, loss_lag_buckets, contention=contention
     )
 
@@ -118,33 +174,79 @@ def summarize_run(
             conns_outside[index] = conns[index][outside].mean()
         else:
             utilization_outside[index] = conns_outside[index] = np.nan
-    server_stats = list(
-        map(
-            ServerRunStats,
-            range(servers),
-            run.tasks,
-            bursty.tolist(),
-            avg_utilization.tolist(),
-            utilization_inside.tolist(),
-            utilization_outside.tolist(),
-            (burst_counts / run.duration).tolist(),
-            conns_inside.tolist(),
-            conns_outside.tolist(),
-            in_bytes.sum(axis=1).tolist(),
-            in_burst_bytes.tolist(),
+    total_in_bytes = in_bytes.sum(axis=1)
+    server_rows = np.column_stack(
+        (
+            np.arange(servers),
+            bursty,
+            avg_utilization,
+            utilization_inside,
+            utilization_outside,
+            burst_counts / run.duration,
+            conns_inside,
+            conns_outside,
+            total_in_bytes,
+            in_burst_bytes,
         )
-    )
+    ).astype(np.float64, copy=False)
 
+    stats = contention_stats(contention)
+    extras = run.extras
+    run_row = np.array(
+        (
+            run.hour,
+            servers,
+            run.buckets,
+            run.sampling_interval,
+            stats.mean,
+            stats.min_active,
+            stats.p90,
+            stats.max,
+            stats.frac_zero,
+            len(bursts),
+            int(np.count_nonzero(bursty)),
+            run.switch_discard_bytes,
+            run.switch_ingress_bytes,
+            # Python's sum, as RunSummary.total_in_bytes adds.
+            sum(total_in_bytes.tolist()),
+            bool(extras.get("colocated", False)),
+            extras.get("distinct_tasks", 0),
+            extras.get("dominant_share", 0.0),
+        ),
+        dtype=np.float64,
+    )
+    return RunRows(run_row, bursts, server_rows)
+
+
+def summarize_run(
+    run: SyncRun | StackedRun,
+    threshold: float = units.BURST_UTILIZATION_THRESHOLD,
+    loss_lag_buckets: int = 2,
+) -> RunSummary:
+    """Reduce one rack run to its :class:`RunSummary`: :func:`run_rows`
+    as objects.
+
+    A :class:`SyncRun` is stacked first (:meth:`SyncRun.stacked`), and a
+    :class:`StackedRun` is read as it is, so both give the same summary
+    for the same run.
+    """
+    if isinstance(run, SyncRun):
+        run = run.stacked()
+    rows = run_rows(run, threshold, loss_lag_buckets)
+    contention = ContentionStats(*rows.run[4:9].tolist())
     return RunSummary(
         rack=run.rack,
         region=run.region,
         hour=run.hour,
-        servers=servers,
+        servers=run.servers,
         buckets=run.buckets,
         sampling_interval=run.sampling_interval,
-        contention=contention_stats(contention),
-        bursts=bursts,
-        server_stats=server_stats,
+        contention=contention,
+        # Column-major copies: each column converts from contiguous memory.
+        bursts=bursts_from_rows(dict(zip(BURST_FIELDS, np.asfortranarray(rows.bursts).T))),
+        server_stats=server_stats_from_rows(
+            dict(zip(SERVER_FIELDS, np.asfortranarray(rows.servers).T)), run.tasks
+        ),
         switch_discard_bytes=run.switch_discard_bytes,
         switch_ingress_bytes=run.switch_ingress_bytes,
         extras=dict(run.extras),

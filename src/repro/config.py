@@ -281,10 +281,10 @@ class FleetConfig:
     #: loop over more runs at the cost of holding that many runs' demand
     #: and fluid outputs in memory at once (~7 MB per run of traced
     #: allocations at 92 servers x ~1,850 buckets on the numpy kernel's
-    #: store path; the native kernel keeps all six outputs).  A serial
-    #: shard-store build streams every shard's runs through one batching
-    #: loop, so every batch but a region's last is full; a pool worker
-    #: batches within its rack day.  16 is the measured knee: roughly 2x
+    #: store path; the native kernel keeps all six outputs).  A
+    #: shard-store build cuts the region's run stream into tasks of this
+    #: many runs (fewer only when ``jobs`` workers would otherwise
+    #: idle), in process or on a pool.  16 is the measured knee: roughly 2x
     #: end-to-end region generation vs one-run batches, with diminishing
     #: returns (and growing footprint) beyond it.
     fluid_batch: int = 16

@@ -153,8 +153,14 @@ class ExperimentContext:
                 spec = self._spec(region)
                 progress = None
                 if self.verbose:
+                    printed = [0]  # tenths of the region already reported
+
                     def progress(done: int, total: int, _region: str = region) -> None:
-                        if done % 200 == 0 or done == total:
+                        # Progress fires once per shard: print when a
+                        # shard crosses a tenth of the region, and at the end.
+                        tenth = done * 10 // total
+                        if tenth > printed[0] or done == total:
+                            printed[0] = tenth
                             print(f"  [{_region}] {done}/{total} rack runs")
                 with self.metrics.span(f"dataset/{region}"):
                     self._datasets[region] = generate_region_shards(

@@ -19,12 +19,42 @@ from .fig18_length_loss import typical_loss_counts
 #: Average-connection-count bucket edges.
 CONN_EDGES = np.array([5, 10, 20, 30, 40, 50, 60, 80, 100])
 
+#: Bursts a group needs in a connection bucket for its loss rate there
+#: to be plotted or pooled.
+MIN_BURSTS = 20
+
 
 def loss_by_connections(ctx: ExperimentContext) -> dict[str, dict[int, tuple[int, int]]]:
     """group -> connection bucket -> (bursts, lossy), RegA-Typical only."""
     return typical_loss_counts(
         ctx, lambda bursts: np.digitize(bursts["avg_connections"], CONN_EDGES)
     )
+
+
+def pooled_contended_to_nc_ratio(data: dict[str, dict[int, tuple[int, int]]]) -> tuple[float, int]:
+    """The Mantel–Haenszel pooled risk ratio of loss, contended over
+    non-contended bursts, stratified by connection bucket, and the
+    number of buckets pooled.
+
+    A bucket is pooled when both groups have at least
+    :data:`MIN_BURSTS` bursts in it: with ``a`` of ``n1`` contended and
+    ``c`` of ``n0`` non-contended bursts lossy, the ratio is
+    ``sum(a * n0 / n) / sum(c * n1 / n)`` with ``n = n1 + n0``.  A bucket
+    where neither group lost adds nothing to either sum, and one where
+    only contended bursts lost still counts.  NaN when no pooled
+    non-contended burst lost.
+    """
+    numerator = denominator = 0.0
+    pooled = 0
+    for bucket in sorted(set(data["contended"]) & set(data["non-contended"])):
+        n1, a = data["contended"][bucket]
+        n0, c = data["non-contended"][bucket]
+        if n1 < MIN_BURSTS or n0 < MIN_BURSTS:
+            continue
+        pooled += 1
+        numerator += a * n0 / (n1 + n0)
+        denominator += c * n1 / (n1 + n0)
+    return (numerator / denominator if denominator else float("nan")), pooled
 
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
@@ -38,25 +68,29 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         pct = np.full(len(centers), np.nan)
         for bucket_index in range(len(centers)):
             total, lossy = buckets.get(bucket_index, (0, 0))
-            if total >= 20:
+            if total >= MIN_BURSTS:
                 pct[bucket_index] = lossy / total * 100
         series.append(Series(name, centers, pct))
         ys[name] = pct
 
-    both_valid = np.isfinite(ys["contended"]) & np.isfinite(ys["non-contended"])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = ys["contended"][both_valid] / np.maximum(
-            ys["non-contended"][both_valid], 1e-9
-        )
-    finite_ratios = ratios[np.isfinite(ratios) & (ratios < 100)]
+    ratio, pooled = pooled_contended_to_nc_ratio(data)
     metrics = {
-        "median_contended_to_nc_ratio": float(np.median(finite_ratios))
-        if finite_ratios.size
-        else 0.0,
+        "pooled_contended_to_nc_ratio": ratio,
         "max_contended_loss_pct": float(np.nanmax(ys["contended"]))
         if np.isfinite(ys["contended"]).any()
         else 0.0,
     }
+    if np.isnan(ratio):
+        ratio_note = (
+            f"pooled contended/non-contended loss ratio undefined: no non-contended "
+            f"burst lost in the {pooled} connection buckets with {MIN_BURSTS}+ bursts "
+            f"on both sides"
+        )
+    else:
+        ratio_note = (
+            f"pooled contended/non-contended loss ratio {ratio:.1f}x over {pooled} "
+            f"connection buckets (paper 3-4x)"
+        )
     rendering = ascii_plot(
         centers, ys,
         x_label="avg. number of connections",
@@ -74,8 +108,7 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         metrics=metrics,
         rendering=rendering,
         notes=(
-            f"median contended/non-contended loss ratio "
-            f"{metrics['median_contended_to_nc_ratio']:.1f}x (paper 3-4x); "
-            f"peak contended loss {metrics['max_contended_loss_pct']:.2f}%."
+            f"{ratio_note}; peak contended loss "
+            f"{metrics['max_contended_loss_pct']:.2f}%."
         ),
     )

@@ -24,15 +24,7 @@ from .buffermodel import FluidBufferModel, FluidBufferResult
 from .cache import dataset_cache_key
 from .demand import DemandModel, ServerDemand
 from .rackrun import RackRunSynthesizer
-from .dataset import (
-    DatasetSummary,
-    RackDay,
-    RackRunPlan,
-    RegionDataset,
-    generate_region_dataset,
-    plan_region,
-    synthesize_rack_day,
-)
+from .dataset import DatasetSummary, RackRunPlan, RegionDataset, plan_region
 from .parallel import resolve_jobs
 
 __all__ = [
@@ -42,12 +34,9 @@ __all__ = [
     "ServerDemand",
     "RackRunSynthesizer",
     "DatasetSummary",
-    "RackDay",
     "RackRunPlan",
     "RegionDataset",
     "dataset_cache_key",
-    "generate_region_dataset",
     "plan_region",
     "resolve_jobs",
-    "synthesize_rack_day",
 ]

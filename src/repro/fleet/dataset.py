@@ -3,9 +3,9 @@
 The paper's primary dataset: SyncMillisampler runs on ~1000 racks per
 region, roughly hourly across one weekday — 22.4K rack runs and ~2M
 server runs per region.  This module generates the synthetic
-equivalent at configurable scale, reducing every rack run to a
-:class:`~repro.analysis.summary.RunSummary` on the fly so memory stays
-bounded regardless of scale.
+equivalent at configurable scale, reducing every rack run to its rows
+of the shard store's tables (:func:`summarize_batch`) on the fly so
+memory stays bounded regardless of scale.
 
 Seeding
 -------
@@ -22,20 +22,20 @@ Because each (rack, run) stream is derived purely from indices, any
 rack run can be synthesized in isolation — which is what makes
 generation embarrassingly parallel (see :mod:`repro.fleet.parallel`)
 and storable shard by shard (see :mod:`repro.fleet.shards`).  For a
-fixed seed the summaries are identical whether the region is generated
-serially, by a process pool of any size, or loaded back from a store.
+fixed seed a region's rows are identical however its runs are cut into
+fluid batches, and whether the batches run in this process or on a
+process pool of any size.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Sequence
 
 import numpy as np
 
-from ..analysis.summary import RunSummary, summarize_run
+from ..analysis.summary import RunRows, RunSummary, run_rows
 from ..config import FleetConfig
 from ..core.run import StackedRun
 from ..obs.metrics import Metrics
@@ -46,16 +46,6 @@ from .rackrun import BatchItem, RackRunSynthesizer
 _PLACEMENT_STREAM = 0
 _HOURS_STREAM = 1
 _RUN_STREAM = 2
-
-
-@dataclass
-class RackDay:
-    """One rack's day of runs, reduced."""
-
-    rack: str
-    region: str
-    colocated: bool
-    summaries: list[RunSummary]
 
 
 @dataclass
@@ -78,25 +68,13 @@ class DatasetSummary:
 
 @dataclass
 class RegionDataset:
-    """All reduced runs for one region-day."""
+    """All reduced runs for one region-day, as objects: what
+    :meth:`~repro.fleet.shards.ShardedRegionDataset.to_region_dataset`
+    decodes a store into."""
 
     region: str
     summaries: list[RunSummary]
     workloads: list[RackWorkload] = field(default_factory=list)
-
-    def rack_days(self) -> list[RackDay]:
-        grouped: dict[str, list[RunSummary]] = {}
-        for summary in self.summaries:
-            grouped.setdefault(summary.rack, []).append(summary)
-        return [
-            RackDay(
-                rack=rack,
-                region=self.region,
-                colocated=bool(runs[0].extras.get("colocated", False)),
-                summaries=runs,
-            )
-            for rack, runs in sorted(grouped.items())
-        ]
 
     def table1_row(self) -> DatasetSummary:
         server_runs = sum(summary.servers for summary in self.summaries)
@@ -198,115 +176,29 @@ def plan_region(spec: RegionSpec, config: FleetConfig) -> list[RackRunPlan]:
     return plans
 
 
-def _plan_items(plan: RackRunPlan, config: FleetConfig) -> list[BatchItem]:
-    """One rack day as batch items, each on its own seed-stream leaf."""
-    return [
-        (
-            plan.workload,
-            hour,
-            run_rng(plan.workload.region, config.seed, plan.rack_index, run_index),
-        )
-        for run_index, hour in enumerate(plan.hours)
-    ]
+def summarize_run(run: StackedRun) -> RunRows:
+    """The store path's per-run reduction: ``run``'s rows
+    (:func:`~repro.analysis.summary.run_rows`).  :func:`summarize_batch`
+    looks it up here on every call, under the name ``benchmarks/e2e``
+    traces as its summarize layer."""
+    return run_rows(run)
 
 
-def summarize_batches(
-    items: Iterable[BatchItem],
-    config: FleetConfig,
-    synthesizer: RackRunSynthesizer | None = None,
-    metrics: Metrics | None = None,
-) -> Iterator[tuple[RunSummary, RackWorkload]]:
-    """The one batching loop: synthesize ``items`` in consecutive fluid
-    batches of ``config.fluid_batch`` and reduce every run to its summary
-    as soon as it is built, so peak memory is one batch's fluid outputs
-    plus one run's stacked series.  Each run reaches :func:`summarize_run`
-    as the :class:`~repro.core.run.StackedRun` that
+def summarize_batch(
+    items: Sequence[BatchItem],
+    synthesizer: RackRunSynthesizer,
+    metrics: Metrics,
+) -> list[RunRows]:
+    """Synthesize ``items`` as one fluid batch and reduce every run to its
+    rows as soon as it is built, so peak memory is the batch's fluid
+    outputs plus one run's stacked series.  Each run reaches
+    :func:`summarize_run` as the :class:`~repro.core.run.StackedRun` that
     :meth:`RackRunSynthesizer.synthesize_batch` builds straight from its
     fluid batch: no :class:`~repro.core.run.SyncRun` is assembled and no
-    egress echo is drawn.  ``items`` is consumed lazily, one batch at a
-    time, and the summaries come out in item order."""
-    synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy, kernel=config.kernel)
-    metrics = metrics if metrics is not None else Metrics()
+    egress echo is drawn.  The rows come back in item order."""
 
-    def summarize(run: StackedRun) -> RunSummary:
+    def summarize(run: StackedRun) -> RunRows:
         with metrics.span("synthesis/summarize"):
             return summarize_run(run)
 
-    items = iter(items)
-    while chunk := list(islice(items, config.fluid_batch)):
-        summaries = synthesizer.synthesize_batch(chunk, metrics=metrics, reduce=summarize)
-        for summary, (workload, _hour, _rng) in zip(summaries, chunk):
-            yield summary, workload
-
-
-def synthesize_rack_day(
-    plan: RackRunPlan,
-    config: FleetConfig,
-    synthesizer: RackRunSynthesizer | None = None,
-    metrics: Metrics | None = None,
-) -> list[RunSummary]:
-    """One rack's reduced day — the unit of work a pool worker executes."""
-    return [
-        summary
-        for summary, _workload in summarize_batches(
-            _plan_items(plan, config), config, synthesizer, metrics
-        )
-    ]
-
-
-def iter_region_summaries(
-    spec: RegionSpec,
-    config: FleetConfig,
-    synthesizer: RackRunSynthesizer | None = None,
-    metrics: Metrics | None = None,
-) -> Iterator[tuple[RunSummary, RackWorkload]]:
-    """Lazily generate (summary, workload) pairs for a region-day.
-
-    Consecutive rack runs — across rack boundaries — are synthesized in
-    fluid batches of ``config.fluid_batch`` and reduced immediately, so
-    peak memory is one fluid batch regardless of region scale.
-    """
-    return summarize_batches(
-        _region_items(plan_region(spec, config), config), config, synthesizer, metrics
-    )
-
-
-def _region_items(plans: list[RackRunPlan], config: FleetConfig) -> Iterator[BatchItem]:
-    return (item for plan in plans for item in _plan_items(plan, config))
-
-
-def generate_region_dataset(
-    spec: RegionSpec,
-    config: FleetConfig,
-    synthesizer: RackRunSynthesizer | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    metrics: Metrics | None = None,
-) -> RegionDataset:
-    """Generate and reduce one region-day serially, in memory.
-
-    The in-memory oracle the shard store (:mod:`repro.fleet.shards`) is
-    tested against; every run path builds a store instead.  ``metrics``
-    receives a ``generate/<region>`` span and a
-    ``dataset.generated_runs`` counter; telemetry never shapes data.
-    """
-    metrics = metrics if metrics is not None else Metrics()
-    plans = plan_region(spec, config)
-    total = sum(len(plan.hours) for plan in plans)
-    summaries: list[RunSummary] = []
-    with metrics.span(f"generate/{spec.name}"):
-        for summary, _workload in summarize_batches(
-            _region_items(plans, config), config, synthesizer, metrics
-        ):
-            summaries.append(summary)
-            if progress is not None:
-                progress(len(summaries), total)
-    metrics.incr("dataset.generated_runs", len(summaries))
-    # Every *planned* rack contributes its workload in rack order, even
-    # racks that scheduled zero runs, exactly as a store records them.
-    # Collecting workloads from yielded summaries instead would silently
-    # drop zero-run racks.
-    return RegionDataset(
-        region=spec.name,
-        summaries=summaries,
-        workloads=[plan.workload for plan in plans],
-    )
+    return synthesizer.synthesize_batch(items, metrics=metrics, reduce=summarize)

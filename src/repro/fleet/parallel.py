@@ -2,15 +2,16 @@
 
 Dataset generation is embarrassingly parallel once every (rack, run)
 pair owns an independent seed stream (see the seeding notes in
-:mod:`repro.fleet.dataset`): each worker synthesizes whole rack days
-(:func:`_rack_day_task`) and reduces every raw run to its
-:class:`RunSummary` before returning, so peak memory stays one fluid
-batch per worker and only the small summaries cross the process
-boundary.
+:mod:`repro.fleet.dataset`): each worker synthesizes one build task — a
+slice of the region's run stream, one fluid batch
+(:class:`~repro.fleet.shards.BuildTask`) — and reduces its runs to
+float64 table rows before returning (:func:`_build_task`), so peak
+memory stays one fluid batch per worker and only plain arrays cross the
+process boundary.
 
 Determinism is structural, not incidental — workers never share RNG
-state, and the shard store files every summary under its (rack, run)
-position — so a store is byte-identical for any job count.
+state, and the shard store files every row under its position in the
+run stream — so a store is byte-identical for any job count.
 
 :func:`run_windowed` is the fan-out substrate the shard store's
 parallel build runs on (the query service injects its persistent pool
@@ -18,8 +19,8 @@ there).  It owns the failure semantics a long-lived process needs:
 
 * **fail-fast** — the first task exception cancels everything still
   queued and surfaces as :class:`~repro.errors.WorkerTaskError` naming
-  the failing unit, so a crash at rack 3 of 1000 costs O(window) work,
-  not O(racks);
+  the failing unit, so a crash at task 3 of 1000 costs O(window) work,
+  not O(tasks);
 * **crash containment** — a worker process dying abruptly
   (``BrokenProcessPool``) is retried once on a fresh pool when the
   substrate owns the pool (transient death: OOM kill, stray signal);
@@ -39,13 +40,14 @@ from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExe
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence, TypeVar
 
-from ..analysis.summary import RunSummary
+import numpy as np
+
 from ..config import FleetConfig
 from ..errors import ConfigError, WorkerCancelled, WorkerCrashError, WorkerTaskError
 from ..obs.metrics import Metrics
-from .dataset import RackRunPlan, synthesize_rack_day
 from .kernels import consume_pending
 from .rackrun import RackRunSynthesizer
+from .shards import BuildTask, task_tables
 
 T = TypeVar("T")
 
@@ -195,10 +197,11 @@ def run_windowed(
     return completed
 
 
-def _rack_day_task(
-    plan: RackRunPlan, config: FleetConfig, synthesizer: RackRunSynthesizer | None
-) -> tuple[list[RunSummary], dict]:
-    """Top-level worker entry point (must be picklable).
+def _build_task(
+    task: BuildTask, config: FleetConfig, synthesizer: RackRunSynthesizer | None
+) -> tuple[dict[str, np.ndarray], dict]:
+    """Top-level worker entry point (must be picklable): one build task's
+    table rows (:func:`~repro.fleet.shards.task_tables`).
 
     Stage timers (demand/fluid/assemble/summarize) are recorded into a
     worker-local registry and returned as a snapshot so the parent can
@@ -207,5 +210,5 @@ def _rack_day_task(
     """
     worker_metrics = Metrics()
     consume_pending(worker_metrics)  # pool-initializer JIT compile time
-    summaries = synthesize_rack_day(plan, config, synthesizer, metrics=worker_metrics)
-    return summaries, worker_metrics.snapshot()
+    tables = task_tables(task, config, synthesizer, worker_metrics)
+    return tables, worker_metrics.snapshot()

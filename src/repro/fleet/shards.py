@@ -5,8 +5,8 @@ The paper's primary dataset is 2 regions x ~1000 racks x 24 h — an
 :class:`RegionDataset` behind a single pickle blob.  This module
 partitions a region-day into per-``(region, rack-range, hour-band)``
 **shards**, each drawn from the per-(rack, run) seed streams of
-:mod:`repro.fleet.dataset`, so a build synthesizes and writes one shard
-(or, in parallel, one rack stripe) at a time.
+:mod:`repro.fleet.dataset`, and writes each shard as soon as its runs
+are reduced.
 
 On disk a store is one directory per (region, dataset key, shard
 geometry)::
@@ -32,15 +32,16 @@ geometry)::
   store that *looks* complete.  Stale temp files are swept on build,
   and files the new manifest does not list are deleted after it.
 
-A store is built serially (one shard at a time, in this process, from
-one synthesis stream whose fluid batches fill across shard boundaries)
-or by fanning rack days out over a process pool, with this process
-writing each rack stripe's shards as soon as the stripe is complete.
+A build cuts the region's one run stream (every shard's runs, shard by
+shard) into :class:`BuildTask` slices of consecutive runs, each one
+fluid batch that reduces its runs straight to table rows
+(:func:`task_tables`).  The tasks run in this process or on a process
+pool, and this process writes each shard, in manifest order, as soon as
+the tasks covering its runs are back (:func:`synthesize_shard`).
 Because every (rack, run) pair owns an independent seed-stream leaf, shard
-contents are **bit-identical** for any job count and equal the
-corresponding slice of the in-memory
-:func:`~repro.fleet.dataset.generate_region_dataset` — the exactness
-oracle the tests hold every shard and aggregation to.
+contents are **bit-identical** for any job count and any cut of the
+stream, and equal the rows of the object-form summaries the tests keep
+as their exactness oracle.
 """
 
 from __future__ import annotations
@@ -56,14 +57,14 @@ import tempfile
 import threading
 import weakref
 from concurrent.futures import Executor
+import math
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..analysis.bursts import Burst
+from ..analysis.bursts import BURST_FIELDS, bursts_from_rows, typed_values
 from ..analysis.contention import ContentionStats
 from ..analysis.racks import RackProfile
 from ..analysis.stats import BoxStats
@@ -76,7 +77,13 @@ from ..analysis.streaming import (
     RunContentionView,
     Table1Accumulator,
 )
-from ..analysis.summary import RunSummary, ServerRunStats
+from ..analysis.summary import (
+    RUN_FIELDS,
+    SERVER_FIELDS,
+    RunRows,
+    RunSummary,
+    server_stats_from_rows,
+)
 from ..config import FleetConfig
 from ..errors import ConfigError, WorkerCancelled
 from ..obs.metrics import Metrics
@@ -88,10 +95,10 @@ from .dataset import (
     RegionDataset,
     plan_region,
     run_rng,
-    summarize_batches,
+    summarize_batch,
 )
 from .kernels import pool_initializer
-from .rackrun import BatchItem, RackRunSynthesizer, run_extras
+from .rackrun import RackRunSynthesizer, run_extras
 
 logger = logging.getLogger(__name__)
 
@@ -112,63 +119,21 @@ STORE_DIR_ENV = "MILLISAMPLER_STORE_DIR"
 DEFAULT_SHARD_RACKS = 64
 DEFAULT_SHARD_HOURS = 12
 
-#: One row per rack run.  Table 1 and the figure views read these; rack
-#: name, region and extras come from the workload of ``rack_id``.
-RUN_COLUMNS: tuple[str, ...] = (
-    "rack_id",
-    "hour",
-    "servers",
-    "buckets",
-    "sampling_interval",
-    "contention_mean",
-    "contention_min_active",
-    "contention_p90",
-    "contention_max",
-    "contention_frac_zero",
-    "n_bursts",
-    "bursty_server_runs",
-    "switch_discard_bytes",
-    "switch_ingress_bytes",
-    "total_in_bytes",
-    "colocated",
-    "distinct_tasks",
-    "dominant_share",
-)
+#: One row per rack run: its rack's index in the plan, then the run row
+#: of :func:`~repro.analysis.summary.run_rows`.  Rack name, region and
+#: extras come from the workload of ``rack_id``.
+RUN_COLUMNS: tuple[str, ...] = ("rack_id", *RUN_FIELDS)
 
 #: One row per burst, in its run's burst order: the run's row in the
 #: runs table, the burst's index within the run, then the fields of
 #: :class:`~repro.analysis.bursts.Burst` in order (``length`` in
 #: buckets, ``volume`` in bytes).
-BURST_COLUMNS: tuple[str, ...] = (
-    "run_row",
-    "burst_index",
-    "server",
-    "start",
-    "length",
-    "volume",
-    "avg_connections",
-    "retx_bytes",
-    "max_contention",
-    "lossy",
-    "first_loss_contention",
-)
+BURST_COLUMNS: tuple[str, ...] = ("run_row", "burst_index", *BURST_FIELDS)
 
 #: One row per server run: the run's row, then the fields of
 #: :class:`~repro.analysis.summary.ServerRunStats` in order except
 #: ``task``, which the workload supplies.
-SERVER_COLUMNS: tuple[str, ...] = (
-    "run_row",
-    "server",
-    "bursty",
-    "avg_utilization",
-    "utilization_in_bursts",
-    "utilization_outside_bursts",
-    "bursts_per_second",
-    "conns_inside",
-    "conns_outside",
-    "total_in_bytes",
-    "in_burst_bytes",
-)
+SERVER_COLUMNS: tuple[str, ...] = ("run_row", *SERVER_FIELDS)
 
 #: A shard's tables by file kind, each a plain 2-D float64 matrix.
 TABLES: dict[str, tuple[str, ...]] = {
@@ -180,13 +145,6 @@ _COLUMN: dict[str, dict[str, int]] = {
     kind: {name: index for index, name in enumerate(columns)}
     for kind, columns in TABLES.items()
 }
-
-#: Columns that decode to Python ``int`` and ``bool``; the rest are floats.
-_INT_COLUMNS = frozenset(
-    {"rack_id", "hour", "servers", "buckets", "run_row", "server", "start",
-     "length", "max_contention", "first_loss_contention"}
-)
-_BOOL_COLUMNS = frozenset({"lossy", "bursty"})
 
 
 def default_store_dir() -> str:
@@ -309,70 +267,7 @@ def plan_region_shards(
     return plans, tasks
 
 
-# -- columnar encoding -------------------------------------------------------
-
-_burst_fields = attrgetter(*BURST_COLUMNS[2:])
-_server_fields = attrgetter(*SERVER_COLUMNS[1:])
-
-
-def encode_tables(
-    summaries: list[RunSummary], rack_ids: list[int]
-) -> dict[str, np.ndarray]:
-    """One shard's summaries as its tables (see :data:`TABLES`)."""
-    runs = np.array(
-        [
-            (
-                rack_id,
-                summary.hour,
-                summary.servers,
-                summary.buckets,
-                summary.sampling_interval,
-                summary.contention.mean,
-                summary.contention.min_active,
-                summary.contention.p90,
-                summary.contention.max,
-                summary.contention.frac_zero,
-                len(summary.bursts),
-                summary.bursty_server_runs(),
-                summary.switch_discard_bytes,
-                summary.switch_ingress_bytes,
-                summary.total_in_bytes,
-                bool(summary.extras.get("colocated", False)),
-                summary.extras.get("distinct_tasks", 0),
-                summary.extras.get("dominant_share", 0.0),
-            )
-            for summary, rack_id in zip(summaries, rack_ids)
-        ],
-        dtype=np.float64,
-    ).reshape(-1, len(RUN_COLUMNS))
-    bursts = np.array(
-        [
-            (row, index, *_burst_fields(burst))
-            for row, summary in enumerate(summaries)
-            for index, burst in enumerate(summary.bursts)
-        ],
-        dtype=np.float64,
-    ).reshape(-1, len(BURST_COLUMNS))
-    servers = np.array(
-        [
-            (row, *_server_fields(stat))
-            for row, summary in enumerate(summaries)
-            for stat in summary.server_stats
-        ],
-        dtype=np.float64,
-    ).reshape(-1, len(SERVER_COLUMNS))
-    return {"runs": runs, "bursts": bursts, "servers": servers}
-
-
-def _values(columns: dict[str, np.ndarray], name: str) -> list:
-    """A column as plain Python values: ``int``, ``bool`` or ``float``,
-    as the summarizer produces them (``repr`` of a numpy scalar differs)."""
-    column = columns[name]
-    if name in _INT_COLUMNS:
-        return column.astype(np.int64).tolist()
-    if name in _BOOL_COLUMNS:
-        return (column != 0).tolist()
-    return column.tolist()
+# -- decoding -----------------------------------------------------------------
 
 
 def _per_run(rows: list, run_row: np.ndarray, runs: int) -> list[list]:
@@ -389,24 +284,16 @@ def _decode_summaries(
 ) -> list[RunSummary]:
     """Whole-region tables in global order (see
     :meth:`ShardedRegionDataset.columns`) back into run summaries."""
-    run = {name: _values(runs, name) for name in RUN_COLUMNS}
+    run = {name: typed_values(runs[name], name) for name in RUN_COLUMNS}
     count = len(run["rack_id"])
-    # BURST_COLUMNS[2:] and SERVER_COLUMNS[2:] follow the dataclass fields.
-    burst_lists = _per_run(
-        list(map(Burst, *(_values(bursts, name) for name in BURST_COLUMNS[2:]))),
-        bursts["run_row"],
-        count,
-    )
-    server_ids = _values(servers, "server")
+    burst_lists = _per_run(bursts_from_rows(bursts), bursts["run_row"], count)
     tasks = [
         workloads[run["rack_id"][row]].placement.tasks[server]
-        for row, server in zip(_values(servers, "run_row"), server_ids)
+        for row, server in zip(
+            typed_values(servers["run_row"], "run_row"), typed_values(servers["server"], "server")
+        )
     ]
-    stat_lists = _per_run(
-        list(map(ServerRunStats, server_ids, tasks, *(_values(servers, name) for name in SERVER_COLUMNS[2:]))),
-        servers["run_row"],
-        count,
-    )
+    stat_lists = _per_run(server_stats_from_rows(servers, tasks), servers["run_row"], count)
     contention = map(
         ContentionStats,
         *(run[f"contention_{name}"] for name in ("mean", "min_active", "p90", "max", "frac_zero")),
@@ -462,51 +349,124 @@ def _sha256_file(path: str) -> str:
 # -- shard generation --------------------------------------------------------
 
 
-def _shard_items(tasks: Iterable[ShardTask], config: FleetConfig) -> Iterator[BatchItem]:
-    """Every run of ``tasks`` as a batch item on its own seed-stream
-    leaf, shard by shard and, within a shard, rack-major and
-    hour-ascending."""
-    for task in tasks:
-        for plan, run_indices in zip(task.plans, task.run_indices):
-            for run_index in run_indices:
-                yield (
-                    plan.workload,
-                    plan.hours[run_index],
-                    run_rng(task.key.region, config.seed, plan.rack_index, run_index),
-                )
+@dataclass(frozen=True)
+class BuildTask:
+    """One unit of build work: consecutive runs of the region's run
+    stream (every shard's runs, shard by shard and, within a shard,
+    rack-major and hour-ascending), synthesized as one fluid batch.
+
+    ``runs`` holds each run's plan and its index in the rack's full day
+    schedule, so every run keeps its ``(rack_index, run_index)``
+    seed-stream leaf.
+    """
+
+    start: int  # the first run's position in the stream
+    runs: tuple[tuple[RackRunPlan, int], ...]
+
+    @property
+    def label(self) -> str:
+        racks = dict.fromkeys((plan.rack_index, plan.workload.rack) for plan, _ in self.runs)
+        names = ", ".join(f"rack {index} ({name})" for index, name in racks)
+        return f"runs {self.start}-{self.start + len(self.runs) - 1}: {names}"
+
+
+def plan_build_tasks(shards: Sequence[ShardTask], config: FleetConfig, jobs: int) -> list[BuildTask]:
+    """Cut the run stream of ``shards`` into tasks of
+    ``min(fluid_batch, ceil(runs / jobs))`` consecutive runs: full fluid
+    batches, made smaller only to keep every one of ``jobs`` workers
+    busy.  Any cut writes the same shards."""
+    stream = [
+        (plan, run_index)
+        for shard in shards
+        for plan, run_indices in zip(shard.plans, shard.run_indices)
+        for run_index in run_indices
+    ]
+    size = max(1, min(config.fluid_batch, math.ceil(len(stream) / jobs)))
+    return [
+        BuildTask(start, tuple(stream[start : start + size]))
+        for start in range(0, len(stream), size)
+    ]
+
+
+def task_tables(
+    task: BuildTask,
+    config: FleetConfig,
+    synthesizer: RackRunSynthesizer | None = None,
+    metrics: Metrics | None = None,
+) -> dict[str, np.ndarray]:
+    """Synthesize one task's runs as one fluid batch and reduce them to
+    rows of the three tables (see :data:`TABLES`), ``run_row`` counted
+    from the task's first run.  A build runs this in this process or in
+    a pool worker."""
+    synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy, kernel=config.kernel)
+    items = [
+        (
+            plan.workload,
+            plan.hours[run_index],
+            run_rng(plan.workload.region, config.seed, plan.rack_index, run_index),
+        )
+        for plan, run_index in task.runs
+    ]
+    rows = summarize_batch(items, synthesizer, metrics if metrics is not None else Metrics())
+    return stack_rows(rows, [plan.rack_index for plan, _ in task.runs])
+
+
+def stack_rows(rows: Sequence[RunRows], rack_ids: Sequence[int]) -> dict[str, np.ndarray]:
+    """Consecutive runs' rows (each run's rack index alongside) as the
+    three tables, ``run_row`` counting from the first run."""
+    runs = np.empty((len(rows), len(RUN_COLUMNS)))
+    runs[:, 0] = rack_ids
+    runs[:, 1:] = [row.run for row in rows]
+    tables = {"runs": runs}
+    for kind, lead in (("bursts", 2), ("servers", 1)):
+        blocks = [getattr(row, kind) for row in rows]
+        counts = np.array([len(block) for block in blocks], dtype=np.int64)
+        table = np.empty((counts.sum(), len(TABLES[kind])))
+        table[:, 0] = np.repeat(np.arange(len(rows)), counts)
+        if lead == 2:  # burst_index: the row's position within its run
+            table[:, 1] = np.arange(len(table)) - np.repeat(np.cumsum(counts) - counts, counts)
+        table[:, lead:] = np.concatenate(blocks)
+        tables[kind] = table
+    return tables
 
 
 def synthesize_shard(
-    task: ShardTask, runs: Iterator[tuple[RunSummary, RackWorkload]]
-) -> list[RunSummary]:
-    """Take one shard's summaries from ``runs`` — a serial build's unit
-    of work.
+    shard: ShardTask, start: int, parts: Sequence[tuple[int, dict[str, np.ndarray]]]
+) -> dict[str, np.ndarray]:
+    """One shard's tables, cut from the tables of the build tasks that
+    cover its runs.
 
-    ``runs`` is one :func:`~repro.fleet.dataset.summarize_batches`
-    stream over the items of this shard and the shards after it, in
-    shard order (:func:`_shard_items`), so fluid batches fill to
-    ``fluid_batch`` across shard boundaries.  The stream is lazy: the
-    batch that holds this shard's last run is synthesized here, and its
-    later runs wait in the stream for the next shard."""
-    return [summary for summary, _workload in islice(runs, task.total_runs)]
+    ``start`` is the shard's first run's position in the run stream, and
+    ``parts`` are ``(task start, task tables)`` pairs in stream order
+    (see :func:`task_tables`); ``run_row`` is re-based onto the shard.
+    """
+    stop = start + shard.total_runs
+    pieces: dict[str, list[np.ndarray]] = {kind: [] for kind in TABLES}
+    for task_start, tables in parts:
+        lo = max(start, task_start) - task_start
+        hi = min(stop, task_start + len(tables["runs"])) - task_start
+        if lo >= hi:
+            continue
+        pieces["runs"].append(tables["runs"][lo:hi])
+        for kind in ("bursts", "servers"):
+            table = tables[kind]
+            first, last = np.searchsorted(table[:, 0], (lo, hi))
+            piece = table[first:last].copy()
+            piece[:, 0] += task_start - start
+            pieces[kind].append(piece)
+    return {kind: np.concatenate(blocks) for kind, blocks in pieces.items()}
 
 
 def _write_shard(
     directory: str,
-    task: ShardTask,
-    summaries: list[RunSummary],
+    shard: ShardTask,
+    tables: dict[str, np.ndarray],
     metrics: Metrics,
 ) -> dict:
     """Write one shard's tables atomically; return its manifest record."""
-    rack_ids = [
-        plan.rack_index
-        for plan, indices in zip(task.plans, task.run_indices)
-        for _ in indices
-    ]
-    tag = task.key.tag
+    tag = shard.key.tag
     names = {kind: f"{tag}.{kind}.npy" for kind in TABLES}
     with metrics.span("shards/write"):
-        tables = encode_tables(summaries, rack_ids)
         for kind, table in tables.items():
             _atomic_write(
                 os.path.join(directory, names[kind]),
@@ -515,11 +475,11 @@ def _write_shard(
     runs = tables["runs"]
     record = {
         "tag": tag,
-        "region": task.key.region,
-        "rack_lo": task.key.rack_lo,
-        "rack_hi": task.key.rack_hi,
-        "hour_lo": task.key.hour_lo,
-        "hour_hi": task.key.hour_hi,
+        "region": shard.key.region,
+        "rack_lo": shard.key.rack_lo,
+        "rack_hi": shard.key.rack_hi,
+        "hour_lo": shard.key.hour_lo,
+        "hour_hi": shard.key.hour_hi,
         "runs": int(runs.shape[0]),
         "bursts": int(tables["bursts"].shape[0]),
         "racks_present": int(np.unique(runs[:, _COLUMN["runs"]["rack_id"]]).size),
@@ -659,16 +619,14 @@ class RegionShardStore:
         """Generate every shard and atomically publish the manifest.
         Returns the manifest.
 
-        With ``jobs == 1`` and no ``pool`` this process synthesizes and
-        writes the shards one at a time, every shard taking its runs
-        from one :func:`~repro.fleet.dataset.summarize_batches` stream
-        (:func:`synthesize_shard`), so fluid batches stay full across
-        shard boundaries.  Otherwise rack days fan out over a
-        process pool (``pool`` injects an external executor — the
-        service's persistent pool — instead of creating one per build)
-        and this process writes each rack stripe's shards as soon as the
-        stripe's last rack day is back; see :meth:`_fan_out`.  Both
-        write byte-identical shards.
+        The region's run stream is cut into :class:`BuildTask` fluid
+        batches (:func:`plan_build_tasks`), each reduced to table rows by
+        :func:`task_tables`: in this process when ``jobs == 1`` and no
+        ``pool`` is given, otherwise on a process pool (``pool`` injects
+        an external executor — the service's persistent pool — instead of
+        creating one per build).  This process writes each shard, in
+        manifest order, as soon as the tasks covering its runs are back,
+        so both ways write byte-identical shards.
 
         ``on_shard`` receives each shard's manifest record as it is
         written (the query service streams these as NDJSON progress
@@ -676,52 +634,88 @@ class RegionShardStore:
         work finishes, the manifest is *not* written, and
         :class:`~repro.errors.WorkerCancelled` is raised — the store
         stays an incomplete-but-consistent miss thanks to manifest-last
-        atomicity.  Fan-out failure semantics come from
+        atomicity.  Pool failure semantics come from
         :func:`repro.fleet.parallel.run_windowed`: fail-fast
-        ``WorkerTaskError`` naming the rack, crash containment via
-        ``WorkerCrashError``.
+        ``WorkerTaskError`` naming the task's racks, crash containment
+        via ``WorkerCrashError``.
         """
-        from .parallel import resolve_jobs
+        from . import parallel
 
-        jobs = resolve_jobs(jobs)
+        jobs = parallel.resolve_jobs(jobs)
         os.makedirs(self.directory, exist_ok=True)
         sweep_stale_tmp_files(self.directory, metrics=self.metrics)
-        plans, tasks = plan_region_shards(
+        plans, shards = plan_region_shards(
             self.spec, self.config, self.shard_racks, self.shard_hours
         )
-        total = sum(task.total_runs for task in tasks)
-        done = 0
-        records: dict[str, dict] = {}
+        tasks = plan_build_tasks(shards, self.config, jobs)
+        starts = np.cumsum([0] + [shard.total_runs for shard in shards]).tolist()
+        total = starts[-1]
+        records: list[dict] = []
+        # Task tables back but not yet written, by task start.
+        parts: dict[int, dict[str, np.ndarray]] = {}
 
-        def collect(record: dict) -> None:
-            nonlocal done
-            records[record["tag"]] = record
-            self.metrics.incr("dataset.shards.generated")
-            done += record["runs"]
-            if progress is not None:
-                progress(done, total)
-            if on_shard is not None:
-                on_shard(record)
+        def handle(task: BuildTask, tables: dict[str, np.ndarray]) -> None:
+            """Keep a task's tables, then write every shard whose runs are
+            all back, in manifest order."""
+            parts[task.start] = tables
+            while len(records) < len(shards):
+                index = len(records)
+                lo, hi = starts[index], starts[index + 1]
+                covering = sorted(
+                    (task_start, part)
+                    for task_start, part in parts.items()
+                    if task_start < hi and task_start + len(part["runs"]) > lo
+                )
+                covered = sum(
+                    min(hi, task_start + len(part["runs"])) - max(lo, task_start)
+                    for task_start, part in covering
+                )
+                if covered < hi - lo:
+                    return
+                shard = shards[index]
+                record = _write_shard(
+                    self.directory, shard, synthesize_shard(shard, lo, covering), self.metrics
+                )
+                records.append(record)
+                for task_start, part in covering:
+                    if task_start + len(part["runs"]) <= hi:
+                        del parts[task_start]
+                self.metrics.incr("dataset.shards.generated")
+                if progress is not None:
+                    progress(hi, total)
+                if on_shard is not None:
+                    on_shard(record)
 
         with self.metrics.span(f"shards/build/{self.spec.name}"):
             if jobs > 1 or pool is not None:
-                self._fan_out(
-                    plans, tasks, collect, jobs, synthesizer, pool, cancel_event
+
+                def handle_result(task: BuildTask, result: tuple[dict, dict]) -> None:
+                    tables, snapshot = result
+                    self.metrics.merge(snapshot)
+                    self.metrics.incr("dataset.parallel.tasks")
+                    handle(task, tables)
+
+                parallel.run_windowed(
+                    tasks,
+                    lambda executor, task: executor.submit(
+                        parallel._build_task, task, self.config, synthesizer
+                    ),
+                    handle_result,
+                    jobs=jobs,
+                    label=attrgetter("label"),
+                    pool=pool,
+                    cancel_event=cancel_event,
+                    initializer=pool_initializer,
+                    initargs=(self.config.kernel,),
                 )
             else:
-                # One stream over every shard's runs: fluid batches fill
-                # across shard boundaries, and shards are still written
-                # one at a time.
-                runs = summarize_batches(
-                    _shard_items(tasks, self.config), self.config, synthesizer, self.metrics
+                synthesizer = synthesizer or RackRunSynthesizer(
+                    policy=self.config.policy, kernel=self.config.kernel
                 )
                 for index, task in enumerate(tasks):
                     if cancel_event is not None and cancel_event.is_set():
                         raise WorkerCancelled(index, len(tasks))
-                    with self.metrics.span("shards/generate"):
-                        summaries = synthesize_shard(task, runs)
-                        record = _write_shard(self.directory, task, summaries, self.metrics)
-                    collect(record)
+                    handle(task, task_tables(task, self.config, synthesizer, self.metrics))
         self.metrics.incr("dataset.generated_runs", total)
 
         _atomic_write(
@@ -752,13 +746,13 @@ class RegionShardStore:
             "workloads_file": "workloads.pkl",
             "columns": {kind: list(columns) for kind, columns in TABLES.items()},
             "total_runs": total,
-            "shards": [records[task.key.tag] for task in tasks],
+            "shards": records,
         }
         _atomic_write(
             self.manifest_path,
             lambda s: s.write(json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")),
         )
-        self.metrics.incr("dataset.shards.stored", len(tasks))
+        self.metrics.incr("dataset.shards.stored", len(shards))
         self._prune(manifest)
         return manifest
 
@@ -773,67 +767,6 @@ class RegionShardStore:
                 with contextlib.suppress(FileNotFoundError, IsADirectoryError):
                     os.unlink(os.path.join(self.directory, name))
                     self.metrics.incr("dataset.shards.pruned")
-
-    def _fan_out(
-        self,
-        plans: list[RackRunPlan],
-        tasks: list[ShardTask],
-        collect: Callable[[dict], None],
-        jobs: int,
-        synthesizer: RackRunSynthesizer | None,
-        pool: Executor | None,
-        cancel_event: threading.Event | None,
-    ) -> None:
-        """Synthesize rack days on a process pool and write each rack
-        stripe's shards here once all of the stripe's rack days are in.
-
-        Rack days are submitted in rack order with a window of
-        ``2 * jobs``, so this process holds about one stripe of rack
-        days plus the in-flight window.
-        """
-        from .parallel import _rack_day_task, run_windowed
-
-        stripes: dict[int, list[ShardTask]] = {}
-        for task in tasks:
-            stripes.setdefault(task.key.rack_lo, []).append(task)
-        waiting = {
-            rack_lo: {plan.rack_index for task in stripe for plan in task.plans}
-            for rack_lo, stripe in stripes.items()
-        }
-        days: dict[int, list[RunSummary]] = {}
-
-        def handle(plan: RackRunPlan, result: tuple[list[RunSummary], dict]) -> None:
-            summaries, snapshot = result
-            self.metrics.merge(snapshot)
-            self.metrics.incr("dataset.parallel.rack_days")
-            days[plan.rack_index] = summaries
-            rack_lo = plan.rack_index - plan.rack_index % self.shard_racks
-            waiting[rack_lo].discard(plan.rack_index)
-            if waiting[rack_lo]:
-                return
-            for task in stripes.pop(rack_lo):
-                summaries = [
-                    days[shard_plan.rack_index][run_index]
-                    for shard_plan, run_indices in zip(task.plans, task.run_indices)
-                    for run_index in run_indices
-                ]
-                collect(_write_shard(self.directory, task, summaries, self.metrics))
-            for rack_index in range(rack_lo, rack_lo + self.shard_racks):
-                days.pop(rack_index, None)
-
-        run_windowed(
-            [plan for plan in plans if plan.hours],
-            lambda executor, plan: executor.submit(
-                _rack_day_task, plan, self.config, synthesizer
-            ),
-            handle,
-            jobs=jobs,
-            label=lambda plan: f"rack {plan.rack_index} ({plan.workload.rack})",
-            pool=pool,
-            cancel_event=cancel_event,
-            initializer=pool_initializer,
-            initargs=(self.config.kernel,),
-        )
 
     def open(self, **build_options) -> "ShardedRegionDataset":
         """Open the store, building it first on a miss (``build_options``
@@ -1044,6 +977,7 @@ def generate_region_shards(
 
 __all__ = [
     "BURST_COLUMNS",
+    "BuildTask",
     "DEFAULT_SHARD_HOURS",
     "DEFAULT_SHARD_RACKS",
     "RUN_COLUMNS",
@@ -1056,9 +990,10 @@ __all__ = [
     "TABLES",
     "check_shard_geometry",
     "default_store_dir",
-    "encode_tables",
     "generate_region_shards",
+    "plan_build_tasks",
     "plan_region_shards",
     "private_store_root",
     "synthesize_shard",
+    "task_tables",
 ]

@@ -453,7 +453,7 @@ class QueryService:
 
     def shutdown(self, wait: bool = True) -> None:
         """Graceful drain: stop admitting queries, cancel queued fleet
-        work (in-flight rack days finish; see ``run_windowed``), and
+        work (in-flight build tasks finish; see ``run_windowed``), and
         release both executors.  Idempotent."""
         if self._closed:
             return

@@ -26,7 +26,7 @@ event sequences (single-flight replay; see
 Query bodies are blocking (process-pool fan-out, shard folds), so they
 run on the service's request-thread executor; the loop thread only
 shuttles events to sockets.  SIGTERM/SIGINT trigger a graceful drain:
-stop accepting, cancel queued fleet work, let in-flight rack days
+stop accepting, cancel queued fleet work, let in-flight build tasks
 finish, then exit.
 """
 

@@ -18,8 +18,9 @@ from repro.analysis.placement_metrics import (
 from repro.analysis.summary import RunSummary
 from repro.config import FleetConfig
 from repro.errors import AnalysisError
-from repro.fleet.shards import TABLES, encode_tables, generate_region_shards
+from repro.fleet.shards import TABLES, generate_region_shards
 from repro.workload.region import REGION_A
+from tests.fleet.dataset_reference import encode_tables
 
 from . import placement_reference
 

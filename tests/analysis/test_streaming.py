@@ -31,11 +31,10 @@ from repro.analysis.streaming import (
 )
 from repro.config import FleetConfig
 from repro.errors import AnalysisError
-from repro.fleet.dataset import DatasetSummary, RegionDataset, generate_region_dataset
+from repro.fleet.dataset import DatasetSummary, RegionDataset
 from repro.fleet.shards import (
     RegionShardStore,
     ShardedRegionDataset,
-    encode_tables,
     generate_region_shards,
 )
 from repro.workload.region import REGION_A
@@ -43,6 +42,7 @@ from tests.analysis.streaming_reference import (
     burst_contention_from_summaries,
     run_contention_from_summaries,
 )
+from tests.fleet.dataset_reference import encode_tables, generate_region_dataset
 
 CONFIG = FleetConfig(racks_per_region=5, runs_per_rack=4, seed=13)
 

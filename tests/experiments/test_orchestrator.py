@@ -218,8 +218,8 @@ def pool_ctx() -> ExperimentContext:
     )
 
 
-def exploding_rack_day(plan, config, synthesizer):
-    """Stands in for the pool's rack-day task and always raises."""
+def exploding_rack_day(task, config, synthesizer):
+    """Stands in for the pool's build task and always raises."""
     raise RuntimeError("generation exploded")
 
 
@@ -232,7 +232,7 @@ class TestParallel:
         serial = run_experiments(tiny_ctx(), ids)
         ctx = pool_ctx()
         parallel = run_experiments(ctx, ids)
-        assert ctx.metrics.counter("dataset.parallel.rack_days") > 0
+        assert ctx.metrics.counter("dataset.parallel.tasks") > 0
         assert [o.experiment_id for o in parallel.outcomes] == ids
         assert all(o.ok for o in parallel.outcomes)
         for ser, par in zip(serial.outcomes, parallel.outcomes):
@@ -242,15 +242,15 @@ class TestParallel:
         failing_registry(monkeypatch, "perf")
         ctx = pool_ctx()
         orch = run_experiments(ctx, ["table1", "perf", "fig1"])
-        assert ctx.metrics.counter("dataset.parallel.rack_days") > 0
+        assert ctx.metrics.counter("dataset.parallel.tasks") > 0
         assert [o.experiment_id for o in orch.outcomes] == ["table1", "perf", "fig1"]
         assert [o.status for o in orch.outcomes] == ["ok", "failed", "ok"]
 
     def test_warmup_failure_skips_dataset_experiments(self, monkeypatch):
-        # A rack day that raises in a pool worker fails the traced run's
+        # A build task that raises in a pool worker fails the traced run's
         # warm-up: the dataset experiments are skipped with that root
         # cause, and the standalone one still runs.
-        monkeypatch.setattr(parallel, "_rack_day_task", exploding_rack_day)
+        monkeypatch.setattr(parallel, "_build_task", exploding_rack_day)
         orch = run_experiments(pool_ctx(), ["fig1", "table1"], trace_memory=True)
         by_id = {o.experiment_id: o for o in orch.outcomes}
         assert by_id["fig1"].status == "ok"

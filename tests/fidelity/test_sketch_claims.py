@@ -42,8 +42,8 @@ def test_fig8_more_connections_inside_bursts(ctx):
 
 
 def test_fig19_contended_bursts_lose_more(ctx):
-    # 0.0 too when no connection bucket has 20 bursts on both sides.
-    assert fig19_incast_loss.run(ctx).metric("median_contended_to_nc_ratio") > 1.0
+    # NaN (so failing) when no pooled non-contended burst lost.
+    assert fig19_incast_loss.run(ctx).metric("pooled_contended_to_nc_ratio") > 1.0
 
 
 def test_burst_risk_ranks_loss_best(ctx):

@@ -15,18 +15,20 @@ import sys
 
 
 from repro.config import FleetConfig
-from repro.fleet.dataset import generate_region_dataset
 from repro.workload.region import REGION_A
+from tests.fleet.dataset_reference import generate_region_dataset
 
 _CHECKSUM_SNIPPET = """
 import json
+import tempfile
 import numpy as np
 from repro.config import FleetConfig
-from repro.fleet.dataset import generate_region_dataset
+from repro.fleet.shards import generate_region_shards
 from repro.workload.region import REGION_A
 
 config = FleetConfig(racks_per_region=3, runs_per_rack=2, seed=123)
-dataset = generate_region_dataset(REGION_A, config)
+with tempfile.TemporaryDirectory() as root:
+    dataset = generate_region_shards(REGION_A, config, root, jobs=1).to_region_dataset()
 checksum = {
     "contention": [round(s.contention.mean, 12) for s in dataset.summaries],
     "bursts": [len(s.bursts) for s in dataset.summaries],

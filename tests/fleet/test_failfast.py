@@ -5,8 +5,8 @@ shard store's parallel build (:meth:`RegionShardStore.build`) and the
 query service inherit:
 
 * **fail-fast** — a poisoned rack fails the build after O(window)
-  completed units, not O(racks), surfacing as ``WorkerTaskError`` that
-  names the failing rack;
+  completed build tasks, not O(tasks), surfacing as ``WorkerTaskError``
+  that names the failing task's racks;
 * **crash containment** — a SIGKILLed worker breaks the pool; an owned
   pool retries the unfinished items exactly once on a fresh pool (and
   the retried store is bit-identical), a second break or an external
@@ -114,20 +114,24 @@ def _hashes(manifest: dict) -> list[dict]:
 
 class TestFailFast:
     def test_poisoned_rack_fails_in_window_not_racks(self, tmp_path):
+        # Two-run fluid batches cut the region's 40 runs into 20 build
+        # tasks, one rack day each: many more tasks than the window.
+        config = dataclasses.replace(CONFIG, fluid_batch=2)
         poisoned_index = 2
         metrics = Metrics()
         with pytest.raises(WorkerTaskError) as excinfo:
             _build(
                 tmp_path,
+                config,
                 synthesizer=PoisonedSynthesizer(_rack_name(poisoned_index)),
                 metrics=metrics,
             )
-        assert f"rack {poisoned_index}" in str(excinfo.value)
+        assert f"rack {poisoned_index} ({_rack_name(poisoned_index)})" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, RuntimeError)
-        # The O(window) bound: racks completed before the failure
+        # The O(window) bound: tasks completed before the failure
         # surfaced is at most the poisoned prefix plus two windows of
-        # in-flight slack — nowhere near the 20 racks of the region.
-        completed = metrics.counter("dataset.parallel.rack_days")
+        # in-flight slack — nowhere near the 20 tasks of the region.
+        completed = metrics.counter("dataset.parallel.tasks")
         assert completed <= poisoned_index + 2 * WINDOW
         assert completed < CONFIG.racks_per_region
 
@@ -145,7 +149,7 @@ class TestFailFast:
         # The tasks here are near-instant, so completion/handling order is
         # nondeterministic under load and a tight window bound flakes; the
         # O(window) fail-fast bound is pinned deterministically (via the
-        # rack-day counter) in test_poisoned_rack_fails_in_window_not_racks.
+        # build-task counter) in test_poisoned_rack_fails_in_window_not_racks.
         # Here we pin the cancellation contract: queued work was abandoned,
         # not drained to completion.
         assert len(handled) < 50

@@ -20,10 +20,11 @@ from hypothesis import given, settings, strategies as st
 from repro import units
 from repro.config import FleetConfig, PolicySpec
 from repro.fleet.buffermodel import CORE_OUTPUTS, ECN_MASK, FLUID_OUTPUTS, FluidBufferModel
-from repro.fleet.dataset import _plan_items, plan_region
+from repro.fleet.dataset import plan_region
 from repro.fleet.policies import build_policy, registered_policy_specs
 from repro.fleet.rackrun import SYNTHESIS_OUTPUTS, RackRunSynthesizer
 from repro.workload.region import REGION_A
+from tests.fleet.dataset_reference import plan_items
 from tests.fleet.fluid_reference import run_batch_reference
 
 DRAIN = units.SERVER_LINK_RATE * units.ANALYSIS_INTERVAL
@@ -172,7 +173,7 @@ def test_real_synthesis_batch_matches_reference():
     synthesizer = RackRunSynthesizer()
     demands = []
     for workload, hour, leaf in (
-        item for plan in plan_region(REGION_A, config) for item in _plan_items(plan, config)
+        item for plan in plan_region(REGION_A, config) for item in plan_items(plan, config)
     ):
         rng = np.random.default_rng(leaf)
         buckets = synthesizer._run_length(rng)

@@ -21,7 +21,6 @@ from repro.errors import ConfigError
 from repro.experiments.context import ExperimentContext
 from repro.fleet import cache as cache_module
 from repro.fleet.cache import dataset_cache_key
-from repro.fleet.dataset import generate_region_dataset
 from repro.fleet.parallel import resolve_jobs
 from repro.fleet.shards import (
     RegionShardStore,
@@ -30,6 +29,7 @@ from repro.fleet.shards import (
     generate_region_shards,
 )
 from repro.workload.region import REGION_A, REGION_B
+from tests.fleet.dataset_reference import generate_region_dataset
 
 CONFIG = FleetConfig(racks_per_region=3, runs_per_rack=2, seed=77)
 
@@ -473,8 +473,9 @@ class TestRawSynthesisPinned:
     def test_raw_sync_runs_digest_pinned(self):
         import hashlib
 
-        from repro.fleet.dataset import _plan_items, plan_region
+        from repro.fleet.dataset import plan_region
         from repro.fleet.rackrun import RackRunSynthesizer
+        from tests.fleet.dataset_reference import plan_items
 
         h = hashlib.sha256()
         synthesizer = RackRunSynthesizer()
@@ -482,7 +483,7 @@ class TestRawSynthesisPinned:
             items = [
                 item
                 for plan in plan_region(spec, CONFIG)
-                for item in _plan_items(plan, CONFIG)
+                for item in plan_items(plan, CONFIG)
             ]
             for index, sync_run in enumerate(synthesizer.synthesize_batch(items)):
                 TestDefaultPolicyDatasetNoOp._feed(h, sync_run, f"{spec.name}[{index}]")

@@ -9,15 +9,16 @@ import pytest
 from repro.config import FleetConfig
 from repro.core.run import SyncRun
 from repro.errors import ConfigError, SimulationError
-from repro.fleet.dataset import (
+from repro.fleet.dataset import plan_region
+from repro.fleet.rackrun import RackRunSynthesizer, sketch_estimates
+from repro.workload.region import REGION_A, build_region_workloads
+from tests.fleet.dataset_reference import (
     _region_items,
     generate_region_dataset,
     iter_region_summaries,
-    plan_region,
+    rack_days,
     summarize_batches,
 )
-from repro.fleet.rackrun import RackRunSynthesizer, sketch_estimates
-from repro.workload.region import REGION_A, build_region_workloads
 
 
 @pytest.fixture
@@ -109,7 +110,7 @@ class TestDatasetGeneration:
     def test_rack_days_grouping(self):
         config = FleetConfig(racks_per_region=2, runs_per_rack=3, seed=1)
         dataset = generate_region_dataset(REGION_A, config)
-        days = dataset.rack_days()
+        days = rack_days(dataset)
         assert len(days) == 2
         assert all(len(day.summaries) == 3 for day in days)
 

@@ -26,7 +26,6 @@ from repro.analysis.diurnal import hourly_box_stats
 from repro.analysis.racks import rack_profiles
 from repro.config import FleetConfig
 from repro.errors import ConfigError
-from repro.fleet.dataset import generate_region_dataset
 from repro.fleet.rackrun import RackRunSynthesizer
 from repro.fleet.shards import (
     TABLES,
@@ -40,6 +39,7 @@ from tests.analysis.streaming_reference import (
     burst_contention_from_summaries,
     run_contention_from_summaries,
 )
+from tests.fleet.dataset_reference import generate_region_dataset
 
 CONFIG = FleetConfig(racks_per_region=6, runs_per_rack=3, seed=77)
 
@@ -466,6 +466,21 @@ class TestContextIntegration:
         assert ctx.profiles("RegA") == rack_profiles(oracle.summaries)
         assert ctx.hourly_boxes("RegA") == hourly_box_stats(oracle.summaries)
 
+    def test_verbose_progress_reports_each_tenth(self, tmp_path, capsys):
+        """A verbose build reports once per tenth of the region a shard
+        crosses, and at the end: here 6 one-rack shards of 3 runs each,
+        so every shard crosses a tenth of the 18 runs."""
+        from repro.experiments.context import ExperimentContext
+
+        ctx = ExperimentContext(
+            fleet=CONFIG, store_dir=str(tmp_path), shard_racks=1, shard_hours=24, verbose=True
+        )
+        ctx.dataset("RegA")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"  [RegA] {done}/18 rack runs" for done in (3, 6, 9, 12, 15, 18)]
+        ctx.dataset("RegA")  # memoized: no build, no progress
+        assert capsys.readouterr().out == ""
+
     def test_context_without_store_unchanged(self, oracle):
         """Without a store root the context builds into a private
         temporary one — same results — deleted with the context."""
@@ -496,7 +511,7 @@ def _shard_hashes(root, config, jobs, shard_racks, shard_hours, **kwargs):
 
 
 class TestParallelBuild:
-    """A parallel build fans rack days out and writes every shard in
+    """A parallel build fans build tasks out and writes every shard in
     the building process; its files must equal a serial build's."""
 
     PARITY = FleetConfig(racks_per_region=4, runs_per_rack=2, seed=11)
@@ -542,5 +557,6 @@ class TestParallelBuild:
         )
         assert len(progress) == len(records)
         assert progress[-1] == (manifest["total_runs"], manifest["total_runs"])
-        assert store.metrics.counter("dataset.parallel.rack_days") == 4
+        # 8 runs over 2 jobs: two build tasks of ceil(8 / 2) = 4 runs.
+        assert store.metrics.counter("dataset.parallel.tasks") == 2
         assert store.metrics.counter("dataset.generated_runs") == manifest["total_runs"]

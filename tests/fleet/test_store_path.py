@@ -1,12 +1,14 @@
-"""The store path summarizes runs straight from the fluid batch.
+"""The store path reduces runs straight from the fluid batch to rows.
 
-A shard-store build (and a pool worker's rack day) reduces every run
-through ``summarize_batches`` → ``synthesize_batch(reduce=...)`` →
-``summarize_run`` on a :class:`~repro.core.run.StackedRun`: no
-:class:`~repro.core.run.SyncRun` is assembled and no egress echo is
-drawn.  A serial build streams every shard's runs through one
-``summarize_batches``, so fluid batches fill across shard boundaries.
-None of that may move a stored byte.
+A shard-store build cuts the region's run stream into build tasks, one
+fluid batch each, and reduces every run through ``summarize_batch`` →
+``synthesize_batch(reduce=...)`` → ``summarize_run`` on a
+:class:`~repro.core.run.StackedRun`: no :class:`~repro.core.run.SyncRun`
+is assembled, no egress echo is drawn and no summary object is built.
+Tasks fill fluid batches across shard boundaries, in this process or on
+a pool.  None of that may move a stored byte: the rows equal the
+object-form summaries of ``tests/fleet/dataset_reference.py`` encoded
+one tuple per row, as every build wrote them before.
 """
 
 import hashlib
@@ -15,15 +17,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.analysis.summary import summarize_run
+from repro import units
+from repro.analysis.summary import run_rows, summarize_run
 from repro.config import FleetConfig
 from repro.core.run import StackedRun
 from repro.fleet.buffermodel import FluidBufferModel
-from repro.fleet.dataset import _plan_items, plan_region, synthesize_rack_day
+from repro.fleet.dataset import plan_region
 from repro.fleet.rackrun import RackRunSynthesizer
-from repro.fleet.shards import RegionShardStore
+from repro.fleet.shards import (
+    RegionShardStore,
+    _write_shard,
+    plan_build_tasks,
+    plan_region_shards,
+    stack_rows,
+    task_tables,
+)
+from repro.obs.metrics import Metrics
 from repro.workload.region import REGION_A, REGION_B
+from tests.analysis.test_burst_core_parity import random_sync_run
+from tests.fleet.dataset_reference import (
+    encode_tables,
+    plan_items,
+    shard_items,
+    shard_rack_ids,
+    summarize_batches,
+)
 
 #: The end-to-end store-build workload's config: 16 racks x 2 runs per
 #: region, built serially at the default 64 x 12 geometry.
@@ -96,18 +116,57 @@ class TestStoreBuild:
         assert sum(len(calls) for calls in batches.values()) == 4
 
 
+def same_bytes(left: dict, right: dict) -> bool:
+    """Tables equal bit for bit (NaN, -0.0 and all), shape included."""
+    return all(
+        left[kind].shape == right[kind].shape and left[kind].tobytes() == right[kind].tobytes()
+        for kind in ("runs", "bursts", "servers")
+    )
+
+
 def test_rack_day_assembles_no_sync_run(monkeypatch):
-    """A pool worker's unit of work reduces through the store path too,
-    and gives the summaries of the raw runs."""
-    config = FleetConfig(racks_per_region=2, runs_per_rack=3, seed=5)
-    plan = plan_region(REGION_B, config)[1]
+    """A build task (a pool worker's unit of work) reduces through the
+    store path, and its rows are the encoded summaries of the raw runs
+    (here: tasks of three runs, one rack's day each)."""
+    config = FleetConfig(racks_per_region=2, runs_per_rack=3, seed=5, fluid_batch=3)
+    plans, shards = plan_region_shards(REGION_B, config, shard_racks=1, shard_hours=24)
     synthesizer = RackRunSynthesizer()
-    expected = [
+    plan = plans[1]
+    summaries = [
         summarize_run(synthesizer.synthesize(workload, hour, rng))
-        for workload, hour, rng in _plan_items(plan, config)
+        for workload, hour, rng in plan_items(plan, config)
     ]
+    tasks = [task for task in plan_build_tasks(shards, config, jobs=1) if task.runs[0][0] is plan]
+    assert [[run_index for _, run_index in task.runs] for task in tasks] == [[0, 1, 2]]
     monkeypatch.setattr(RackRunSynthesizer, "_assemble", no_sync_run)
-    assert repr(synthesize_rack_day(plan, config, synthesizer)) == repr(expected)
+    expected = encode_tables(summaries, [plan.rack_index] * len(summaries))
+    assert same_bytes(task_tables(tasks[0], config, synthesizer), expected)
+
+
+@settings(max_examples=60)
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=3),
+    servers=st.integers(min_value=1, max_value=6),
+    buckets=st.integers(min_value=1, max_value=60),
+    density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    mean_burst=st.sampled_from([1.0, 4.0]),
+    loss=st.sampled_from([0.0, 0.2]),
+)
+def test_run_rows_equal_encoded_summaries(seeds, servers, buckets, density, mean_burst, loss):
+    """Consecutive runs' rows, stacked, equal ``encode_tables`` of their
+    ``summarize_run`` objects byte for byte: burst-free runs, lossy
+    bursts, and bursts that start at bucket 0 or end at the last bucket
+    (density 1.0 is one burst spanning the run)."""
+    threshold = units.BURST_UTILIZATION_THRESHOLD
+    runs = [
+        random_sync_run(seed, servers, buckets, density, mean_burst, loss, threshold)
+        for seed in seeds
+    ]
+    rack_ids = list(range(len(runs)))
+    rows = [run_rows(run.stacked()) for run in runs]
+    assert same_bytes(
+        stack_rows(rows, rack_ids), encode_tables([summarize_run(run) for run in runs], rack_ids)
+    )
 
 
 def test_stacked_and_raw_runs_summarize_alike():
@@ -121,7 +180,7 @@ def test_stacked_and_raw_runs_summarize_alike():
             item
             for spec in (REGION_A, REGION_B)
             for plan in plan_region(spec, config)[:2]
-            for item in _plan_items(plan, config)
+            for item in plan_items(plan, config)
         ]
 
     stacked = synthesizer.synthesize_batch(items(), reduce=lambda run: run)
@@ -135,21 +194,85 @@ def test_stacked_and_raw_runs_summarize_alike():
     )
 
 
+class TrimmedSynthesizer(RackRunSynthesizer):
+    """Short runs; module-level so it pickles into pool workers."""
+
+    def __init__(self) -> None:
+        super().__init__(trimmed_buckets_mean=240, trimmed_buckets_std=20)
+
+
+def oracle_hashes(root, config, geometry) -> list[dict]:
+    """Per-shard sha256 of the object path: each shard's summaries
+    encoded one tuple per row."""
+    store = RegionShardStore(
+        root=str(root), spec=REGION_A, config=config, shard_racks=geometry[0], shard_hours=geometry[1]
+    )
+    _plans, shards = plan_region_shards(REGION_A, config, *geometry)
+    runs = summarize_batches(shard_items(shards, config), config, TrimmedSynthesizer())
+    store_dir = root / "oracle"
+    store_dir.mkdir()
+    records = []
+    for shard in shards:
+        summaries = [summary for summary, _ in (next(runs) for _ in range(shard.total_runs))]
+        tables = encode_tables(summaries, shard_rack_ids(shard))
+        records.append(_write_shard(str(store_dir), shard, tables, Metrics())["sha256"])
+    return records
+
+
 @pytest.mark.parametrize("geometry", [(1, 1), (2, 4), (64, 12)], ids=lambda g: f"{g[0]}x{g[1]}")
 def test_shards_independent_of_fluid_batch(tmp_path, geometry):
-    """Batches that cross shard boundaries write the same shards as
-    one-run batches and full ones."""
-    synthesizer = RackRunSynthesizer(trimmed_buckets_mean=240, trimmed_buckets_std=20)
-    hashes = []
+    """Tasks that cross shard boundaries write the same shards as
+    one-run tasks and full ones, at 1, 2 and 3 jobs, and those shards
+    are the object path's."""
+    expected = oracle_hashes(tmp_path, FleetConfig(racks_per_region=4, runs_per_rack=3, seed=9), geometry)
     for fluid_batch in (1, 5, 16):
         config = FleetConfig(racks_per_region=4, runs_per_rack=3, seed=9, fluid_batch=fluid_batch)
-        store = RegionShardStore(
-            root=str(tmp_path / str(fluid_batch)),
-            spec=REGION_A,
-            config=config,
-            shard_racks=geometry[0],
-            shard_hours=geometry[1],
-        )
-        manifest = store.build(jobs=1, synthesizer=synthesizer)
-        hashes.append([record["sha256"] for record in manifest["shards"]])
-    assert hashes[0] == hashes[1] == hashes[2]
+        for jobs in (1, 2, 3):
+            store = RegionShardStore(
+                root=str(tmp_path / f"{fluid_batch}-{jobs}"),
+                spec=REGION_A,
+                config=config,
+                shard_racks=geometry[0],
+                shard_hours=geometry[1],
+            )
+            manifest = store.build(jobs=jobs, synthesizer=TrimmedSynthesizer())
+            assert [record["sha256"] for record in manifest["shards"]] == expected, (fluid_batch, jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_on_shard_fires_once_per_shard_in_manifest_order(tmp_path, jobs):
+    """Shards are written, reported and counted in manifest order,
+    whatever order a pool's tasks come back in."""
+    config = FleetConfig(racks_per_region=4, runs_per_rack=3, seed=9, fluid_batch=2)
+    store = RegionShardStore(root=str(tmp_path), spec=REGION_A, config=config, shard_racks=1, shard_hours=6)
+    records, progress = [], []
+    manifest = store.build(
+        jobs=jobs,
+        synthesizer=TrimmedSynthesizer(),
+        on_shard=records.append,
+        progress=lambda done, total: progress.append((done, total)),
+    )
+    assert len(manifest["shards"]) >= 6
+    assert [record["tag"] for record in records] == [record["tag"] for record in manifest["shards"]]
+    runs = np.cumsum([record["runs"] for record in manifest["shards"]]).tolist()
+    assert progress == [(done, manifest["total_runs"]) for done in runs]
+    tasks = store.metrics.counter("dataset.parallel.tasks")
+    assert tasks == (0 if jobs == 1 else math.ceil(manifest["total_runs"] / 2))
+
+
+def test_tasks_are_full_fluid_batches_unless_workers_would_idle():
+    """A task holds ``fluid_batch`` consecutive runs of the stream, or
+    ``ceil(runs / jobs)`` when that is smaller."""
+    config = FleetConfig(racks_per_region=4, runs_per_rack=4, seed=11)
+    _plans, shards = plan_region_shards(REGION_A, config, shard_racks=2, shard_hours=4)
+    stream = [
+        (plan.rack_index, run_index)
+        for shard in shards
+        for plan, indices in zip(shard.plans, shard.run_indices)
+        for run_index in indices
+    ]
+    for jobs, sizes in ((1, [16]), (2, [8, 8]), (3, [6, 6, 4]), (32, [1] * 16)):
+        tasks = plan_build_tasks(shards, config, jobs)
+        assert [len(task.runs) for task in tasks] == sizes
+        assert [task.start for task in tasks] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert [(plan.rack_index, index) for task in tasks for plan, index in task.runs] == stream

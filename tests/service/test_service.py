@@ -15,6 +15,7 @@ Covers the service contracts end to end:
 """
 
 import copy
+import dataclasses
 import glob
 import http.client
 import json
@@ -295,9 +296,12 @@ class TestHTTPService:
 
 class TestCrashRecovery:
     def _service(self, tmp_path) -> QueryService:
+        # One-run fluid batches cut each region into one build task per
+        # run, so a build is still in flight when its first shard lands
+        # (the batch size is execution-only: the store is FLEET's).
         return QueryService(
             ServiceConfig(
-                fleet=FLEET,
+                fleet=dataclasses.replace(FLEET, fluid_batch=1),
                 store_dir=str(tmp_path / "store"),
                 shard_racks=1,
                 shard_hours=12,

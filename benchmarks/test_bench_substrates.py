@@ -33,7 +33,9 @@ DRAIN = units.SERVER_LINK_RATE * units.ANALYSIS_INTERVAL
 
 
 def test_bench_fluid_buffer_model(benchmark):
-    """One 92-server, 1850-bucket fluid run (the per-rack-run kernel)."""
+    """One 92-server, 1850-bucket fluid run (the per-rack-run kernel).
+    Its exponential demand makes every column live, the loop's worst
+    case (see ``test_bench_fluid_live_columns``)."""
     model = FluidBufferModel(servers=92)
     rng = np.random.default_rng(0)
     demand = rng.exponential(0.15 * DRAIN, (1850, 92))
@@ -49,7 +51,8 @@ def test_bench_fluid_batch(benchmark):
     serial side is 8 one-run batches (``run`` is ``run_batch`` over one
     run); one (8, 1850, 92) run_batch call amortizes the Python-level
     time loop across the whole batch.  The asserted 2x floor sits well
-    under the measured ~4x."""
+    under the measured ~4x.  The exponential demand makes every column
+    live, the loop's worst case."""
     runs, buckets, servers = 8, 1850, 92
     model = FluidBufferModel(servers=servers)
     rng = np.random.default_rng(0)
@@ -73,6 +76,76 @@ def test_bench_fluid_batch(benchmark):
     assert serial_s / batch_s >= 2.0
 
 
+def test_bench_fluid_live_columns(benchmark):
+    """The fluid loop steps only live columns: RegA's first 16-run
+    store-build batch at seed 11, where 41% of the (run, server)
+    columns ever exceed their light cap, against the same batch with
+    every column live (each light column's first bucket lifted one ulp
+    above its cap).  Both sides offer the same cells, so the median of
+    the five paired ratios (real / all-live, alternating round by
+    round) is the ratio of ns per offered cell.  The core outputs equal
+    the reference loop's bit for bit; the ceiling sits above the
+    0.56-0.68 measured on a 2-vCPU Xeon."""
+    from repro.fleet.buffermodel import CORE_OUTPUTS
+    from tests.fleet.fluid_reference import run_batch_reference
+
+    synthesizer = RackRunSynthesizer()
+    items = [
+        item for plan in plan_region(REGION_A, STORE_BUILD) for item in plan_items(plan, STORE_BUILD)
+    ][: STORE_BUILD.fluid_batch]
+    demands = []
+    for workload, hour, rng in items:
+        rng = np.random.default_rng(rng)
+        demands.append(
+            synthesizer.demand_model.generate(workload, hour, synthesizer._run_length(rng), rng)
+        )
+    model = synthesizer._fluid_model(workload)
+    model.kernel_choice = "numpy"
+    lengths = np.array([d.demand.shape[0] for d in demands])
+    buffer = np.zeros((lengths.max(), len(demands), model.servers))
+    for row, d in enumerate(demands):
+        buffer[: lengths[row], row] = d.demand
+    real = buffer.transpose(1, 0, 2)
+    state = tuple(
+        np.stack([getattr(d, name) for d in demands])
+        for name in ("persistence", "initial_multiplier", "initial_alpha")
+    )
+    drain = model.drain_per_step
+    m0 = state[1]
+    cap = np.minimum(
+        model.activity_threshold_fraction * drain,
+        np.minimum(m0, np.clip(m0, 0.05, 1.0)) * (model.max_offered_factor * drain),
+    )
+    light = ~(real > cap[:, None, :]).any(axis=1)
+    lifted = buffer.copy()
+    lifted[0][light] = np.nextafter(cap[light], np.inf)
+    all_live = lifted.transpose(1, 0, 2)
+
+    def run(demand):
+        return model.run_batch(demand, *state, lengths=lengths, outputs=CORE_OUTPUTS)
+
+    live_times = []
+
+    def all_live_round_then_real():
+        # An all-live round right before each real round.
+        live_times.append(_best_of(1, lambda: (all_live,), run))
+        return (real,), {}
+
+    result = benchmark.pedantic(run, setup=all_live_round_then_real, rounds=5)
+    ratio = float(np.median(np.array(benchmark.stats.stats.data) / np.array(live_times)))
+
+    assert result.live.size == np.count_nonzero(~light)
+    assert run(all_live).live.size == light.size
+    reference = run_batch_reference(model, np.ascontiguousarray(real), *state, lengths=lengths)
+    for name in CORE_OUTPUTS:
+        assert result.whole(name).tobytes() == reference[name].tobytes(), name
+    benchmark.extra_info["live_fraction"] = float(1.0 - light.mean())
+    benchmark.extra_info["offered_cells"] = real.size
+    benchmark.extra_info["all_live_s"] = float(np.median(live_times))
+    benchmark.extra_info["ratio"] = ratio
+    assert ratio <= 0.75
+
+
 def test_bench_native_kernel(benchmark):
     """The native (numba-jitted) fluid kernel vs the numpy batch oracle.
 
@@ -80,7 +153,8 @@ def test_bench_native_kernel(benchmark):
     the CI with-numba leg runs it with ``--require`` so the gate cannot
     silently vanish there.  The asserted floor is the ISSUE's
     acceptance bar: >=5x over the numpy ``run_batch`` on the same
-    (16, 1850, 40) batch, outputs bit-identical."""
+    (16, 1850, 40) batch, outputs bit-identical.  The exponential demand
+    makes every column live, the worst case for both kernels."""
     import pytest
 
     from repro.fleet.kernels import NATIVE_AVAILABLE, warm_kernels

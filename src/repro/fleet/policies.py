@@ -62,6 +62,11 @@ class SharingPolicy:
     #: fallback loop.
     batch_limits = False
 
+    #: True when :meth:`limits` reads ``active_steps``.  The fluid loop
+    #: keeps that count up to date only for such policies (the others
+    #: see zeros), so a policy that never reads it sets this to False.
+    reads_active_steps = True
+
     #: Id of this policy's limit rule in the native (numba-jitted) fluid
     #: kernel (see :func:`repro.fleet.kernels.fluid._policy_limit`), or
     #: ``None`` when the policy has none — the fluid model then runs the
@@ -151,6 +156,7 @@ class DynamicThresholdPolicy(SharingPolicy):
 
     name = "dynamic-threshold"
     batch_limits = True
+    reads_active_steps = False
     native_kernel_id = _native.POLICY_DYNAMIC_THRESHOLD
 
     def __init__(self, alpha: float = 1.0) -> None:
@@ -172,6 +178,7 @@ class StaticPartitionPolicy(SharingPolicy):
 
     name = "static-partition"
     batch_limits = True
+    reads_active_steps = False
     native_kernel_id = _native.POLICY_STATIC_PARTITION
 
     def __init__(self, queues_per_quadrant: int) -> None:
@@ -194,6 +201,7 @@ class CompleteSharingPolicy(SharingPolicy):
 
     name = "complete-sharing"
     batch_limits = True
+    reads_active_steps = False
     native_kernel_id = _native.POLICY_COMPLETE_SHARING
 
     def limits(self, shared_total, pool_used, quadrant, queue_shared_used, active_steps):
@@ -213,6 +221,7 @@ class EnhancedDynamicThresholdPolicy(SharingPolicy):
 
     name = "enhanced-dt"
     batch_limits = True
+    reads_active_steps = False
     native_kernel_id = _native.POLICY_ENHANCED_DT
 
     def __init__(self, alpha: float = 1.0, burst_fraction: float = 0.5) -> None:
@@ -299,6 +308,7 @@ class DelayDrivenSharingPolicy(SharingPolicy):
 
     name = "delay-driven"
     batch_limits = True
+    reads_active_steps = False
     native_kernel_id = _native.POLICY_DELAY_DRIVEN
 
     def __init__(
@@ -361,6 +371,7 @@ class SharedHeadroomPoolPolicy(SharingPolicy):
 
     name = "shared-headroom"
     batch_limits = True
+    reads_active_steps = False
     native_kernel_id = _native.POLICY_SHARED_HEADROOM
 
     def __init__(

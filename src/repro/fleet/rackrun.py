@@ -22,7 +22,7 @@ from ..core.sketch import SATURATION_ESTIMATE, SKETCH_BITS
 from ..errors import SimulationError
 from ..obs.metrics import Metrics
 from ..workload.region import RackWorkload
-from .buffermodel import CORE_OUTPUTS, FluidBufferBatchResult, FluidBufferModel
+from .buffermodel import CORE_OUTPUTS, ECN_MASK, FluidBufferBatchResult, FluidBufferModel
 from .demand import DemandModel, ServerDemand
 from .kernels import POLICY_FALLBACK_COUNTER, consume_pending, warm_kernels
 from .policies import SharingPolicy, build_policy
@@ -94,15 +94,6 @@ def sketch_estimates(true_counts: np.ndarray, rng: np.random.Generator) -> np.nd
         zeros[tails] = rng.binomial(SKETCH_BITS, p_zero[tails])
         zeros[:] = _ESTIMATES[zeros.astype(np.intp)]
     return estimates
-
-
-def _rows(series: np.ndarray) -> np.ndarray:
-    """A read-only C-contiguous ``(servers, buckets)`` copy of a
-    ``(buckets, servers)`` series: one transpose copy, its rows the
-    servers' series."""
-    rows = np.ascontiguousarray(series.T)
-    rows.flags.writeable = False
-    return rows
 
 
 def run_extras(workload: RackWorkload) -> dict:
@@ -232,13 +223,20 @@ class RackRunSynthesizer:
         Draws this run's sketch noise right after its run-length and
         demand draws, so a run is byte-identical per seed leaf whatever
         batch it is part of.  The noise is drawn on the ``(buckets,
-        servers)`` connection matrix; each series is then one transpose
-        copy of its ``(buckets, servers)`` source.
+        servers)`` connection matrix.  Each series is a read-only
+        C-contiguous ``(servers, buckets)`` array, its rows the servers'
+        series: row sums of another layout would add in another order.
         """
         workload = prepared.workload
-        buckets = int(batch.lengths[row])
         with metrics.span("sketch"):
             conn = sketch_estimates(prepared.connections, prepared.rng)
+        in_bytes, in_retx_bytes, conn = (
+            batch.run_output("delivered", row, rows=True),
+            batch.run_output("delivered_retx", row, rows=True),
+            np.ascontiguousarray(conn.T),
+        )
+        for rows in (in_bytes, in_retx_bytes, conn):
+            rows.flags.writeable = False
         return StackedRun(
             rack=workload.rack,
             region=workload.region,
@@ -249,14 +247,12 @@ class RackRunSynthesizer:
                 workload.placement.servers,
                 workload.rack_config.server_link_rate * self.sampling_interval,
             ),
-            in_bytes=_rows(batch.delivered[row, :buckets]),
-            in_retx_bytes=_rows(batch.delivered_retx[row, :buckets]),
-            conn_estimate=_rows(conn),
-            # A contiguous copy: .sum() over the strided view would add
-            # in another order and change the last bits.
-            switch_discard_bytes=float(
-                np.ascontiguousarray(batch.dropped[row, :buckets]).sum()
-            ),
+            in_bytes=in_bytes,
+            in_retx_bytes=in_retx_bytes,
+            conn_estimate=conn,
+            # Summed over the run's contiguous (buckets, servers) plane:
+            # another layout would add in another order.
+            switch_discard_bytes=float(batch.run_output("dropped", row).sum()),
             switch_ingress_bytes=prepared.ingress_bytes,
             extras=run_extras(workload),
         )
@@ -399,14 +395,9 @@ class RackRunSynthesizer:
                     [prepared[i].buckets for i in member_indices], dtype=np.int64
                 )
                 runs, max_buckets = len(member_indices), int(lengths.max())
-                # A (runs, buckets, servers) view either way: stored
-                # time-major for the numpy loop, so each step reads one
-                # contiguous slab, and run-major for the native kernel,
-                # which would otherwise copy it.
-                if model.effective_kernel == "numpy":
-                    batch_demand = np.zeros((max_buckets, runs, model.servers)).transpose(1, 0, 2)
-                else:
-                    batch_demand = np.zeros((runs, max_buckets, model.servers))
+                # A (runs, buckets, servers) view of a time-major buffer,
+                # so both kernels gather the live columns row by row.
+                batch_demand = np.zeros((max_buckets, runs, model.servers)).transpose(1, 0, 2)
                 persistence = np.empty((runs, model.servers))
                 initial_m = np.empty((runs, model.servers))
                 initial_alpha = np.empty((runs, model.servers))
@@ -425,7 +416,8 @@ class RackRunSynthesizer:
                     lengths=lengths,
                     outputs=outputs,
                 )
-                del batch_demand
+                metrics.incr("synthesis.fluid.columns", runs * model.servers)
+                metrics.incr("synthesis.fluid.live_columns", batch.live.size)
                 for row, i in enumerate(member_indices):
                     fluid_rows[i] = (batch, row)
 
@@ -439,7 +431,7 @@ class RackRunSynthesizer:
                 run = self._stack(entry, batch, row, metrics)
                 if reduce is None:
                     run = self._assemble(
-                        run, entry, batch.ecn_mask[row, : run.buckets], start_time
+                        run, entry, batch.run_output(ECN_MASK, row), start_time
                     )
             out.append(run if reduce is None else reduce(run))
             # Freed before the next run is built.

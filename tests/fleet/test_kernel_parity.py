@@ -163,6 +163,28 @@ def test_native_matches_numpy_output_subsets(spec_index, seed, optional):
         )
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+def test_native_matches_numpy_on_live_and_light_columns(spec):
+    """Both kernels step only the live columns of a mixed batch (as one
+    pseudo-run whose quadrants are the pool bins) and share the light
+    columns' closed form: every output equal as raw bytes."""
+    from tests.fleet.test_fluid_oracle import mixed_batch, model_for
+
+    oracle_model = model_for(spec, 7)
+    demand, persistence, initial_m, initial_alpha, lengths, live = mixed_batch(
+        np.random.default_rng(3), oracle_model, 3, 30, 0.35
+    )
+    native = model_for(spec, 7)
+    native.kernel_choice = "native"
+    assert native.effective_kernel == "native"
+    oracle = oracle_model.run_batch(demand, persistence, initial_m, initial_alpha, lengths=lengths)
+    result = native.run_batch(demand, persistence, initial_m, initial_alpha, lengths=lengths)
+    assert 0 < result.live.size == np.count_nonzero(live) < live.size
+    for field in FIELDS:
+        a, b = getattr(result, field), getattr(oracle, field)
+        assert a.tobytes() == b.tobytes(), f"{field} differs between kernels"
+
+
 # -- edge cases --------------------------------------------------------------
 
 

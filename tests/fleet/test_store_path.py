@@ -84,20 +84,21 @@ def store_build(request, tmp_path_factory):
         calls.append(demand.shape[0])
         return run_batch(self, demand, *args, **kwargs)
 
-    manifests, batches = {}, {}
+    manifests, batches, stores = {}, {}, {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RackRunSynthesizer, "_assemble", no_sync_run)
         patch.setattr(FluidBufferModel, "run_batch", counted)
         for spec in (REGION_A, REGION_B):
             calls.clear()
-            manifests[spec.name] = RegionShardStore(root=str(root), spec=spec, config=config).build(jobs=1)
+            stores[spec.name] = RegionShardStore(root=str(root), spec=spec, config=config)
+            manifests[spec.name] = stores[spec.name].build(jobs=1)
             batches[spec.name] = list(calls)
-    return seed, config, manifests, batches
+    return seed, config, manifests, batches, stores
 
 
 class TestStoreBuild:
     def test_shards_equal_the_pinned_build(self, store_build):
-        seed, _config, manifests, _batches = store_build
+        seed, _config, manifests, _batches, _stores = store_build
         for region, manifest in manifests.items():
             assert len(manifest["shards"]) == 2
             assert shard_digest(manifest) == PINNED_SHARD_DIGESTS[(seed, region)], region
@@ -107,13 +108,43 @@ class TestStoreBuild:
         counts are not multiples of 16; one stream over both makes
         ceil(32 / 16) = 2 full passes per region, 4 in all (6 when each
         shard batched its own runs)."""
-        _seed, config, manifests, batches = store_build
+        _seed, config, manifests, batches, _stores = store_build
         for region, manifest in manifests.items():
             runs = manifest["total_runs"]
             assert [record["runs"] % config.fluid_batch for record in manifest["shards"]] != [0, 0]
             assert len(batches[region]) == math.ceil(runs / config.fluid_batch) == 2, region
             assert batches[region] == [config.fluid_batch] * 2
         assert sum(len(calls) for calls in batches.values()) == 4
+
+    def test_live_column_counters(self, store_build):
+        """``synthesis.fluid.columns`` and ``synthesis.fluid.live_columns``
+        equal a recount from each run's demand: a column is live when it
+        exceeds ``min(activity_floor, min(m0, clip(m0)) * max_offered)``
+        in some bucket.  Every bursty server-run is live: a burst
+        delivers more than 50% of the drain, above the 45% floor."""
+        _seed, config, _manifests, _batches, stores = store_build
+        synthesizer = RackRunSynthesizer()
+        for spec in (REGION_A, REGION_B):
+            columns = live = 0
+            for plan in plan_region(spec, config):
+                for workload, hour, leaf in plan_items(plan, config):
+                    rng = np.random.default_rng(leaf)
+                    buckets = synthesizer._run_length(rng)
+                    demand = synthesizer.demand_model.generate(workload, hour, buckets, rng)
+                    model = synthesizer._fluid_model(workload)
+                    drain, m0 = model.drain_per_step, demand.initial_multiplier
+                    cap = np.minimum(
+                        model.activity_threshold_fraction * drain,
+                        np.minimum(m0, np.clip(m0, 0.05, 1.0)) * (model.max_offered_factor * drain),
+                    )
+                    columns += demand.demand.shape[1]
+                    live += int(np.count_nonzero((demand.demand > cap).any(axis=0)))
+            store = stores[spec.name]
+            counters = store.metrics.counters()
+            assert counters["synthesis.fluid.columns"] == columns
+            assert counters["synthesis.fluid.live_columns"] == live
+            bursty = store.open().columns("runs", ["bursty_server_runs"])["bursty_server_runs"]
+            assert 0 < bursty.sum() <= live < columns, spec.name
 
 
 def same_bytes(left: dict, right: dict) -> bool:

@@ -24,6 +24,7 @@ from repro.fleet.buffermodel import FluidBufferModel
 from repro.fleet.dataset import plan_region
 from repro.fleet.demand import DemandModel
 from repro.fleet.rackrun import RackRunSynthesizer
+from repro.fleet.shards import FLUID_BATCH
 from repro.simnet.tcp import DctcpControl, open_connection
 from repro.simnet.topology import build_rack
 from repro.workload.region import REGION_A, REGION_B, build_region_workloads
@@ -33,7 +34,7 @@ DRAIN = units.SERVER_LINK_RATE * units.ANALYSIS_INTERVAL
 
 
 def test_bench_fluid_buffer_model(benchmark):
-    """One 92-server, 1850-bucket fluid run (the per-rack-run kernel).
+    """One 92-server, 1850-bucket fluid run (the per-rack-run loop).
     Its exponential demand makes every column live, the loop's worst
     case (see ``test_bench_fluid_live_columns``)."""
     model = FluidBufferModel(servers=92)
@@ -47,7 +48,7 @@ def test_bench_fluid_buffer_model(benchmark):
 
 
 def test_bench_fluid_batch(benchmark):
-    """The batched fluid kernel vs the same runs one at a time.  The
+    """The batched fluid loop vs the same runs one at a time.  The
     serial side is 8 one-run batches (``run`` is ``run_batch`` over one
     run); one (8, 1850, 92) run_batch call amortizes the Python-level
     time loop across the whole batch.  The asserted 2x floor sits well
@@ -92,7 +93,7 @@ def test_bench_fluid_live_columns(benchmark):
     synthesizer = RackRunSynthesizer()
     items = [
         item for plan in plan_region(REGION_A, STORE_BUILD) for item in plan_items(plan, STORE_BUILD)
-    ][: STORE_BUILD.fluid_batch]
+    ][:FLUID_BATCH]
     demands = []
     for workload, hour, rng in items:
         rng = np.random.default_rng(rng)
@@ -100,7 +101,6 @@ def test_bench_fluid_live_columns(benchmark):
             synthesizer.demand_model.generate(workload, hour, synthesizer._run_length(rng), rng)
         )
     model = synthesizer._fluid_model(workload)
-    model.kernel_choice = "numpy"
     lengths = np.array([d.demand.shape[0] for d in demands])
     buffer = np.zeros((lengths.max(), len(demands), model.servers))
     for row, d in enumerate(demands):
@@ -146,57 +146,15 @@ def test_bench_fluid_live_columns(benchmark):
     assert ratio <= 0.75
 
 
-def test_bench_native_kernel(benchmark):
-    """The native (numba-jitted) fluid kernel vs the numpy batch oracle.
-
-    Skipped where numba is not installed (``pip install .[native]``);
-    the CI with-numba leg runs it with ``--require`` so the gate cannot
-    silently vanish there.  The asserted floor is the ISSUE's
-    acceptance bar: >=5x over the numpy ``run_batch`` on the same
-    (16, 1850, 40) batch, outputs bit-identical.  The exponential demand
-    makes every column live, the worst case for both kernels."""
-    import pytest
-
-    from repro.fleet.kernels import NATIVE_AVAILABLE, warm_kernels
-
-    if not NATIVE_AVAILABLE:
-        pytest.skip("numba not installed; native kernel unavailable")
-
-    runs, buckets, servers = 16, 1850, 40
-    rng = np.random.default_rng(0)
-    demand = rng.exponential(0.15 * DRAIN, (runs, buckets, servers))
-    demand[rng.random((runs, buckets, servers)) < 0.02] = 2.0 * DRAIN
-    persistence = np.full((runs, servers), 0.05)
-
-    numpy_model = FluidBufferModel(servers=servers, kernel="numpy")
-    native_model = FluidBufferModel(servers=servers, kernel="native")
-    assert native_model.effective_kernel == "native"
-    compile_s = warm_kernels()
-
-    start = time.perf_counter()
-    oracle = numpy_model.run_batch(demand, persistence)
-    numpy_s = time.perf_counter() - start
-
-    native = benchmark(native_model.run_batch, demand, persistence)
-    native_s = benchmark.stats.stats.mean
-
-    assert np.array_equal(native.delivered, oracle.delivered)
-    assert np.array_equal(native.rate_multiplier, oracle.rate_multiplier)
-    benchmark.extra_info["numpy_s"] = numpy_s
-    benchmark.extra_info["compile_s"] = compile_s
-    benchmark.extra_info["speedup"] = numpy_s / native_s
-    assert numpy_s / native_s >= 5.0
-
-
 def test_bench_policy_batch(benchmark):
-    """The batched fluid kernel across the non-DT sharing-policy zoo.
+    """The batched fluid loop across the non-DT sharing-policy zoo.
 
-    Every registered policy advertises a vectorized ``limits`` kernel
-    (``batch_limits``); this gate keeps that promise honest by timing
-    each non-DT policy's ``run_batch`` against the DT reference batch
-    and asserting it stays within 2x — a policy silently degrading to
-    the per-run fallback loop costs far more than that.  The tracked
-    benchmark time is the whole zoo sweep."""
+    The loop calls each policy's ``limits`` once per bucket on the whole
+    batch's live queues, so every registered rule must stay vectorized;
+    this gate keeps that honest by timing each non-DT policy's
+    ``run_batch`` against the DT reference batch and asserting it stays
+    within 2x — a rule that loops over queues in Python costs far more
+    than that.  The tracked benchmark time is the whole zoo sweep."""
     from repro.fleet.policies import build_policy, registered_policy_specs
 
     runs, buckets, servers = 4, 600, 92
@@ -231,8 +189,8 @@ def test_bench_policy_batch(benchmark):
         ratio = best_of(spec.name) / dt_s
         benchmark.extra_info[f"ratio_{spec.name}"] = ratio
         assert ratio <= 2.0, (
-            f"{spec.name} batch kernel at {ratio:.2f}x of the DT batch "
-            f"(bound 2x): its limits kernel has likely fallen off the "
+            f"{spec.name} batch at {ratio:.2f}x of the DT batch "
+            f"(bound 2x): its limits rule has likely fallen off the "
             f"vectorized path"
         )
 
@@ -489,22 +447,21 @@ def test_bench_store_path(benchmark):
     assert speedup >= 1.15
 
 
-def test_bench_region_generation_fluid_batching(benchmark):
-    """End-to-end region-day generation with the batched fluid kernel
+def test_bench_region_generation_fluid_batching(benchmark, monkeypatch):
+    """End-to-end region-day generation with the batched fluid loop
     vs the same pipeline forced to one-run batches.  Bench scale matches the acceptance bar: 20 racks x 4
     runs, one worker."""
+    config = FleetConfig(racks_per_region=20, runs_per_rack=4, seed=11)
 
     def generate(fluid_batch):
-        config = FleetConfig(
-            racks_per_region=20, runs_per_rack=4, seed=11, fluid_batch=fluid_batch
-        )
+        monkeypatch.setattr("repro.fleet.shards.FLUID_BATCH", fluid_batch)
         return generate_region_dataset(REGION_A, config)
 
     start = time.perf_counter()
     serial = generate(fluid_batch=1)
     serial_s = time.perf_counter() - start
 
-    dataset = benchmark.pedantic(generate, args=(FleetConfig().fluid_batch,), rounds=2)
+    dataset = benchmark.pedantic(generate, args=(FLUID_BATCH,), rounds=2)
     batch_s = benchmark.stats.stats.min
 
     assert len(dataset.summaries) == len(serial.summaries) == 80
@@ -551,7 +508,7 @@ def test_bench_shard_generation(benchmark, tmp_path):
         metrics = Metrics()
         parts = [
             (task.start, task_tables(task, config, synthesizer, metrics))
-            for task in plan_build_tasks(shards, config, jobs=1)
+            for task in plan_build_tasks(shards, jobs=1)
         ]
         return _write_shard(str(tmp_path), shard, synthesize_shard(shard, 0, parts), metrics)
 
@@ -631,7 +588,6 @@ def test_bench_pool_build(benchmark, tmp_path):
     paired ratios; every shard's sha256 is equal on both sides."""
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.fleet.kernels import pool_initializer
     from repro.fleet.shards import RegionShardStore
     from tests.fleet.dataset_reference import rack_day_build
 
@@ -645,7 +601,7 @@ def test_bench_pool_build(benchmark, tmp_path):
             for spec in (REGION_A, REGION_B)
         ]
 
-    with ProcessPoolExecutor(max_workers=2, initializer=pool_initializer, initargs=("auto",)) as pool:
+    with ProcessPoolExecutor(max_workers=2) as pool:
         for _ in pool.map(abs, range(2)):
             pass  # both workers forked before the first timed round
         day_times, day_hashes = [], []

@@ -245,12 +245,6 @@ class PolicySpec:
 DEFAULT_POLICY_SPEC = PolicySpec()
 
 
-#: Valid values of :attr:`FleetConfig.kernel`.  Lives here (rather than
-#: in :mod:`repro.fleet.kernels`) so config validation never imports the
-#: fleet package.
-KERNEL_CHOICES = ("auto", "numpy", "native")
-
-
 @dataclass(frozen=True)
 class FleetConfig:
     """Scale of the synthetic region-day dataset (Section 5).
@@ -274,20 +268,6 @@ class FleetConfig:
     #: data (per-(rack, run) seed streams make any fan-out identical),
     #: and is therefore excluded from the dataset cache key.
     jobs: int = 1
-    #: Rack runs per batched fluid-model pass (see
-    #: :meth:`repro.fleet.buffermodel.FluidBufferModel.run_batch`).
-    #: Execution-only like ``jobs``: any batch size produces
-    #: bit-identical data, larger batches amortize the per-bucket time
-    #: loop over more runs at the cost of holding that many runs' demand
-    #: and fluid outputs in memory at once (~7 MB per run of traced
-    #: allocations at 92 servers x ~1,850 buckets on the numpy kernel's
-    #: store path; the native kernel keeps all six outputs).  A
-    #: shard-store build cuts the region's run stream into tasks of this
-    #: many runs (fewer only when ``jobs`` workers would otherwise
-    #: idle), in process or on a pool.  16 is the measured knee: roughly 2x
-    #: end-to-end region generation vs one-run batches, with diminishing
-    #: returns (and growing footprint) beyond it.
-    fluid_batch: int = 16
     #: Buffer-sharing policy every synthesized rack runs under.  A
     #: dataset axis like ``seed``: two configs differing only in policy
     #: describe *different* region-days, so the spec feeds the dataset
@@ -295,15 +275,6 @@ class FleetConfig:
     #: :mod:`repro.fleet.cache`; the default DT spec is keyed as the
     #: pre-policy-axis payload so existing caches stay valid).
     policy: PolicySpec = field(default_factory=PolicySpec)
-    #: Fluid-model kernel implementation: ``auto`` picks the native
-    #: (numba-jitted) kernel when numba imports and the policy has a
-    #: native limit rule, falling back to numpy otherwise; ``numpy``
-    #: and ``native`` pin the choice (``native`` warns and falls back
-    #: when numba is unavailable).  Execution-only like ``jobs``: both
-    #: kernels are bit-identical (the numpy path is the oracle, pinned
-    #: by the kernel-parity suites), so the axis never feeds the
-    #: dataset cache key.
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.racks_per_region < 0:
@@ -320,14 +291,8 @@ class FleetConfig:
             )
         if self.jobs < 0:
             raise ConfigError("jobs cannot be negative (0 means all cores)")
-        if self.fluid_batch < 1:
-            raise ConfigError("fluid batch must contain at least one run")
         if not isinstance(self.policy, PolicySpec):
             raise ConfigError("policy must be a PolicySpec")
-        if self.kernel not in KERNEL_CHOICES:
-            raise ConfigError(
-                f"kernel must be one of {KERNEL_CHOICES}, got {self.kernel!r}"
-            )
 
 
 #: The configuration used throughout the paper's analysis.

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..config import KERNEL_CHOICES, FleetConfig
+from ..config import FleetConfig
 from ..errors import ConfigError, StorageError
 from ..fleet.shards import (
     DEFAULT_SHARD_HOURS,
@@ -217,13 +217,6 @@ def _add_generation_args(parser: argparse.ArgumentParser) -> None:
         "--shard-hours", type=int, default=DEFAULT_SHARD_HOURS, metavar="N",
         help=f"hours per shard (default {DEFAULT_SHARD_HOURS})",
     )
-    parser.add_argument(
-        "--kernel", choices=KERNEL_CHOICES, default="auto",
-        help="fluid-model kernel: 'native' is the numba-jitted time "
-             "loop, 'numpy' the vectorized oracle, 'auto' (default) "
-             "native when numba is installed; bit-identical datasets "
-             "either way, so the choice never affects the dataset key",
-    )
 
 
 def _store_dir(args) -> str:
@@ -256,6 +249,10 @@ def _export(args) -> int:
             f"day), got {args.runs_per_rack}",
             file=sys.stderr,
         )
+        return 2
+    # The seed feeds np.random.default_rng, which takes no negative ints.
+    if args.seed < 0:
+        print(f"error: --seed cannot be negative, got {args.seed}", file=sys.stderr)
         return 2
 
     spec = REGION_A if args.region == "RegA" else REGION_B
@@ -329,7 +326,6 @@ def _context(args, verbose: bool = False) -> ExperimentContext:
             runs_per_rack=args.runs_per_rack,
             seed=args.seed,
             jobs=args.jobs,
-            kernel=getattr(args, "kernel", "auto"),
             **({"policy": policy} if policy is not None else {}),
         ),
         store_dir=_store_dir(args),
@@ -370,6 +366,9 @@ def _serve(args) -> int:
     if args.no_tcp and not args.unix_socket:
         print("error: --no-tcp requires --unix-socket", file=sys.stderr)
         return 2
+    if not 0 <= args.port <= 65535:
+        print(f"error: --port must be between 0 and 65535, got {args.port}", file=sys.stderr)
+        return 2
     service = QueryService(
         ServiceConfig(
             fleet=FleetConfig(
@@ -377,7 +376,6 @@ def _serve(args) -> int:
                 runs_per_rack=args.runs_per_rack,
                 seed=args.seed,
                 jobs=args.jobs,
-                kernel=getattr(args, "kernel", "auto"),
                 **({"policy": args.policy} if args.policy is not None else {}),
             ),
             store_dir=_store_dir(args),

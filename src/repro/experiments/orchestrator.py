@@ -16,7 +16,7 @@ telemetry:
   orchestrator then warms the shared datasets *before* starting it and
   traces each experiment on its own, making the traced peak that
   experiment's analysis and nothing else (worker pools never inherit
-  the tracer, see :func:`repro.fleet.kernels.pool_initializer`);
+  the tracer, see :func:`repro.fleet.parallel.stop_inherited_tracer`);
 * a raising experiment is recorded and the suite continues; the caller
   decides the exit code from :attr:`OrchestrationResult.failures`.
 

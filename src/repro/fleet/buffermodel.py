@@ -49,13 +49,11 @@ import numpy as np
 from .. import units
 from ..config import BufferConfig
 from ..errors import SimulationError
-from .kernels import resolve_kernel
-from .kernels import fluid as _native
 from .policies import DynamicThresholdPolicy, SharingPolicy
 
 
-#: The fluid loop's float outputs, in the order the native kernel packs
-#: them; :meth:`FluidBufferModel.run_batch` writes all six by default.
+#: The fluid loop's float outputs; :meth:`FluidBufferModel.run_batch`
+#: writes all six by default.
 FLUID_OUTPUTS = (
     "delivered",
     "delivered_retx",
@@ -229,7 +227,6 @@ class FluidBufferModel:
         policy: SharingPolicy | None = None,
         responsive_sources: bool = True,
         retransmit_losses: bool = True,
-        kernel: str = "auto",
     ) -> None:
         if servers <= 0:
             raise SimulationError("need at least one server")
@@ -271,71 +268,6 @@ class FluidBufferModel:
         #: bucket or two, while a fresh pool (alpha ~ 0) barely reacts —
         #: exactly the asymmetry behind the Section 8.1 loss inversion.
         self.windows_per_step = max(1.0, step / rtt / 4.0)
-        #: Resolved kernel setting (``"numpy"`` or ``"native"``); the
-        #: kernel that actually runs also depends on whether the policy
-        #: has a native limit rule (see :attr:`effective_kernel`).
-        #: Execution detail only: both kernels are bit-identical.
-        self.kernel_choice = resolve_kernel(kernel)
-
-    @property
-    def native_supported(self) -> bool:
-        """True when this model's policy has a native limit rule."""
-        return self.policy.native_kernel_id is not None
-
-    @property
-    def effective_kernel(self) -> str:
-        """The kernel :meth:`run`/:meth:`run_batch` will execute:
-        ``"native"`` only when numba resolved *and* the policy has a
-        native limit rule; otherwise the numpy oracle."""
-        if self.kernel_choice == "native" and self.native_supported:
-            return "native"
-        return "numpy"
-
-    def _native_outputs(
-        self,
-        demand: np.ndarray,
-        bins: np.ndarray,
-        num_bins: int,
-        gap_steps: np.ndarray,
-        initial_multiplier: np.ndarray,
-        initial_alpha: np.ndarray,
-    ) -> np.ndarray:
-        """Run the native kernel over the live ``(buckets, cells)``
-        demand as one pseudo-run whose quadrants are the pool ``bins``;
-        returns the packed ``(6, buckets, cells)`` output array."""
-        cfg = self.buffer_config
-        drain = self.drain_per_step
-        params = np.zeros(_native.MAX_POLICY_PARAMS)
-        params[:] = self.policy.native_kernel_params()
-        consts = np.array(
-            [
-                float(cfg.dedicated_bytes_per_queue),
-                float(cfg.shared_bytes),
-                float(cfg.ecn_threshold_bytes),
-                drain,
-                self.max_offered_factor * drain,
-                self.activity_threshold_fraction * drain,
-                self.dctcp_gain,
-                self.additive_increase,
-                1.0 if self.responsive_sources else 0.0,
-                1.0 if self.retransmit_losses else 0.0,
-            ]
-        )
-        iconsts = np.array(
-            [self.retx_delay_steps, num_bins, self.policy.native_kernel_id],
-            dtype=np.int64,
-        )
-        return _native.fluid_run_batch(
-            demand=demand[None],
-            gap_steps=gap_steps[None],
-            initial_multiplier=initial_multiplier[None],
-            initial_alpha=initial_alpha[None],
-            quadrant=bins,
-            params=params,
-            consts=consts,
-            iconsts=iconsts,
-            windows_per_step=self.windows_per_step,
-        )[:, 0]
 
     def run(
         self,
@@ -403,8 +335,6 @@ class FluidBufferModel:
         :data:`CORE_OUTPUTS`, which every step computes; ``ecn_marked``,
         ``queue_occupancy``, ``rate_multiplier`` and :data:`ECN_MASK`
         are optional, and the result holds None for each one left out.
-        On the native kernel ``outputs`` only selects what the result
-        exposes: the kernel computes all six.
 
         **Only live columns run.**  A (run, server) column is *live*
         when its demand exceeds ``cap = min(activity_floor, min(m0,
@@ -448,9 +378,8 @@ class FluidBufferModel:
         server`` order, each keyed by its pool bin ``run * quadrants +
         quadrant``: the batch is one pseudo-run whose quadrants are the
         bins.  ``np.bincount`` still sums each bin's servers in
-        ascending order, and the native kernel, which indexes
-        ``pool[r, quadrant[s]]``, takes the same plane unchanged.  A
-        batch with no live column runs no loop at all.
+        ascending order.  A batch with no live column runs no loop at
+        all.
 
         Runs never interact: every update is elementwise over the cells
         and the per-quadrant pool sums are segmented per run, so each
@@ -518,29 +447,15 @@ class FluidBufferModel:
             initial_alpha[run_of, server_of],
         )
 
-        if self.effective_kernel == "native" and live.size:
-            packed = dict(
-                zip(
-                    FLUID_OUTPUTS,
-                    self._native_outputs(cell_demand, bins, num_bins, *cell_state),
-                )
-            )
-            planes = {name: packed[name] for name in FLUID_OUTPUTS if name in wanted}
-            if ECN_MASK in wanted:
-                # delivered * (ecn_marked != 0) == ecn_marked bit for bit.
-                planes[ECN_MASK] = packed["ecn_marked"] != 0.0
-        else:
-            planes = {
-                name: np.zeros((buckets, live.size))
-                for name in FLUID_OUTPUTS
-                if name in wanted
-            }
-            if ECN_MASK in wanted:
-                planes[ECN_MASK] = np.zeros((buckets, live.size), dtype=bool)
-            if live.size:
-                # Guarded divisions divide by zero before masking the result.
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    self._time_loop(cell_demand, bins, num_bins, *cell_state, planes)
+        planes = {
+            name: np.zeros((buckets, live.size)) for name in FLUID_OUTPUTS if name in wanted
+        }
+        if ECN_MASK in wanted:
+            planes[ECN_MASK] = np.zeros((buckets, live.size), dtype=bool)
+        if live.size:
+            # Guarded divisions divide by zero before masking the result.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self._time_loop(cell_demand, bins, num_bins, *cell_state, planes)
         return FluidBufferBatchResult(
             lengths=lengths_arr, demand=demand, live=live, planes=planes, multiplier=clipped
         )
@@ -555,7 +470,7 @@ class FluidBufferModel:
         dctcp_alpha: np.ndarray,
         stored: dict[str, np.ndarray],
     ) -> None:
-        """The numpy time loop over the live columns' ``(buckets,
+        """The time loop over the live columns' ``(buckets,
         cells)`` demand (see :meth:`run_batch` for the flat layout),
         writing each step's row of every output in ``stored`` (the
         ``(buckets, cells)`` planes keyed by output name, the core
@@ -664,11 +579,6 @@ class FluidBufferModel:
         lost = plane(bool)
         grow = plane(bool)
         not_positive = plane(bool)
-        # (1, cells) views: to a policy the batch is one pseudo-run whose
-        # quadrants are the bins, and its (1, cells) limits add into one.
-        run_shared_used = shared_used[None]
-        run_active_steps = queue_active_steps[None]
-        run_accepted = accepted[None]
         delivered = stored["delivered"]
         delivered_retx = stored["delivered_retx"]
         dropped = stored["dropped"]
@@ -733,17 +643,15 @@ class FluidBufferModel:
             # shared_used = max(q_total - dedicated, 0), q_total = q_before
             np.subtract(q_before, dedicated, out=shared_used)
             np.maximum(shared_used, zero, out=shared_used)
-            threshold = policy.limits_batch(
-                shared_total,
-                pool_sums(shared_used)[None],
-                bins,
-                run_shared_used,
-                run_active_steps,
+            # To a policy the batch is one vector of queues whose
+            # quadrants are the bins.
+            threshold = policy.limits(
+                shared_total, pool_sums(shared_used), bins, shared_used, queue_active_steps
             )
             # Space freed by draining during the bucket also admits bytes:
             # room = max(dedicated + threshold - q_total, 0) + drain,
             # accepted = min(offered, room)
-            np.add(dedicated, threshold, out=run_accepted)
+            np.add(dedicated, threshold, out=accepted)
             accepted -= q_before
             np.maximum(accepted, zero, out=accepted)
             accepted += drain

@@ -76,7 +76,7 @@ def _canonical(value):
 #: Every :class:`FleetConfig` field must appear in exactly one of these
 #: two sets.  ``KEY_BEARING_FIELDS`` shape the generated data and feed
 #: the content hash; ``EXECUTION_ONLY_FIELDS`` change only how a dataset
-#: is computed (fan-out, batching) and are deliberately excluded.  A
+#: is computed (fan-out) and are deliberately excluded.  A
 #: test asserts the classification is exhaustive, so a future
 #: dataset-shaping field cannot silently alias stored datasets.
 KEY_BEARING_FIELDS: tuple[str, ...] = (
@@ -86,7 +86,7 @@ KEY_BEARING_FIELDS: tuple[str, ...] = (
     "seed",
     "policy",
 )
-EXECUTION_ONLY_FIELDS: tuple[str, ...] = ("jobs", "fluid_batch", "kernel")
+EXECUTION_ONLY_FIELDS: tuple[str, ...] = ("jobs",)
 
 
 def dataset_cache_key(spec: RegionSpec, config: FleetConfig) -> str:

@@ -45,11 +45,25 @@ import numpy as np
 from ..config import FleetConfig
 from ..errors import ConfigError, WorkerCancelled, WorkerCrashError, WorkerTaskError
 from ..obs.metrics import Metrics
-from .kernels import consume_pending
 from .rackrun import RackRunSynthesizer
 from .shards import BuildTask, task_tables
 
 T = TypeVar("T")
+
+
+def stop_inherited_tracer() -> None:
+    """Worker-pool ``initializer``: stop a ``tracemalloc`` tracer the
+    worker inherited at fork.  Its allocation hook would tax every numpy
+    temporary of the fluid loop, while the parent never reads a child's
+    traced memory.  Every pool :func:`run_windowed` owns, and the query
+    service's pool, install it."""
+    # Imported here so only pool workers load it: the import alone
+    # shifts glibc's heap layout enough to move the packet simulator's
+    # peak RSS by ~70 MB (malloc's dynamic mmap threshold).
+    import tracemalloc
+
+    if tracemalloc.is_tracing():
+        tracemalloc.stop()
 
 
 def resolve_jobs(jobs: int, reserved: int = 0) -> int:
@@ -81,8 +95,6 @@ def run_windowed(
     label: Callable[[T], str] = repr,
     pool: Executor | None = None,
     cancel_event: threading.Event | None = None,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
 ) -> int:
     """Fan ``items`` out over a process pool with a shallow window.
 
@@ -93,11 +105,11 @@ def run_windowed(
     of items handled.
 
     When ``pool`` is None the substrate creates and owns a
-    ``ProcessPoolExecutor`` (``initializer``/``initargs`` run in each
-    worker at fork — kernel JIT warm-up lives there); passing an
-    executor (the service's persistent pool) reuses it, in which case a
-    broken pool is *not* retried here — the pool's owner decides how to
-    replace it — and the initializer is the pool owner's business.
+    ``ProcessPoolExecutor`` whose workers stop any inherited tracer
+    (:func:`stop_inherited_tracer`); passing an executor (the service's
+    persistent pool) reuses it, in which case a broken pool is *not*
+    retried here: the pool's owner decides how to replace it, and what
+    its workers run at fork.
 
     Failure semantics (see the module docstring): first task exception
     → cancel queued work, raise :class:`WorkerTaskError`; broken pool →
@@ -134,9 +146,7 @@ def run_windowed(
         executor = pool
         if executor is None:
             owned = ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)),
-                initializer=initializer,
-                initargs=initargs,
+                max_workers=min(jobs, len(pending)), initializer=stop_inherited_tracer
             )
             executor = owned
         in_flight: dict[Future, int] = {}
@@ -209,6 +219,5 @@ def _build_task(
     never as shared state.
     """
     worker_metrics = Metrics()
-    consume_pending(worker_metrics)  # pool-initializer JIT compile time
     tables = task_tables(task, config, synthesizer, worker_metrics)
     return tables, worker_metrics.snapshot()

@@ -41,7 +41,6 @@ import numpy as np
 
 from ..config import DEFAULT_POLICY_SPEC, PolicySpec
 from ..errors import ConfigError, SimulationError
-from .kernels import fluid as _native
 
 
 class SharingPolicy:
@@ -54,32 +53,10 @@ class SharingPolicy:
 
     name = "abstract"
 
-    #: True when :meth:`limits` is written with broadcasting-safe ops
-    #: (``[..., quadrant]`` indexing, shape-generic fills) so the batched
-    #: fluid kernel can call it directly on ``(runs, ...)`` arrays.  Every
-    #: built-in policy sets this; third-party policies written against the
-    #: per-run signature keep working through the :meth:`limits_batch`
-    #: fallback loop.
-    batch_limits = False
-
     #: True when :meth:`limits` reads ``active_steps``.  The fluid loop
     #: keeps that count up to date only for such policies (the others
     #: see zeros), so a policy that never reads it sets this to False.
     reads_active_steps = True
-
-    #: Id of this policy's limit rule in the native (numba-jitted) fluid
-    #: kernel (see :func:`repro.fleet.kernels.fluid._policy_limit`), or
-    #: ``None`` when the policy has none — the fluid model then runs the
-    #: whole rack on the numpy path (which evaluates :meth:`limits` per
-    #: bucket) regardless of the kernel setting.  Third-party policies
-    #: need not set this; the numpy path is always the semantic oracle.
-    native_kernel_id: int | None = None
-
-    def native_kernel_params(self) -> tuple[float, float, float, float]:
-        """This instance's parameters packed into the fixed-width float
-        vector the native limit rule reads (width
-        :data:`~repro.fleet.kernels.fluid.MAX_POLICY_PARAMS`)."""
-        return (0.0, 0.0, 0.0, 0.0)
 
     def limits(
         self,
@@ -95,41 +72,16 @@ class SharingPolicy:
         maps servers to quadrants; ``queue_shared_used`` is each queue's
         current shared occupancy; ``active_steps`` counts consecutive
         steps each queue has been non-empty (the mice/elephant signal).
+
+        The fluid loop calls this once per bucket on one flat vector of
+        queues, the live columns of its whole batch, whose "quadrants"
+        are the per-(run, quadrant) pool bins; the packet simulator's
+        :meth:`~repro.simnet.buffer.SharedBuffer.policy_limit` makes the
+        same one-vector call.  The built-in rules also broadcast over a
+        leading runs axis (``[..., quadrant]`` indexing, shape-generic
+        fills), which the historical loop in the tests relies on.
         """
         raise NotImplementedError
-
-    def limits_batch(
-        self,
-        shared_total: float,
-        pool_used: np.ndarray,
-        quadrant: np.ndarray,
-        queue_shared_used: np.ndarray,
-        active_steps: np.ndarray,
-    ) -> np.ndarray:
-        """Batched :meth:`limits` over a leading runs axis.
-
-        ``pool_used`` is ``(runs, quadrants)``; ``queue_shared_used`` and
-        ``active_steps`` are ``(runs, servers)``; the result is
-        ``(runs, servers)``.  Policies flagged :attr:`batch_limits` are
-        evaluated in one vectorized call; anything else falls back to one
-        :meth:`limits` call per run, which is exactly equivalent.
-        """
-        if self.batch_limits:
-            return self.limits(
-                shared_total, pool_used, quadrant, queue_shared_used, active_steps
-            )
-        return np.stack(
-            [
-                self.limits(
-                    shared_total,
-                    pool_used[run],
-                    quadrant,
-                    queue_shared_used[run],
-                    active_steps[run],
-                )
-                for run in range(pool_used.shape[0])
-            ]
-        )
 
 
 #: Registered policy classes by :attr:`SharingPolicy.name`.  The
@@ -155,17 +107,12 @@ class DynamicThresholdPolicy(SharingPolicy):
     """The deployed baseline: T = alpha * (B - Q)."""
 
     name = "dynamic-threshold"
-    batch_limits = True
     reads_active_steps = False
-    native_kernel_id = _native.POLICY_DYNAMIC_THRESHOLD
 
     def __init__(self, alpha: float = 1.0) -> None:
         if alpha <= 0:
             raise SimulationError("alpha must be positive")
         self.alpha = alpha
-
-    def native_kernel_params(self):
-        return (self.alpha, 0.0, 0.0, 0.0)
 
     def limits(self, shared_total, pool_used, quadrant, queue_shared_used, active_steps):
         free = np.maximum(shared_total - pool_used, 0.0)
@@ -177,17 +124,12 @@ class StaticPartitionPolicy(SharingPolicy):
     """Hard partitioning: every queue owns an equal slice."""
 
     name = "static-partition"
-    batch_limits = True
     reads_active_steps = False
-    native_kernel_id = _native.POLICY_STATIC_PARTITION
 
     def __init__(self, queues_per_quadrant: int) -> None:
         if queues_per_quadrant <= 0:
             raise SimulationError("need at least one queue per quadrant")
         self.queues_per_quadrant = queues_per_quadrant
-
-    def native_kernel_params(self):
-        return (float(self.queues_per_quadrant), 0.0, 0.0, 0.0)
 
     def limits(self, shared_total, pool_used, quadrant, queue_shared_used, active_steps):
         slice_bytes = shared_total / self.queues_per_quadrant
@@ -200,9 +142,7 @@ class CompleteSharingPolicy(SharingPolicy):
     """No per-queue limit: admit until the pool is physically full."""
 
     name = "complete-sharing"
-    batch_limits = True
     reads_active_steps = False
-    native_kernel_id = _native.POLICY_COMPLETE_SHARING
 
     def limits(self, shared_total, pool_used, quadrant, queue_shared_used, active_steps):
         shape = np.shape(queue_shared_used)[:-1] + (len(quadrant),)
@@ -220,18 +160,13 @@ class EnhancedDynamicThresholdPolicy(SharingPolicy):
     """
 
     name = "enhanced-dt"
-    batch_limits = True
     reads_active_steps = False
-    native_kernel_id = _native.POLICY_ENHANCED_DT
 
     def __init__(self, alpha: float = 1.0, burst_fraction: float = 0.5) -> None:
         if alpha <= 0 or not 0 <= burst_fraction <= 1:
             raise SimulationError("invalid EDT parameters")
         self.alpha = alpha
         self.burst_fraction = burst_fraction
-
-    def native_kernel_params(self):
-        return (self.alpha, self.burst_fraction, 0.0, 0.0)
 
     def limits(self, shared_total, pool_used, quadrant, queue_shared_used, active_steps):
         free = np.maximum(shared_total - pool_used, 0.0)[..., quadrant]
@@ -255,8 +190,6 @@ class FlowAwareThresholdPolicy(SharingPolicy):
     """
 
     name = "flow-aware"
-    batch_limits = True
-    native_kernel_id = _native.POLICY_FLOW_AWARE
 
     def __init__(
         self,
@@ -271,9 +204,6 @@ class FlowAwareThresholdPolicy(SharingPolicy):
         self.mice_alpha = mice_alpha
         self.elephant_alpha = elephant_alpha
         self.mice_steps = mice_steps
-
-    def native_kernel_params(self):
-        return (self.mice_alpha, self.elephant_alpha, float(self.mice_steps), 0.0)
 
     def limits(self, shared_total, pool_used, quadrant, queue_shared_used, active_steps):
         free = np.maximum(shared_total - pool_used, 0.0)[..., quadrant]
@@ -307,9 +237,7 @@ class DelayDrivenSharingPolicy(SharingPolicy):
     """
 
     name = "delay-driven"
-    batch_limits = True
     reads_active_steps = False
-    native_kernel_id = _native.POLICY_DELAY_DRIVEN
 
     def __init__(
         self,
@@ -330,10 +258,6 @@ class DelayDrivenSharingPolicy(SharingPolicy):
         self.alpha = alpha
         self.target_delay_steps = target_delay_steps
         self.drain_per_step = drain_per_step
-
-    def native_kernel_params(self):
-        # The same product limits() computes each call.
-        return (self.alpha, self.target_delay_steps * self.drain_per_step, 0.0, 0.0)
 
     def limits(self, shared_total, pool_used, quadrant, queue_shared_used, active_steps):
         free = np.maximum(shared_total - pool_used, 0.0)[..., quadrant]
@@ -370,9 +294,7 @@ class SharedHeadroomPoolPolicy(SharingPolicy):
     """
 
     name = "shared-headroom"
-    batch_limits = True
     reads_active_steps = False
-    native_kernel_id = _native.POLICY_SHARED_HEADROOM
 
     def __init__(
         self,
@@ -393,14 +315,6 @@ class SharedHeadroomPoolPolicy(SharingPolicy):
         self.alpha = alpha
         self.headroom_fraction = headroom_fraction
         self.oversubscription = oversubscription
-
-    def native_kernel_params(self):
-        return (
-            self.alpha,
-            self.headroom_fraction,
-            self.oversubscription,
-            float(self.queues_per_quadrant),
-        )
 
     def limits(self, shared_total, pool_used, quadrant, queue_shared_used, active_steps):
         headroom_total = self.headroom_fraction * shared_total

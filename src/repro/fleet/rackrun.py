@@ -24,7 +24,6 @@ from ..obs.metrics import Metrics
 from ..workload.region import RackWorkload
 from .buffermodel import CORE_OUTPUTS, ECN_MASK, FluidBufferBatchResult, FluidBufferModel
 from .demand import DemandModel, ServerDemand
-from .kernels import POLICY_FALLBACK_COUNTER, consume_pending, warm_kernels
 from .policies import SharingPolicy, build_policy
 
 #: One entry of a synthesis batch: (workload, hour, rng-or-seed-leaf).
@@ -133,7 +132,6 @@ class RackRunSynthesizer:
         trimmed_buckets_std: int = 40,
         egress_echo: float = 0.18,
         policy: PolicySpec | None = None,
-        kernel: str = "auto",
     ) -> None:
         if trimmed_buckets_mean <= 0:
             raise SimulationError("run length must be positive")
@@ -152,11 +150,6 @@ class RackRunSynthesizer:
         self.policy = (
             policy if policy is not None and policy != DEFAULT_POLICY_SPEC else None
         )
-        #: Fluid-kernel setting (:data:`repro.config.KERNEL_CHOICES`)
-        #: forwarded to every fluid model this synthesizer builds.  The
-        #: string (not the resolved choice) is stored so pickled
-        #: synthesizers re-resolve numba availability in each worker.
-        self.kernel = kernel
 
     def _run_length(self, rng: np.random.Generator) -> int:
         """Post-trim run length (Section 5: average 1.85 s at 1 ms)."""
@@ -182,19 +175,13 @@ class RackRunSynthesizer:
         return self.synthesize_batch([(workload, hour, rng)], start_time=start_time)[0]
 
     def _fluid_model(self, workload: RackWorkload) -> FluidBufferModel:
-        model = FluidBufferModel(
+        return FluidBufferModel(
             servers=workload.placement.servers,
             buffer_config=workload.rack_config.buffer,
             line_rate=workload.rack_config.server_link_rate,
             step=self.sampling_interval,
             policy=self._policy_for(workload),
-            kernel=getattr(self, "kernel", "auto"),
         )
-        if model.effective_kernel == "native":
-            # Idempotent: a no-op after the pool initializer (or the
-            # first model) already compiled in this process.
-            warm_kernels()
-        return model
 
     def _policy_for(self, workload: RackWorkload) -> SharingPolicy | None:
         """Build the configured policy for one rack's geometry.
@@ -346,8 +333,7 @@ class RackRunSynthesizer:
         inside assembly as ``synthesis/assemble/sketch``.  ``reduce``
         runs outside those spans.
         """
-        recording = metrics is not None
-        metrics = metrics if recording else Metrics()
+        metrics = metrics if metrics is not None else Metrics()
 
         # Phase 1 — per-run RNG work: run lengths and demand synthesis.
         prepared: list[_PreparedRun] = []
@@ -387,16 +373,12 @@ class RackRunSynthesizer:
         with metrics.span("synthesis/fluid"):
             for member_indices in groups.values():
                 model = self._fluid_model(prepared[member_indices[0]].workload)
-                # Which kernel actually ran, next to the span's timing.
-                metrics.incr(f"synthesis.fluid.kernel.{model.effective_kernel}")
-                if model.kernel_choice == "native" and not model.native_supported:
-                    metrics.incr(POLICY_FALLBACK_COUNTER)
                 lengths = np.array(
                     [prepared[i].buckets for i in member_indices], dtype=np.int64
                 )
                 runs, max_buckets = len(member_indices), int(lengths.max())
                 # A (runs, buckets, servers) view of a time-major buffer,
-                # so both kernels gather the live columns row by row.
+                # so the live columns are gathered row by row.
                 batch_demand = np.zeros((max_buckets, runs, model.servers)).transpose(1, 0, 2)
                 persistence = np.empty((runs, model.servers))
                 initial_m = np.empty((runs, model.servers))
@@ -437,9 +419,4 @@ class RackRunSynthesizer:
             # Freed before the next run is built.
             del run
         metrics.incr("synthesis.batched_runs", len(out))
-        # Kernel counters staged outside a metrics scope (import-time
-        # numba probe, pool-initializer compile time) surface in the
-        # caller's registry; without one they stay staged.
-        if recording:
-            consume_pending(metrics)
         return out

@@ -97,7 +97,6 @@ from .dataset import (
     run_rng,
     summarize_batch,
 )
-from .kernels import pool_initializer
 from .rackrun import RackRunSynthesizer, run_extras
 
 logger = logging.getLogger(__name__)
@@ -370,9 +369,21 @@ class BuildTask:
         return f"runs {self.start}-{self.start + len(self.runs) - 1}: {names}"
 
 
-def plan_build_tasks(shards: Sequence[ShardTask], config: FleetConfig, jobs: int) -> list[BuildTask]:
+#: Rack runs per batched fluid-model pass, and so per build task (see
+#: :meth:`repro.fleet.buffermodel.FluidBufferModel.run_batch`).  Any
+#: batch size produces bit-identical data, so it never feeds the
+#: dataset key: larger batches amortize the per-bucket time loop over
+#: more runs at the cost of holding that many runs' demand and fluid
+#: outputs in memory at once (~5.5 MB per run of traced allocations at
+#: 92 servers x ~1,850 buckets on the store path).  16 is the measured
+#: knee: roughly 2x end-to-end region generation vs one-run batches,
+#: with diminishing returns (and growing footprint) beyond it.
+FLUID_BATCH = 16
+
+
+def plan_build_tasks(shards: Sequence[ShardTask], jobs: int) -> list[BuildTask]:
     """Cut the run stream of ``shards`` into tasks of
-    ``min(fluid_batch, ceil(runs / jobs))`` consecutive runs: full fluid
+    ``min(FLUID_BATCH, ceil(runs / jobs))`` consecutive runs: full fluid
     batches, made smaller only to keep every one of ``jobs`` workers
     busy.  Any cut writes the same shards."""
     stream = [
@@ -381,7 +392,7 @@ def plan_build_tasks(shards: Sequence[ShardTask], config: FleetConfig, jobs: int
         for plan, run_indices in zip(shard.plans, shard.run_indices)
         for run_index in run_indices
     ]
-    size = max(1, min(config.fluid_batch, math.ceil(len(stream) / jobs)))
+    size = max(1, min(FLUID_BATCH, math.ceil(len(stream) / jobs)))
     return [
         BuildTask(start, tuple(stream[start : start + size]))
         for start in range(0, len(stream), size)
@@ -398,7 +409,7 @@ def task_tables(
     rows of the three tables (see :data:`TABLES`), ``run_row`` counted
     from the task's first run.  A build runs this in this process or in
     a pool worker."""
-    synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy, kernel=config.kernel)
+    synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy)
     items = [
         (
             plan.workload,
@@ -647,7 +658,7 @@ class RegionShardStore:
         plans, shards = plan_region_shards(
             self.spec, self.config, self.shard_racks, self.shard_hours
         )
-        tasks = plan_build_tasks(shards, self.config, jobs)
+        tasks = plan_build_tasks(shards, jobs)
         starts = np.cumsum([0] + [shard.total_runs for shard in shards]).tolist()
         total = starts[-1]
         records: list[dict] = []
@@ -705,13 +716,9 @@ class RegionShardStore:
                     label=attrgetter("label"),
                     pool=pool,
                     cancel_event=cancel_event,
-                    initializer=pool_initializer,
-                    initargs=(self.config.kernel,),
                 )
             else:
-                synthesizer = synthesizer or RackRunSynthesizer(
-                    policy=self.config.policy, kernel=self.config.kernel
-                )
+                synthesizer = synthesizer or RackRunSynthesizer(policy=self.config.policy)
                 for index, task in enumerate(tasks):
                     if cancel_event is not None and cancel_event.is_set():
                         raise WorkerCancelled(index, len(tasks))
@@ -980,6 +987,7 @@ __all__ = [
     "BuildTask",
     "DEFAULT_SHARD_HOURS",
     "DEFAULT_SHARD_RACKS",
+    "FLUID_BATCH",
     "RUN_COLUMNS",
     "RegionShardStore",
     "SERVER_COLUMNS",

@@ -7,17 +7,17 @@ and one outcome entry per experiment (status, wall time, peak memory,
 headline metrics).  CI, regression tooling, and
 later scaling PRs read this instead of parsing terminal output.
 
-Schema (version 2) — see :data:`MANIFEST_SCHEMA` for the field-level
+Schema (version 3) — see :data:`MANIFEST_SCHEMA` for the field-level
 contract enforced by :func:`validate_manifest`:
 
 ```json
 {
   "schema": "millisampler-repro/run-manifest",
-  "schema_version": 2,
+  "schema_version": 3,
   "created_at": 1754438400.0,
   "config": {"racks_per_region": 100, "runs_per_rack": 10,
              "hours": 24, "seed": 20221025, "jobs": 0,
-             "policy": "{...}", "kernel": "numpy",
+             "policy": "{...}",
              "store_dir": "~/.cache/millisampler-shards",
              "shard_racks": 64, "shard_hours": 12},
   "trace_memory": false,
@@ -59,7 +59,7 @@ from ..errors import ManifestError
 MANIFEST_SCHEMA = "millisampler-repro/run-manifest"
 
 #: Bump on any backwards-incompatible change to the manifest layout.
-MANIFEST_SCHEMA_VERSION = 2
+MANIFEST_SCHEMA_VERSION = 3
 
 #: Valid values of an experiment outcome's ``status`` field.
 OUTCOME_STATUSES = ("ok", "failed", "skipped")
@@ -88,22 +88,7 @@ _CONFIG_FIELDS: dict[str, tuple[type, ...]] = {
     "store_dir": (str,),
     "shard_racks": (int,),
     "shard_hours": (int,),
-    # The fluid kernel that ran ("numpy" or "native") — the *resolved*
-    # choice, not the requested setting, so the manifest answers "what
-    # actually executed here".  Execution-only: never in the dataset key.
-    "kernel": (str,),
 }
-
-
-def _resolved_kernel(fleet_config) -> str:
-    """The kernel the run's fluid models execute with.
-
-    Imported lazily: ``obs`` must not depend on the fleet package at
-    import time (fleet modules record through ``obs``).
-    """
-    from ..fleet.kernels import resolve_kernel
-
-    return resolve_kernel(getattr(fleet_config, "kernel", "auto"))
 
 
 def _config_block(
@@ -117,7 +102,6 @@ def _config_block(
         "seed": fleet_config.seed,
         "jobs": fleet_config.jobs,
         "policy": fleet_config.policy.canonical_json(),
-        "kernel": _resolved_kernel(fleet_config),
         "store_dir": store_dir,
         "shard_racks": shard_racks,
         "shard_hours": shard_hours,
@@ -263,7 +247,7 @@ def validate_manifest(manifest: dict) -> None:
 SERVICE_METRICS_SCHEMA = "millisampler-repro/service-metrics"
 
 #: Version of the service-metrics layout.
-SERVICE_METRICS_SCHEMA_VERSION = 1
+SERVICE_METRICS_SCHEMA_VERSION = 2
 
 #: Required service block fields -> accepted types.
 _SERVICE_FIELDS: dict[str, tuple[type, ...]] = {

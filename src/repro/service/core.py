@@ -38,8 +38,8 @@ from ..config import FleetConfig
 from ..errors import ConfigError, WorkerCrashError
 from ..experiments.context import ExperimentContext
 from ..fleet.dataset import DatasetSummary
-from ..fleet.kernels import pool_initializer
-from ..fleet.shards import DEFAULT_SHARD_HOURS, DEFAULT_SHARD_RACKS
+from ..fleet.parallel import stop_inherited_tracer
+from ..fleet.shards import DEFAULT_SHARD_HOURS, DEFAULT_SHARD_RACKS, check_shard_geometry
 from ..obs.manifest import build_service_metrics
 
 #: Queue sentinel closing a subscriber's event stream.
@@ -243,6 +243,13 @@ class ServiceConfig:
     #: the worker pool — see :meth:`QueryService.pool_jobs`.
     request_threads: int = 2
 
+    def __post_init__(self) -> None:
+        check_shard_geometry(self.shard_racks, self.shard_hours)
+        if self.request_threads < 1:
+            raise ConfigError(
+                f"request threads must be at least 1, got {self.request_threads}"
+            )
+
 
 class QueryService:
     """The transport-independent service: flights, pool, telemetry.
@@ -270,7 +277,7 @@ class QueryService:
         self._started = time.monotonic()
         self._closed = False
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, config.request_threads),
+            max_workers=config.request_threads,
             thread_name_prefix="repro-serve",
         )
         self.context.pool = self._new_pool()
@@ -301,9 +308,7 @@ class QueryService:
         replacement) pins every fork to a moment with no connections.
         """
         pool = ProcessPoolExecutor(
-            max_workers=self.pool_jobs(),
-            initializer=pool_initializer,
-            initargs=(self.config.fleet.kernel,),
+            max_workers=self.pool_jobs(), initializer=stop_inherited_tracer
         )
         for future in [pool.submit(_worker_pid) for _ in range(pool._max_workers)]:
             future.result()

@@ -4,6 +4,7 @@ failure isolation, and manifest schema guarantees."""
 import json
 import os
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 
@@ -319,6 +320,63 @@ class TestConfigErrors:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert "error: argument --policy: policy 'dynamic-threshold' rejected its parameters" in err
         assert "alpha must be positive" in err
+
+
+def stub_serve(monkeypatch) -> SimpleNamespace:
+    """Stub the query service and its server, so ``serve`` returns once
+    configured without a pool or a socket; returns the configs the
+    service received and the ports the server was asked to bind."""
+    import repro.service
+
+    seen = SimpleNamespace(configs=[], ports=[])
+
+    class StubService:
+        def __init__(self, config):
+            seen.configs.append(config)
+
+        def pool_jobs(self) -> int:
+            return 1
+
+    def run_server(service, *, port, ready, **_kwargs):
+        seen.ports.append(port)
+        ready(port)
+
+    monkeypatch.setattr(repro.service, "QueryService", StubService)
+    monkeypatch.setattr(repro.service, "run_server", run_server)
+    return seen
+
+
+class TestServeAndExportInputs:
+    """Numeric inputs the config types do not bound are checked before
+    anything starts: one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("port", ["-5", "70000"])
+    def test_out_of_range_port_is_a_one_line_error(self, port, monkeypatch, capsys):
+        seen = stub_serve(monkeypatch)
+        assert cli.main(["serve", "--port", port, "--racks", "1", "--no-cache"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --port must be between 0 and 65535, got {port}\n"
+        )
+        assert seen.configs == seen.ports == []
+
+    def test_zero_request_threads_is_a_one_line_error(self, monkeypatch, capsys):
+        """Zero request threads used to start one thread while the banner
+        and ``/metrics`` reported 0."""
+        seen = stub_serve(monkeypatch)
+        rc = cli.main(["serve", "--port", "0", "--request-threads", "0", "--no-cache"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: request threads must be at least 1, got 0\n"
+        )
+        assert seen.configs == seen.ports == []
+
+    def test_negative_export_seed_is_a_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "msdata"
+        rc = cli.main(["export", str(out), "--racks", "1", "--runs-per-rack", "1",
+                       "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed cannot be negative, got -1\n"
+        assert not out.exists()
 
 
 class TestShardGeometry:

@@ -190,8 +190,8 @@ class TestTraceMemory:
 
     def test_pool_workers_never_inherit_the_tracer(self):
         """A forked worker would otherwise keep the parent's allocation
-        hook for its whole life; the parent never reads it."""
-        from repro.fleet.kernels import pool_initializer
+        hook for its whole life; the parent never reads it.  A pool
+        ``run_windowed`` owns stops it by itself."""
         from repro.fleet.parallel import run_windowed
 
         seen = []
@@ -202,8 +202,6 @@ class TestTraceMemory:
                 lambda executor, item: executor.submit(tracemalloc.is_tracing),
                 lambda item, tracing: seen.append(tracing),
                 jobs=2,
-                initializer=pool_initializer,
-                initargs=("auto",),
             )
             assert tracemalloc.is_tracing()  # the parent keeps its tracer
         finally:

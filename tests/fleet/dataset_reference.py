@@ -26,9 +26,9 @@ from repro.analysis.summary import RunSummary, summarize_run
 from repro.config import FleetConfig
 from repro.core.run import StackedRun
 from repro.fleet.dataset import RackRunPlan, RegionDataset, plan_region, run_rng
-from repro.fleet.kernels import consume_pending, pool_initializer
 from repro.fleet.parallel import resolve_jobs, run_windowed
 from repro.fleet.rackrun import BatchItem, RackRunSynthesizer
+from repro.fleet import shards
 from repro.fleet.shards import (
     BURST_COLUMNS,
     RUN_COLUMNS,
@@ -100,8 +100,9 @@ def summarize_batches(
     metrics: Metrics | None = None,
 ) -> Iterator[tuple[RunSummary, RackWorkload]]:
     """Synthesize ``items`` in consecutive fluid batches of
-    ``config.fluid_batch`` and reduce every run to its summary object."""
-    synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy, kernel=config.kernel)
+    :data:`~repro.fleet.shards.FLUID_BATCH` runs and reduce every run to
+    its summary object."""
+    synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy)
     metrics = metrics if metrics is not None else Metrics()
 
     def summarize(run: StackedRun) -> RunSummary:
@@ -109,7 +110,7 @@ def summarize_batches(
             return summarize_run(run)
 
     items = iter(items)
-    while chunk := list(islice(items, config.fluid_batch)):
+    while chunk := list(islice(items, shards.FLUID_BATCH)):
         summaries = synthesizer.synthesize_batch(chunk, metrics=metrics, reduce=summarize)
         for summary, (workload, _hour, _rng) in zip(summaries, chunk):
             yield summary, workload
@@ -239,7 +240,6 @@ def rack_day_task(
 ) -> tuple[list[RunSummary], dict]:
     """Pool worker entry point of the rack-day fan-out."""
     worker_metrics = Metrics()
-    consume_pending(worker_metrics)
     summaries = synthesize_rack_day(plan, config, synthesizer, metrics=worker_metrics)
     return summaries, worker_metrics.snapshot()
 
@@ -292,7 +292,5 @@ def rack_day_build(
         jobs=resolve_jobs(jobs),
         label=lambda plan: f"rack {plan.rack_index} ({plan.workload.rack})",
         pool=pool,
-        initializer=pool_initializer,
-        initargs=(store.config.kernel,),
     )
     return [records[task.key.tag] for task in tasks]

@@ -123,7 +123,7 @@ def run_batch_reference(
         q_before = q_total
         shared_used = np.maximum(q_total - dedicated, 0.0)
         pool_used = pool_sums(shared_used)
-        threshold = self.policy.limits_batch(
+        threshold = self.policy.limits(
             shared_total, pool_used, quadrant, shared_used, queue_active_steps
         )
         allowed_occ = dedicated + threshold

@@ -182,6 +182,14 @@ class TestValidation:
         with pytest.raises(SimulationError):
             FluidBufferModel(servers=0)
 
+    def test_zero_bucket_run_is_empty(self):
+        """A run with no buckets runs no loop and returns every output
+        as an empty ``(0, servers)`` array."""
+        result = make_model(servers=3).run(np.zeros((0, 3)), fresh(3))
+        for name in ("delivered", "delivered_retx", "ecn_marked", "dropped",
+                     "queue_occupancy", "rate_multiplier"):
+            assert getattr(result, name).shape == (0, 3), name
+
     @given(seed=st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
     def test_conservation_invariant(self, seed):

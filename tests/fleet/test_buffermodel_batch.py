@@ -1,4 +1,4 @@
-"""Batched fluid kernel: runs in a batch never interact.
+"""Batched fluid loop: runs in a batch never interact.
 
 ``run_batch`` is the only fluid time loop (``run`` is a batch of one),
 so its contract is batch-invariance: a batch of N runs must be
@@ -127,9 +127,11 @@ class TestBatchEquivalence:
             )
             assert_result_equal(alone, batch.per_run(run))
 
-    def test_fallback_policy_without_batch_limits(self, rng):
-        """A policy that never opted into the batch-aware path still
-        works via the per-run stacking fallback — and still matches."""
+    def test_one_vector_policy_runs_in_the_loop(self, rng):
+        """A policy whose ``limits`` only handles one vector of queues
+        (``free[quadrant]``, no leading runs axis) runs in the loop,
+        which hands it the whole batch as one vector keyed by pool bin,
+        and a batch still matches its runs alone."""
 
         class LoopedThreshold(SharingPolicy):
             name = "looped-dt"
@@ -138,7 +140,6 @@ class TestBatchEquivalence:
                 free = np.maximum(shared_total - pool_used, 0.0)
                 return 0.5 * free[quadrant]
 
-        assert LoopedThreshold.batch_limits is False
         model = FluidBufferModel(servers=4, policy=LoopedThreshold())
         demand, persistence, multiplier, alpha = make_batch(rng, runs=3, servers=4)
         batch = model.run_batch(
@@ -152,7 +153,7 @@ class TestBatchEquivalence:
                 initial_multiplier=multiplier[run],
                 initial_alpha=alpha[run],
             )
-            assert_result_equal(alone, batch.per_run(run), "fallback")
+            assert_result_equal(alone, batch.per_run(run), "one-vector policy")
 
 
 class TestBatchValidation:

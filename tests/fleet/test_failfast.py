@@ -32,6 +32,7 @@ from repro.errors import (
     WorkerCrashError,
     WorkerTaskError,
 )
+from repro.fleet import shards
 from repro.fleet.parallel import resolve_jobs, run_windowed
 from repro.fleet.rackrun import RackRunSynthesizer
 from repro.fleet.shards import RegionShardStore
@@ -113,16 +114,16 @@ def _hashes(manifest: dict) -> list[dict]:
 
 
 class TestFailFast:
-    def test_poisoned_rack_fails_in_window_not_racks(self, tmp_path):
+    def test_poisoned_rack_fails_in_window_not_racks(self, tmp_path, monkeypatch):
         # Two-run fluid batches cut the region's 40 runs into 20 build
         # tasks, one rack day each: many more tasks than the window.
-        config = dataclasses.replace(CONFIG, fluid_batch=2)
+        monkeypatch.setattr(shards, "FLUID_BATCH", 2)
         poisoned_index = 2
         metrics = Metrics()
         with pytest.raises(WorkerTaskError) as excinfo:
             _build(
                 tmp_path,
-                config,
+                CONFIG,
                 synthesizer=PoisonedSynthesizer(_rack_name(poisoned_index)),
                 metrics=metrics,
             )

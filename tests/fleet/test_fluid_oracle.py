@@ -22,7 +22,6 @@ from repro import units
 from repro.config import FleetConfig, PolicySpec
 from repro.fleet.buffermodel import CORE_OUTPUTS, ECN_MASK, FLUID_OUTPUTS, FluidBufferModel
 from repro.fleet.dataset import plan_region
-from repro.fleet.kernels import fluid as _native
 from repro.fleet.policies import build_policy, registered_policy_specs
 from repro.fleet.rackrun import SYNTHESIS_OUTPUTS, RackRunSynthesizer
 from repro.workload.region import REGION_A
@@ -70,7 +69,7 @@ def make_demand(rng, runs, buckets, servers):
 def model_for(spec, servers, **kwargs) -> FluidBufferModel:
     num_quadrants = min(units.NUM_QUADRANTS, servers)
     policy = build_policy(spec, queues_per_quadrant=-(-servers // num_quadrants))
-    return FluidBufferModel(servers=servers, policy=policy, kernel="numpy", **kwargs)
+    return FluidBufferModel(servers=servers, policy=policy, **kwargs)
 
 
 #: The fluid model's options the sweeps cover, by label.
@@ -230,8 +229,26 @@ def test_live_and_light_columns_match_reference(
     assert_bitwise(result, reference, outputs)
 
 
+def test_resumed_state_matches_reference():
+    """A second batch seeded with the first one's final multipliers
+    (per-run ``(runs, servers)`` state) and a shared ``(servers,)``
+    alpha, as a resumed run would be, matches the reference."""
+    rng = np.random.default_rng(9)
+    servers = 4
+    model = FluidBufferModel(servers=servers)
+    persistence = rng.uniform(0.001, 0.05, servers)
+    m0 = rng.uniform(0.05, 1.0, servers)
+    a0 = rng.uniform(0.0, 1.0, servers)
+    first = model.run_batch(make_demand(rng, 2, 25, servers), persistence, m0, a0)
+    m1 = first.rate_multiplier[:, -1, :]
+    assert m1.shape == (2, servers)
+    demand = make_demand(rng, 2, 25, servers)
+    reference = run_batch_reference(model, demand, persistence, m1, a0)
+    assert_bitwise(model.run_batch(demand, persistence, m1, a0), reference)
+
+
 def test_outputs_are_time_major_views():
-    model = FluidBufferModel(servers=3, kernel="numpy")
+    model = FluidBufferModel(servers=3)
     demand = make_demand(np.random.default_rng(1), 2, 20, 3)
     result = model.run_batch(demand, np.full(3, 0.01))
     for name in FLUID_OUTPUTS:
@@ -270,7 +287,6 @@ def test_real_synthesis_batch_matches_reference():
     initial_m = np.stack([d.initial_multiplier for d in demands])
     initial_alpha = np.stack([d.initial_alpha for d in demands])
     model = synthesizer._fluid_model(workload)
-    model.kernel_choice = "numpy"
     reference = run_batch_reference(
         model,
         np.ascontiguousarray(buffer.transpose(1, 0, 2)),
@@ -311,7 +327,7 @@ class TestQuietSteps:
         do, so every retransmitting step also updates runs with nothing
         due."""
         rng = np.random.default_rng(5)
-        model = FluidBufferModel(servers=8, kernel="numpy")
+        model = FluidBufferModel(servers=8)
         demand = rng.exponential(0.1 * DRAIN, (3, 80, 8))
         demand[0] = make_demand(rng, 1, 80, 8)[0]
         reference = self.compare(model, demand, np.full(8, 0.01))
@@ -324,7 +340,7 @@ class TestQuietSteps:
         """Drops in the last ``retx_delay_steps`` buckets are never due
         inside the run; an earlier spike's are."""
         rng = np.random.default_rng(6)
-        model = FluidBufferModel(servers=6, retx_delay_steps=3, kernel="numpy")
+        model = FluidBufferModel(servers=6, retx_delay_steps=3)
         demand = rng.exponential(0.1 * DRAIN, (2, 40, 6))
         demand[:, 10] = 6.0 * DRAIN
         demand[:, -3:] = 6.0 * DRAIN
@@ -338,7 +354,7 @@ class TestQuietSteps:
         queued byte is retransmitted, so the queue delivers it over four
         buckets with nothing newly due and drains to exactly 0.0.  A
         fresh queue on server 1 follows with no retransmitted bytes."""
-        model = FluidBufferModel(servers=4, retx_delay_steps=6, kernel="numpy")
+        model = FluidBufferModel(servers=4, retx_delay_steps=6)
         demand = np.zeros((2, 40, 4))
         demand[0, 0, 0] = 8.0 * DRAIN
         demand[0, 20:30, 1] = 1.2 * DRAIN
@@ -384,7 +400,7 @@ class TestQuietSteps:
     )
     def test_drops_with_a_mechanism_off(self, options):
         rng = np.random.default_rng(8)
-        model = FluidBufferModel(servers=9, kernel="numpy", **options)
+        model = FluidBufferModel(servers=9, **options)
         demand = make_demand(rng, 3, 70, 9)
         reference = self.compare(model, demand, np.full(9, 0.01))
         assert reference["dropped"].sum() > 0
@@ -396,7 +412,7 @@ class TestLightColumns:
     """A column whose demand never exceeds its cap skips the loop and
     gets its outputs in closed form.  Each case sits on an edge of that
     rule and checks all six outputs and the mask against the reference
-    bit for bit (for both kernels where the loop must not run)."""
+    bit for bit."""
 
     @staticmethod
     def compare(model, demand, initial_m=None, lengths=None):
@@ -412,7 +428,7 @@ class TestLightColumns:
         return result, reference
 
     def test_demand_at_the_cap_is_light_one_ulp_above_is_live(self):
-        model = FluidBufferModel(servers=4, kernel="numpy")
+        model = FluidBufferModel(servers=4)
         cap = light_cap(model, np.ones(4))
         demand = np.zeros((2, 30, 4))
         demand[:, 5] = cap
@@ -440,7 +456,7 @@ class TestLightColumns:
         """Server 1 offers ``level`` drains (None: exactly its cap) in
         its first bucket and a little more later; only a level above
         the cap runs the loop."""
-        model = FluidBufferModel(servers=3, kernel="numpy")
+        model = FluidBufferModel(servers=3)
         initial_m = np.full(3, 0.5)
         initial_m[1] = m0
         demand = np.zeros((1, 12, 3))
@@ -455,7 +471,7 @@ class TestLightColumns:
             )
 
     def test_negative_zero_demand_delivers_positive_zero(self):
-        model = FluidBufferModel(servers=3, kernel="numpy")
+        model = FluidBufferModel(servers=3)
         demand = np.full((2, 10, 3), 0.1 * DRAIN)
         demand[:, 4, :] = -0.0
         demand[1, 6, 0] = 3.0 * DRAIN
@@ -465,21 +481,18 @@ class TestLightColumns:
         assert result.live.tolist() == [3]
 
     def test_zero_demand_run_beside_a_busy_one(self):
-        model = FluidBufferModel(servers=5, kernel="numpy")
+        model = FluidBufferModel(servers=5)
         demand = np.zeros((3, 25, 5))
         demand[1, :20] = make_demand(np.random.default_rng(4), 1, 20, 5)[0]
         result, _ = self.compare(model, demand, lengths=np.array([25, 20, 7]))
         assert (result.live // 5 == 1).all()
 
-    @pytest.mark.parametrize("kernel", ["numpy", "native"])
-    def test_no_live_column_runs_no_loop(self, kernel, monkeypatch):
+    def test_no_live_column_runs_no_loop(self, monkeypatch):
         def no_loop(*_args, **_kwargs):
             raise AssertionError("a batch without live columns ran the loop")
 
         monkeypatch.setattr(FluidBufferModel, "_time_loop", no_loop)
-        monkeypatch.setattr(_native, "fluid_run_batch", no_loop)
-        model = FluidBufferModel(servers=6, kernel="numpy")
-        model.kernel_choice = kernel
+        model = FluidBufferModel(servers=6)
         demand = np.random.default_rng(2).uniform(0.0, 0.45 * DRAIN, (3, 30, 6))
         demand[0, 3] = -0.0
         result, _ = self.compare(model, demand, lengths=np.array([30, 12, 1]))

@@ -1,11 +1,11 @@
-"""The buffer-sharing policy axis: registry, specs, and policy kernels.
+"""The buffer-sharing policy axis: registry, specs, and limit rules.
 
 Covers the identity layer (PolicySpec canonical JSON and CLI parsing),
 the registry (every policy addressable by name, geometry injection),
 the two newer policies' threshold rules (delay-driven sharing and the
 SONiC-style shared headroom pool), the FAB mice/elephant boundary that
-is pinned inclusive, and the bit-identity of every policy's batched
-``limits`` kernel against the per-run fallback loop.
+is pinned inclusive, and that every policy's ``limits`` on a stack of
+runs equals its per-run calls.
 """
 
 import json
@@ -103,8 +103,6 @@ class TestRegistry:
         policy = build_policy(spec, queues_per_quadrant=4)
         assert isinstance(policy, SharingPolicy)
         assert policy.name == spec.name
-        # Every built-in ships a vectorized batch kernel.
-        assert policy.batch_limits is True
 
     def test_build_unknown_name_rejected(self):
         with pytest.raises(ConfigError, match="unknown sharing policy"):
@@ -235,8 +233,9 @@ class TestSharedHeadroomRule:
 
 
 class TestBatchKernelIdentity:
-    """Each policy's vectorized ``limits_batch`` must be bit-identical to
-    the per-run fallback loop (the acceptance bar for ``batch_limits``)."""
+    """Each policy's ``limits`` called on a stack of runs (a leading runs
+    axis) must be bit-identical to one call per run: the historical
+    fluid loop in ``tests/fleet/fluid_reference.py`` relies on it."""
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_batch_matches_serial_loop(self, spec, rng):
@@ -250,9 +249,7 @@ class TestBatchKernelIdentity:
         queue_shared = rng.uniform(0, shared_total / servers, size=(runs, servers))
         active = rng.integers(0, 12, size=(runs, servers)).astype(np.float64)
 
-        batched = policy.limits_batch(
-            shared_total, pool_used, quadrant, queue_shared, active
-        )
+        batched = policy.limits(shared_total, pool_used, quadrant, queue_shared, active)
         looped = np.stack(
             [
                 policy.limits(
@@ -263,22 +260,3 @@ class TestBatchKernelIdentity:
         )
         assert batched.shape == (runs, servers)
         assert np.array_equal(batched, looped), spec.name
-
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
-    def test_base_fallback_agrees_when_flag_forced_off(self, spec, rng):
-        """Flipping ``batch_limits`` off must not change a policy's
-        numbers — the flag selects an implementation, not a model."""
-        policy = build_policy(spec, queues_per_quadrant=3)
-        shared_total = 1e6
-        quadrant = np.array([0, 0, 1, 1, 2, 2])
-        pool_used = rng.uniform(0, shared_total, size=(4, 3))
-        queue_shared = rng.uniform(0, shared_total / 6, size=(4, 6))
-        active = rng.integers(0, 9, size=(4, 6)).astype(np.float64)
-        fast = policy.limits_batch(
-            shared_total, pool_used, quadrant, queue_shared, active
-        )
-        policy.batch_limits = False
-        slow = policy.limits_batch(
-            shared_total, pool_used, quadrant, queue_shared, active
-        )
-        assert np.array_equal(fast, slow), spec.name

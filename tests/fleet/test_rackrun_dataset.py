@@ -9,6 +9,7 @@ import pytest
 from repro.config import FleetConfig
 from repro.core.run import SyncRun
 from repro.errors import ConfigError, SimulationError
+from repro.fleet import shards
 from repro.fleet.dataset import plan_region
 from repro.fleet.rackrun import RackRunSynthesizer, sketch_estimates
 from repro.workload.region import REGION_A, build_region_workloads
@@ -230,11 +231,10 @@ class TestBatchSynthesis:
         copies no series and each run is summarized as soon as it is
         assembled (stepping every column measured 7.0 MB; the full six
         outputs, five series copies and a batch of live runs peaked at
-        ~20 MB).  Pinned to the numpy loop: the native kernel computes
-        all six outputs whatever synthesis asks for."""
-        config = FleetConfig(racks_per_region=8, runs_per_rack=2, seed=11, kernel="numpy")
+        ~20 MB)."""
+        config = FleetConfig(racks_per_region=8, runs_per_rack=2, seed=11)
         items = list(_region_items(plan_region(REGION_A, config), config))
-        assert len(items) == config.fluid_batch == 16
+        assert len(items) == shards.FLUID_BATCH == 16
         assert {workload.placement.servers for workload, _, _ in items} == {92}
         tracemalloc.start()
         try:
@@ -245,24 +245,19 @@ class TestBatchSynthesis:
         assert len(summaries) == 16
         assert peak / len(items) <= 6e6, f"{peak / len(items) / 1e6:.2f} MB per run"
 
-    def test_fluid_batch_size_does_not_change_dataset(self):
-        """The batch size is an execution knob: any value produces the
+    def test_fluid_batch_size_does_not_change_dataset(self, monkeypatch):
+        """The batch size is an execution detail: any value produces the
         same region-day, byte for byte."""
+        config = FleetConfig(racks_per_region=2, runs_per_rack=3, seed=7)
         datasets = []
         for fluid_batch in (1, 3, 16):
-            config = FleetConfig(
-                racks_per_region=2, runs_per_rack=3, seed=7, fluid_batch=fluid_batch
-            )
+            monkeypatch.setattr(shards, "FLUID_BATCH", fluid_batch)
             datasets.append(generate_region_dataset(REGION_A, config))
         for other in datasets[1:]:
             for a, b in zip(datasets[0].summaries, other.summaries):
                 assert a.rack == b.rack and a.hour == b.hour
                 assert a.contention.mean == b.contention.mean
                 assert a.total_in_bytes == b.total_in_bytes
-
-    def test_invalid_fluid_batch_rejected(self):
-        with pytest.raises(ConfigError):
-            FleetConfig(fluid_batch=0)
 
     def test_batch_rejects_bad_hour(self, rng):
         workloads = build_region_workloads(REGION_A, racks=1, rng=rng)

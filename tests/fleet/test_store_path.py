@@ -27,6 +27,7 @@ from repro.fleet.buffermodel import FluidBufferModel
 from repro.fleet.dataset import plan_region
 from repro.fleet.rackrun import RackRunSynthesizer
 from repro.fleet.shards import (
+    FLUID_BATCH,
     RegionShardStore,
     _write_shard,
     plan_build_tasks,
@@ -108,12 +109,12 @@ class TestStoreBuild:
         counts are not multiples of 16; one stream over both makes
         ceil(32 / 16) = 2 full passes per region, 4 in all (6 when each
         shard batched its own runs)."""
-        _seed, config, manifests, batches, _stores = store_build
+        _seed, _config, manifests, batches, _stores = store_build
         for region, manifest in manifests.items():
             runs = manifest["total_runs"]
-            assert [record["runs"] % config.fluid_batch for record in manifest["shards"]] != [0, 0]
-            assert len(batches[region]) == math.ceil(runs / config.fluid_batch) == 2, region
-            assert batches[region] == [config.fluid_batch] * 2
+            assert [record["runs"] % FLUID_BATCH for record in manifest["shards"]] != [0, 0]
+            assert len(batches[region]) == math.ceil(runs / FLUID_BATCH) == 2, region
+            assert batches[region] == [FLUID_BATCH] * 2
         assert sum(len(calls) for calls in batches.values()) == 4
 
     def test_live_column_counters(self, store_build):
@@ -159,7 +160,8 @@ def test_rack_day_assembles_no_sync_run(monkeypatch):
     """A build task (a pool worker's unit of work) reduces through the
     store path, and its rows are the encoded summaries of the raw runs
     (here: tasks of three runs, one rack's day each)."""
-    config = FleetConfig(racks_per_region=2, runs_per_rack=3, seed=5, fluid_batch=3)
+    monkeypatch.setattr("repro.fleet.shards.FLUID_BATCH", 3)
+    config = FleetConfig(racks_per_region=2, runs_per_rack=3, seed=5)
     plans, shards = plan_region_shards(REGION_B, config, shard_racks=1, shard_hours=24)
     synthesizer = RackRunSynthesizer()
     plan = plans[1]
@@ -167,7 +169,7 @@ def test_rack_day_assembles_no_sync_run(monkeypatch):
         summarize_run(synthesizer.synthesize(workload, hour, rng))
         for workload, hour, rng in plan_items(plan, config)
     ]
-    tasks = [task for task in plan_build_tasks(shards, config, jobs=1) if task.runs[0][0] is plan]
+    tasks = [task for task in plan_build_tasks(shards, jobs=1) if task.runs[0][0] is plan]
     assert [[run_index for _, run_index in task.runs] for task in tasks] == [[0, 1, 2]]
     monkeypatch.setattr(RackRunSynthesizer, "_assemble", no_sync_run)
     expected = encode_tables(summaries, [plan.rack_index] * len(summaries))
@@ -251,13 +253,14 @@ def oracle_hashes(root, config, geometry) -> list[dict]:
 
 
 @pytest.mark.parametrize("geometry", [(1, 1), (2, 4), (64, 12)], ids=lambda g: f"{g[0]}x{g[1]}")
-def test_shards_independent_of_fluid_batch(tmp_path, geometry):
+def test_shards_independent_of_fluid_batch(tmp_path, geometry, monkeypatch):
     """Tasks that cross shard boundaries write the same shards as
     one-run tasks and full ones, at 1, 2 and 3 jobs, and those shards
     are the object path's."""
-    expected = oracle_hashes(tmp_path, FleetConfig(racks_per_region=4, runs_per_rack=3, seed=9), geometry)
+    config = FleetConfig(racks_per_region=4, runs_per_rack=3, seed=9)
+    expected = oracle_hashes(tmp_path, config, geometry)
     for fluid_batch in (1, 5, 16):
-        config = FleetConfig(racks_per_region=4, runs_per_rack=3, seed=9, fluid_batch=fluid_batch)
+        monkeypatch.setattr("repro.fleet.shards.FLUID_BATCH", fluid_batch)
         for jobs in (1, 2, 3):
             store = RegionShardStore(
                 root=str(tmp_path / f"{fluid_batch}-{jobs}"),
@@ -271,10 +274,11 @@ def test_shards_independent_of_fluid_batch(tmp_path, geometry):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_on_shard_fires_once_per_shard_in_manifest_order(tmp_path, jobs):
+def test_on_shard_fires_once_per_shard_in_manifest_order(tmp_path, jobs, monkeypatch):
     """Shards are written, reported and counted in manifest order,
     whatever order a pool's tasks come back in."""
-    config = FleetConfig(racks_per_region=4, runs_per_rack=3, seed=9, fluid_batch=2)
+    monkeypatch.setattr("repro.fleet.shards.FLUID_BATCH", 2)
+    config = FleetConfig(racks_per_region=4, runs_per_rack=3, seed=9)
     store = RegionShardStore(root=str(tmp_path), spec=REGION_A, config=config, shard_racks=1, shard_hours=6)
     records, progress = [], []
     manifest = store.build(
@@ -292,7 +296,7 @@ def test_on_shard_fires_once_per_shard_in_manifest_order(tmp_path, jobs):
 
 
 def test_tasks_are_full_fluid_batches_unless_workers_would_idle():
-    """A task holds ``fluid_batch`` consecutive runs of the stream, or
+    """A task holds ``FLUID_BATCH`` consecutive runs of the stream, or
     ``ceil(runs / jobs)`` when that is smaller."""
     config = FleetConfig(racks_per_region=4, runs_per_rack=4, seed=11)
     _plans, shards = plan_region_shards(REGION_A, config, shard_racks=2, shard_hours=4)
@@ -303,7 +307,7 @@ def test_tasks_are_full_fluid_batches_unless_workers_would_idle():
         for run_index in indices
     ]
     for jobs, sizes in ((1, [16]), (2, [8, 8]), (3, [6, 6, 4]), (32, [1] * 16)):
-        tasks = plan_build_tasks(shards, config, jobs)
+        tasks = plan_build_tasks(shards, jobs)
         assert [len(task.runs) for task in tasks] == sizes
         assert [task.start for task in tasks] == np.cumsum([0] + sizes[:-1]).tolist()
         assert [(plan.rack_index, index) for task in tasks for plan, index in task.runs] == stream

@@ -50,7 +50,7 @@ class TestBuildManifest:
         )
         validate_manifest(manifest)
         assert manifest["schema"] == MANIFEST_SCHEMA
-        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION == 2
+        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION == 3
         assert manifest["status"] == "failed"
         assert manifest["failed"] == ["fig9"]
         assert manifest["config"]["seed"] == 7

@@ -15,7 +15,6 @@ Covers the service contracts end to end:
 """
 
 import copy
-import dataclasses
 import glob
 import http.client
 import json
@@ -30,6 +29,7 @@ import pytest
 from repro.config import FleetConfig
 from repro.errors import ConfigError, ManifestError
 from repro.experiments.context import ExperimentContext
+from repro.fleet import shards
 from repro.obs.manifest import validate_service_metrics
 from repro.service.core import (
     COALESCED,
@@ -295,13 +295,17 @@ class TestHTTPService:
 
 
 class TestCrashRecovery:
+    @pytest.fixture(autouse=True)
+    def one_run_batches(self, monkeypatch):
+        """One-run fluid batches cut each region into one build task per
+        run, so a build is still in flight when its first shard lands
+        (the batch size never shapes data: the store is FLEET's)."""
+        monkeypatch.setattr(shards, "FLUID_BATCH", 1)
+
     def _service(self, tmp_path) -> QueryService:
-        # One-run fluid batches cut each region into one build task per
-        # run, so a build is still in flight when its first shard lands
-        # (the batch size is execution-only: the store is FLEET's).
         return QueryService(
             ServiceConfig(
-                fleet=dataclasses.replace(FLEET, fluid_batch=1),
+                fleet=FLEET,
                 store_dir=str(tmp_path / "store"),
                 shard_racks=1,
                 shard_hours=12,

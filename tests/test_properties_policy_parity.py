@@ -62,7 +62,7 @@ class FluidMirror:
 
     def limits(self) -> np.ndarray:
         """All queues' limits in one vectorized call, as the fluid
-        kernel evaluates them per bucket."""
+        loop evaluates them per bucket."""
         return self.policy.limits(
             float(self.config.shared_bytes),
             np.array([self.pool_used]),

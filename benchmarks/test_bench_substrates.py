@@ -383,25 +383,32 @@ def test_bench_sketch_estimates(benchmark):
 
 
 def test_bench_summarize_run(benchmark):
-    """``summarize_run`` (one segment pass over the stacked run) vs the
-    historical per-server loop the test suite keeps as its ``==``
-    oracle, on the same store-build rack runs in one process.  The floor
-    sits under the ~3x measured on a 2-vCPU Xeon."""
-    from repro.analysis.summary import summarize_run
-    from tests.analysis.summary_reference import summarize_run_reference
+    """``run_rows`` of each stacked run (one segment pass over its
+    matrices) vs the historical per-server loop the test suite keeps as
+    its ``==`` oracle, on the same store-build rack runs in one process;
+    the rows, read back as the oracle's objects, equal its summaries.
+    The floor sits under the ~3x measured on a 2-vCPU Xeon."""
+    from repro.analysis.summary import run_rows
+    from tests.analysis.summary_reference import summarize_run_reference, summary_from_rows
 
     sync_runs = RackRunSynthesizer().synthesize_batch(_store_build_items())
 
-    def summarize_all(summarize=summarize_run):
-        return [summarize(sync_run) for sync_run in sync_runs]
+    def reduce_all():
+        return [run_rows(sync_run.stacked()) for sync_run in sync_runs]
 
-    reference_s = _best_of(2, tuple, lambda: summarize_all(summarize_run_reference))
-    summaries = benchmark.pedantic(summarize_all, rounds=3)
+    def reference_all():
+        return [summarize_run_reference(sync_run) for sync_run in sync_runs]
+
+    reference_s = _best_of(2, tuple, reference_all)
+    rows = benchmark.pedantic(reduce_all, rounds=3)
     new_s = benchmark.stats.stats.min
 
-    assert repr(summaries) == repr(summarize_all(summarize_run_reference))
-    benchmark.extra_info["rack_runs"] = len(summaries)
-    benchmark.extra_info["bursts"] = sum(len(summary.bursts) for summary in summaries)
+    summaries = [
+        summary_from_rows(sync_run.stacked(), run) for sync_run, run in zip(sync_runs, rows)
+    ]
+    assert repr(summaries) == repr(reference_all())
+    benchmark.extra_info["rack_runs"] = len(rows)
+    benchmark.extra_info["bursts"] = sum(len(run.bursts) for run in rows)
     benchmark.extra_info["reference_s"] = reference_s
     benchmark.extra_info["speedup"] = reference_s / new_s
     assert reference_s / new_s >= 2.0

@@ -16,7 +16,7 @@ import tempfile
 import numpy as np
 
 from repro.analysis.contention import buffer_share_drop
-from repro.analysis.racks import classify_racks, rack_profiles, RackClass
+from repro.analysis.racks import classify_racks, RackClass
 from repro.config import FleetConfig
 from repro.fleet.shards import generate_region_shards
 from repro.viz.ascii import ascii_cdf
@@ -29,12 +29,13 @@ def main() -> None:
     print(f"Generating RegA: {racks} racks x {config.runs_per_rack} runs "
           f"(92 servers each, ~1.85 s at 1 ms)...")
     with tempfile.TemporaryDirectory() as store_dir:
-        dataset = generate_region_shards(REGION_A, config, store_dir).to_region_dataset()
-    print(f"  {len(dataset.summaries)} rack runs, "
-          f"{sum(len(s.bursts) for s in dataset.summaries):,} bursts\n")
+        dataset = generate_region_shards(REGION_A, config, store_dir)
+        table1 = dataset.table1_row()
+        profiles = dataset.rack_profiles()
+        runs = dataset.run_contention()
+    print(f"  {table1.runs} rack runs, {table1.bursts:,} bursts\n")
 
     # --- Figure 9 view: contention across racks --------------------------
-    profiles = rack_profiles(dataset.summaries)
     contention = np.array([p.mean_contention for p in profiles])
     print(ascii_cdf(
         {"RegA racks": contention},
@@ -67,15 +68,13 @@ def main() -> None:
               f"(paper: well separated)")
 
     # --- Figure 15 view: within-run buffer swings -------------------------
-    drops = []
-    for summary in dataset.summaries:
-        if summary.contention.has_activity:
-            drops.append(
-                buffer_share_drop(
-                    summary.contention.min_active, summary.contention.p90
-                )
-            )
-    drops_arr = np.array(drops)
+    # Runs with any bursty sample.  On a mostly idle run the p90 (over
+    # every sample) can land below the minimum over active samples; its
+    # share then does not drop.
+    drops_arr = np.array([
+        buffer_share_drop(low, max(p90, low))
+        for low, p90 in zip(runs.mins.tolist(), runs.p90s.tolist())
+    ])
     print(f"\nPer-run buffer-share drop between calmest and p90 contention:")
     print(f"  median {np.median(drops_arr) * 100:.1f}% (paper 33.3%), "
           f">=70% drop in {np.mean(drops_arr >= 0.7) * 100:.1f}% of runs "

@@ -14,10 +14,11 @@ import tempfile
 
 import numpy as np
 
-from repro.analysis.diurnal import hourly_box_stats, peak_window_increase, hourly_means
-from repro.analysis.racks import RackClass, classify_racks, rack_profiles
+from repro.analysis.diurnal import peak_window_increase
+from repro.analysis.racks import RackClass, classify_racks
 from repro.analysis.stats import pearson_correlation
 from repro.config import FleetConfig
+from repro.errors import AnalysisError
 from repro.fleet.shards import generate_region_shards
 from repro.viz.ascii import ascii_boxplot
 from repro.workload.region import REGION_A
@@ -28,36 +29,35 @@ def main() -> None:
     config = FleetConfig(racks_per_region=racks, runs_per_rack=10, seed=11)
     print(f"Generating a RegA day: {racks} racks x 10 runs...")
     with tempfile.TemporaryDirectory() as store_dir:
-        dataset = generate_region_shards(REGION_A, config, store_dir).to_region_dataset()
-
-    profiles = rack_profiles(dataset.summaries)
-    classes = classify_racks(profiles)
-    high_racks = {p.rack for p in classes[RackClass.HIGH]}
+        dataset = generate_region_shards(REGION_A, config, store_dir)
+        profiles = dataset.rack_profiles()
+        classes = classify_racks(profiles)
+        high_racks = {p.rack for p in classes[RackClass.HIGH]}
+        boxes = dataset.hourly_boxes(racks=high_racks) if high_racks else {}
+        runs = dataset.columns(
+            "runs", ("buckets", "sampling_interval", "switch_ingress_bytes", "contention_mean")
+        )
     print(f"{len(high_racks)} high-contention racks "
           f"of {len(profiles)} (paper: ~20%)\n")
 
     if high_racks:
-        boxes = hourly_box_stats(dataset.summaries, racks=high_racks)
         print(ascii_boxplot(
             {f"h{hour:02d}": stats for hour, stats in boxes.items()},
             title="RegA-High: contention by hour (cf. Figure 13 top)",
         ))
-        means = hourly_means(dataset.summaries, racks=high_racks)
+        means = {hour: stats.mean for hour, stats in boxes.items()}
         try:
             increase = peak_window_increase(means, window=(4, 10))
             print(f"\nhours 4-10 vs rest: {increase * +100:.1f}% "
                   f"(paper: +27.6%)")
-        except Exception:
+        except AnalysisError:
             pass
 
     # Figure 14: contention vs per-minute ingress volume.
-    volumes = []
-    contentions = []
-    for summary in dataset.summaries:
-        if summary.duration_s > 0:
-            volumes.append(summary.switch_ingress_bytes / summary.duration_s * 60)
-            contentions.append(summary.contention.mean)
-    r = pearson_correlation(volumes, contentions)
+    duration_s = runs["buckets"] * runs["sampling_interval"]
+    sampled = duration_s > 0
+    volumes = runs["switch_ingress_bytes"][sampled] / duration_s[sampled] * 60
+    r = pearson_correlation(volumes, runs["contention_mean"][sampled])
     print(f"\ncontention vs per-minute rack ingress: Pearson r = {r:.2f} "
           f"(paper: clear but loose positive correlation)")
 

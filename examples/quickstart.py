@@ -12,7 +12,9 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import units
-from repro.analysis import detect_run_bursts, summarize_run
+from repro.analysis import run_rows
+from repro.analysis.bursts import BURST_FIELDS
+from repro.analysis.summary import RUN_FIELDS
 from repro.config import SamplerConfig
 from repro.core.syncsampler import SyncMillisampler
 from repro.simnet.topology import build_rack
@@ -63,16 +65,19 @@ def main() -> None:
               f"peak {gbps.max():.1f} Gbps")
 
     # Analysis: bursts, contention, loss — the Section 5-8 pipeline.
-    summary = summarize_run(sync_run)
-    bursts = detect_run_bursts(sync_run)
-    print(f"\nDetected {len(bursts)} bursts; "
-          f"avg contention {summary.contention.mean:.2f}, "
-          f"p90 {summary.contention.p90:.0f}")
-    for burst in bursts[:8]:
-        host = sync_run.runs[burst.server].meta.host
-        print(f"  {host}: {burst.length} ms, {burst.volume / units.MB:.2f} MB, "
-              f"max contention {burst.max_contention}, "
-              f"{'LOSSY' if burst.lossy else 'clean'}")
+    # run_rows reduces the run to a run row, one row per burst and one
+    # per server: the rows a fleet dataset stores.
+    rows = run_rows(sync_run.stacked())
+    run = dict(zip(RUN_FIELDS, rows.run))
+    print(f"\nDetected {len(rows.bursts)} bursts; "
+          f"avg contention {run['contention_mean']:.2f}, "
+          f"p90 {run['contention_p90']:.0f}")
+    for row in rows.bursts[:8]:
+        burst = dict(zip(BURST_FIELDS, row))
+        host = sync_run.runs[int(burst["server"])].meta.host
+        print(f"  {host}: {burst['length']:.0f} ms, {burst['volume'] / units.MB:.2f} MB, "
+              f"max contention {burst['max_contention']:.0f}, "
+              f"{'LOSSY' if burst['lossy'] else 'clean'}")
 
 
 if __name__ == "__main__":

@@ -24,8 +24,9 @@ import tempfile
 
 import numpy as np
 
+from repro.analysis.bursts import BURST_FIELDS
 from repro.analysis.stats import percentile
-from repro.analysis.summary import summarize_run
+from repro.analysis.summary import RUN_FIELDS, run_rows
 from repro.fleet.rackrun import RackRunSynthesizer
 from repro.io import load_rack_directory, write_sync_run
 from repro.viz.ascii import ascii_cdf
@@ -53,13 +54,17 @@ def main() -> None:
     print(f"Loaded {len(sync_runs)} rack runs "
           f"({sum(r.servers for r in sync_runs)} host records)\n")
 
-    summaries = [summarize_run(run) for run in sync_runs]
-    bursts = [b for s in summaries for b in s.bursts]
-    lengths = [b.length for b in bursts]
-    contended = [b.length for b in bursts if b.contended]
-    non_contended = [b.length for b in bursts if not b.contended]
+    # Each rack run reduced to its run row and burst rows; columns of
+    # every run's rows side by side.
+    reduced = [run_rows(run.stacked()) for run in sync_runs]
+    runs = dict(zip(RUN_FIELDS, np.array([rows.run for rows in reduced]).T))
+    bursts = dict(zip(BURST_FIELDS, np.concatenate([rows.bursts for rows in reduced]).T))
+    lengths = bursts["length"]  # 1 ms buckets
+    is_contended = bursts["max_contention"] >= 2
+    contended = lengths[is_contended]
+    non_contended = lengths[~is_contended]
 
-    if non_contended and contended:
+    if non_contended.size and contended.size:
         print(ascii_cdf(
             {"all": lengths, "contended": contended, "non-contended": non_contended},
             x_label="burst length (ms)",
@@ -67,12 +72,12 @@ def main() -> None:
             height=12,
         ))
 
-    lossy = sum(1 for b in bursts if b.lossy)
-    print(f"\n{len(bursts)} bursts | median length "
+    lossy = int(np.count_nonzero(bursts["lossy"]))
+    print(f"\n{lengths.size} bursts | median length "
           f"{percentile(lengths, 50):.0f} ms | "
-          f"{len(contended) / len(bursts) * 100:.1f}% contended | "
-          f"{lossy / len(bursts) * 100:.2f}% lossy")
-    contention = [s.contention.mean for s in summaries]
+          f"{contended.size / lengths.size * 100:.1f}% contended | "
+          f"{lossy / lengths.size * 100:.2f}% lossy")
+    contention = runs["contention_mean"]
     print(f"per-run average contention: median "
           f"{percentile(contention, 50):.2f}, p90 {percentile(contention, 90):.2f}")
 

@@ -3,21 +3,15 @@
 Operates on :class:`~repro.core.run.SyncRun` objects regardless of
 whether they came from the packet-level simulator or the fleet fluid
 model.  The heavy lifting happens once per run in
-:func:`~repro.analysis.summary.summarize_run`, which reduces the raw
-samples to a :class:`~repro.analysis.summary.RunSummary` — mirroring
-how a production pipeline reduces raw samples before fleet-wide
-analysis.  The shard store keeps those summaries as run, burst and
-server-run tables (:mod:`repro.fleet.shards`), and every fleet-wide
-experiment folds the whole-region columns it reads from them.
+:func:`~repro.analysis.summary.run_rows`, which reduces the raw samples
+of a stacked run to float64 rows of three tables — the run, its bursts
+and its server runs — mirroring how a production pipeline reduces raw
+samples before fleet-wide analysis.  The shard store keeps those rows
+(:mod:`repro.fleet.shards`), and every fleet-wide experiment folds the
+whole-region columns it reads from them (:mod:`repro.analysis.streaming`).
 """
 
 from .stats import cdf, percentile, box_stats, BoxStats
-from .bursts import (
-    Burst,
-    burst_frequency,
-    detect_bursts,
-    detect_run_bursts,
-)
 from .contention import (
     contention_series,
     ContentionStats,
@@ -25,34 +19,25 @@ from .contention import (
     buffer_share,
     buffer_share_drop,
 )
-from .summary import RunSummary, ServerRunStats, summarize_run
-from .racks import RackClass, RackProfile, classify_racks, rack_profiles
+from .summary import RunRows, run_rows
+from .racks import RackClass, RackProfile, classify_racks
 from .tasks import task_diversity, dominant_share_by_rack
-from .diurnal import hourly_box_stats, hourly_means
 
 __all__ = [
     "cdf",
     "percentile",
     "box_stats",
     "BoxStats",
-    "Burst",
-    "detect_bursts",
-    "detect_run_bursts",
-    "burst_frequency",
     "contention_series",
     "ContentionStats",
     "contention_stats",
     "buffer_share",
     "buffer_share_drop",
-    "RunSummary",
-    "ServerRunStats",
-    "summarize_run",
+    "RunRows",
+    "run_rows",
     "RackClass",
     "RackProfile",
     "classify_racks",
-    "rack_profiles",
     "task_diversity",
     "dominant_share_by_rack",
-    "hourly_box_stats",
-    "hourly_means",
 ]

@@ -12,47 +12,30 @@ Section 4.6).
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 import numpy as np
 
-from .. import units
-from ..core.run import MillisamplerRun, StackedRun, SyncRun
 from ..errors import AnalysisError
 
-
-@dataclass
-class Burst:
-    """One detected burst on one server."""
-
-    server: int  # index within the SyncRun
-    start: int  # first bucket of the burst
-    length: int  # buckets
-    volume: float  # ingress bytes
-    avg_connections: float
-    retx_bytes: float = 0.0
-    max_contention: int = 0
-    lossy: bool = False
-    #: Contention at the (approximate) time of the burst's first loss:
-    #: the bucket where retransmitted bytes first appear, minus the
-    #: repair lag.  The paper's alternate Section 8 methodology; -1
-    #: when the burst is not lossy.
-    first_loss_contention: int = -1
-
-    @property
-    def end(self) -> int:
-        """One past the last bucket."""
-        return self.start + self.length
-
-    @property
-    def contended(self) -> bool:
-        """The burst saw at least one other simultaneously bursty server
-        at some point in its lifetime (Section 6)."""
-        return self.max_contention >= 2
-
-    def length_ms(self, sampling_interval: float = units.ANALYSIS_INTERVAL) -> float:
-        return self.length * sampling_interval / units.MSEC
+#: A burst row's columns.  ``server`` indexes the run's servers,
+#: ``start`` (first bucket) and ``length`` count sample buckets, and
+#: ``volume`` and ``retx_bytes`` are ingress bytes.  ``max_contention``
+#: is the most servers bursting at once during the burst (2 or more:
+#: contended, Section 6), ``lossy`` is 1.0 when retransmitted bytes
+#: arrived in the burst's loss window, and ``first_loss_contention`` is
+#: the contention at the (approximate) time of its first loss — the
+#: bucket where retransmitted bytes first appear, minus the repair lag:
+#: the paper's alternate Section 8 methodology; -1 when not lossy.
+BURST_FIELDS: tuple[str, ...] = (
+    "server",
+    "start",
+    "length",
+    "volume",
+    "avg_connections",
+    "retx_bytes",
+    "max_contention",
+    "lossy",
+    "first_loss_contention",
+)
 
 
 #: Segments shorter than this are summed one bucket at a time, left to
@@ -83,56 +66,20 @@ def _segment_sums(matrix: np.ndarray, rows: np.ndarray, starts: np.ndarray, leng
     return totals
 
 
-#: A burst row's columns: the fields of :class:`Burst`, in order.
-BURST_FIELDS: tuple[str, ...] = tuple(field.name for field in dataclasses.fields(Burst))
-
-#: Row columns that hold integers and booleans; the rest are floats.
-INT_FIELDS = frozenset(
-    {"rack_id", "hour", "servers", "buckets", "run_row", "server", "start",
-     "length", "max_contention", "first_loss_contention"}
-)
-BOOL_FIELDS = frozenset({"lossy", "bursty"})
-
-
-def typed_values(column: np.ndarray, name: str) -> list:
-    """A float64 row column as plain Python values: ``int``, ``bool`` or
-    ``float``, as the object form holds them (``repr`` of a numpy scalar
-    differs)."""
-    if name in INT_FIELDS:
-        return column.astype(np.int64).tolist()
-    if name in BOOL_FIELDS:
-        return (column != 0).tolist()
-    return column.tolist()
-
-
-def bursts_from_rows(columns) -> list[Burst]:
-    """:class:`Burst` objects from burst-row columns (a mapping from the
-    names in :data:`BURST_FIELDS` to float64 columns)."""
-    return list(map(Burst, *(typed_values(columns[name], name) for name in BURST_FIELDS)))
-
-
-def _find_bursts(*args, **kwargs) -> list[Burst]:
-    """:func:`_burst_rows` as :class:`Burst` objects."""
-    return bursts_from_rows(dict(zip(BURST_FIELDS, np.asfortranarray(_burst_rows(*args, **kwargs)).T)))
-
-
 def _burst_rows(
     in_bytes: np.ndarray,
     in_retx_bytes: np.ndarray,
     conn_estimate: np.ndarray,
     mask: np.ndarray,
     loss_lag_buckets: int,
-    contention: np.ndarray | None = None,
-    first_server: int = 0,
+    contention: np.ndarray,
 ) -> np.ndarray:
     """Every burst of a run, from its ``(servers, buckets)`` matrices,
     as one float64 row per burst (columns :data:`BURST_FIELDS`).
 
-    ``mask`` marks the bursty samples.  One segment pass finds the
-    bursts of every server, in server order and, within a server, in
-    time order.  ``contention`` (per bucket) adds both of Section 8's
-    contention views; without it they keep their defaults.  Row ``i``
-    is server ``first_server + i``.
+    ``mask`` marks the bursty samples and ``contention`` counts them
+    per bucket.  One segment pass finds the bursts of every server, in
+    server order and, within a server, in time order.
     """
     if loss_lag_buckets < 0:
         raise AnalysisError("loss lag cannot be negative")
@@ -149,9 +96,11 @@ def _burst_rows(
         return np.empty((0, len(BURST_FIELDS)))
 
     # The loss window runs `loss_lag_buckets` past the burst (a loss is
-    # repaired about an RTT later, Section 4.6), clipped at the end of
-    # the run and at the server's next burst, so that burst's
-    # retransmissions are never counted twice.
+    # repaired about an RTT later, Section 4.6: "our analysis must look
+    # for retransmissions that occur an RTT later"), clipped at the end
+    # of the run and at the server's next burst, so that burst's
+    # retransmissions are never counted twice nor mark both bursts
+    # lossy from one loss event.
     window_ends = np.minimum(ends + loss_lag_buckets, buckets)
     same_server_next = np.flatnonzero(rows[1:] == rows[:-1])
     window_ends[same_server_next] = np.minimum(
@@ -168,30 +117,28 @@ def _burst_rows(
     # the repair lag and kept inside the burst ("bursts tend to see
     # slightly lower contention levels at the time of their first
     # loss", Section 8).
-    max_contention = np.zeros(len(starts), dtype=np.int64)
+    bounds = np.empty(2 * len(starts), dtype=np.intp)
+    bounds[0::2] = starts
+    bounds[1::2] = ends
+    max_contention = np.maximum.reduceat(np.append(contention, 0), bounds)[0::2]
     first_loss = np.full(len(starts), -1, dtype=np.int64)
-    if contention is not None:
-        bounds = np.empty(2 * len(starts), dtype=np.intp)
-        bounds[0::2] = starts
-        bounds[1::2] = ends
-        max_contention = np.maximum.reduceat(np.append(contention, 0), bounds)[0::2]
-        lossy_index = np.flatnonzero(lossy)
-        if len(lossy_index):
-            repaired = np.flatnonzero(in_retx_bytes.reshape(-1) > 0)
-            row_origin = rows[lossy_index] * buckets
-            first_retx = (
-                repaired[np.searchsorted(repaired, row_origin + starts[lossy_index])]
-                - row_origin
-            )
-            loss_bucket = np.minimum(
-                np.maximum(first_retx - loss_lag_buckets, starts[lossy_index]),
-                ends[lossy_index] - 1,
-            )
-            first_loss[lossy_index] = contention[loss_bucket]
+    lossy_index = np.flatnonzero(lossy)
+    if len(lossy_index):
+        repaired = np.flatnonzero(in_retx_bytes.reshape(-1) > 0)
+        row_origin = rows[lossy_index] * buckets
+        first_retx = (
+            repaired[np.searchsorted(repaired, row_origin + starts[lossy_index])]
+            - row_origin
+        )
+        loss_bucket = np.minimum(
+            np.maximum(first_retx - loss_lag_buckets, starts[lossy_index]),
+            ends[lossy_index] - 1,
+        )
+        first_loss[lossy_index] = contention[loss_bucket]
     # In BURST_FIELDS order; every value is exact in float64.
     return np.column_stack(
         (
-            rows + first_server,
+            rows,
             starts,
             lengths,
             volume,
@@ -202,74 +149,3 @@ def _burst_rows(
             first_loss,
         )
     ).astype(np.float64, copy=False)
-
-
-def _run_matrices(run: StackedRun, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """A stacked rack run's ``(servers, buckets)`` ingress utilization
-    and bursty-sample mask (utilization above ``threshold``)."""
-    utilization = run.in_bytes / run.capacity[:, None]
-    return utilization, utilization > threshold
-
-
-def detect_bursts(
-    run: MillisamplerRun,
-    threshold: float = units.BURST_UTILIZATION_THRESHOLD,
-    loss_lag_buckets: int = 2,
-    server: int = 0,
-) -> list[Burst]:
-    """Detect bursts in one server's run and annotate loss.
-
-    ``loss_lag_buckets`` extends the retransmission-observation window
-    past the end of the burst: retransmissions repair a loss roughly an
-    RTT after it happened, so a burst's losses surface slightly later
-    (Section 4.6: "our analysis must look for retransmissions that
-    occur an RTT later").  The window is clipped at the next burst's
-    first bucket — when two bursts sit closer together than the lag, an
-    unclipped window would sweep up the next burst's retransmissions,
-    double-counting the bytes and marking both bursts lossy from one
-    loss event.  Contention needs the whole rack: see
-    :func:`detect_run_bursts`.
-    """
-    return _find_bursts(
-        np.asarray(run.in_bytes, dtype=np.float64)[None],
-        np.asarray(run.in_retx_bytes, dtype=np.float64)[None],
-        np.asarray(run.conn_estimate, dtype=np.float64)[None],
-        run.bursty_mask(threshold)[None],
-        loss_lag_buckets,
-        first_server=server,
-    )
-
-
-def detect_run_bursts(
-    sync_run: SyncRun,
-    threshold: float = units.BURST_UTILIZATION_THRESHOLD,
-    loss_lag_buckets: int = 2,
-) -> list[Burst]:
-    """Detect bursts across every server of a rack run and annotate each
-    with the maximum contention over its lifetime (Section 8
-    methodology: "we consider the contention level at each sample point
-    of the burst, and take the maximum") and with the contention at its
-    first loss."""
-    run = sync_run.stacked()
-    _utilization, mask = _run_matrices(run, threshold)
-    return _find_bursts(
-        run.in_bytes, run.in_retx_bytes, run.conn_estimate, mask, loss_lag_buckets,
-        contention=mask.sum(axis=0),
-    )
-
-
-def burst_frequency(bursts: list[Burst], duration_s: float) -> float:
-    """Bursts per second over a run (Figure 6's metric)."""
-    if duration_s <= 0:
-        raise AnalysisError("duration must be positive")
-    return len(bursts) / duration_s
-
-
-def bursty_fraction_of_bytes(run: MillisamplerRun, bursts: list[Burst]) -> float:
-    """Fraction of a run's ingress bytes carried inside bursts
-    (Section 5: 49.7% fleet-wide)."""
-    total = float(run.in_bytes.sum())
-    if total == 0:
-        return 0.0
-    in_bursts = sum(burst.volume for burst in bursts)
-    return in_bursts / total

@@ -1,46 +1,16 @@
 """Diurnal aggregation (Figures 12 and 13).
 
-Groups per-run contention by hour of day, producing the hourly box
-statistics of Figure 13 and the per-rack across-day mean/min/max bands
-of Figure 12.
+Figure 13's per-hour boxes of per-run average contention are the
+store's ``hourly_boxes`` view
+(:class:`~repro.analysis.streaming.HourlyBoxAccumulator`); this module
+compares their means inside and outside the paper's peak window.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from ..errors import AnalysisError
-from .stats import BoxStats
-from .summary import RunSummary
-
-
-def hourly_box_stats(
-    summaries: list[RunSummary], racks: set[str] | None = None
-) -> dict[int, BoxStats]:
-    """Box statistics of per-run average contention, per hour.
-
-    ``racks`` restricts to a rack group (e.g. RegA-High for Figure 13
-    top); hours with no runs are absent from the result.
-    """
-    grouped: dict[int, list[float]] = defaultdict(list)
-    for summary in summaries:
-        if racks is not None and summary.rack not in racks:
-            continue
-        grouped[summary.hour].append(summary.contention.mean)
-    if not grouped:
-        raise AnalysisError("no runs matched the rack filter")
-    return {hour: BoxStats.from_values(values) for hour, values in sorted(grouped.items())}
-
-
-def hourly_means(
-    summaries: list[RunSummary], racks: set[str] | None = None
-) -> dict[int, float]:
-    """Mean per-run average contention, per hour."""
-    return {
-        hour: stats.mean for hour, stats in hourly_box_stats(summaries, racks).items()
-    }
 
 
 def peak_window_increase(

@@ -11,13 +11,9 @@ threshold inside the gap yields the same split.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import AnalysisError
-from .summary import RunSummary
 
 
 class RackClass(enum.Enum):
@@ -34,7 +30,8 @@ DEFAULT_CONTENTION_SPLIT = 4.5
 
 @dataclass
 class RackProfile:
-    """Per-rack aggregates across its runs."""
+    """Per-rack aggregates across its runs (folded from the run table by
+    :class:`~repro.analysis.streaming.RackProfileAccumulator`)."""
 
     rack: str
     region: str
@@ -60,45 +57,6 @@ class RackProfile:
         return self.total_discard_bytes / self.total_ingress_bytes
 
 
-def rack_profiles(
-    summaries: list[RunSummary], hours: set[int] | None = None
-) -> list[RackProfile]:
-    """Aggregate run summaries per rack, optionally restricted to hours
-    (e.g. the busy hour for Figure 9)."""
-    grouped: dict[str, list[RunSummary]] = defaultdict(list)
-    for summary in summaries:
-        if hours is not None and summary.hour not in hours:
-            continue
-        grouped[summary.rack].append(summary)
-    if not grouped:
-        raise AnalysisError("no runs matched the requested hours")
-
-    profiles: list[RackProfile] = []
-    for rack, runs in sorted(grouped.items()):
-        means = np.array([run.contention.mean for run in runs])
-        first = runs[0]
-        profiles.append(
-            RackProfile(
-                rack=rack,
-                region=first.region,
-                mean_contention=float(means.mean()),
-                min_contention=float(means.min()),
-                max_contention=float(means.max()),
-                runs=len(runs),
-                distinct_tasks=int(first.extras.get("distinct_tasks", 0)),
-                dominant_share=float(first.extras.get("dominant_share", 0.0)),
-                colocated=bool(first.extras.get("colocated", False)),
-                total_discard_bytes=float(
-                    sum(run.switch_discard_bytes for run in runs)
-                ),
-                total_ingress_bytes=float(
-                    sum(run.switch_ingress_bytes for run in runs)
-                ),
-            )
-        )
-    return profiles
-
-
 def classify_racks(
     profiles: list[RackProfile],
     split: float = DEFAULT_CONTENTION_SPLIT,
@@ -114,11 +72,3 @@ def classify_racks(
         bucket = RackClass.HIGH if profile.mean_contention >= split else RackClass.TYPICAL
         result[bucket].append(profile)
     return result
-
-
-def classify_run(
-    summary: RunSummary,
-    high_racks: set[str],
-) -> RackClass:
-    """Class of the rack a run belongs to, given the rack-level split."""
-    return RackClass.HIGH if summary.rack in high_racks else RackClass.TYPICAL

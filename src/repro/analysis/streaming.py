@@ -1,16 +1,14 @@
-"""Folds of the shard store's columns into Table 1 and the figure views,
-and a mergeable quantile sketch.
+"""Folds of the shard store's columns into Table 1 and the figure views.
 
-* **View folds** (``*Accumulator``): each names the table and columns
-  it reads (``TABLE``, ``COLUMNS``), takes them as returned by
-  :meth:`repro.fleet.shards.ShardedRegionDataset.columns` (global
-  order: rack-major, hours ascending) through ``add_columns``, and
-  folds them once in ``finalize`` with the in-memory oracle's float
-  operations in the oracle's order, so the result is bit-identical to
-  it.  ``merge`` appends another fold's columns, which must follow this
-  fold's in global order (a later rack range of the same region).
-* :class:`QuantileSketch`: an associative merge over bounded state,
-  the classic building block of distributed quantile aggregation.
+Each fold (``*Accumulator``) names the table and columns it reads
+(``TABLE``, ``COLUMNS``), takes them as returned by
+:meth:`repro.fleet.shards.ShardedRegionDataset.columns` (global order:
+rack-major, hours ascending) through ``add_columns``, and folds them
+once in ``finalize`` with the float operations, in the order, of the
+per-run object loops that ``tests/analysis/streaming_reference.py``
+keeps as their oracle, so the result is bit-identical to it.  ``merge``
+appends another fold's columns, which must follow this fold's in
+global order (a later rack range of the same region).
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from .racks import RackProfile
 from .stats import BoxStats
 
 __all__ = [
-    "QuantileSketch",
     "Table1Accumulator",
     "RackProfileAccumulator",
     "HourlyBoxAccumulator",
@@ -34,9 +31,6 @@ __all__ = [
     "BurstContentionAccumulator",
     "BurstContentionView",
 ]
-
-
-# -- view folds --------------------------------------------------------------
 
 
 class _ColumnFold:
@@ -100,8 +94,9 @@ class Table1Accumulator(_ColumnFold):
 
 
 class RackProfileAccumulator(_ColumnFold):
-    """Per-rack aggregates (:func:`repro.analysis.racks.rack_profiles`),
-    optionally over the runs of some hours only."""
+    """Per-rack :class:`~repro.analysis.racks.RackProfile` aggregates,
+    optionally over the runs of some hours only.  A rack's runs must be
+    consecutive; the profiles come in rack-id order."""
 
     COLUMNS = (
         "rack_id", "hour", "contention_mean", "switch_discard_bytes",
@@ -146,9 +141,9 @@ class RackProfileAccumulator(_ColumnFold):
 
 
 class HourlyBoxAccumulator(_ColumnFold):
-    """Figure 13's per-hour boxes of per-run mean contention
-    (:func:`repro.analysis.diurnal.hourly_box_stats`), optionally over
-    some racks only."""
+    """Figure 13's per-hour boxes of per-run mean contention, in hour
+    order, optionally over some racks only; hours without runs are
+    absent."""
 
     COLUMNS = ("rack_id", "hour", "contention_mean")
 
@@ -229,94 +224,3 @@ class BurstContentionAccumulator(_ColumnFold):
             lossy=bursts["lossy"] > 0,
             first_loss_contention=bursts["first_loss_contention"].astype(np.int64),
         )
-
-
-# -- quantile sketch ---------------------------------------------------------
-
-
-class QuantileSketch:
-    """Bounded-memory mergeable quantile sketch (deterministic KLL-style).
-
-    Items live on levels; an item on level ``i`` represents ``2**i``
-    original values.  When a level overflows its capacity it is sorted
-    and every other item is promoted one level up, alternating the
-    starting offset deterministically so merge results do not depend on
-    randomness.  Rank error is O(1/k)-ish — good enough for shard-scale
-    progress summaries and sweep dashboards; the figure paths that must
-    be bit-exact use the exact folds above instead.
-    """
-
-    def __init__(self, k: int = 256) -> None:
-        if k < 8:
-            raise AnalysisError("sketch capacity too small to be meaningful")
-        self.k = k
-        self._levels: list[list[float]] = [[]]
-        self._parity: list[bool] = [False]
-        self.count = 0
-
-    def add(self, value: float) -> None:
-        self._levels[0].append(float(value))
-        self.count += 1
-        self._compress()
-
-    def add_array(self, values: np.ndarray | list) -> None:
-        array = np.asarray(values, dtype=np.float64)
-        self._levels[0].extend(array.tolist())
-        self.count += int(array.size)
-        self._compress()
-
-    def _capacity(self, level: int) -> int:
-        # KLL: the top level (heaviest items) gets the full capacity k,
-        # decaying geometrically toward level 0 — an error on a heavy
-        # item costs 2**level in rank, so heavy levels must be compacted
-        # rarely.  Total state stays O(k).
-        top = len(self._levels) - 1
-        return max(8, int(self.k * (2.0 / 3.0) ** (top - level)))
-
-    def _compress(self) -> None:
-        level = 0
-        while level < len(self._levels):
-            items = self._levels[level]
-            if len(items) <= self._capacity(level):
-                level += 1
-                continue
-            items.sort()
-            offset = 1 if self._parity[level] else 0
-            self._parity[level] = not self._parity[level]
-            promoted = items[offset::2]
-            self._levels[level] = []
-            if level + 1 == len(self._levels):
-                self._levels.append([])
-                self._parity.append(False)
-            self._levels[level + 1].extend(promoted)
-            level += 1
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        if self.k != other.k:
-            raise AnalysisError("cannot merge sketches with different capacity")
-        while len(self._levels) < len(other._levels):
-            self._levels.append([])
-            self._parity.append(False)
-        for level, items in enumerate(other._levels):
-            self._levels[level].extend(items)
-        self.count += other.count
-        self._compress()
-        return self
-
-    def quantile(self, q: float) -> float:
-        """Approximate q-quantile (q in [0, 1]) of everything added."""
-        if not 0.0 <= q <= 1.0:
-            raise AnalysisError("quantile must be in [0, 1]")
-        if self.count == 0:
-            raise AnalysisError("empty sketch has no quantiles")
-        values: list[float] = []
-        weights: list[int] = []
-        for level, items in enumerate(self._levels):
-            values.extend(items)
-            weights.extend([2**level] * len(items))
-        order = np.argsort(np.asarray(values, dtype=np.float64), kind="stable")
-        sorted_values = np.asarray(values, dtype=np.float64)[order]
-        cumulative = np.cumsum(np.asarray(weights, dtype=np.float64)[order])
-        target = q * cumulative[-1]
-        index = int(np.searchsorted(cumulative, target, side="left"))
-        return float(sorted_values[min(index, sorted_values.size - 1)])

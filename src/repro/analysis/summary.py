@@ -9,68 +9,22 @@ synthesizer builds straight from its fluid batch, or a stacked
 :class:`~repro.core.run.SyncRun` — as float64 rows of the shard
 store's three tables, letting the dataset generator discard the raw
 series immediately, the same reduce-then-aggregate shape a production
-pipeline uses.  :func:`summarize_run` is the same reduction as a
-:class:`RunSummary` object, for the callers that hold raw runs.
+pipeline uses.  Those rows are the one reduced form of a run: a store
+writes them, and a caller holding raw runs stacks them into an
+in-memory :class:`~repro.fleet.shards.RegionDataset`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .. import units
-from ..core.run import StackedRun, SyncRun
+from ..core.run import StackedRun
 from ..errors import AnalysisError
-from .bursts import BURST_FIELDS, Burst, _burst_rows, _run_matrices, bursts_from_rows, typed_values
-from .contention import ContentionStats, contention_stats
-
-
-@dataclass
-class ServerRunStats:
-    """Per-server-run aggregates (the unit of Figures 6 and 8)."""
-
-    server: int
-    task: str
-    bursty: bool  # had at least one burst
-    avg_utilization: float
-    utilization_in_bursts: float  # NaN when no bursts
-    utilization_outside_bursts: float
-    bursts_per_second: float
-    conns_inside: float  # mean connection estimate inside bursts (NaN if none)
-    conns_outside: float
-    total_in_bytes: float
-    in_burst_bytes: float
-
-
-@dataclass
-class RunSummary:
-    """Everything the experiments keep about one rack run."""
-
-    rack: str
-    region: str
-    hour: int
-    servers: int
-    buckets: int
-    sampling_interval: float
-    contention: ContentionStats
-    bursts: list[Burst]
-    server_stats: list[ServerRunStats]
-    switch_discard_bytes: float
-    switch_ingress_bytes: float
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def duration_s(self) -> float:
-        return self.buckets * self.sampling_interval
-
-    @property
-    def total_in_bytes(self) -> float:
-        return sum(stat.total_in_bytes for stat in self.server_stats)
-
-    def bursty_server_runs(self) -> int:
-        return sum(1 for stat in self.server_stats if stat.bursty)
+from .bursts import _burst_rows
+from .contention import contention_stats
 
 
 #: A run row's columns (the shard store prepends the run's rack id).
@@ -94,8 +48,11 @@ RUN_FIELDS: tuple[str, ...] = (
     "dominant_share",
 )
 
-#: A server row's columns: the fields of :class:`ServerRunStats` in
-#: order except ``task``, which the run's placement supplies.
+#: A server row's columns, the unit of Figures 6 and 8.  ``bursty`` is
+#: 1.0 when the server had a burst; the means inside bursts
+#: (``utilization_in_bursts``, ``conns_inside``) are NaN without one,
+#: and those outside are NaN when every sample was bursty.  A server's
+#: task comes from its rack's placement.
 SERVER_FIELDS: tuple[str, ...] = (
     "server",
     "bursty",
@@ -121,14 +78,6 @@ class RunRows(NamedTuple):
     servers: np.ndarray
 
 
-def server_stats_from_rows(columns, tasks: list[str]) -> list[ServerRunStats]:
-    """:class:`ServerRunStats` objects from server-row columns (a mapping
-    from the names in :data:`SERVER_FIELDS` to float64 columns) and each
-    row's task."""
-    values = [typed_values(columns[name], name) for name in SERVER_FIELDS]
-    return list(map(ServerRunStats, values[0], tasks, *values[1:]))
-
-
 def run_rows(
     run: StackedRun,
     threshold: float = units.BURST_UTILIZATION_THRESHOLD,
@@ -148,7 +97,8 @@ def run_rows(
         raise AnalysisError("cannot summarize an empty run")
     servers = run.servers
     in_bytes, conns = run.in_bytes, run.conn_estimate
-    utilization, mask = _run_matrices(run, threshold)
+    utilization = in_bytes / run.capacity[:, None]
+    mask = utilization > threshold  # the bursty samples
     contention = mask.sum(axis=0)
     bursts = _burst_rows(
         in_bytes, run.in_retx_bytes, conns, mask, loss_lag_buckets, contention=contention
@@ -207,7 +157,7 @@ def run_rows(
             int(np.count_nonzero(bursty)),
             run.switch_discard_bytes,
             run.switch_ingress_bytes,
-            # Python's sum, as RunSummary.total_in_bytes adds.
+            # Python's sum: left to right over the servers.
             sum(total_in_bytes.tolist()),
             bool(extras.get("colocated", False)),
             extras.get("distinct_tasks", 0),
@@ -216,38 +166,3 @@ def run_rows(
         dtype=np.float64,
     )
     return RunRows(run_row, bursts, server_rows)
-
-
-def summarize_run(
-    run: SyncRun | StackedRun,
-    threshold: float = units.BURST_UTILIZATION_THRESHOLD,
-    loss_lag_buckets: int = 2,
-) -> RunSummary:
-    """Reduce one rack run to its :class:`RunSummary`: :func:`run_rows`
-    as objects.
-
-    A :class:`SyncRun` is stacked first (:meth:`SyncRun.stacked`), and a
-    :class:`StackedRun` is read as it is, so both give the same summary
-    for the same run.
-    """
-    if isinstance(run, SyncRun):
-        run = run.stacked()
-    rows = run_rows(run, threshold, loss_lag_buckets)
-    contention = ContentionStats(*rows.run[4:9].tolist())
-    return RunSummary(
-        rack=run.rack,
-        region=run.region,
-        hour=run.hour,
-        servers=run.servers,
-        buckets=run.buckets,
-        sampling_interval=run.sampling_interval,
-        contention=contention,
-        # Column-major copies: each column converts from contiguous memory.
-        bursts=bursts_from_rows(dict(zip(BURST_FIELDS, np.asfortranarray(rows.bursts).T))),
-        server_stats=server_stats_from_rows(
-            dict(zip(SERVER_FIELDS, np.asfortranarray(rows.servers).T)), run.tasks
-        ),
-        switch_discard_bytes=run.switch_discard_bytes,
-        switch_ingress_bytes=run.switch_ingress_bytes,
-        extras=dict(run.extras),
-    )

@@ -291,6 +291,10 @@ class FleetConfig:
             )
         if self.jobs < 0:
             raise ConfigError("jobs cannot be negative (0 means all cores)")
+        # The dataset key hashes the seed as given, and each region's
+        # stream tree takes it as one non-negative 63-bit entropy word.
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
         if not isinstance(self.policy, PolicySpec):
             raise ConfigError("policy must be a PolicySpec")
 

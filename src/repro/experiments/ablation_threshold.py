@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.racks import rack_profiles
-from ..analysis.summary import summarize_run
+from ..analysis.streaming import RackProfileAccumulator
+from ..analysis.summary import run_rows
 from ..fleet.rackrun import RackRunSynthesizer
+from ..fleet.shards import RegionDataset
 from ..workload.region import REGION_A, build_region_workloads
 from .base import ExperimentResult, ResultTable
 from .context import ExperimentContext
@@ -33,35 +34,33 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     workloads = build_region_workloads(REGION_A, racks=racks, rng=rng)
     synthesizer = RackRunSynthesizer()
     raw_runs = [
-        synthesizer.synthesize(workload, hour=6, rng=rng) for workload in workloads
+        synthesizer.synthesize(workload, hour=6, rng=rng).stacked() for workload in workloads
     ]
 
     rows = []
     metrics: dict[str, float] = {}
     for threshold in THRESHOLDS:
-        summaries = [summarize_run(run, threshold=threshold) for run in raw_runs]
-        profiles = rack_profiles(summaries)
+        # One run per rack, so rack ids are run indices.
+        dataset = RegionDataset.from_rows(
+            REGION_A.name,
+            [run_rows(run, threshold=threshold) for run in raw_runs],
+            range(len(raw_runs)),
+            workloads,
+        )
+        fold = RackProfileAccumulator(REGION_A.name, dataset.rack_names)
+        fold.add_columns(dataset.columns(fold.TABLE, fold.COLUMNS))
+        profiles = fold.finalize()
         contention = np.array([p.mean_contention for p in profiles])
         coloc = np.array([p.colocated for p in profiles])
 
-        bursts = [b for s in summaries for b in s.bursts]
-        contended = sum(1 for b in bursts if b.contended)
-        lossy_coloc = [
-            (b.lossy, b.contended)
-            for s in summaries
-            if s.extras.get("colocated")
-            for b in s.bursts
-        ]
-        lossy_spread = [
-            b.lossy
-            for s in summaries
-            if not s.extras.get("colocated")
-            for b in s.bursts
-        ]
-        coloc_lossy_pct = (
-            np.mean([l for l, _ in lossy_coloc]) * 100 if lossy_coloc else 0.0
-        )
-        spread_lossy_pct = np.mean(lossy_spread) * 100 if lossy_spread else 0.0
+        colocated = dataset.columns("runs", ("colocated",))["colocated"] > 0
+        bursts = dataset.columns("bursts", ("run_row", "max_contention", "lossy"))
+        burst_coloc = colocated[bursts["run_row"].astype(np.int64)]
+        lossy = bursts["lossy"] > 0
+        contended = int(np.count_nonzero(bursts["max_contention"] >= 2))
+        total = int(lossy.size)
+        coloc_lossy_pct = np.mean(lossy[burst_coloc]) * 100 if burst_coloc.any() else 0.0
+        spread_lossy_pct = np.mean(lossy[~burst_coloc]) * 100 if (~burst_coloc).any() else 0.0
         gap = (
             contention[coloc].mean() / max(contention[~coloc].mean(), 1e-9)
             if coloc.any() and (~coloc).any()
@@ -70,14 +69,14 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         inversion = spread_lossy_pct > coloc_lossy_pct
 
         label = f"{int(threshold * 100)}pct"
-        metrics[f"contended_fraction_{label}"] = contended / max(len(bursts), 1)
+        metrics[f"contended_fraction_{label}"] = contended / max(total, 1)
         metrics[f"contention_gap_{label}"] = float(gap)
         metrics[f"inversion_holds_{label}"] = float(inversion)
         rows.append(
             [
                 f"{threshold:.0%}",
-                len(bursts),
-                f"{contended / max(len(bursts), 1) * 100:.1f}%",
+                total,
+                f"{contended / max(total, 1) * 100:.1f}%",
                 f"{gap:.1f}x",
                 f"{spread_lossy_pct:.2f}%",
                 f"{coloc_lossy_pct:.2f}%",

@@ -28,6 +28,7 @@ from ..errors import ConfigError, StorageError
 from ..fleet.shards import (
     DEFAULT_SHARD_HOURS,
     DEFAULT_SHARD_RACKS,
+    RegionDataset,
     default_store_dir,
     private_store_root,
 )
@@ -274,8 +275,9 @@ def _analyze(args) -> int:
     """Handle `analyze`: the Section 5-8 pipeline over dataset files."""
     import numpy as np
 
+    from .. import units
     from ..analysis.stats import percentile
-    from ..analysis.summary import summarize_run
+    from ..analysis.summary import run_rows
     from ..io.msdata import load_rack_directory
     from ..viz.table import render_table
 
@@ -286,29 +288,33 @@ def _analyze(args) -> int:
         # a bad configuration: one line, exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summaries = [summarize_run(run) for run in sync_runs]
-    bursts = [b for s in summaries for b in s.bursts]
-    if not bursts:
+    reduced = [run_rows(run.stacked()) for run in sync_runs]
+    if not any(len(rows.bursts) for rows in reduced):
         print("no bursts found in the dataset")
         return 0
-    # Burst.length counts sample buckets; convert via each run's actual
+    racks: dict[str, int] = {}
+    dataset = RegionDataset.from_rows(
+        sync_runs[0].region, reduced, [racks.setdefault(run.rack, len(racks)) for run in sync_runs]
+    )
+    table1 = dataset.table1_row()
+    runs = dataset.columns("runs", ("sampling_interval", "contention_mean"))
+    bursts = dataset.columns("bursts", ("run_row", "length", "max_contention", "lossy"))
+    # A burst's length counts sample buckets; convert via its run's own
     # sampling interval so e.g. a 100 us export is not reported 10x long.
-    lengths_ms = [
-        burst.length_ms(summary.sampling_interval)
-        for summary in summaries
-        for burst in summary.bursts
-    ]
-    contended = sum(1 for b in bursts if b.contended)
-    lossy = sum(1 for b in bursts if b.lossy)
-    contention = [s.contention.mean for s in summaries]
+    lengths_ms = (
+        bursts["length"] * runs["sampling_interval"][bursts["run_row"].astype(np.int64)] / units.MSEC
+    )
+    contended = int(np.count_nonzero(bursts["max_contention"] >= 2))
+    lossy = int(np.count_nonzero(bursts["lossy"]))
+    contention = runs["contention_mean"]
     rows = [
-        ["rack runs", len(summaries)],
-        ["server runs", sum(s.servers for s in summaries)],
-        ["bursts", len(bursts)],
+        ["rack runs", table1.runs],
+        ["server runs", table1.server_runs],
+        ["bursts", table1.bursts],
         ["median burst length (ms)", percentile(lengths_ms, 50)],
         ["p90 burst length (ms)", percentile(lengths_ms, 90)],
-        ["contended bursts", f"{contended / len(bursts) * 100:.1f}%"],
-        ["lossy bursts", f"{lossy / len(bursts) * 100:.2f}%"],
+        ["contended bursts", f"{contended / table1.bursts * 100:.1f}%"],
+        ["lossy bursts", f"{lossy / table1.bursts * 100:.2f}%"],
         ["mean avg contention", f"{float(np.mean(contention)):.2f}"],
         ["p90 avg contention", percentile(contention, 90)],
     ]

@@ -20,8 +20,7 @@ from .context import ExperimentContext
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
     """Regenerate this artifact (see module docstring)."""
-    # Per-run contention in global run order — streamed shard-by-shard
-    # under a shard store, from the summary list otherwise.
+    # Per-run contention in global run order, read shard by shard.
     view = ctx.run_contention("RegA")
     excluded = view.excluded
 

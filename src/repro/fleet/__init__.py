@@ -24,8 +24,9 @@ from .buffermodel import FluidBufferModel, FluidBufferResult
 from .cache import dataset_cache_key
 from .demand import DemandModel, ServerDemand
 from .rackrun import RackRunSynthesizer
-from .dataset import DatasetSummary, RackRunPlan, RegionDataset, plan_region
+from .dataset import DatasetSummary, RackRunPlan, plan_region
 from .parallel import resolve_jobs
+from .shards import RegionDataset
 
 __all__ = [
     "FluidBufferModel",

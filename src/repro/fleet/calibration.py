@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..workload.region import REGION_A, build_region_workloads
-from ..analysis.summary import summarize_run
+from ..analysis.summary import run_rows
 from ..errors import AnalysisError
 from .rackrun import RackRunSynthesizer
+from .shards import RegionDataset
 
 
 @dataclass(frozen=True)
@@ -83,52 +84,54 @@ def measure(racks: int = 20, hour: int = 6, seed: int = 7) -> dict[str, float]:
     synthesizer = RackRunSynthesizer()
     workloads = build_region_workloads(REGION_A, racks=racks, rng=rng)
 
-    lengths: list[float] = []
-    volumes: list[float] = []
-    conn_ratios: list[float] = []
-    outside_util: list[float] = []
-    bursty = 0
-    server_runs = 0
-    class_counts = {True: [0, 0, 0], False: [0, 0, 0]}  # bursts, contended, lossy
+    rows = [run_rows(synthesizer.synthesize(workload, hour, rng).stacked()) for workload in workloads]
+    # One run per rack, so rack ids are run indices.
+    dataset = RegionDataset.from_rows(REGION_A.name, rows, range(len(rows)), workloads)
+    bursts = dataset.columns("bursts", ("rack_id", "length", "volume", "max_contention", "lossy"))
+    servers = dataset.columns(
+        "servers", ("bursty", "utilization_outside_bursts", "conns_inside", "conns_outside")
+    )
+    bursty = servers["bursty"] > 0
+    outside_util = servers["utilization_outside_bursts"][bursty]
+    outside_util = outside_util[np.isfinite(outside_util)]
+    inside, outside = servers["conns_inside"][bursty], servers["conns_outside"][bursty]
+    with_ratio = np.isfinite(inside) & np.isfinite(outside) & (outside > 0)
+    conn_ratios = inside[with_ratio] / outside[with_ratio]
 
-    for workload in workloads:
-        sync_run = synthesizer.synthesize(workload, hour, rng)
-        summary = summarize_run(sync_run)
-        entry = class_counts[workload.colocated]
-        for burst in summary.bursts:
-            entry[0] += 1
-            entry[1] += int(burst.contended)
-            entry[2] += int(burst.lossy)
-            lengths.append(burst.length)
-            volumes.append(burst.volume)
-        for stat in summary.server_stats:
-            server_runs += 1
-            if stat.bursty:
-                bursty += 1
-                if np.isfinite(stat.utilization_outside_bursts):
-                    outside_util.append(stat.utilization_outside_bursts)
-                if (
-                    np.isfinite(stat.conns_inside)
-                    and np.isfinite(stat.conns_outside)
-                    and stat.conns_outside > 0
-                ):
-                    conn_ratios.append(stat.conns_inside / stat.conns_outside)
+    colocated = np.array([workload.colocated for workload in workloads])
+    burst_coloc = colocated[bursts["rack_id"].astype(np.int64)]
+    contended = bursts["max_contention"] >= 2
+    lossy = bursts["lossy"] > 0
 
-    spread = class_counts[False]
-    coloc = class_counts[True]
-    spread_lossy = spread[2] / spread[0] * 100 if spread[0] else 0.0
-    coloc_lossy = coloc[2] / coloc[0] * 100 if coloc[0] else 0.0
+    def class_pcts(members: np.ndarray) -> tuple[float, float]:
+        """The lossy and the contended share of one class's bursts, in %."""
+        count = int(np.count_nonzero(members))
+        if not count:
+            return 0.0, 0.0
+        return (
+            int(np.count_nonzero(members & lossy)) / count * 100,
+            int(np.count_nonzero(members & contended)) / count * 100,
+        )
+
+    spread_lossy, spread_contended = class_pcts(~burst_coloc)
+    coloc_lossy, coloc_contended = class_pcts(burst_coloc)
+
+    def median(values: np.ndarray) -> float:
+        return float(np.median(values)) if values.size else 0.0
+
     return {
-        "bursty_server_run_fraction": bursty / server_runs if server_runs else 0.0,
-        "median_burst_length_ms": float(np.median(lengths)) if lengths else 0.0,
-        "median_burst_volume_mb": float(np.median(volumes)) / 1e6 if volumes else 0.0,
-        "conn_ratio_inside_outside": float(np.median(conn_ratios)) if conn_ratios else 0.0,
-        "outside_burst_utilization": float(np.median(outside_util)) if outside_util else 0.0,
+        "bursty_server_run_fraction": (
+            int(np.count_nonzero(bursty)) / bursty.size if bursty.size else 0.0
+        ),
+        "median_burst_length_ms": median(bursts["length"]),
+        "median_burst_volume_mb": median(bursts["volume"]) / 1e6,
+        "conn_ratio_inside_outside": median(conn_ratios),
+        "outside_burst_utilization": median(outside_util),
         "rega_typical_lossy_pct": spread_lossy,
         "rega_coloc_lossy_pct": coloc_lossy,
         "loss_inversion_ratio": spread_lossy / coloc_lossy if coloc_lossy else float("inf"),
-        "rega_typical_contended_pct": spread[1] / spread[0] * 100 if spread[0] else 0.0,
-        "rega_coloc_contended_pct": coloc[1] / coloc[0] * 100 if coloc[0] else 0.0,
+        "rega_typical_contended_pct": spread_contended,
+        "rega_coloc_contended_pct": coloc_contended,
     }
 
 

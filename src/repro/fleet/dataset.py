@@ -30,12 +30,12 @@ process pool of any size.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..analysis.summary import RunRows, RunSummary, run_rows
+from ..analysis.summary import RunRows, run_rows
 from ..config import FleetConfig
 from ..core.run import StackedRun
 from ..obs.metrics import Metrics
@@ -66,31 +66,6 @@ class DatasetSummary:
         return self.bursty_server_runs / self.server_runs
 
 
-@dataclass
-class RegionDataset:
-    """All reduced runs for one region-day, as objects: what
-    :meth:`~repro.fleet.shards.ShardedRegionDataset.to_region_dataset`
-    decodes a store into."""
-
-    region: str
-    summaries: list[RunSummary]
-    workloads: list[RackWorkload] = field(default_factory=list)
-
-    def table1_row(self) -> DatasetSummary:
-        server_runs = sum(summary.servers for summary in self.summaries)
-        bursty = sum(summary.bursty_server_runs() for summary in self.summaries)
-        bursts = sum(len(summary.bursts) for summary in self.summaries)
-        racks = len({summary.rack for summary in self.summaries})
-        return DatasetSummary(
-            region=self.region,
-            runs=len(self.summaries),
-            server_runs=server_runs,
-            bursty_server_runs=bursty,
-            bursts=bursts,
-            racks=racks,
-        )
-
-
 # -- seed-stream tree --------------------------------------------------------
 
 
@@ -99,10 +74,11 @@ def _region_entropy(region: str, seed: int) -> tuple[int, int]:
 
     Deterministic per-region salt: Python's hash() is salted per process
     and would make "the same dataset" differ across runs, so the region
-    name is mixed in via crc32.  SeedSequence requires non-negative
-    entropy words.
+    name is mixed in via crc32.  :class:`~repro.config.FleetConfig`
+    keeps the seed in ``[0, 2**63)``, the non-negative entropy word
+    SeedSequence takes, so two seeds never share a stream tree.
     """
-    return (seed % 2**63, zlib.crc32(region.encode("utf-8")))
+    return (seed, zlib.crc32(region.encode("utf-8")))
 
 
 def _stream(region: str, seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:

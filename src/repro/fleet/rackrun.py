@@ -318,7 +318,7 @@ class RackRunSynthesizer:
         byte-identical to synthesizing its item alone.
 
         ``reduce``, when given, is called on each run's
-        :class:`StackedRun` (what :func:`~repro.analysis.summary.summarize_run`
+        :class:`StackedRun` (what :func:`~repro.analysis.summary.run_rows`
         reads) as soon as it is built, and the list holds its results:
         only one run is then alive at a time, and no :class:`SyncRun` is
         assembled.  The fluid loop then writes only its core outputs and

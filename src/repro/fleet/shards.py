@@ -2,7 +2,7 @@
 
 The paper's primary dataset is 2 regions x ~1000 racks x 24 h — an
 8.16 B-sample footprint that cannot live as one in-memory
-:class:`RegionDataset` behind a single pickle blob.  This module
+:class:`RegionDataset`.  This module
 partitions a region-day into per-``(region, rack-range, hour-band)``
 **shards**, each drawn from the per-(rack, run) seed streams of
 :mod:`repro.fleet.dataset`, and writes each shard as soon as its runs
@@ -18,9 +18,10 @@ geometry)::
         r0000-0064-h00-12.bursts.npy    # one row per burst
         r0000-0064-h00-12.servers.npy   # one row per server run
 
-* the ``*.npy`` tables (columns named in :data:`TABLES`) hold, with
-  the workloads, every :class:`RunSummary` field.  There is one read
-  path: :meth:`ShardedRegionDataset.columns` memory-maps the shards one
+* the ``*.npy`` tables (columns named in :data:`TABLES`) hold the
+  rows of :func:`~repro.analysis.summary.run_rows`, the one reduced
+  form of a rack run.  There is one read path:
+  :meth:`ShardedRegionDataset.columns` memory-maps the shards one
   at a time (:meth:`ShardedRegionDataset.iter_frames`) and returns
   whole-region columns in global order.  Table 1 and the figure views
   fold them with the folds of :mod:`repro.analysis.streaming`, and the
@@ -41,7 +42,11 @@ the tasks covering its runs are back (:func:`synthesize_shard`).
 Because every (rack, run) pair owns an independent seed-stream leaf, shard
 contents are **bit-identical** for any job count and any cut of the
 stream, and equal the rows of the object-form summaries the tests keep
-as their exactness oracle.
+as their exactness oracle.  :class:`RegionDataset` holds the same
+tables in memory: a whole store read back
+(:meth:`ShardedRegionDataset.to_region_dataset`), or raw runs reduced
+by :func:`~repro.analysis.summary.run_rows`
+(:meth:`RegionDataset.from_rows`).
 """
 
 from __future__ import annotations
@@ -64,8 +69,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..analysis.bursts import BURST_FIELDS, bursts_from_rows, typed_values
-from ..analysis.contention import ContentionStats
+from ..analysis.bursts import BURST_FIELDS
 from ..analysis.racks import RackProfile
 from ..analysis.stats import BoxStats
 from ..analysis.streaming import (
@@ -77,27 +81,14 @@ from ..analysis.streaming import (
     RunContentionView,
     Table1Accumulator,
 )
-from ..analysis.summary import (
-    RUN_FIELDS,
-    SERVER_FIELDS,
-    RunRows,
-    RunSummary,
-    server_stats_from_rows,
-)
+from ..analysis.summary import RUN_FIELDS, SERVER_FIELDS, RunRows
 from ..config import FleetConfig
 from ..errors import ConfigError, WorkerCancelled
 from ..obs.metrics import Metrics
 from ..workload.region import RackWorkload, RegionSpec
 from .cache import dataset_cache_key, sweep_stale_tmp_files
-from .dataset import (
-    DatasetSummary,
-    RackRunPlan,
-    RegionDataset,
-    plan_region,
-    run_rng,
-    summarize_batch,
-)
-from .rackrun import RackRunSynthesizer, run_extras
+from .dataset import DatasetSummary, RackRunPlan, plan_region, run_rng, summarize_batch
+from .rackrun import RackRunSynthesizer
 
 logger = logging.getLogger(__name__)
 
@@ -124,14 +115,16 @@ DEFAULT_SHARD_HOURS = 12
 RUN_COLUMNS: tuple[str, ...] = ("rack_id", *RUN_FIELDS)
 
 #: One row per burst, in its run's burst order: the run's row in the
-#: runs table, the burst's index within the run, then the fields of
-#: :class:`~repro.analysis.bursts.Burst` in order (``length`` in
-#: buckets, ``volume`` in bytes).
+#: runs table, the burst's index within the run, then the burst row of
+#: :func:`~repro.analysis.summary.run_rows`
+#: (:data:`~repro.analysis.bursts.BURST_FIELDS`: ``length`` in buckets,
+#: ``volume`` in bytes).
 BURST_COLUMNS: tuple[str, ...] = ("run_row", "burst_index", *BURST_FIELDS)
 
-#: One row per server run: the run's row, then the fields of
-#: :class:`~repro.analysis.summary.ServerRunStats` in order except
-#: ``task``, which the workload supplies.
+#: One row per server run: the run's row, then the server row of
+#: :func:`~repro.analysis.summary.run_rows`
+#: (:data:`~repro.analysis.summary.SERVER_FIELDS`); a server's task
+#: comes from the workload.
 SERVER_COLUMNS: tuple[str, ...] = ("run_row", *SERVER_FIELDS)
 
 #: A shard's tables by file kind, each a plain 2-D float64 matrix.
@@ -266,58 +259,6 @@ def plan_region_shards(
     return plans, tasks
 
 
-# -- decoding -----------------------------------------------------------------
-
-
-def _per_run(rows: list, run_row: np.ndarray, runs: int) -> list[list]:
-    """Rows sorted by ``run_row``, split into one list per run."""
-    bounds = np.searchsorted(run_row, np.arange(runs + 1)).tolist()
-    return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _decode_summaries(
-    runs: dict[str, np.ndarray],
-    bursts: dict[str, np.ndarray],
-    servers: dict[str, np.ndarray],
-    workloads: list[RackWorkload],
-) -> list[RunSummary]:
-    """Whole-region tables in global order (see
-    :meth:`ShardedRegionDataset.columns`) back into run summaries."""
-    run = {name: typed_values(runs[name], name) for name in RUN_COLUMNS}
-    count = len(run["rack_id"])
-    burst_lists = _per_run(bursts_from_rows(bursts), bursts["run_row"], count)
-    tasks = [
-        workloads[run["rack_id"][row]].placement.tasks[server]
-        for row, server in zip(
-            typed_values(servers["run_row"], "run_row"), typed_values(servers["server"], "server")
-        )
-    ]
-    stat_lists = _per_run(server_stats_from_rows(servers, tasks), servers["run_row"], count)
-    contention = map(
-        ContentionStats,
-        *(run[f"contention_{name}"] for name in ("mean", "min_active", "p90", "max", "frac_zero")),
-    )
-    racks = [workloads[rack_id] for rack_id in run["rack_id"]]
-    # Positional, in RunSummary's field order.
-    return list(
-        map(
-            RunSummary,
-            [workload.rack for workload in racks],
-            [workload.region for workload in racks],
-            run["hour"],
-            run["servers"],
-            run["buckets"],
-            run["sampling_interval"],
-            contention,
-            burst_lists,
-            stat_lists,
-            run["switch_discard_bytes"],
-            run["switch_ingress_bytes"],
-            [run_extras(workload) for workload in racks],
-        )
-    )
-
-
 # -- atomic file plumbing ----------------------------------------------------
 
 
@@ -439,6 +380,67 @@ def stack_rows(rows: Sequence[RunRows], rack_ids: Sequence[int]) -> dict[str, np
         table[:, lead:] = np.concatenate(blocks)
         tables[kind] = table
     return tables
+
+
+@dataclass
+class RegionDataset:
+    """A region-day's reduced runs held in memory: the three tables of
+    :data:`TABLES`, each a mapping from column name to a float64
+    column, rows in global order (see :meth:`ShardedRegionDataset.columns`)
+    or in the order the runs were reduced (:meth:`from_rows`).
+    ``workloads`` lists every rack's workload by rack id."""
+
+    region: str
+    tables: dict[str, dict[str, np.ndarray]]
+    workloads: list[RackWorkload] = field(default_factory=list)
+
+    @classmethod
+    def from_rows(
+        cls,
+        region: str,
+        rows: Sequence[RunRows],
+        rack_ids: Sequence[int],
+        workloads: Sequence[RackWorkload] = (),
+    ) -> "RegionDataset":
+        """Runs reduced by :func:`~repro.analysis.summary.run_rows`, each
+        with its rack id, in that order (see :func:`stack_rows`)."""
+        tables = stack_rows(rows, rack_ids)
+        return cls(
+            region=region,
+            tables={
+                kind: dict(zip(TABLES[kind], np.ascontiguousarray(table.T)))
+                for kind, table in tables.items()
+            },
+            workloads=list(workloads),
+        )
+
+    @property
+    def rack_names(self) -> list[str]:
+        return [workload.rack for workload in self.workloads]
+
+    def columns(self, table: str, names: Sequence[str]) -> dict[str, np.ndarray]:
+        """The named columns of one table, as
+        :meth:`ShardedRegionDataset.columns` returns them: a bursts or
+        servers ``rack_id`` is the rack of the row's run."""
+        columns = self.tables[table]
+        if "rack_id" in names and "rack_id" not in columns:
+            owners = columns["run_row"].astype(np.int64)
+            columns = {**columns, "rack_id": self.tables["runs"]["rack_id"][owners]}
+        return {name: columns[name] for name in names}
+
+    def table1_row(self) -> DatasetSummary:
+        """Table 1's row counted from the rows themselves: server rows,
+        bursty server rows and burst rows, where the store's view sums
+        the run table's counts."""
+        runs, servers = self.tables["runs"], self.tables["servers"]
+        return DatasetSummary(
+            region=self.region,
+            runs=int(runs["rack_id"].size),
+            server_runs=int(servers["run_row"].size),
+            bursty_server_runs=int(np.count_nonzero(servers["bursty"])),
+            bursts=int(self.tables["bursts"]["run_row"].size),
+            racks=int(np.unique(runs["rack_id"]).size),
+        )
 
 
 def synthesize_shard(
@@ -915,13 +917,11 @@ class ShardedRegionDataset:
         return self._workloads
 
     def to_region_dataset(self) -> RegionDataset:
-        """Decode the store into the equivalent in-memory
-        :class:`RegionDataset` — the object form the exactness checks
-        compare against."""
-        tables = [self.columns(kind, columns) for kind, columns in TABLES.items()]
+        """The whole store read into one in-memory
+        :class:`RegionDataset`, every table in global order."""
         return RegionDataset(
             region=self.region,
-            summaries=_decode_summaries(*tables, self.workloads),
+            tables={kind: self.columns(kind, names) for kind, names in TABLES.items()},
             workloads=self.workloads,
         )
 
@@ -989,6 +989,7 @@ __all__ = [
     "DEFAULT_SHARD_RACKS",
     "FLUID_BATCH",
     "RUN_COLUMNS",
+    "RegionDataset",
     "RegionShardStore",
     "SERVER_COLUMNS",
     "ShardKey",

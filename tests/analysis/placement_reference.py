@@ -11,8 +11,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.analysis.summary import RunSummary
 from repro.errors import AnalysisError
+from tests.analysis.summary_reference import RunSummary
 
 
 def volume_score(summaries: list[RunSummary]) -> float:

@@ -1,18 +1,194 @@
-"""Reference oracles for burst detection and run summaries: the
-historical per-server loops, kept verbatim so the whole-run burst core
-in ``repro.analysis.bursts`` and ``summarize_run`` can be checked ``==``
-against them."""
+"""The object form of a run's reduction, and the historical loops that
+are its exactness oracle.
+
+``repro.analysis.summary.run_rows`` reduces a rack run to float64 rows
+of the shard store's three tables, the one reduced form in ``src/``.
+The tests still compare against objects: :class:`RunSummary`,
+:class:`ServerRunStats` and :class:`Burst` are that reduction's fields
+with their Python types, :func:`summarize_run` is ``run_rows`` turned
+into them, and the ``*_reference`` functions are the historical
+per-server loops, kept verbatim so the whole-run burst core can be
+checked ``==`` against them.
+"""
 
 from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import units
-from repro.analysis.bursts import Burst
-from repro.analysis.contention import contention_stats
-from repro.analysis.summary import RunSummary, ServerRunStats
-from repro.core.run import MillisamplerRun, SyncRun
+from repro.analysis.bursts import BURST_FIELDS
+from repro.analysis.contention import ContentionStats, contention_stats
+from repro.analysis.summary import SERVER_FIELDS, RunRows, run_rows
+from repro.core.run import MillisamplerRun, StackedRun, SyncRun
 from repro.errors import AnalysisError
+
+
+@dataclass
+class Burst:
+    """One detected burst on one server: a burst row's fields."""
+
+    server: int  # index within the SyncRun
+    start: int  # first bucket of the burst
+    length: int  # buckets
+    volume: float  # ingress bytes
+    avg_connections: float
+    retx_bytes: float = 0.0
+    max_contention: int = 0
+    lossy: bool = False
+    first_loss_contention: int = -1
+
+    @property
+    def end(self) -> int:
+        """One past the last bucket."""
+        return self.start + self.length
+
+    @property
+    def contended(self) -> bool:
+        """The burst saw at least one other simultaneously bursty server
+        at some point in its lifetime (Section 6)."""
+        return self.max_contention >= 2
+
+    def length_ms(self, sampling_interval: float = units.ANALYSIS_INTERVAL) -> float:
+        return self.length * sampling_interval / units.MSEC
+
+
+@dataclass
+class ServerRunStats:
+    """Per-server-run aggregates (the unit of Figures 6 and 8)."""
+
+    server: int
+    task: str
+    bursty: bool  # had at least one burst
+    avg_utilization: float
+    utilization_in_bursts: float  # NaN when no bursts
+    utilization_outside_bursts: float
+    bursts_per_second: float
+    conns_inside: float  # mean connection estimate inside bursts (NaN if none)
+    conns_outside: float
+    total_in_bytes: float
+    in_burst_bytes: float
+
+
+@dataclass
+class RunSummary:
+    """Everything the experiments keep about one rack run."""
+
+    rack: str
+    region: str
+    hour: int
+    servers: int
+    buckets: int
+    sampling_interval: float
+    contention: ContentionStats
+    bursts: list[Burst]
+    server_stats: list[ServerRunStats]
+    switch_discard_bytes: float
+    switch_ingress_bytes: float
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def duration_s(self) -> float:
+        return self.buckets * self.sampling_interval
+
+    @property
+    def total_in_bytes(self) -> float:
+        return sum(stat.total_in_bytes for stat in self.server_stats)
+
+    def bursty_server_runs(self) -> int:
+        return sum(1 for stat in self.server_stats if stat.bursty)
+
+
+# The objects hold the rows' columns, in row order.
+assert tuple(f.name for f in dataclasses.fields(Burst)) == BURST_FIELDS
+assert tuple(f.name for f in dataclasses.fields(ServerRunStats) if f.name != "task") == SERVER_FIELDS
+
+#: Row columns that hold integers and booleans; the rest are floats.
+INT_FIELDS = frozenset(
+    {"rack_id", "hour", "servers", "buckets", "run_row", "server", "start",
+     "length", "max_contention", "first_loss_contention"}
+)
+BOOL_FIELDS = frozenset({"lossy", "bursty"})
+
+
+def typed_values(column: np.ndarray, name: str) -> list:
+    """A float64 row column as plain Python values: ``int``, ``bool`` or
+    ``float``, as the objects hold them (``repr`` of a numpy scalar
+    differs)."""
+    if name in INT_FIELDS:
+        return column.astype(np.int64).tolist()
+    if name in BOOL_FIELDS:
+        return (column != 0).tolist()
+    return column.tolist()
+
+
+def bursts_from_rows(columns) -> list[Burst]:
+    """:class:`Burst` objects from burst-row columns (a mapping from the
+    names in ``BURST_FIELDS`` to float64 columns)."""
+    return list(map(Burst, *(typed_values(columns[name], name) for name in BURST_FIELDS)))
+
+
+def server_stats_from_rows(columns, tasks: list[str]) -> list[ServerRunStats]:
+    """:class:`ServerRunStats` objects from server-row columns (a mapping
+    from the names in ``SERVER_FIELDS`` to float64 columns) and each
+    row's task."""
+    values = [typed_values(columns[name], name) for name in SERVER_FIELDS]
+    return list(map(ServerRunStats, values[0], tasks, *values[1:]))
+
+
+def summary_from_rows(run: StackedRun, rows: RunRows) -> RunSummary:
+    """One run's :class:`RunRows` as its :class:`RunSummary`."""
+    return RunSummary(
+        rack=run.rack,
+        region=run.region,
+        hour=run.hour,
+        servers=run.servers,
+        buckets=run.buckets,
+        sampling_interval=run.sampling_interval,
+        contention=ContentionStats(*rows.run[4:9].tolist()),
+        # Column-major copies: each column converts from contiguous memory.
+        bursts=bursts_from_rows(dict(zip(BURST_FIELDS, np.asfortranarray(rows.bursts).T))),
+        server_stats=server_stats_from_rows(
+            dict(zip(SERVER_FIELDS, np.asfortranarray(rows.servers).T)), run.tasks
+        ),
+        switch_discard_bytes=run.switch_discard_bytes,
+        switch_ingress_bytes=run.switch_ingress_bytes,
+        extras=dict(run.extras),
+    )
+
+
+def summarize_run(
+    run: SyncRun | StackedRun,
+    threshold: float = units.BURST_UTILIZATION_THRESHOLD,
+    loss_lag_buckets: int = 2,
+) -> RunSummary:
+    """``run_rows`` of ``run`` (stacked first if a :class:`SyncRun`) as
+    its :class:`RunSummary`."""
+    if isinstance(run, SyncRun):
+        run = run.stacked()
+    return summary_from_rows(run, run_rows(run, threshold, loss_lag_buckets))
+
+
+def detect_run_bursts(
+    sync_run: SyncRun,
+    threshold: float = units.BURST_UTILIZATION_THRESHOLD,
+    loss_lag_buckets: int = 2,
+) -> list[Burst]:
+    """Every burst of a rack run, from ``run_rows``."""
+    return summarize_run(sync_run, threshold, loss_lag_buckets).bursts
+
+
+def detect_bursts(
+    run: MillisamplerRun,
+    threshold: float = units.BURST_UTILIZATION_THRESHOLD,
+    loss_lag_buckets: int = 2,
+) -> list[Burst]:
+    """One server's bursts, from ``run_rows`` of the server as a
+    one-server rack run (so contention is 1 in every burst)."""
+    sync_run = SyncRun(rack=run.meta.rack, region=run.meta.region, runs=[run])
+    return detect_run_bursts(sync_run, threshold, loss_lag_buckets)
 
 
 def _mask_segments(mask: np.ndarray) -> list[tuple[int, int]]:

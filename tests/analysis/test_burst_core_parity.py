@@ -1,6 +1,7 @@
-"""The whole-run burst core must equal the historical per-server loops
-exactly: same bursts, same per-server aggregates, same Python types
-(the dataset digest hashes ``repr``), never ``allclose``."""
+"""The whole-run burst core (``run_rows``) must equal the historical
+per-server loops exactly: same bursts, same per-server aggregates, same
+Python types once its rows are read back into objects (the dataset
+digest hashes ``repr``), never ``allclose``."""
 
 from __future__ import annotations
 
@@ -11,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import units
-from repro.analysis.bursts import detect_bursts, detect_run_bursts
-from repro.analysis.summary import summarize_run
+from repro.analysis.summary import run_rows
 from repro.core.run import MillisamplerRun, RunMetadata, SyncRun
 from repro.errors import AnalysisError
 from tests.analysis.summary_reference import (
-    detect_bursts_reference,
+    detect_run_bursts,
     detect_run_bursts_reference,
+    summarize_run,
     summarize_run_reference,
 )
 
@@ -101,10 +102,6 @@ def assert_same_as_reference(sync_run, threshold, lag):
     assert typed(detect_run_bursts(sync_run, threshold, lag)) == typed(
         detect_run_bursts_reference(sync_run, threshold, lag)
     )
-    for index, run in enumerate(sync_run.runs):
-        assert typed(detect_bursts(run, threshold, lag, server=index)) == typed(
-            detect_bursts_reference(run, threshold, lag, server=index)
-        )
 
 
 class TestBurstCoreMatchesReference:
@@ -149,6 +146,5 @@ class TestBurstCoreMatchesReference:
 
     def test_negative_lag_rejected(self):
         sync_run = random_sync_run(3, 2, 10, 0.4, 3.0, 0.1, units.BURST_UTILIZATION_THRESHOLD)
-        for detect in (summarize_run, detect_run_bursts):
-            with pytest.raises(AnalysisError):
-                detect(sync_run, loss_lag_buckets=-1)
+        with pytest.raises(AnalysisError):
+            run_rows(sync_run.stacked(), loss_lag_buckets=-1)

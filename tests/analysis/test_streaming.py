@@ -1,5 +1,4 @@
-"""The shard store's view folds and the mergeable quantile sketch
-(repro.analysis.streaming).
+"""The shard store's view folds (repro.analysis.streaming).
 
 * The store's Table 1 and figure views are **bit-identical** to their
   in-memory oracles for any split of a region's runs into shard files,
@@ -8,8 +7,6 @@
   ``tests/fleet/test_shards.py``.)
 * Folds of consecutive rack ranges merge into the fold of the whole
   region; folds with different parameters refuse to merge.
-* The generic QuantileSketch merges associatively and agrees with
-  direct computation.
 """
 
 import os
@@ -17,13 +14,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis.diurnal import hourly_box_stats
-from repro.analysis.racks import rack_profiles
 from repro.analysis.streaming import (
     BurstContentionAccumulator,
     BurstContentionView,
     HourlyBoxAccumulator,
-    QuantileSketch,
     RackProfileAccumulator,
     RunContentionAccumulator,
     RunContentionView,
@@ -31,7 +25,7 @@ from repro.analysis.streaming import (
 )
 from repro.config import FleetConfig
 from repro.errors import AnalysisError
-from repro.fleet.dataset import DatasetSummary, RegionDataset
+from repro.fleet.dataset import DatasetSummary
 from repro.fleet.shards import (
     RegionShardStore,
     ShardedRegionDataset,
@@ -40,9 +34,11 @@ from repro.fleet.shards import (
 from repro.workload.region import REGION_A
 from tests.analysis.streaming_reference import (
     burst_contention_from_summaries,
+    hourly_box_stats,
+    rack_profiles,
     run_contention_from_summaries,
 )
-from tests.fleet.dataset_reference import encode_tables, generate_region_dataset
+from tests.fleet.dataset_reference import SummaryDataset, encode_tables, generate_region_dataset
 
 CONFIG = FleetConfig(racks_per_region=5, runs_per_rack=4, seed=13)
 
@@ -52,7 +48,7 @@ def dataset():
     return generate_region_dataset(REGION_A, CONFIG)
 
 
-def split_store(root, dataset: RegionDataset, pieces: int, seed: int) -> ShardedRegionDataset:
+def split_store(root, dataset: SummaryDataset, pieces: int, seed: int) -> ShardedRegionDataset:
     """The region's runs dealt at random into ``pieces`` shard files,
     shuffled within each file, and the files listed in random order."""
     rng = np.random.default_rng(seed)
@@ -76,7 +72,7 @@ def split_store(root, dataset: RegionDataset, pieces: int, seed: int) -> Sharded
         "rack_names": [workload.rack for workload in dataset.workloads],
         "shards": records,
     }
-    return ShardedRegionDataset(store=store, manifest=manifest)
+    return ShardedRegionDataset(store=store, manifest=manifest, _workloads=dataset.workloads)
 
 
 @pytest.mark.parametrize("pieces,seed", [(1, 0), (3, 1), (7, 2), (16, 3)])
@@ -87,6 +83,7 @@ class TestAccumulatorsMatchOracles:
     def test_table1(self, dataset, tmp_path, pieces, seed):
         store = split_store(tmp_path, dataset, pieces, seed)
         assert store.table1_row() == dataset.table1_row()
+        assert store.to_region_dataset().table1_row() == dataset.table1_row()
 
     def test_rack_profiles(self, dataset, tmp_path, pieces, seed):
         store = split_store(tmp_path, dataset, pieces, seed)
@@ -204,46 +201,3 @@ class TestFoldMerge:
                 pieces.append(piece)
             whole.add_columns({name: columns[name] for name in whole.COLUMNS})
             assert _same(pieces[0].merge(pieces[1]).finalize(), whole.finalize())
-
-
-class TestQuantileSketch:
-    def test_small_stream_is_exact(self):
-        sketch = QuantileSketch(k=64)
-        sketch.add_array(np.arange(50, dtype=float))
-        assert sketch.quantile(0.0) == 0.0
-        assert sketch.quantile(1.0) == 49.0
-        assert abs(sketch.quantile(0.5) - 24.5) <= 1.0
-
-    def test_large_stream_bounded_error(self):
-        rng = np.random.default_rng(7)
-        values = rng.normal(size=20_000)
-        sketch = QuantileSketch(k=256)
-        sketch.add_array(values)
-        for q in (0.1, 0.5, 0.9):
-            true = float(np.quantile(values, q))
-            rank_true = q
-            rank_est = float((values <= sketch.quantile(q)).mean())
-            assert abs(rank_est - rank_true) < 0.05
-
-    def test_merge_equivalent_to_single_stream(self):
-        rng = np.random.default_rng(11)
-        values = rng.uniform(size=5_000)
-        parts = np.array_split(values, 7)
-        merged = QuantileSketch(k=128)
-        for part in parts:
-            piece = QuantileSketch(k=128)
-            piece.add_array(part)
-            merged.merge(piece)
-        assert merged.count == values.size
-        for q in (0.25, 0.5, 0.75):
-            rank_est = float((values <= merged.quantile(q)).mean())
-            assert abs(rank_est - q) < 0.08
-
-    def test_rejects_tiny_capacity_and_bad_quantiles(self):
-        with pytest.raises(AnalysisError):
-            QuantileSketch(k=4)
-        sketch = QuantileSketch()
-        with pytest.raises(AnalysisError):
-            sketch.quantile(1.5)
-        with pytest.raises(AnalysisError):
-            sketch.quantile(0.5)  # empty

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
@@ -69,6 +70,14 @@ def make_sync_run(rows, **kwargs) -> SyncRun:
     defaults = dict(rack="rack0", region="RegA", runs=runs)
     defaults.update(kwargs)
     return SyncRun(**defaults)
+
+
+def metrics_digest(metrics: dict) -> str:
+    """sha256 over every ``name=repr(value);`` pair, in name order."""
+    digest = hashlib.sha256()
+    for name, value in sorted(metrics.items()):
+        digest.update(f"{name}={value!r};".encode())
+    return digest.hexdigest()
 
 
 #: Bytes that fill one 1 ms bucket at exactly line rate.

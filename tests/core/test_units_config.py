@@ -126,3 +126,12 @@ class TestOtherConfigs:
             FleetConfig(runs_per_rack=-1)
         with pytest.raises(ConfigError):
             FleetConfig(hours=25)
+
+    def test_fleet_seed_domain(self):
+        """Seeds s and s + 2**63 would share a stream tree under two
+        dataset keys: only [0, 2**63) is accepted."""
+        assert FleetConfig(seed=0).seed == 0
+        assert FleetConfig(seed=2**63 - 1).seed == 2**63 - 1
+        for seed in (-1, 2**63, 2**64):
+            with pytest.raises(ConfigError, match="seed must be in"):
+                FleetConfig(seed=seed)

@@ -1,6 +1,7 @@
 """CLI integration tests: export/analyze round trips, orchestrated runs,
 failure isolation, and manifest schema guarantees."""
 
+import hashlib
 import json
 import os
 import tempfile
@@ -27,6 +28,21 @@ class TestExportAnalyzeRoundTrip:
         assert "Millisampler dataset analysis" in text
         assert "rack runs" in text
         assert "median burst length (ms)" in text
+
+    #: sha256 of the analysis table below its title line (the title
+    #: names the directory), captured while ``analyze`` still reduced
+    #: its runs to summary objects.
+    ANALYZE_DIGEST = "226b7f4f2d03200202b87ea916fbd7b9d4fefa67e52d3443e18b155b33206b94"
+
+    def test_analyze_output_pinned(self, tmp_path, capsys):
+        out = str(tmp_path / "msdata")
+        assert cli.main([
+            "export", out, "--racks", "2", "--runs-per-rack", "2", "--seed", "7",
+        ]) == 0
+        capsys.readouterr()
+        assert cli.main(["analyze", out]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == self.ANALYZE_DIGEST, rows
 
     def test_export_runs_per_rack_over_24_is_a_clear_error(self, tmp_path, capsys):
         rc = cli.main(["export", str(tmp_path / "x"), "--runs-per-rack", "25"])
@@ -305,6 +321,16 @@ class TestConfigErrors:
             "error: cannot run a rack more often than hourly: 25 runs per rack over 24 hours\n"
         )
         assert "FAILED" not in captured.out
+
+    @pytest.mark.parametrize("command, seed", [
+        (["run", "table1"], "-1"),
+        (["serve", "--port", "0"], "9223372036854775808"),
+    ])
+    def test_out_of_range_seed_is_a_one_line_error(self, command, seed, monkeypatch, capsys):
+        seen = stub_serve(monkeypatch)
+        assert cli.main(command + ["--racks", "1", "--seed", seed, "--no-cache"]) == 2
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**63), got {seed}\n"
+        assert seen.configs == seen.ports == []
 
     @pytest.mark.parametrize("command", [
         ["run", "table1", "--racks", "1", "--runs-per-rack", "1"],

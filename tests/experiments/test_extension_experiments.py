@@ -6,6 +6,7 @@ import pytest
 from repro.experiments import ablation_policies, crossval_fluid, gso_inflation
 from repro.experiments.cli import main as cli_main
 from repro.experiments.context import ExperimentContext
+from tests.conftest import metrics_digest
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,16 @@ class TestFabricSmoothing:
 
 
 class TestThresholdAblation:
+    #: Every metric at this module's ``ctx``, captured while the
+    #: experiment still reduced its runs to summary objects.
+    METRICS_DIGEST = "bc1eed7eb0c8020b43ae606b8fc54e59c662b6d61aef74631bf6e17ab2dd836b"
+
+    def test_metrics_pinned(self, ctx):
+        from repro.experiments import ablation_threshold
+
+        result = ablation_threshold.run(ctx)
+        assert metrics_digest(result.metrics) == self.METRICS_DIGEST, result.metrics
+
     def test_inversion_robust_across_thresholds(self, ctx):
         from repro.experiments import ablation_threshold
 
@@ -122,7 +133,7 @@ class TestFig15EdgeCases:
         below its minimum over active samples; the buffer-share drop is
         then zero, not an error."""
         from repro.analysis.contention import ContentionStats
-        from repro.analysis.summary import RunSummary
+        from tests.analysis.summary_reference import RunSummary
         from repro.experiments import fig15_run_variation
         from repro.experiments.context import ExperimentContext
 

@@ -3,36 +3,39 @@ row path is checked against.
 
 A store build reduces every run straight to float64 table rows
 (:func:`repro.fleet.shards.task_tables`).  Before that, builds reduced
-each run to a :class:`~repro.analysis.summary.RunSummary` (with its
-:class:`~repro.analysis.bursts.Burst` objects), grouped the summaries
-by rack day and flattened them into the tables one Python tuple per
-row (:func:`encode_tables`); a pool build fanned rack days out and
-regrouped them into rack stripes (:func:`rack_day_build`).  That path
-lives here, unchanged in what it computes, so tests and benchmarks can
-hold the row path to it byte for byte.
+each run to a :class:`~tests.analysis.summary_reference.RunSummary`
+(with its :class:`~tests.analysis.summary_reference.Burst` objects),
+grouped the summaries by rack day and flattened them into the tables
+one Python tuple per row (:func:`encode_tables`); a pool build fanned
+rack days out and regrouped them into rack stripes
+(:func:`rack_day_build`), and a store was read back into objects
+(:func:`decode_summaries`).  That path lives here, unchanged in what it
+computes, so tests and benchmarks can hold the row path to it byte for
+byte.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.analysis.summary import RunSummary, summarize_run
+from repro.analysis.contention import ContentionStats
 from repro.config import FleetConfig
 from repro.core.run import StackedRun
-from repro.fleet.dataset import RackRunPlan, RegionDataset, plan_region, run_rng
+from repro.fleet.dataset import DatasetSummary, RackRunPlan, plan_region, run_rng
 from repro.fleet.parallel import resolve_jobs, run_windowed
-from repro.fleet.rackrun import BatchItem, RackRunSynthesizer
+from repro.fleet.rackrun import BatchItem, RackRunSynthesizer, run_extras
 from repro.fleet import shards
 from repro.fleet.shards import (
     BURST_COLUMNS,
     RUN_COLUMNS,
     SERVER_COLUMNS,
+    RegionDataset,
     RegionShardStore,
     ShardTask,
     _write_shard,
@@ -40,6 +43,82 @@ from repro.fleet.shards import (
 )
 from repro.obs.metrics import Metrics
 from repro.workload.region import RackWorkload, RegionSpec
+from tests.analysis.summary_reference import (
+    RunSummary,
+    bursts_from_rows,
+    server_stats_from_rows,
+    summarize_run,
+    typed_values,
+)
+
+
+@dataclass
+class SummaryDataset:
+    """All reduced runs for one region-day, as summary objects."""
+
+    region: str
+    summaries: list[RunSummary]
+    workloads: list[RackWorkload] = field(default_factory=list)
+
+    def table1_row(self) -> DatasetSummary:
+        server_runs = sum(summary.servers for summary in self.summaries)
+        bursty = sum(summary.bursty_server_runs() for summary in self.summaries)
+        bursts = sum(len(summary.bursts) for summary in self.summaries)
+        racks = len({summary.rack for summary in self.summaries})
+        return DatasetSummary(
+            region=self.region,
+            runs=len(self.summaries),
+            server_runs=server_runs,
+            bursty_server_runs=bursty,
+            bursts=bursts,
+            racks=racks,
+        )
+
+
+def _per_run(rows: list, run_row: np.ndarray, runs: int) -> list[list]:
+    """Rows sorted by ``run_row``, split into one list per run."""
+    bounds = np.searchsorted(run_row, np.arange(runs + 1)).tolist()
+    return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def decode_summaries(dataset: RegionDataset) -> list[RunSummary]:
+    """A table dataset (e.g. ``ShardedRegionDataset.to_region_dataset()``)
+    back into run summaries, in its row order."""
+    runs, bursts, servers = (dataset.tables[kind] for kind in ("runs", "bursts", "servers"))
+    workloads = dataset.workloads
+    run = {name: typed_values(runs[name], name) for name in RUN_COLUMNS}
+    count = len(run["rack_id"])
+    burst_lists = _per_run(bursts_from_rows(bursts), bursts["run_row"], count)
+    tasks = [
+        workloads[run["rack_id"][row]].placement.tasks[server]
+        for row, server in zip(
+            typed_values(servers["run_row"], "run_row"), typed_values(servers["server"], "server")
+        )
+    ]
+    stat_lists = _per_run(server_stats_from_rows(servers, tasks), servers["run_row"], count)
+    contention = map(
+        ContentionStats,
+        *(run[f"contention_{name}"] for name in ("mean", "min_active", "p90", "max", "frac_zero")),
+    )
+    racks = [workloads[rack_id] for rack_id in run["rack_id"]]
+    # Positional, in RunSummary's field order.
+    return list(
+        map(
+            RunSummary,
+            [workload.rack for workload in racks],
+            [workload.region for workload in racks],
+            run["hour"],
+            run["servers"],
+            run["buckets"],
+            run["sampling_interval"],
+            contention,
+            burst_lists,
+            stat_lists,
+            run["switch_discard_bytes"],
+            run["switch_ingress_bytes"],
+            [run_extras(workload) for workload in racks],
+        )
+    )
 
 
 @dataclass
@@ -52,7 +131,7 @@ class RackDay:
     summaries: list[RunSummary]
 
 
-def rack_days(dataset: RegionDataset) -> list[RackDay]:
+def rack_days(dataset: SummaryDataset) -> list[RackDay]:
     """A region's summaries grouped by rack, in rack-name order."""
     grouped: dict[str, list[RunSummary]] = {}
     for summary in dataset.summaries:
@@ -154,7 +233,7 @@ def generate_region_dataset(
     synthesizer: RackRunSynthesizer | None = None,
     progress: Callable[[int, int], None] | None = None,
     metrics: Metrics | None = None,
-) -> RegionDataset:
+) -> SummaryDataset:
     """One region-day generated serially, in memory, as summary objects.
 
     Every *planned* rack contributes its workload in rack order, even
@@ -172,7 +251,7 @@ def generate_region_dataset(
             if progress is not None:
                 progress(len(summaries), total)
     metrics.incr("dataset.generated_runs", len(summaries))
-    return RegionDataset(
+    return SummaryDataset(
         region=spec.name,
         summaries=summaries,
         workloads=[plan.workload for plan in plans],

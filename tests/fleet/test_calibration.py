@@ -11,6 +11,7 @@ import pytest
 
 from repro.fleet.calibration import PAPER_TARGETS, Target, check, measure
 from repro.errors import AnalysisError
+from tests.conftest import metrics_digest
 
 
 class TestTargets:
@@ -29,6 +30,13 @@ class TestCalibration:
     @pytest.fixture(scope="class")
     def report(self):
         return check(racks=16, seed=7)
+
+    #: ``measure(racks=16, seed=7)``, captured while it still reduced
+    #: its runs to summary objects.
+    MEASURED_DIGEST = "f28036529be9327c3ef67ea10a71ef712c641e829b43d65375ea53cfce77dbe4"
+
+    def test_measured_pinned(self, report):
+        assert metrics_digest(report.measured) == self.MEASURED_DIGEST, report.measured
 
     def test_all_targets_in_band(self, report):
         assert report.ok, "\n" + report.render()

@@ -28,11 +28,11 @@ from repro.workload.region import REGION_A
 
 config = FleetConfig(racks_per_region=3, runs_per_rack=2, seed=123)
 with tempfile.TemporaryDirectory() as root:
-    dataset = generate_region_shards(REGION_A, config, root, jobs=1).to_region_dataset()
+    runs = generate_region_shards(REGION_A, config, root, jobs=1).to_region_dataset().tables["runs"]
 checksum = {
-    "contention": [round(s.contention.mean, 12) for s in dataset.summaries],
-    "bursts": [len(s.bursts) for s in dataset.summaries],
-    "volume": round(sum(s.total_in_bytes for s in dataset.summaries), 3),
+    "contention": [round(value, 12) for value in runs["contention_mean"].tolist()],
+    "bursts": runs["n_bursts"].astype(int).tolist(),
+    "volume": round(sum(runs["total_in_bytes"].tolist()), 3),
 }
 print(json.dumps(checksum))
 """

@@ -29,7 +29,7 @@ from repro.fleet.shards import (
     generate_region_shards,
 )
 from repro.workload.region import REGION_A, REGION_B
-from tests.fleet.dataset_reference import generate_region_dataset
+from tests.fleet.dataset_reference import decode_summaries, generate_region_dataset
 
 CONFIG = FleetConfig(racks_per_region=3, runs_per_rack=2, seed=77)
 
@@ -53,7 +53,7 @@ def summaries_of(dataset):
     """A store's summaries decoded from its tables, or an in-memory
     dataset's own."""
     if isinstance(dataset, ShardedRegionDataset):
-        return dataset.to_region_dataset().summaries
+        return decode_summaries(dataset.to_region_dataset())
     return dataset.summaries
 
 
@@ -411,7 +411,7 @@ class TestDefaultPolicyDatasetNoOp:
         store = build_store(
             tmp_path, jobs=jobs, shard_racks=geometry[0], shard_hours=geometry[1]
         )
-        decoded = store.to_region_dataset().summaries
+        decoded = decode_summaries(store.to_region_dataset())
         assert self._digest(decoded) == self.PRE_REFACTOR_FINGERPRINT
 
     def test_table1_row_pinned(self, serial_rega):

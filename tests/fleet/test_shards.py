@@ -22,8 +22,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.analysis.diurnal import hourly_box_stats
-from repro.analysis.racks import rack_profiles
 from repro.config import FleetConfig
 from repro.errors import ConfigError
 from repro.fleet.rackrun import RackRunSynthesizer
@@ -37,9 +35,11 @@ from repro.fleet.shards import (
 from repro.workload.region import REGION_A, REGION_B
 from tests.analysis.streaming_reference import (
     burst_contention_from_summaries,
+    hourly_box_stats,
+    rack_profiles,
     run_contention_from_summaries,
 )
-from tests.fleet.dataset_reference import generate_region_dataset
+from tests.fleet.dataset_reference import decode_summaries, generate_region_dataset
 
 CONFIG = FleetConfig(racks_per_region=6, runs_per_rack=3, seed=77)
 
@@ -122,7 +122,7 @@ class TestShardPlanning:
 class TestBitExactness:
     def test_summaries_in_global_order(self, oracle, sharded):
         assert_summaries_identical(
-            oracle.summaries, sharded.to_region_dataset().summaries
+            oracle.summaries, decode_summaries(sharded.to_region_dataset())
         )
 
     def test_workloads_match(self, oracle, sharded):
@@ -248,7 +248,7 @@ class TestBitExactness:
             REGION_A, CONFIG, store_dir, shard_racks=5, shard_hours=24, jobs=1
         )
         assert other.table1_row() == oracle.table1_row()
-        assert_summaries_identical(oracle.summaries, other.to_region_dataset().summaries)
+        assert_summaries_identical(oracle.summaries, decode_summaries(other.to_region_dataset()))
 
     def test_parallel_build_identical(self, oracle, tmp_path):
         parallel = generate_region_shards(
@@ -256,7 +256,7 @@ class TestBitExactness:
         )
         assert parallel.table1_row() == oracle.table1_row()
         assert_summaries_identical(
-            oracle.summaries, parallel.to_region_dataset().summaries
+            oracle.summaries, decode_summaries(parallel.to_region_dataset())
         )
 
     def test_reload_hits_manifest_and_matches(self, oracle, sharded, store_dir):
@@ -270,7 +270,7 @@ class TestBitExactness:
     def test_to_region_dataset(self, oracle, sharded):
         materialized = sharded.to_region_dataset()
         assert materialized.table1_row() == oracle.table1_row()
-        assert_summaries_identical(oracle.summaries, materialized.summaries)
+        assert_summaries_identical(oracle.summaries, decode_summaries(materialized))
 
 
 class TestStoreLayout:
@@ -313,7 +313,7 @@ class TestStoreLayout:
         empty = FleetConfig(racks_per_region=0, runs_per_rack=3, seed=1)
         dataset = generate_region_shards(REGION_A, empty, str(tmp_path), jobs=1)
         assert dataset.manifest["shards"] == []
-        assert dataset.to_region_dataset().summaries == []
+        assert decode_summaries(dataset.to_region_dataset()) == []
         assert dataset.columns("bursts", ("run_row",))["run_row"].size == 0
         assert dataset.workloads == []
         assert dataset.table1_row().runs == 0
@@ -409,7 +409,7 @@ class TestOutOfCore:
     def test_streaming_peak_below_materialized(self, tmp_path):
         """The acceptance bound: aggregating shard-by-shard must not
         materialize the region — peak traced memory for the streaming
-        aggregations stays well below decoding every summary at once."""
+        aggregations stays well below reading every table at once."""
         config = FleetConfig(racks_per_region=12, runs_per_rack=6, seed=5)
         dataset = generate_region_shards(
             REGION_A, config, str(tmp_path), shard_racks=3, shard_hours=12, jobs=1
@@ -436,8 +436,8 @@ class TestOutOfCore:
             lambda: (fresh.table1_row(), fresh.rack_profiles(), fresh.run_contention())
         )
         materialized_peak = traced(dataset.to_region_dataset)
-        # The views hold a few run columns of the region; decoding
-        # holds every summary object.  The margins are generous so
+        # The views hold a few run columns of the region; reading it
+        # whole holds every column of every table.  The margins are generous so
         # allocator noise cannot flake the test, but a regression to
         # whole-region loading (4x one shard here) trips both bounds.
         assert streaming_peak < materialized_peak

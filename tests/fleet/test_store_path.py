@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import units
-from repro.analysis.summary import run_rows, summarize_run
+from repro.analysis.summary import run_rows
 from repro.config import FleetConfig
 from repro.core.run import StackedRun
 from repro.fleet.buffermodel import FluidBufferModel
@@ -37,6 +37,7 @@ from repro.fleet.shards import (
 )
 from repro.obs.metrics import Metrics
 from repro.workload.region import REGION_A, REGION_B
+from tests.analysis.summary_reference import summarize_run
 from tests.analysis.test_burst_core_parity import random_sync_run
 from tests.fleet.dataset_reference import (
     encode_tables,

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.analysis.bursts import detect_run_bursts
-from repro.analysis.summary import summarize_run
 from repro.config import BufferConfig, RackConfig, SamplerConfig
 from repro.core.syncsampler import SyncMillisampler
+from repro.fleet.shards import RUN_COLUMNS
 from repro.simnet.topology import build_rack
 from repro.simnet.tcp import DctcpControl, open_connection
 from repro.workload.flows import BurstServer, IncastApp
+from tests.analysis.summary_reference import detect_run_bursts, summarize_run
 
 
 def add_background_trickle(rack, period=5e-3, size=2000):
@@ -166,8 +166,10 @@ class TestIncastLossPipeline:
 
 class TestFluidVsPacketConsistency:
     def test_same_metrics_schema(self, small_ctx):
-        """Fluid-model summaries and packet-level summaries are the same
-        type, so every analysis runs on both substrates."""
-        fluid_summary = small_ctx.dataset("RegA").to_region_dataset().summaries[0]
-        assert fluid_summary.contention.mean >= 0
-        assert fluid_summary.servers == 92
+        """The fluid store holds the rows ``run_rows`` makes of any rack
+        run, packet-level ones included, so every analysis runs on both
+        substrates."""
+        runs = small_ctx.dataset("RegA").to_region_dataset().tables["runs"]
+        assert tuple(runs) == RUN_COLUMNS
+        assert runs["contention_mean"][0] >= 0
+        assert runs["servers"][0] == 92

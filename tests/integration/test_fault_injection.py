@@ -12,10 +12,10 @@ is receiving, which can lead to additional apparent bursts."
 """
 
 
-from repro.analysis.bursts import detect_bursts
 from repro.core.millisampler import Direction, Millisampler, PacketObservation
 from repro.core.run import RunMetadata
 from repro import units
+from tests.analysis.summary_reference import detect_bursts
 
 
 def feed_steady_traffic(sampler, rate_fraction, start, duration, blackout=None,

@@ -41,6 +41,7 @@ from repro.service.core import (
     ServiceConfig,
     serialize_table1,
 )
+from tests.fleet.dataset_reference import decode_summaries
 
 FLEET = FleetConfig(racks_per_region=2, runs_per_rack=2, seed=90125)
 
@@ -247,7 +248,7 @@ class TestHTTPService:
         oracle_ctx = ExperimentContext(
             fleet=FLEET, store_dir=str(tmp_path / "oracle-store")
         )
-        summaries = oracle_ctx.dataset("RegA").to_region_dataset().summaries
+        summaries = decode_summaries(oracle_ctx.dataset("RegA").to_region_dataset())
         assert events[-1]["data"] == {
             "region": "RegA",
             "runs": len(summaries),

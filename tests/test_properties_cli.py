@@ -37,7 +37,7 @@ from tests.experiments.test_cli import stub_serve
 RANGES = {
     "racks": (0, 2),
     "runs_per_rack": (1, 24),
-    "seed": (0, 2**64),
+    "seed": (0, 2**63 - 1),
     "jobs": (0, 4),
     "shard_racks": (1, 24),
     "shard_hours": (1, 24),

@@ -15,10 +15,11 @@ Every auditable component (:class:`~repro.simnet.engine.Engine`,
 :class:`~repro.simnet.fabric.FabricSwitch`,
 :class:`~repro.simnet.host.Host`, :class:`~repro.simnet.nic.Nic`)
 carries an :class:`AuditTap` whose hooks it calls at each accounting
-event.  The default tap is a shared no-op singleton, so auditing has
-zero overhead unless an :class:`InvariantAuditor` is installed (via
-:func:`audited` or :func:`install`) *before* the components are built —
-components capture the active tap at construction time.
+event.  Components capture the active tap at construction time, so an
+:class:`InvariantAuditor` must be installed (via :func:`audited` or
+:func:`install`) *before* the components are built.  Without one they
+hold the shared no-op :data:`NOOP_TAP` and skip every hook call: the
+unaudited cost is one identity test per hook site.
 
 Laws continuously checked while enabled:
 
@@ -99,11 +100,13 @@ _TIME_EPS = 1e-15
 
 
 class AuditTap:
-    """No-op audit hooks; the base class is the disabled fast path.
+    """No-op audit hooks: the interface every auditor implements.
 
-    Components call these unconditionally; with the shared
-    :data:`NOOP_TAP` each call is a single empty method dispatch, so the
-    simulator pays nothing measurable when auditing is off.
+    A component calls a hook only when the tap it captured at
+    construction is not the shared :data:`NOOP_TAP`
+    (``if self._audit is not NOOP_TAP: ...``), so with auditing off
+    each hook site costs one identity test and no call (about 4.4 per
+    simulated event in the packet-incast benchmark).
     """
 
     __slots__ = ()

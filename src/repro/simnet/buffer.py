@@ -24,17 +24,17 @@ allocation it consumes before touching the shared pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..config import BufferConfig
 from ..errors import SimulationError
 from ..fleet.policies import DynamicThresholdPolicy, SharingPolicy
-from .audit import active_tap
+from .audit import NOOP_TAP, active_tap
 
 
-@dataclass(frozen=True)
-class BufferAdmission:
+class BufferAdmission(NamedTuple):
     """Outcome of offering a packet to the buffer."""
 
     accepted: bool
@@ -46,20 +46,21 @@ class BufferAdmission:
     reason: str = ""
 
 
-@dataclass
-class _QueueState:
+@dataclass(slots=True)
+class QueueState:
+    """One queue's charges and counters inside a :class:`SharedBuffer`."""
+
     dedicated_used: int = 0
     shared_used: int = 0
+    #: Bytes currently charged: ``dedicated_used + shared_used``, kept
+    #: as a field so the ECN check at every enqueue is one read.
+    occupancy: int = 0
     discarded_packets: int = 0
     discarded_bytes: int = 0
     admitted_bytes: int = 0
     #: Consecutive :meth:`SharedBuffer.tick` steps this queue has held
     #: bytes — the activity clock flow-aware policies key on.
     active_steps: int = 0
-
-    @property
-    def occupancy(self) -> int:
-        return self.dedicated_used + self.shared_used
 
 
 class SharedBuffer:
@@ -80,18 +81,22 @@ class SharedBuffer:
             if policy is not None
             else DynamicThresholdPolicy(alpha=self.config.alpha)
         )
-        self._queues: dict[str, _QueueState] = {}
+        self._dedicated_cap = int(self.config.dedicated_bytes_per_queue)
+        self._queues: dict[str, QueueState] = {}
         self._shared_occupancy = 0
         self._audit = active_tap()
 
     # -- registration -------------------------------------------------------
 
-    def register_queue(self, queue_id: str) -> None:
+    def register_queue(self, queue_id: str) -> QueueState:
+        """Add a queue; returns its live :class:`QueueState`, which the
+        owner may read (never write) instead of asking by name."""
         if queue_id in self._queues:
             raise SimulationError(f"queue {queue_id!r} already registered")
-        self._queues[queue_id] = _QueueState()
+        state = self._queues[queue_id] = QueueState()
+        return state
 
-    def _state(self, queue_id: str) -> _QueueState:
+    def _state(self, queue_id: str) -> QueueState:
         try:
             return self._queues[queue_id]
         except KeyError:
@@ -168,9 +173,12 @@ class SharedBuffer:
         """
         if size <= 0:
             raise SimulationError("packet size must be positive")
-        state = self._state(queue_id)
+        try:
+            state = self._queues[queue_id]
+        except KeyError:
+            raise SimulationError(f"unknown queue {queue_id!r}") from None
 
-        dedicated_free = int(self.config.dedicated_bytes_per_queue) - state.dedicated_used
+        dedicated_free = self._dedicated_cap - state.dedicated_used
         from_dedicated = min(size, max(dedicated_free, 0))
         from_shared = size - from_dedicated
 
@@ -184,39 +192,45 @@ class SharedBuffer:
                     False,
                     reason=f"over {self.policy.name} limit ({limit:.0f}B)",
                 )
-                self._audit.on_admit(self, queue_id, size, admission)
+                if self._audit is not NOOP_TAP:
+                    self._audit.on_admit(self, queue_id, size, admission)
                 return admission
             if from_shared > pool_free:
                 state.discarded_packets += 1
                 state.discarded_bytes += size
                 admission = BufferAdmission(False, reason="shared pool exhausted")
-                self._audit.on_admit(self, queue_id, size, admission)
+                if self._audit is not NOOP_TAP:
+                    self._audit.on_admit(self, queue_id, size, admission)
                 return admission
 
         state.dedicated_used += from_dedicated
         state.shared_used += from_shared
+        state.occupancy += size
         state.admitted_bytes += size
         self._shared_occupancy += from_shared
-        admission = BufferAdmission(
-            True, dedicated_bytes=from_dedicated, shared_bytes=from_shared
-        )
-        self._audit.on_admit(self, queue_id, size, admission)
+        admission = BufferAdmission(True, from_dedicated, from_shared)
+        if self._audit is not NOOP_TAP:
+            self._audit.on_admit(self, queue_id, size, admission)
         return admission
 
     def release(self, queue_id: str, admission: BufferAdmission) -> None:
         """Return a previously admitted packet's bytes to the buffer."""
         if not admission.accepted:
             raise SimulationError("cannot release a rejected admission")
-        state = self._state(queue_id)
-        if (
-            state.dedicated_used < admission.dedicated_bytes
-            or state.shared_used < admission.shared_bytes
-        ):
+        try:
+            state = self._queues[queue_id]
+        except KeyError:
+            raise SimulationError(f"unknown queue {queue_id!r}") from None
+        dedicated = admission.dedicated_bytes
+        shared = admission.shared_bytes
+        if state.dedicated_used < dedicated or state.shared_used < shared:
             raise SimulationError(f"double release on queue {queue_id!r}")
-        state.dedicated_used -= admission.dedicated_bytes
-        state.shared_used -= admission.shared_bytes
-        self._shared_occupancy -= admission.shared_bytes
-        self._audit.on_release(self, queue_id, admission)
+        state.dedicated_used -= dedicated
+        state.shared_used -= shared
+        state.occupancy -= dedicated + shared
+        self._shared_occupancy -= shared
+        if self._audit is not NOOP_TAP:
+            self._audit.on_release(self, queue_id, admission)
 
     # -- accounting -----------------------------------------------------------
 
@@ -237,4 +251,5 @@ class SharedBuffer:
             state.discarded_packets = 0
             state.discarded_bytes = 0
             state.admitted_bytes = 0
-        self._audit.on_reset_counters(self)
+        if self._audit is not NOOP_TAP:
+            self._audit.on_reset_counters(self)

@@ -3,16 +3,21 @@
 A classic event-heap design: callbacks scheduled at absolute simulated
 times, executed in time order (FIFO among equal times).  All network
 components share one engine; simulated time never runs backwards.
+
+An event is a callback plus its positional arguments, stored as the
+heap entry ``(time, seq, callback, args)``: components schedule bound
+methods with the packet they act on (``engine.at(t, deliver, packet)``)
+instead of wrapping each event in a fresh closure.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable
+from typing import Any, Callable
 
 from ..errors import SimulationError
-from .audit import active_tap
+from .audit import NOOP_TAP, active_tap
 
 
 class Engine:
@@ -20,7 +25,7 @@ class Engine:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._sequence = itertools.count()
         self._events_run = 0
         self._audit = active_tap()
@@ -38,41 +43,62 @@ class Engine:
     def pending(self) -> int:
         return len(self._heap)
 
-    def at(self, time: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at absolute simulated ``time``."""
+    def at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         if time < self._now - 1e-15:
             raise SimulationError(
                 f"cannot schedule event in the past ({time} < now {self._now})"
             )
-        self._audit.on_schedule(self, time)
-        heapq.heappush(self._heap, (time, next(self._sequence), callback))
+        if self._audit is not NOOP_TAP:
+            self._audit.on_schedule(self, time)
+        heapq.heappush(self._heap, (time, next(self._sequence), callback, args))
 
-    def after(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` after ``delay`` seconds."""
+    def after(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """Schedule ``callback(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError("delay cannot be negative")
-        self.at(self._now + delay, callback)
+        # Pushed here rather than through at(): a delay >= 0 is never
+        # in the past, and this is the busiest scheduling path.
+        time = self._now + delay
+        if self._audit is not NOOP_TAP:
+            self._audit.on_schedule(self, time)
+        heapq.heappush(self._heap, (time, next(self._sequence), callback, args))
 
     def step(self) -> bool:
         """Run the next event; returns False when no events remain."""
         if not self._heap:
             return False
-        time, _seq, callback = heapq.heappop(self._heap)
-        self._audit.on_advance(self, time)
+        time, _seq, callback, args = heapq.heappop(self._heap)
+        if self._audit is not NOOP_TAP:
+            self._audit.on_advance(self, time)
         self._now = time
         self._events_run += 1
-        callback()
+        callback(*args)
         return True
 
     def run_until(self, end_time: float, max_events: int | None = None) -> None:
         """Run events with time <= ``end_time``; advances ``now`` to
-        ``end_time`` even if the heap empties earlier."""
-        budget = max_events if max_events is not None else float("inf")
-        while self._heap and self._heap[0][0] <= end_time:
-            if budget <= 0:
+        ``end_time`` even if the heap empties earlier.
+
+        The loop is :meth:`step` inlined: it pops and calls each due
+        event itself, since the per-event method call would otherwise
+        be a fixed share of every simulated packet's cost.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        audit = self._audit if self._audit is not NOOP_TAP else None
+        # Counts down to 0 (exhausted) from the budget; None never gets there.
+        remaining = -1 if max_events is None else max(max_events, 0)
+        while heap and heap[0][0] <= end_time:
+            if remaining == 0:
                 raise SimulationError(f"event budget exhausted at t={self._now}")
-            self.step()
-            budget -= 1
+            remaining -= 1
+            time, _seq, callback, args = pop(heap)
+            if audit is not None:
+                audit.on_advance(self, time)
+            self._now = time
+            self._events_run += 1
+            callback(*args)
         if end_time > self._now:
             self._now = end_time
 

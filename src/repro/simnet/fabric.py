@@ -26,7 +26,7 @@ import numpy as np
 from .. import units
 from ..config import BufferConfig, RackConfig, SamplerConfig
 from ..errors import SimulationError
-from .audit import active_tap
+from .audit import NOOP_TAP, active_tap
 from .engine import Engine
 from .link import Link
 from .packet import Packet
@@ -104,7 +104,8 @@ class FabricSwitch:
             self.forwarded_bytes += packet.size
         else:
             self.discard_bytes += packet.size
-        self._audit.on_fabric_enqueue(self, rack_name, packet, admitted)
+        if self._audit is not NOOP_TAP:
+            self._audit.on_fabric_enqueue(self, rack_name, packet, admitted)
 
     @property
     def racks(self) -> list[str]:

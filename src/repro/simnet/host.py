@@ -13,7 +13,7 @@ from typing import Callable
 from .. import units
 from ..core.millisampler import Direction
 from ..errors import SimulationError
-from .audit import active_tap
+from .audit import NOOP_TAP, active_tap
 from .clock import HostClock
 from .engine import Engine
 from .link import Link
@@ -41,7 +41,7 @@ class Host:
         self.uplink = Link(engine, link_rate, propagation_delay, name=f"{name}->tor")
         self._forward: Callable[[Packet], None] | None = None
         #: Flow-directed handlers (TCP endpoints register here).
-        self._flow_handlers: dict[tuple, Callable[[Packet], None]] = {}
+        self._flow_handlers: dict[FlowKey, Callable[[Packet], None]] = {}
         #: Fallback application handler for unclaimed packets.
         self.default_handler: Callable[[Packet], None] | None = None
         self.received_bytes = 0
@@ -55,13 +55,12 @@ class Host:
         self._forward = forward
 
     def register_flow(self, flow: FlowKey, handler: Callable[[Packet], None]) -> None:
-        key = flow.as_tuple()
-        if key in self._flow_handlers:
-            raise SimulationError(f"flow {key} already registered on {self.name}")
-        self._flow_handlers[key] = handler
+        if flow in self._flow_handlers:
+            raise SimulationError(f"flow {flow.as_tuple()} already registered on {self.name}")
+        self._flow_handlers[flow] = handler
 
     def unregister_flow(self, flow: FlowKey) -> None:
-        self._flow_handlers.pop(flow.as_tuple(), None)
+        self._flow_handlers.pop(flow, None)
 
     # -- data path --------------------------------------------------------------
 
@@ -73,15 +72,17 @@ class Host:
             raise SimulationError(f"host {self.name} cannot send packet from {packet.src}")
         self.taps.dispatch(packet, Direction.EGRESS, self.engine.now)
         self.sent_bytes += packet.size
-        self._audit.on_host_send(self, packet)
+        if self._audit is not NOOP_TAP:
+            self._audit.on_host_send(self, packet)
         self.uplink.transmit(packet, self._forward)
 
     def deliver(self, packet: Packet) -> None:
         """Receive a packet from the ToR: ingress taps, then demux."""
         self.taps.dispatch(packet, Direction.INGRESS, self.engine.now)
         self.received_bytes += packet.size
-        self._audit.on_host_deliver(self, packet)
-        handler = self._flow_handlers.get(packet.flow.as_tuple())
+        if self._audit is not NOOP_TAP:
+            self._audit.on_host_deliver(self, packet)
+        handler = self._flow_handlers.get(packet.flow)
         if handler is not None:
             handler(packet)
         elif self.default_handler is not None:

@@ -48,7 +48,7 @@ class Link:
         delivery_time = self._busy_until + self.propagation_delay
         self.transmitted_bytes += packet.size
         self.transmitted_packets += 1
-        self.engine.at(delivery_time, lambda: deliver(packet))
+        self.engine.at(delivery_time, deliver, packet)
         return delivery_time
 
     @property

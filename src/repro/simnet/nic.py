@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from .. import units
 from ..errors import SimulationError
-from .audit import active_tap
+from .audit import NOOP_TAP, active_tap
 from .packet import Packet
 
 #: TCP/IP header bytes carried by each wire packet.
@@ -48,7 +48,8 @@ class Nic:
                 f"segment of {packet.size}B exceeds GSO maximum {self.gso_max}B"
             )
         if packet.size <= self.mtu or packet.payload == 0:
-            self._audit.on_segment(self, packet, [packet])
+            if self._audit is not NOOP_TAP:
+                self._audit.on_segment(self, packet, [packet])
             return [packet]
 
         max_payload = self.mtu - HEADER_BYTES
@@ -68,7 +69,8 @@ class Nic:
             )
             seq += payload
             remaining -= payload
-        self._audit.on_segment(self, packet, pieces)
+        if self._audit is not NOOP_TAP:
+            self._audit.on_segment(self, packet, pieces)
         return pieces
 
     def coalesce(self, packets: list[Packet]) -> list[Packet]:
@@ -107,5 +109,6 @@ class Nic:
                 current = packet
         if current is not None:
             merged.append(current)
-        self._audit.on_coalesce(self, packets, merged)
+        if self._audit is not NOOP_TAP:
+            self._audit.on_coalesce(self, packets, merged)
         return merged

@@ -12,17 +12,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from ..errors import SimulationError
 
 _packet_ids = itertools.count()
 
 
-@dataclass(frozen=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """A bidirectional-flow identity (we keep it one-directional: the
     reverse direction is a distinct key, matching how the sketch counts
-    incoming and outgoing connections)."""
+    incoming and outgoing connections).
+
+    A named tuple, so hashing and comparing a key (the per-packet demux
+    in :meth:`repro.simnet.host.Host.deliver`) runs no Python code.
+    """
 
     src: str
     dst: str
@@ -34,10 +38,10 @@ class FlowKey:
         return FlowKey(self.dst, self.src, self.dport, self.sport, self.proto)
 
     def as_tuple(self) -> tuple:
-        return (self.src, self.dst, self.sport, self.dport, self.proto)
+        return tuple(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One simulated packet/segment."""
 
@@ -55,7 +59,7 @@ class Packet:
     retransmit: bool = False  # the Meta retransmit-label bit (Section 4.2)
     multicast_group: str | None = None
     enqueued_at: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -64,8 +68,29 @@ class Packet:
             raise SimulationError("payload must fit inside the packet")
 
     def marked(self) -> "Packet":
-        """A copy with the CE codepoint set (switch ECN marking)."""
-        return replace(self, ecn_ce=True)
+        """A copy with the CE codepoint set (switch ECN marking).
+
+        Built field by field rather than through ``dataclasses.replace``
+        (a switch marks tens of thousands of packets per incast); the
+        copy keeps the packet id and runs the same validation.
+        """
+        return Packet(
+            self.src,
+            self.dst,
+            self.size,
+            self.flow,
+            self.seq,
+            self.payload,
+            self.is_ack,
+            self.ack,
+            self.ecn_capable,
+            True,
+            self.ecn_echo,
+            self.retransmit,
+            self.multicast_group,
+            self.enqueued_at,
+            self.packet_id,
+        )
 
     def copy_for(self, dst: str) -> "Packet":
         """A multicast replica destined for ``dst`` (fresh packet id)."""

@@ -11,7 +11,7 @@ from collections import deque
 from typing import Callable
 
 from ..errors import SimulationError
-from .audit import active_tap
+from .audit import NOOP_TAP, active_tap
 from .buffer import BufferAdmission, SharedBuffer
 from .engine import Engine
 from .packet import Packet
@@ -37,7 +37,8 @@ class EgressQueue:
         self.rate = rate
         self.on_dequeue = on_dequeue
         self.propagation_delay = propagation_delay
-        self.buffer.register_queue(queue_id)
+        #: This queue's live charge record in the buffer.
+        self.charge = buffer.register_queue(queue_id)
         self._fifo: deque[tuple[Packet, BufferAdmission]] = deque()
         self._draining = False
         self.dequeued_bytes = 0
@@ -50,7 +51,7 @@ class EgressQueue:
     @property
     def occupancy(self) -> int:
         """Buffered bytes currently charged to this queue."""
-        return self.buffer.queue_occupancy(self.queue_id)
+        return self.charge.occupancy
 
     def enqueue(self, packet: Packet) -> bool:
         """Offer a packet; returns False (and counts a discard) when the
@@ -60,7 +61,8 @@ class EgressQueue:
             return False
         packet.enqueued_at = self.engine.now
         self._fifo.append((packet, admission))
-        self._audit.on_enqueue(self, packet)
+        if self._audit is not NOOP_TAP:
+            self._audit.on_enqueue(self, packet)
         if not self._draining:
             self._draining = True
             self._drain_next()
@@ -71,8 +73,7 @@ class EgressQueue:
             self._draining = False
             return
         packet, admission = self._fifo[0]
-        serialization = packet.size / self.rate
-        self.engine.after(serialization, lambda: self._finish_dequeue(packet, admission))
+        self.engine.after(packet.size / self.rate, self._finish_dequeue, packet, admission)
 
     def _finish_dequeue(self, packet: Packet, admission: BufferAdmission) -> None:
         head, head_admission = self._fifo.popleft()
@@ -81,7 +82,8 @@ class EgressQueue:
         self.buffer.release(self.queue_id, admission)
         self.dequeued_bytes += packet.size
         self.dequeued_packets += 1
-        self._audit.on_dequeue(self, packet)
+        if self._audit is not NOOP_TAP:
+            self._audit.on_dequeue(self, packet)
         # Deliver after propagation; keep draining immediately.
-        self.engine.after(self.propagation_delay, lambda: self.on_dequeue(packet))
+        self.engine.after(self.propagation_delay, self.on_dequeue, packet)
         self._drain_next()

@@ -16,7 +16,7 @@ from typing import Callable
 from .. import units
 from ..config import BufferConfig
 from ..errors import SimulationError
-from .audit import active_tap
+from .audit import NOOP_TAP, active_tap
 from .buffer import SharedBuffer
 from .engine import Engine
 from .packet import Packet
@@ -157,13 +157,16 @@ class ToRSwitch:
         unicast destinations go up the default route (the fabric)."""
         self.counters.ingress_bytes += packet.size
         if packet.multicast_group is not None:
-            self._audit.on_switch_ingress(self, packet, "multicast")
+            if self._audit is not NOOP_TAP:
+                self._audit.on_switch_ingress(self, packet, "multicast")
             self._forward_multicast(packet)
         elif packet.dst not in self._queues and self.default_route is not None:
-            self._audit.on_switch_ingress(self, packet, "uplink")
+            if self._audit is not NOOP_TAP:
+                self._audit.on_switch_ingress(self, packet, "uplink")
             self.default_route(packet)
         else:
-            self._audit.on_switch_ingress(self, packet, "local")
+            if self._audit is not NOOP_TAP:
+                self._audit.on_switch_ingress(self, packet, "local")
             self._enqueue(packet.dst, packet)
 
     def _forward_multicast(self, packet: Packet) -> None:
@@ -175,7 +178,8 @@ class ToRSwitch:
                 continue
             if not self._multicast_bucket.allow(packet.size, self.engine.now):
                 self.counters.multicast_rate_drops += 1
-                self._audit.on_multicast_rate_drop(self, packet)
+                if self._audit is not NOOP_TAP:
+                    self._audit.on_multicast_rate_drop(self, packet)
                 continue
             self.counters.multicast_replicas += 1
             self._enqueue(member, packet.copy_for(member))
@@ -188,7 +192,7 @@ class ToRSwitch:
         if (
             packet.ecn_capable
             and not packet.is_ack
-            and queue.occupancy > self.buffer_config.ecn_threshold_bytes
+            and queue.charge.occupancy > self.buffer_config.ecn_threshold_bytes
         ):
             packet = packet.marked()
             marked = True
@@ -204,7 +208,8 @@ class ToRSwitch:
         else:
             self.counters.discard_bytes += packet.size
             self.counters.discard_packets += 1
-        self._audit.on_switch_enqueue(self, server, packet, admitted, marked)
+        if self._audit is not NOOP_TAP:
+            self._audit.on_switch_enqueue(self, server, packet, admitted, marked)
         if not admitted and self.on_drop is not None:
             self.on_drop(packet, server)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from ..core.millisampler import Direction, Millisampler, PacketObservation
+from ..core.millisampler import Direction, Millisampler, PacketObservation, SamplerState
 from .clock import HostClock
 from .packet import FlowKey, Packet
 
@@ -76,7 +76,7 @@ class MillisamplerTap:
         self._flow_cache: dict[FlowKey, tuple[tuple, int]] = {}
 
     def on_packet(self, packet: Packet, direction: Direction, now: float) -> None:
-        if self.sampler.state.value == "detached":
+        if self.sampler.state is SamplerState.DETACHED:
             return
         cached = self._flow_cache.get(packet.flow)
         if cached is None:

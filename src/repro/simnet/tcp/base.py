@@ -84,6 +84,8 @@ class TcpReceiver:
     def __init__(self, host: Host, flow: FlowKey, on_data: Callable[[int], None] | None = None) -> None:
         self.host = host
         self.flow = flow  # sender -> receiver direction
+        #: The key every ACK of this connection carries (receiver -> sender).
+        self.ack_flow = flow.reversed()
         self.on_data = on_data
         self.rcv_nxt = 0
         self._out_of_order: dict[int, int] = {}  # seq -> end_seq
@@ -131,7 +133,7 @@ class TcpReceiver:
             src=self.host.name,
             dst=self.flow.src,
             size=ACK_BYTES,
-            flow=self.flow.reversed(),
+            flow=self.ack_flow,
             is_ack=True,
             ack=self.rcv_nxt,
             ecn_capable=False,
@@ -300,18 +302,17 @@ class TcpSender:
             return
         self._rto_pending = True
         armed_at = self.engine.now
-        deadline = armed_at + self.rto
+        self.engine.at(armed_at + self.rto, self._check_rto, armed_at)
 
-        def check() -> None:
-            self._rto_pending = False
-            if self.done or self.flight == 0:
-                return
-            if self._last_progress >= armed_at:
-                self._arm_rto()  # progress since arming: re-arm
-                return
-            self._timeout()
-
-        self.engine.at(deadline, check)
+    def _check_rto(self, armed_at: float) -> None:
+        """The RTO armed at ``armed_at`` fires."""
+        self._rto_pending = False
+        if self.done or self.flight == 0:
+            return
+        if self._last_progress >= armed_at:
+            self._arm_rto()  # progress since arming: re-arm
+            return
+        self._timeout()
 
     def _timeout(self) -> None:
         """RTO: collapse the window, go back to snd_una, back off."""

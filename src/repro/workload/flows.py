@@ -15,7 +15,7 @@ patterns the analysis cares about:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .. import units
@@ -78,7 +78,7 @@ class MulticastBurster:
                 ecn_capable=False,
                 multicast_group=self.group,
             )
-            self.host.engine.after(delay, lambda p=packet: self.host.send(p))
+            self.host.engine.after(delay, self.host.send, packet)
             delay += size / self.send_rate
             remaining -= size
         self.bursts_sent += 1
@@ -119,7 +119,7 @@ class BurstServer:
                 payload=size,
                 ecn_capable=False,
             )
-            self.host.engine.after(delay, lambda p=packet: self.host.send(p))
+            self.host.engine.after(delay, self.host.send, packet)
             delay += size / rate
             seq += size
             remaining -= size
@@ -172,9 +172,10 @@ class BurstGeneratorClient:
         self.requests_sent += 1
         self.client.engine.after(
             self.request_delay,
-            lambda: self.server.transmit_burst(
-                self.client.name, self.burst_bytes, self.burst_rate
-            ),
+            self.server.transmit_burst,
+            self.client.name,
+            self.burst_bytes,
+            self.burst_rate,
         )
         self.client.engine.after(self.period, self._request)
 
@@ -205,7 +206,7 @@ class BackgroundTrickle:
             raise SimulationError("trickle already running")
         self._running = True
         for index in range(len(self.hosts)):
-            self.hosts[index].engine.after(index * 1e-5, lambda i=index: self._tick(i))
+            self.hosts[index].engine.after(index * 1e-5, self._tick, index)
 
     def stop(self) -> None:
         self._running = False
@@ -224,19 +225,32 @@ class BackgroundTrickle:
         )
         source.send(packet)
         self.packets_sent += 1
-        source.engine.after(self.period, lambda: self._tick(index))
+        source.engine.after(self.period, self._tick, index)
 
 
 @dataclass
 class IncastResult:
-    """Outcome of one incast round."""
+    """Outcome of one incast round.
+
+    The loss totals are summed from the round's connections whenever
+    they are read, so a round still in progress reports the
+    retransmissions and timeouts its senders have made so far.
+    """
 
     senders: int
     bytes_per_sender: int
     completed: int = 0
-    total_retransmissions: int = 0
-    total_timeouts: int = 0
     finish_time: float | None = None
+    #: The round's (sender, receiver) pairs, opened at launch.
+    connections: list[tuple[TcpSender, TcpReceiver]] = field(default_factory=list, repr=False)
+
+    @property
+    def total_retransmissions(self) -> int:
+        return sum(sender.retransmissions for sender, _ in self.connections)
+
+    @property
+    def total_timeouts(self) -> int:
+        return sum(sender.timeouts for sender, _ in self.connections)
 
 
 class IncastApp:
@@ -268,42 +282,34 @@ class IncastApp:
         self.initial_cwnd_segments = initial_cwnd_segments
         self.on_complete = on_complete
         self.result = IncastResult(len(senders), bytes_per_sender)
-        self._connections: list[tuple[TcpSender, TcpReceiver]] = []
 
     def start(self, at_time: float | None = None) -> None:
         engine: Engine = self.receiver.engine
         start = at_time if at_time is not None else engine.now
+        engine.at(max(start, engine.now), self._launch)
 
-        def launch() -> None:
-            for host in self.senders:
-                sender, receiver = open_connection(
-                    host,
-                    self.receiver,
-                    DctcpControl(
-                        mss=self.mss,
-                        initial_cwnd_segments=self.initial_cwnd_segments,
-                    ),
-                    segment_bytes=self.segment_bytes,
-                    on_complete=self._one_done,
-                )
-                self._connections.append((sender, receiver))
-                sender.send(self.bytes_per_sender)
-
-        engine.at(max(start, engine.now), launch)
+    def _launch(self) -> None:
+        for host in self.senders:
+            sender, receiver = open_connection(
+                host,
+                self.receiver,
+                DctcpControl(
+                    mss=self.mss,
+                    initial_cwnd_segments=self.initial_cwnd_segments,
+                ),
+                segment_bytes=self.segment_bytes,
+                on_complete=self._one_done,
+            )
+            self.result.connections.append((sender, receiver))
+            sender.send(self.bytes_per_sender)
 
     def _one_done(self) -> None:
         self.result.completed += 1
         if self.result.completed == len(self.senders):
             self.result.finish_time = self.receiver.engine.now
-            self.result.total_retransmissions = sum(
-                sender.retransmissions for sender, _ in self._connections
-            )
-            self.result.total_timeouts = sum(
-                sender.timeouts for sender, _ in self._connections
-            )
             if self.on_complete is not None:
                 self.on_complete(self.result)
 
     @property
     def connections(self) -> list[tuple[TcpSender, TcpReceiver]]:
-        return list(self._connections)
+        return list(self.result.connections)

@@ -104,8 +104,9 @@ class TestTapPlumbing:
 
     def test_noop_tap_has_all_hooks(self):
         """Every hook the auditor implements exists on the no-op base
-        (components call through AuditTap, so a missing base method
-        would only surface at runtime with auditing off)."""
+        (the interface any tap subclasses; components call the hooks of
+        every tap but NOOP_TAP, so a missing base method would only
+        surface at runtime, under a tap that does not override it)."""
         base_hooks = {name for name in dir(AuditTap) if name.startswith("on_")}
         auditor_hooks = {
             name

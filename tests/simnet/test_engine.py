@@ -24,6 +24,14 @@ class TestEngine:
             engine.at(1.0, lambda n=name: order.append(n))
         engine.run()
         assert order == ["a", "b", "c"]
+        # Callbacks scheduled with arguments share the same tie-break,
+        # through at() and after() and mixed with closures.
+        engine.at(2.0, order.append, "d")
+        engine.after(1.0, order.append, "e")
+        engine.at(2.0, lambda: order.append("f"))
+        engine.after(1.0, order.extend, ["g", "h"])
+        engine.run()
+        assert order == ["a", "b", "c", "d", "e", "f", "g", "h"]
 
     def test_now_advances(self):
         engine = Engine()

@@ -1,5 +1,7 @@
 """Tests for packets, links, and NIC segmentation offload."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,10 +26,25 @@ class TestPacket:
             Packet(src="a", dst="b", size=10, payload=20, flow=FlowKey("a", "b"))
 
     def test_marked_copy_sets_ce(self):
-        packet = make_packet()
+        packet = make_packet(
+            seq=7,
+            is_ack=True,
+            ack=9,
+            ecn_capable=False,
+            ecn_echo=True,
+            retransmit=True,
+            multicast_group="g",
+            enqueued_at=1.5,
+        )
         marked = packet.marked()
         assert marked.ecn_ce and not packet.ecn_ce
         assert marked.packet_id == packet.packet_id
+        # Built field by field: every other field is copied, and the
+        # copy is validated like any packet.
+        assert marked == dataclasses.replace(packet, ecn_ce=True)
+        packet.payload = packet.size + 1
+        with pytest.raises(SimulationError):
+            packet.marked()
 
     def test_multicast_copy_gets_new_id(self):
         packet = make_packet(multicast_group="g")

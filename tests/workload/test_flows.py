@@ -12,6 +12,7 @@ from repro.workload.flows import (
     IncastApp,
     MulticastBurster,
 )
+from tests.simnet.test_packet_pins import incast
 
 
 class TestMulticastBurster:
@@ -108,6 +109,20 @@ class TestIncastApp:
         rack = build_rack(servers=2)
         with pytest.raises(SimulationError):
             IncastApp(senders=[], receiver=rack.hosts[0])
+
+    def test_loss_totals_count_senders_still_running(self):
+        """The result's retransmission and timeout totals are the
+        connections' own counts at any time, not zeros until the last
+        sender finishes: at 20 ms into the seed-11 fan-in-92 incast the
+        buffer has dropped 143 packets and most senders are still
+        recovering."""
+        rack, app = incast(92, 2)
+        rack.engine.run_until(20e-3)
+        senders = [sender for sender, _ in app.connections]
+        assert rack.switch.counters.discard_packets == 143
+        assert app.result.completed == 2
+        assert app.result.total_retransmissions == sum(s.retransmissions for s in senders) == 1
+        assert app.result.total_timeouts == sum(s.timeouts for s in senders)
 
     def test_deferred_start(self):
         rack = build_rack(servers=3)

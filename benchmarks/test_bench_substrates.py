@@ -13,13 +13,6 @@ import pytest
 
 from repro import units
 from repro.config import FleetConfig
-from repro.core.millisampler import (
-    Direction,
-    Millisampler,
-    PacketObservation,
-)
-from repro.core.run import RunMetadata
-from repro.core.sketch import hash_flow_keys
 from repro.fleet.buffermodel import FluidBufferModel
 from repro.fleet.dataset import plan_region
 from repro.fleet.demand import DemandModel
@@ -200,60 +193,6 @@ def test_bench_policy_batch(benchmark):
             models[spec.name].run_batch(demand, persistence)
 
     benchmark.pedantic(sweep, rounds=3, iterations=1)
-
-
-def test_bench_sampler_observe_batch(benchmark):
-    """100k packets through observe_batch vs the scalar observe loop."""
-    count = 100_000
-    rng = np.random.default_rng(4)
-    times = np.sort(rng.uniform(0, 1.7, count))
-    sizes = rng.integers(0, 65536, count)
-    directions = rng.random(count) < 0.6
-    cpus = rng.integers(0, 8, count)
-    ecn = rng.random(count) < 0.1
-    retx = rng.random(count) < 0.05
-    keys = rng.integers(0, 500, count)
-    flow_bits = hash_flow_keys(keys)
-
-    def make_sampler():
-        sampler = Millisampler(RunMetadata(host="bench"), buckets=1850, cpus=8)
-        sampler.attach()
-        sampler.enable()
-        return sampler
-
-    scalar = make_sampler()
-    observations = [
-        PacketObservation(
-            time=float(times[i]),
-            direction=Direction.INGRESS if directions[i] else Direction.EGRESS,
-            size=int(sizes[i]),
-            flow_key=int(keys[i]),
-            cpu=int(cpus[i]),
-            ecn_marked=bool(ecn[i]),
-            retransmit=bool(retx[i]),
-        )
-        for i in range(count)
-    ]
-    start = time.perf_counter()
-    for obs in observations:
-        scalar.observe(obs)
-    scalar_s = time.perf_counter() - start
-
-    def run_batch():
-        sampler = make_sampler()
-        sampler.observe_batch(
-            times, sizes, directions, cpus, ecn, retx, flow_bits=flow_bits
-        )
-        return sampler
-
-    batched = benchmark(run_batch)
-    batch_s = float(np.mean(_round_times(benchmark, run_batch)))
-
-    assert batched.stats.packets_processed == scalar.stats.packets_processed
-    assert np.array_equal(batched._sketch_words, scalar._sketch_words)
-    benchmark.extra_info["scalar_s"] = scalar_s
-    benchmark.extra_info["speedup"] = scalar_s / batch_s
-    assert scalar_s / batch_s >= 5.0
 
 
 def test_bench_rack_run_synthesis(benchmark):

@@ -12,17 +12,11 @@ a rack.
 from .counters import CounterKind, CounterSet, PerCpuCounters
 from .millisampler import CostModel, Millisampler, PacketObservation
 from .run import MillisamplerRun, RunMetadata, StackedRun, SyncRun
-from .scheduler import (
-    CadenceSpec,
-    MultiRateScheduler,
-    PRODUCTION_CADENCES,
-    RunScheduler,
-    ScheduledRun,
-)
+from .scheduler import RunScheduler, ScheduledRun
 from .sketch import FlowSketch
 from .storage import HostRunStore
 from .syncsampler import SyncMillisampler
-from .alignment import align_runs, trim_to_common_window
+from .alignment import align_runs
 
 __all__ = [
     "CounterKind",
@@ -35,14 +29,10 @@ __all__ = [
     "RunMetadata",
     "StackedRun",
     "SyncRun",
-    "CadenceSpec",
-    "MultiRateScheduler",
-    "PRODUCTION_CADENCES",
     "RunScheduler",
     "ScheduledRun",
     "FlowSketch",
     "HostRunStore",
     "SyncMillisampler",
     "align_runs",
-    "trim_to_common_window",
 ]

@@ -86,23 +86,6 @@ def resample_run(run: MillisamplerRun, start: float, buckets: int) -> Millisampl
     )
 
 
-def trim_to_common_window(runs: list[MillisamplerRun]) -> list[MillisamplerRun]:
-    """Trim every run to whole buckets inside the common window, without
-    resampling (fast path when starts are already bucket-aligned)."""
-    start, end = common_window(runs)
-    trimmed = []
-    for run in runs:
-        interval = run.meta.sampling_interval
-        first = int(np.ceil((start - run.meta.start_time) / interval - 1e-9))
-        last = int(np.floor((end - run.meta.start_time) / interval + 1e-9))
-        if last <= first:
-            raise AnalysisError(f"run on {run.meta.host} has no buckets in common window")
-        trimmed.append(run.slice(first, last))
-    # Trimming can still leave off-by-one lengths; cut to the minimum.
-    min_buckets = min(run.buckets for run in trimmed)
-    return [run.slice(0, min_buckets) for run in trimmed]
-
-
 def align_runs(runs: list[MillisamplerRun]) -> list[MillisamplerRun]:
     """Full SyncMillisampler alignment: trim to the common window and
     linearly interpolate every series onto one uniform time base."""

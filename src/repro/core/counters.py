@@ -61,24 +61,6 @@ class PerCpuCounters:
             raise SamplerError("counters are monotonic; negative add rejected")
         self._values[cpu, bucket] += np.uint64(amount)
 
-    def add_batch(self, cpus: np.ndarray, buckets: np.ndarray, amounts: np.ndarray) -> None:
-        """Vectorized :meth:`add` for whole packet batches.
-
-        ``np.add.at`` is the unbuffered scatter-add, so repeated
-        ``(cpu, bucket)`` pairs accumulate exactly like sequential
-        scalar adds.  Bounds are validated batch-wide up front for the
-        same reason the scalar path checks them.
-        """
-        if len(cpus) == 0:
-            return
-        if cpus.min() < 0 or cpus.max() >= self.cpus:
-            raise SamplerError(f"cpu out of range [0, {self.cpus})")
-        if buckets.min() < 0 or buckets.max() >= self.buckets:
-            raise SamplerError(f"bucket out of range [0, {self.buckets})")
-        if amounts.min() < 0:
-            raise SamplerError("counters are monotonic; negative add rejected")
-        np.add.at(self._values, (cpus, buckets), amounts.astype(np.uint64))
-
     def aggregate(self) -> np.ndarray:
         """Sum across CPUs, yielding one value per bucket."""
         return self._values.sum(axis=0, dtype=np.uint64)
@@ -97,9 +79,9 @@ class CounterSet:
     """All Millisampler counters for one run.
 
     Byte counters are plain per-CPU arrays.  The flow "counter" is a
-    per-bucket sketch bitmap; its storage is accounted here but managed
-    by :class:`~repro.core.sketch.FlowSketch` instances owned by the
-    sampler.
+    per-bucket sketch bitmap; its storage is accounted here, but the
+    bitmaps live in the sampler's own ``(cpus, buckets, SKETCH_WORDS)``
+    uint64 array.
     """
 
     def __init__(self, cpus: int, buckets: int, count_flows: bool = True) -> None:
@@ -119,16 +101,6 @@ class CounterSet:
     def add(self, kind: CounterKind, cpu: int, bucket: int, amount: int) -> None:
         """Increment the counter of ``kind`` on ``cpu`` at ``bucket``."""
         self[kind].add(cpu, bucket, amount)
-
-    def add_batch(
-        self,
-        kind: CounterKind,
-        cpus: np.ndarray,
-        buckets: np.ndarray,
-        amounts: np.ndarray,
-    ) -> None:
-        """Vectorized :meth:`add` over one packet batch."""
-        self[kind].add_batch(cpus, buckets, amounts)
 
     def aggregate(self) -> dict[CounterKind, np.ndarray]:
         """Aggregate every byte counter across CPUs."""

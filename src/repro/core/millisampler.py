@@ -29,13 +29,7 @@ from .. import units
 from ..errors import SamplerError
 from .counters import CounterKind, CounterSet
 from .run import MillisamplerRun, RunMetadata
-from .sketch import (
-    SKETCH_BITS,
-    SKETCH_WORDS,
-    FlowSketch,
-    hash_flow_key,
-    linear_counting_estimates,
-)
+from .sketch import SKETCH_BITS, SKETCH_WORDS, hash_flow_key, linear_counting_estimates
 
 
 class Direction(enum.Enum):
@@ -154,10 +148,9 @@ class Millisampler:
         # The maps are allocated by the first enable(): most hosts of a
         # simulated rack never record a run.
         self._counters: CounterSet | None = None
-        # Per-CPU, per-bucket sketch bitmaps, backed by one
-        # (cpus, buckets, SKETCH_WORDS) uint64 array so the batch path
-        # can scatter-OR bits and read-out can OR-reduce across CPUs
-        # without materializing a FlowSketch per cell.
+        # Per-CPU, per-bucket sketch bitmaps in one (cpus, buckets,
+        # SKETCH_WORDS) uint64 array, so read-out can OR-reduce across
+        # CPUs and count bits for every bucket at once.
         self._sketch_words: np.ndarray | None = None
         self._start_time: float | None = None
 
@@ -274,135 +267,6 @@ class Millisampler:
             else self.cost_model.per_packet_no_flows_ns
         )
 
-    def observe_batch(
-        self,
-        times: np.ndarray,
-        sizes: np.ndarray,
-        directions: np.ndarray,
-        cpus: np.ndarray | None = None,
-        ecn_marked: np.ndarray | None = None,
-        retransmit: np.ndarray | None = None,
-        flow_bits: np.ndarray | None = None,
-    ) -> None:
-        """Process a whole batch of packet observations at once.
-
-        Equivalent to calling :meth:`observe` per packet in array order
-        — identical counters, sketch bitmaps, state transitions, and
-        stats — but every counter update is one ``np.add.at`` scatter
-        and every sketch bit one ``np.bitwise_or.at`` scatter, so the
-        per-packet Python cost disappears.  ``directions`` is boolean
-        (``True`` = ingress); ``flow_bits`` carries pre-hashed bit
-        indices from :func:`repro.core.sketch.hash_flow_keys` and is
-        required when the sampler counts flows.  Inputs are validated
-        before any state is touched (the scalar path fails packet by
-        packet instead).
-        """
-        if self._state is SamplerState.DETACHED:
-            raise SamplerError("detached filter cannot observe packets")
-        times = np.asarray(times, dtype=np.float64)
-        count = len(times)
-        sizes = np.asarray(sizes)
-        directions = np.asarray(directions, dtype=bool)
-        cpus = (
-            np.zeros(count, dtype=np.int64)
-            if cpus is None
-            else np.asarray(cpus, dtype=np.int64)
-        )
-        ecn_marked = (
-            np.zeros(count, dtype=bool)
-            if ecn_marked is None
-            else np.asarray(ecn_marked, dtype=bool)
-        )
-        retransmit = (
-            np.zeros(count, dtype=bool)
-            if retransmit is None
-            else np.asarray(retransmit, dtype=bool)
-        )
-        for name, array in (
-            ("sizes", sizes),
-            ("directions", directions),
-            ("cpus", cpus),
-            ("ecn_marked", ecn_marked),
-            ("retransmit", retransmit),
-        ):
-            if len(array) != count:
-                raise SamplerError(f"{name} must have one entry per packet")
-        if count and sizes.min() < 0:
-            raise SamplerError("packet size cannot be negative")
-
-        if self._state is SamplerState.DISABLED:
-            self.stats.packets_skipped_disabled += count
-            self.stats.cpu_ns += count * self.cost_model.per_packet_disabled_ns
-            return
-        if count == 0:
-            return
-        if self.count_flows:
-            if flow_bits is None:
-                raise SamplerError("flow_bits required when counting flows")
-            flow_bits = np.asarray(flow_bits, dtype=np.int64)
-            if len(flow_bits) != count:
-                raise SamplerError("flow_bits must have one entry per packet")
-            if flow_bits.min() < 0 or flow_bits.max() >= SKETCH_BITS:
-                raise SamplerError("flow bit index out of range")
-
-        if self._start_time is None:
-            self._start_time = float(times[0])
-        bucket = ((times - self._start_time) / self.sampling_interval).astype(np.int64)
-
-        # The scalar loop disables the filter at the first packet past
-        # the window and skips everything after it; replicate the split.
-        past_end = np.nonzero(bucket >= self.buckets)[0]
-        processed = int(past_end[0]) if len(past_end) else count
-        if np.any(bucket[:processed] < 0):
-            raise SamplerError("observation precedes run start (non-monotonic clock)")
-
-        cpu = cpus[:processed] % self.cpus
-        bkt = bucket[:processed]
-        size = sizes[:processed]
-        ingress = directions[:processed]
-        masks = {
-            CounterKind.IN_BYTES: ingress,
-            CounterKind.IN_ECN_BYTES: ingress & ecn_marked[:processed],
-            CounterKind.IN_RETX_BYTES: ingress & retransmit[:processed],
-            CounterKind.OUT_BYTES: ~ingress,
-            CounterKind.OUT_RETX_BYTES: ~ingress & retransmit[:processed],
-        }
-        for kind, mask in masks.items():
-            self._counters.add_batch(kind, cpu[mask], bkt[mask], size[mask])
-        if self.count_flows:
-            bits = flow_bits[:processed]
-            flat = self._sketch_words.reshape(-1)
-            index = (cpu * self.buckets + bkt) * SKETCH_WORDS + (bits >> 6)
-            np.bitwise_or.at(flat, index, np.uint64(1) << (bits & 63).astype(np.uint64))
-
-        per_packet = (
-            self.cost_model.per_packet_full_ns
-            if self.count_flows
-            else self.cost_model.per_packet_no_flows_ns
-        )
-        self.stats.packets_processed += processed
-        self.stats.cpu_ns += processed * per_packet
-        if processed < count:
-            # The completing packet clears the enabled flag; the rest of
-            # the batch hits the disabled fast path.
-            self._state = SamplerState.DISABLED
-            self.stats.runs_completed += 1
-            skipped = count - processed
-            self.stats.cpu_ns += skipped * self.cost_model.per_packet_disabled_ns
-            self.stats.packets_skipped_disabled += skipped - 1
-
-    def sketch(self, cpu: int, bucket: int) -> FlowSketch:
-        """The (cpu, bucket) sketch as a :class:`FlowSketch` view.
-
-        The bitmaps live in one uint64 array; this rebuilds the
-        historical int-bitmap object for tests and ablations.
-        """
-        if not 0 <= cpu < self.cpus or not 0 <= bucket < self.buckets:
-            raise SamplerError("sketch index out of range")
-        if self._sketch_words is None:  # never enabled: every bitmap empty
-            return FlowSketch.from_words(np.zeros(SKETCH_WORDS, dtype=np.uint64))
-        return FlowSketch.from_words(self._sketch_words[cpu, bucket])
-
     def finish(self, now: float) -> None:
         """Force-complete a run because the expected duration elapsed with
         no further packets (the filter only self-disables on a packet
@@ -440,8 +304,8 @@ class Millisampler:
         conn = np.zeros(self.buckets, dtype=np.float64)
         if self.count_flows:
             # One OR-reduce across the CPU axis merges every per-CPU
-            # bitmap (no intermediate FlowSketch objects), then the
-            # linear-counting estimator runs over all buckets at once.
+            # bitmap, then the linear-counting estimator runs over all
+            # buckets at once.
             merged = np.bitwise_or.reduce(self._sketch_words, axis=0)
             bits_set = np.bitwise_count(merged).sum(axis=1, dtype=np.int64)
             conn = linear_counting_estimates(SKETCH_BITS - bits_set)

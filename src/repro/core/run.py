@@ -76,7 +76,8 @@ class MillisamplerRun:
 
     @classmethod
     def empty(cls, meta: RunMetadata, buckets: int) -> "MillisamplerRun":
-        """An all-zero run (used by tests and the fleet synthesizer)."""
+        """An all-zero run: what a host that saw no packet contributes
+        to a SyncMillisampler collection."""
         zero = lambda: np.zeros(buckets, dtype=np.float64)  # noqa: E731
         return cls(meta, zero(), zero(), zero(), zero(), zero(), zero())
 

@@ -108,98 +108,3 @@ class RunScheduler:
 
     def pending_sync_runs(self) -> list[ScheduledRun]:
         return sorted(entry for _s, _p, _t, entry in self._heap if entry.is_sync)
-
-
-@dataclass(frozen=True)
-class CadenceSpec:
-    """One sampling cadence in the production rotation (Section 4.1:
-    "we schedule runs with three values: 10ms, 1ms, and 100us")."""
-
-    name: str
-    sampling_interval: float
-    period: float
-
-    @property
-    def run_duration(self) -> float:
-        """2000 buckets at this interval."""
-        return self.sampling_interval * 2000
-
-
-#: The production rotation: each cadence runs periodically; observation
-#: windows are 20 s, 2 s, and 0.2 s respectively.
-PRODUCTION_CADENCES = (
-    CadenceSpec("10ms", 10e-3, period=600.0),
-    CadenceSpec("1ms", 1e-3, period=120.0),
-    CadenceSpec("100us", 100e-6, period=60.0),
-)
-
-
-class MultiRateScheduler:
-    """Interleaves periodic runs at several sampling cadences.
-
-    One Millisampler instance records one run at a time, so the
-    schedule must serialize runs across cadences; sync requests (which
-    are always at the 1 ms analysis cadence) still preempt periodic
-    collection.  ``next_run`` reports *which* cadence should record.
-    """
-
-    def __init__(
-        self,
-        cadences: tuple[CadenceSpec, ...] = PRODUCTION_CADENCES,
-        first_start: float = 0.0,
-    ) -> None:
-        if not cadences:
-            raise SamplerError("need at least one cadence")
-        names = [c.name for c in cadences]
-        if len(names) != len(set(names)):
-            raise SamplerError("cadence names must be unique")
-        self.cadences = {c.name: c for c in cadences}
-        #: Stagger cadence phases so they do not all fire at once.
-        self._next_start = {
-            c.name: first_start + index * max(c.run_duration for c in cadences)
-            for index, c in enumerate(cadences)
-        }
-        self._busy_until = float("-inf")
-        self._sync: list[tuple[float, str]] = []
-
-    def request_sync_run(self, start_time: float, sync_id: str, now: float) -> None:
-        if start_time <= now:
-            raise SamplerError("sync runs must be scheduled in the future")
-        if start_time < self._busy_until:
-            raise SamplerError("sync run conflicts with an active run")
-        heapq.heappush(self._sync, (start_time, sync_id))
-
-    def next_run(self, now: float) -> tuple[CadenceSpec | None, str] | None:
-        """(cadence, sync_id) due at ``now``; sync entries return
-        (the 1 ms cadence if configured else None, sync_id)."""
-        if now < self._busy_until:
-            return None
-        # Sync first.
-        while self._sync and self._sync[0][0] <= now:
-            start, sync_id = heapq.heappop(self._sync)
-            cadence = self.cadences.get("1ms")
-            duration = cadence.run_duration if cadence else 2.0
-            self._busy_until = now + duration
-            return cadence, sync_id
-        # Periodic cadences, earliest due first.
-        due = [
-            (start, name)
-            for name, start in self._next_start.items()
-            if start <= now
-        ]
-        if not due:
-            return None
-        _start, name = min(due)
-        cadence = self.cadences[name]
-        # Yield to an upcoming sync run rather than overlap it.
-        window_end = now + cadence.run_duration
-        if any(sync_start < window_end for sync_start, _ in self._sync):
-            self._next_start[name] = now + cadence.period
-            return None
-        self._next_start[name] = now + cadence.period
-        self._busy_until = window_end
-        return cadence, ""
-
-    @property
-    def busy_until(self) -> float:
-        return self._busy_until

@@ -81,30 +81,6 @@ def hash_flow_key(key: object) -> int:
         return _hash_flow_key_raw(key)
 
 
-def hash_flow_keys(keys: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`hash_flow_key` for integer key arrays.
-
-    Computes FNV-1a over the 8 little-endian bytes of each key — the
-    same walk the scalar path takes for a non-negative int — across the
-    whole array at once, and returns each key's bit index in
-    ``[0, SKETCH_BITS)``.  Feed the result to
-    :meth:`repro.core.millisampler.Millisampler.observe_batch` as
-    ``flow_bits``.
-    """
-    keys = np.asarray(keys)
-    if keys.dtype.kind not in "iu":
-        raise SamplerError("batch flow keys must be integers")
-    if keys.dtype.kind == "i" and keys.size and int(keys.min()) < 0:
-        raise SamplerError("batch flow keys must be non-negative")
-    words = keys.astype(np.uint64)
-    value = np.full(words.shape, _FNV_OFFSET, dtype=np.uint64)
-    prime = np.uint64(_FNV_PRIME)
-    byte_mask = np.uint64(0xFF)
-    for shift in range(0, 64, 8):
-        value = (value ^ ((words >> np.uint64(shift)) & byte_mask)) * prime
-    return (value % np.uint64(SKETCH_BITS)).astype(np.int64)
-
-
 class FlowSketch:
     """A single 128-bit bitmap covering one sampling interval."""
 
@@ -118,16 +94,6 @@ class FlowSketch:
     def observe(self, flow_key: object) -> None:
         """Record that ``flow_key`` was active in this interval."""
         self._bitmap |= 1 << hash_flow_key(flow_key)
-
-    def observe_bit(self, bit: int) -> None:
-        """Record a pre-hashed bit (used when merging per-CPU sketches)."""
-        if not 0 <= bit < SKETCH_BITS:
-            raise SamplerError("bit index out of range")
-        self._bitmap |= 1 << bit
-
-    def merge(self, other: "FlowSketch") -> "FlowSketch":
-        """OR-merge with another sketch (per-CPU bitmaps combine this way)."""
-        return FlowSketch(self._bitmap | other._bitmap)
 
     @property
     def bitmap(self) -> int:
@@ -145,32 +111,6 @@ class FlowSketch:
         """
         return float(linear_counting_estimates(SKETCH_BITS - self.bits_set))
 
-    def as_words(self) -> np.ndarray:
-        """The bitmap as ``SKETCH_WORDS`` little-endian uint64 words —
-        the layout the vectorized per-CPU sketch array uses."""
-        return np.array(
-            [
-                (self._bitmap >> (64 * word)) & _MASK64
-                for word in range(SKETCH_WORDS)
-            ],
-            dtype=np.uint64,
-        )
-
-    @classmethod
-    def from_words(cls, words: np.ndarray) -> "FlowSketch":
-        """Rebuild a sketch from its uint64 word backing (the inverse of
-        :meth:`as_words`); this is how the array-backed sampler exposes
-        the historical int-bitmap API as a view."""
-        if len(words) != SKETCH_WORDS:
-            raise SamplerError(f"sketch backing must have {SKETCH_WORDS} words")
-        bitmap = 0
-        for word in range(SKETCH_WORDS):
-            bitmap |= int(words[word]) << (64 * word)
-        return cls(bitmap)
-
-    def reset(self) -> None:
-        self._bitmap = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FlowSketch(bits_set={self.bits_set}, estimate={self.estimate():.1f})"
 
@@ -179,10 +119,9 @@ def linear_counting_estimates(zeros):
     """Linear-counting estimates from zero-bit counts, elementwise.
 
     The single source of truth for the estimator math: the scalar
-    :meth:`FlowSketch.estimate` and the sampler's vectorized read-out
-    both evaluate this, so batched and per-sketch estimates are
-    bit-identical.  A full bitmap (``zeros == 0``) reports the
-    saturation value.
+    :meth:`FlowSketch.estimate` and the sampler's read-out (every bucket
+    at once) both evaluate this, so the two agree bit for bit.  A full
+    bitmap (``zeros == 0``) reports the saturation value.
     """
     zeros = np.asarray(zeros, dtype=np.float64)
     return np.where(
@@ -190,19 +129,3 @@ def linear_counting_estimates(zeros):
         float(SATURATION_ESTIMATE),
         SKETCH_BITS * np.log(SKETCH_BITS / np.maximum(zeros, 1.0)),
     )
-
-
-def estimate_from_bitmap(bitmap: int) -> float:
-    """Estimate flow count directly from a stored 128-bit bitmap."""
-    return FlowSketch(bitmap).estimate()
-
-
-def expected_bits_set(flows: int) -> float:
-    """Expected number of set bits after ``flows`` distinct insertions.
-
-    Used by tests to check the sketch against its occupancy model:
-    ``m * (1 - (1 - 1/m)^n)``.
-    """
-    if flows < 0:
-        raise SamplerError("flow count cannot be negative")
-    return SKETCH_BITS * (1.0 - (1.0 - 1.0 / SKETCH_BITS) ** flows)

@@ -170,11 +170,14 @@ class SyncMillisampler:
             # not mistaken for absent, and pick the candidate closest to
             # the requested start rather than the earliest, which could
             # be a periodic run that began just before the sync window.
+            # A run that starts after the window ends (a later periodic
+            # run) cannot be this collection's.
             tolerance = 50e-3
+            window_end = pending.start_time + host.sampler.duration
             candidates = [
                 start
                 for start in host.store.start_times()
-                if start >= pending.start_time - tolerance
+                if pending.start_time - tolerance <= start < window_end
             ]
             if candidates:
                 best = min(
@@ -202,8 +205,9 @@ class SyncMillisampler:
     def assemble_from_runs(
         rack: str, region: str, runs: list[MillisamplerRun], hour: int = 0
     ) -> SyncRun:
-        """Align already-fetched runs into a :class:`SyncRun` (used by the
-        fleet synthesizer and by offline analysis of stored data)."""
+        """Align already-fetched runs into a :class:`SyncRun` (how
+        :mod:`repro.io.msdata` rebuilds rack runs from a released
+        dataset)."""
         return SyncRun(rack=rack, region=region, runs=align_runs(runs), hour=hour)
 
     def pending_ids(self) -> list[str]:

@@ -412,12 +412,16 @@ def _serve(args) -> int:
 
 def _report(args) -> int:
     """Handle `report`: run everything, write one markdown report."""
-    from .report import orchestrate, render_markdown
+    from .orchestrator import run_experiments
+    from .report import render_markdown
 
     ctx = _context(args)
-    orchestration = orchestrate(
+    orchestration = run_experiments(
         ctx,
-        progress=lambda eid, took: print(f"  {eid}: {took:.1f}s"),
+        ordered_ids(),
+        progress=lambda outcome, _result: print(
+            f"  {outcome.experiment_id}: {outcome.wall_time_s:.1f}s"
+        ),
         trace_memory=args.trace_memory,
     )
     with open(args.out, "w", encoding="utf-8") as handle:

@@ -119,11 +119,6 @@ class ExperimentContext:
         """A fast context for tests and benchmarks."""
         return cls(fleet=FleetConfig(racks_per_region=racks, runs_per_rack=runs_per_rack, seed=seed))
 
-    @classmethod
-    def paper_scale(cls, racks: int = 150, runs_per_rack: int = 10) -> "ExperimentContext":
-        """The default scale for regenerating all figures (minutes of CPU)."""
-        return cls(fleet=FleetConfig(racks_per_region=racks, runs_per_rack=runs_per_rack))
-
     def _spec(self, region: str) -> RegionSpec:
         if region == "RegA":
             return REGION_A

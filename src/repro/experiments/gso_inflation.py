@@ -18,9 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import units
-from ..core.millisampler import Millisampler
+from ..core.millisampler import Direction, Millisampler, PacketObservation
 from ..core.run import RunMetadata
-from ..core.sketch import hash_flow_key
 from .base import ExperimentResult, ResultTable
 from .context import ExperimentContext
 
@@ -44,23 +43,12 @@ def _simulate_sampling(interval: float, rng: np.random.Generator) -> float:
     # The wire carries MTU packets at line rate; GRO hands the stack one
     # 64 KB super-segment when its last wire packet arrives — so the
     # tap's observation time is quantized to segment boundaries with
-    # small jitter from interrupt coalescing.  Arrival times accumulate
-    # sequentially (each RNG draw feeds the next timestamp), then one
-    # observe_batch call replaces the per-segment observe loop.
+    # small jitter from interrupt coalescing.
     time = 0.0
     duration = 150 * interval
-    times = []
     while time < duration:
         time += segment / line_rate * float(rng.uniform(0.7, 1.3))
-        times.append(time)
-    arrivals = np.asarray(times, dtype=np.float64)
-    count = len(arrivals)
-    sampler.observe_batch(
-        arrivals,
-        np.full(count, segment, dtype=np.int64),
-        np.ones(count, dtype=bool),
-        flow_bits=np.full(count, hash_flow_key("bulk"), dtype=np.int64),
-    )
+        sampler.observe(PacketObservation(time, Direction.INGRESS, segment, "bulk"))
     assert sampler.start_time is not None
     sampler.finish(now=sampler.start_time + sampler.duration)
     run = sampler.read_run()

@@ -132,7 +132,6 @@ def _run_one(
     ctx: ExperimentContext,
     experiment_id: str,
     trace_memory: bool,
-    reraise: bool,
 ) -> tuple[ExperimentOutcome, ExperimentResult | None]:
     """Execute one experiment inside its failure boundary."""
     counters_before = ctx.metrics.counters()
@@ -154,14 +153,6 @@ def _run_one(
         with ctx.audit_scope(), ctx.metrics.span(f"experiment/{experiment_id}"):
             result = get_experiment(experiment_id)(ctx)
     except Exception as exc:
-        if reraise:
-            # The normal epilogue below never runs on this path, so the
-            # process-wide tracer must be released here or it stays on
-            # for the rest of the process (skewing every later
-            # tracemalloc user).
-            if started_tracing:
-                tracemalloc.stop()
-            raise
         error = f"{type(exc).__name__}: {exc}"
     wall_time = time.perf_counter() - started
     peak_traced: int | None = None
@@ -192,27 +183,21 @@ def run_experiments(
     ctx: ExperimentContext,
     experiment_ids: list[str],
     progress: Callable[[ExperimentOutcome, ExperimentResult | None], None] | None = None,
-    on_error: str = "collect",
     trace_memory: bool = False,
 ) -> OrchestrationResult:
     """Run experiments one at a time with per-experiment isolation and
     telemetry.
 
-    ``on_error`` is ``"collect"`` (record the failure, keep going — the
-    orchestrated default) or ``"raise"`` (legacy fail-fast, used where
-    callers want the exception).  ``progress`` is invoked once per
-    experiment, in requested order, with the outcome and the result
-    (None on failure).  ``trace_memory`` records each experiment's
-    ``tracemalloc`` peak.
+    A failing experiment is recorded and the rest still run.
+    ``progress`` is invoked once per experiment, in requested order,
+    with the outcome and the result (None on failure).
+    ``trace_memory`` records each experiment's ``tracemalloc`` peak.
     """
-    if on_error not in ("collect", "raise"):
-        raise ConfigError(f"on_error must be 'collect' or 'raise', got {on_error!r}")
     unknown = [e for e in experiment_ids if e not in EXPERIMENTS]
     if unknown:
         raise ConfigError(
             f"unknown experiments {unknown}; known: {sorted(EXPERIMENTS)}"
         )
-    reraise = on_error == "raise"
     outcomes: list[ExperimentOutcome] = []
     results: dict[str, ExperimentResult] = {}
 
@@ -230,8 +215,6 @@ def run_experiments(
         try:
             warm_datasets(ctx)
         except Exception as exc:
-            if reraise:
-                raise
             # The shared datasets cannot be built: every dataset-bound
             # experiment would fail the same way, so skip them with the
             # root cause and still run the standalone experiments.
@@ -239,7 +222,7 @@ def run_experiments(
 
     for experiment_id in experiment_ids:
         if skip_reason is None or not EXPERIMENTS[experiment_id].needs_dataset:
-            collect(*_run_one(ctx, experiment_id, trace_memory, reraise))
+            collect(*_run_one(ctx, experiment_id, trace_memory))
         else:
             collect(
                 ExperimentOutcome(

@@ -1,14 +1,14 @@
-"""Combined report generation: every experiment into one document.
+"""Combined report rendering: every experiment into one document.
 
 ``millisampler-repro report`` runs the full registry against one shared
-context and writes a single markdown report with, per artifact: the
-paper's claim, the measured headline metrics, and the rendering —
-the machine-generated companion to EXPERIMENTS.md.
+context (:func:`repro.experiments.orchestrator.run_experiments`) and
+writes :func:`render_markdown`'s single markdown report with, per
+artifact: the paper's claim, the measured headline metrics, and the
+rendering — the machine-generated companion to EXPERIMENTS.md.
 
-Execution goes through :mod:`repro.experiments.orchestrator`, so a
-single broken experiment no longer kills the whole report: failures are
-recorded, rendered in their own section, and every other artifact still
-lands.
+The orchestrator isolates failures, so a single broken experiment does
+not kill the whole report: failures are rendered in their own section,
+and every other artifact still lands.
 """
 
 from __future__ import annotations
@@ -17,52 +17,7 @@ import io
 
 from .base import ExperimentResult, format_metric
 from .context import ExperimentContext
-from .orchestrator import ExperimentOutcome, OrchestrationResult, run_experiments
-from .registry import ordered_ids
-
-
-def run_all(
-    ctx: ExperimentContext,
-    experiment_ids: list[str] | None = None,
-    progress=None,
-) -> dict[str, ExperimentResult]:
-    """Run every (or the named) experiments against one context.
-
-    Legacy fail-fast API: the first experiment exception propagates.
-    Callers that want isolation and structured outcomes use
-    :func:`repro.experiments.orchestrator.run_experiments` directly.
-    """
-    orchestration = orchestrate(
-        ctx, experiment_ids, progress=progress, on_error="raise"
-    )
-    return orchestration.results
-
-
-def orchestrate(
-    ctx: ExperimentContext,
-    experiment_ids: list[str] | None = None,
-    progress=None,
-    on_error: str = "collect",
-    trace_memory: bool = False,
-) -> OrchestrationResult:
-    """Run the (named or full) registry with outcomes and telemetry.
-
-    ``progress`` keeps the historical ``(experiment_id, seconds)``
-    callback shape; ``trace_memory`` is passed to
-    :func:`~repro.experiments.orchestrator.run_experiments`.
-    """
-    ids = experiment_ids or ordered_ids()
-    outcome_progress = None
-    if progress is not None:
-        def outcome_progress(outcome: ExperimentOutcome, _result) -> None:
-            progress(outcome.experiment_id, outcome.wall_time_s)
-    return run_experiments(
-        ctx,
-        ids,
-        progress=outcome_progress,
-        on_error=on_error,
-        trace_memory=trace_memory,
-    )
+from .orchestrator import ExperimentOutcome
 
 
 def render_markdown(
@@ -118,21 +73,3 @@ def render_markdown(
                 )
             buffer.write("```\n</details>\n")
     return buffer.getvalue()
-
-
-def write_report(
-    ctx: ExperimentContext,
-    path: str,
-    experiment_ids: list[str] | None = None,
-    progress=None,
-) -> str:
-    """Run and write the combined report; returns the path.
-
-    Failures are isolated: the report always lands, with a failure
-    section when experiments broke (inspect the returned file, or run
-    :func:`orchestrate` directly for structured outcomes).
-    """
-    orchestration = orchestrate(ctx, experiment_ids, progress=progress)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_markdown(orchestration.results, ctx, orchestration.outcomes))
-    return path

@@ -13,7 +13,6 @@ from .engine import Engine
 from .clock import HostClock, NtpDiscipline
 from .packet import Packet, FlowKey
 from .link import Link
-from .nic import Nic
 from .buffer import SharedBuffer, BufferAdmission
 from .queues import EgressQueue
 from .switch import ToRSwitch
@@ -36,7 +35,6 @@ __all__ = [
     "Packet",
     "FlowKey",
     "Link",
-    "Nic",
     "SharedBuffer",
     "BufferAdmission",
     "EgressQueue",

@@ -13,13 +13,13 @@ Every auditable component (:class:`~repro.simnet.engine.Engine`,
 :class:`~repro.simnet.queues.EgressQueue`,
 :class:`~repro.simnet.switch.ToRSwitch`,
 :class:`~repro.simnet.fabric.FabricSwitch`,
-:class:`~repro.simnet.host.Host`, :class:`~repro.simnet.nic.Nic`)
-carries an :class:`AuditTap` whose hooks it calls at each accounting
-event.  Components capture the active tap at construction time, so an
-:class:`InvariantAuditor` must be installed (via :func:`audited` or
-:func:`install`) *before* the components are built.  Without one they
-hold the shared no-op :data:`NOOP_TAP` and skip every hook call: the
-unaudited cost is one identity test per hook site.
+:class:`~repro.simnet.host.Host`) carries an :class:`AuditTap` whose
+hooks it calls at each accounting event.  Components capture the active
+tap at construction time, so an :class:`InvariantAuditor` must be
+installed (via :func:`audited` or :func:`install`) *before* the
+components are built.  Without one they hold the shared no-op
+:data:`NOOP_TAP` and skip every hook call: the unaudited cost is one
+identity test per hook site.
 
 Laws continuously checked while enabled:
 
@@ -58,9 +58,6 @@ Laws continuously checked while enabled:
   ingress bytes = locally enqueued + routed up + multicast-processed;
   forwarded + discarded = bytes offered to local queues; outstanding
   admission bytes = current buffer occupancy (the in-flight term).
-* **nic.segmentation-conservation / nic.gro-conservation** — TSO
-  splitting and GRO coalescing preserve payload bytes and respect
-  MTU/GSO limits.
 * **host.sent/received-accounting, host.delivery-routing** — host byte
   counters advance with traffic and delivered packets are addressed to
   the receiving host.
@@ -90,7 +87,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from .engine import Engine
     from .fabric import FabricSwitch
     from .host import Host
-    from .nic import Nic
     from .packet import Packet
     from .queues import EgressQueue
     from .switch import ToRSwitch
@@ -162,18 +158,12 @@ class AuditTap:
     ) -> None:
         pass
 
-    # -- host / NIC -----------------------------------------------------------
+    # -- host -----------------------------------------------------------------
 
     def on_host_send(self, host: "Host", packet: "Packet") -> None:
         pass
 
     def on_host_deliver(self, host: "Host", packet: "Packet") -> None:
-        pass
-
-    def on_segment(self, nic: "Nic", packet: "Packet", pieces: list) -> None:
-        pass
-
-    def on_coalesce(self, nic: "Nic", packets: list, merged: list) -> None:
         pass
 
 
@@ -740,7 +730,7 @@ class InvariantAuditor(AuditTap):
                 sim_time=fabric.engine.now,
             )
 
-    # -- host / NIC ---------------------------------------------------------
+    # -- host ---------------------------------------------------------------
 
     def on_host_send(self, host: "Host", packet: "Packet") -> None:
         with self._lock:
@@ -781,44 +771,6 @@ class InvariantAuditor(AuditTap):
                 observed=host.received_bytes,
                 expected=shadow.received,
                 sim_time=host.engine.now,
-            )
-
-    def on_segment(self, nic: "Nic", packet: "Packet", pieces: list) -> None:
-        with self._lock:
-            self.events += 1
-            self._check(
-                sum(piece.payload for piece in pieces) == packet.payload,
-                component="nic",
-                law="nic.segmentation-conservation",
-                observed=sum(piece.payload for piece in pieces),
-                expected=packet.payload,
-                detail="TSO must preserve payload bytes",
-            )
-            self._check(
-                all(piece.size <= nic.mtu for piece in pieces) or len(pieces) == 1,
-                component="nic",
-                law="nic.segmentation-conservation",
-                observed=max(piece.size for piece in pieces),
-                expected=f"<= MTU {nic.mtu}",
-            )
-
-    def on_coalesce(self, nic: "Nic", packets: list, merged: list) -> None:
-        with self._lock:
-            self.events += 1
-            self._check(
-                sum(p.payload for p in merged) == sum(p.payload for p in packets),
-                component="nic",
-                law="nic.gro-conservation",
-                observed=sum(p.payload for p in merged),
-                expected=sum(p.payload for p in packets),
-                detail="GRO must preserve payload bytes",
-            )
-            self._check(
-                all(p.size <= nic.gso_max for p in merged),
-                component="nic",
-                law="nic.gro-conservation",
-                observed=max((p.size for p in merged), default=0),
-                expected=f"<= GSO max {nic.gso_max}",
             )
 
     # -- end-of-run verification --------------------------------------------

@@ -1,9 +1,8 @@
-"""Simulated host: NIC, tap chain, packet demux, and an uplink to the ToR.
+"""Simulated host: tap chain, packet demux, and an uplink to the ToR.
 
-The host is where Millisampler lives.  Every delivered packet (already
-GRO-coalesced, per Section 4.6) runs through the ingress tap chain;
-every transmitted segment runs through the egress tap chain before
-segmentation offload.
+The host is where Millisampler lives.  Every delivered packet runs
+through the ingress tap chain; every transmitted segment runs through
+the egress tap chain.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from .audit import NOOP_TAP, active_tap
 from .clock import HostClock
 from .engine import Engine
 from .link import Link
-from .nic import Nic
 from .packet import FlowKey, Packet
 from .tap import TapChain
 
@@ -36,7 +34,6 @@ class Host:
         self.engine = engine
         self.name = name
         self.clock = clock or HostClock()
-        self.nic = Nic()
         self.taps = TapChain()
         self.uplink = Link(engine, link_rate, propagation_delay, name=f"{name}->tor")
         self._forward: Callable[[Packet], None] | None = None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.alignment import align_runs, common_window, resample_run, trim_to_common_window
+from repro.core.alignment import align_runs, common_window, resample_run
 from repro.errors import AnalysisError
 from tests.conftest import make_run
 
@@ -80,21 +80,6 @@ class TestResample:
             offset, edges, cumulative
         )
         assert resampled.in_bytes.sum() == pytest.approx(expected, rel=1e-9, abs=1e-6)
-
-
-class TestTrim:
-    def test_trim_to_common_window(self):
-        runs = [
-            make_run([1] * 10, start_time=0.000),
-            make_run([1] * 10, start_time=0.002),
-        ]
-        trimmed = trim_to_common_window(runs)
-        assert all(run.buckets == 8 for run in trimmed)
-
-    def test_trim_equal_starts_noop(self):
-        runs = [make_run([1] * 5), make_run([2] * 5)]
-        trimmed = trim_to_common_window(runs)
-        assert all(run.buckets == 5 for run in trimmed)
 
 
 class TestAlignRuns:

@@ -2,22 +2,27 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.millisampler import Direction, Millisampler, PacketObservation
+from repro.core.run import RunMetadata
 from repro.core.sketch import (
     SATURATION_ESTIMATE,
     SKETCH_BITS,
-    SKETCH_WORDS,
     FlowSketch,
-    estimate_from_bitmap,
-    expected_bits_set,
     hash_flow_key,
-    hash_flow_keys,
     linear_counting_estimates,
 )
 from repro.errors import SamplerError
+
+
+def expected_bits_set(flows: int) -> float:
+    """Expected number of set bits after ``flows`` distinct insertions:
+    the sketch's occupancy model ``m * (1 - (1 - 1/m)^n)``."""
+    if flows < 0:
+        raise SamplerError("flow count cannot be negative")
+    return SKETCH_BITS * (1.0 - (1.0 - 1.0 / SKETCH_BITS) ** flows)
 
 
 class TestHashing:
@@ -38,6 +43,16 @@ class TestHashing:
     def test_unhashable_type_rejected(self):
         with pytest.raises(SamplerError):
             hash_flow_key(3.14)
+
+    def test_memoized_scalar_path_stays_correct(self):
+        """Repeated lookups (LRU hits) return the same bit as a cold
+        hash, and unhashable-but-reprable keys still fall through."""
+        key = ("10.0.0.1", "10.0.0.2", 443, 55000, "tcp")
+        cold = hash_flow_key(key)
+        assert all(hash_flow_key(key) == cold for _ in range(5))
+        weird = (["not", "hashable"],)
+        assert 0 <= hash_flow_key(weird) < SKETCH_BITS
+        assert hash_flow_key(weird) == hash_flow_key((["not", "hashable"],))
 
 
 class TestFlowSketch:
@@ -71,43 +86,11 @@ class TestFlowSketch:
         assert sketch.estimate() == SATURATION_ESTIMATE
         assert 400 < SATURATION_ESTIMATE < 700
 
-    def test_merge_is_union(self):
-        a, b = FlowSketch(), FlowSketch()
-        a.observe("f1")
-        b.observe("f2")
-        merged = a.merge(b)
-        assert merged.bits_set >= max(a.bits_set, b.bits_set)
-        assert merged.estimate() >= a.estimate()
-
-    def test_merge_idempotent(self):
-        a = FlowSketch()
-        a.observe("f1")
-        assert a.merge(a).bitmap == a.bitmap
-
-    def test_stateless_across_reset(self):
-        sketch = FlowSketch()
-        sketch.observe("f1")
-        sketch.reset()
-        assert sketch.estimate() == 0.0
-
-    def test_bitmap_roundtrip(self):
-        sketch = FlowSketch()
-        for i in range(40):
-            sketch.observe(i)
-        assert estimate_from_bitmap(sketch.bitmap) == sketch.estimate()
-
     def test_invalid_bitmap_rejected(self):
         with pytest.raises(SamplerError):
             FlowSketch(1 << SKETCH_BITS)
         with pytest.raises(SamplerError):
             FlowSketch(-1)
-
-    def test_observe_bit_bounds(self):
-        sketch = FlowSketch()
-        sketch.observe_bit(0)
-        sketch.observe_bit(SKETCH_BITS - 1)
-        with pytest.raises(SamplerError):
-            sketch.observe_bit(SKETCH_BITS)
 
     @given(st.sets(st.integers(0, 10_000), min_size=0, max_size=300))
     @settings(max_examples=50)
@@ -157,76 +140,35 @@ class TestOccupancyModel:
         assert abs(sketch.bits_set - expected) < 20
 
 
-class TestBatchHashing:
-    """hash_flow_keys must agree with hash_flow_key bit for bit."""
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=200))
-    @settings(max_examples=100)
-    def test_batch_matches_scalar(self, keys):
-        batch = hash_flow_keys(np.array(keys, dtype=np.uint64))
-        assert batch.tolist() == [hash_flow_key(int(k)) for k in keys]
-
-    def test_signed_dtype_accepted(self):
-        keys = np.array([0, 1, 2**40], dtype=np.int64)
-        assert hash_flow_keys(keys).tolist() == [hash_flow_key(int(k)) for k in keys]
-
-    def test_results_in_range(self):
-        bits = hash_flow_keys(np.arange(10_000, dtype=np.uint64))
-        assert bits.min() >= 0 and bits.max() < SKETCH_BITS
-
-    def test_negative_keys_rejected(self):
-        with pytest.raises(SamplerError):
-            hash_flow_keys(np.array([-1], dtype=np.int64))
-
-    def test_non_integer_dtype_rejected(self):
-        with pytest.raises(SamplerError):
-            hash_flow_keys(np.array([1.5]))
-
-    def test_memoized_scalar_path_stays_correct(self):
-        """Repeated lookups (LRU hits) return the same bit as a cold
-        hash, and unhashable-but-reprable keys still fall through."""
-        key = ("10.0.0.1", "10.0.0.2", 443, 55000, "tcp")
-        cold = hash_flow_key(key)
-        assert all(hash_flow_key(key) == cold for _ in range(5))
-        weird = (["not", "hashable"],)
-        assert 0 <= hash_flow_key(weird) < SKETCH_BITS
-        assert hash_flow_key(weird) == hash_flow_key((["not", "hashable"],))
-
-
 class TestWordBacking:
-    """FlowSketch <-> uint64-word conversions used by the array-backed
-    sampler, and the OR-merge regression they replace."""
+    """The sampler keeps its bitmaps as uint64 words, one
+    ``(cpus, buckets, SKETCH_WORDS)`` array; its read-out must estimate
+    exactly what a :class:`FlowSketch` over the same keys estimates."""
 
-    @given(st.integers(min_value=0, max_value=(1 << SKETCH_BITS) - 1))
-    @settings(max_examples=100)
-    def test_words_roundtrip(self, bitmap):
-        sketch = FlowSketch(bitmap)
-        words = sketch.as_words()
-        assert words.shape == (SKETCH_WORDS,)
-        assert FlowSketch.from_words(words).bitmap == bitmap
-
-    def test_bad_word_count_rejected(self):
-        with pytest.raises(SamplerError):
-            FlowSketch.from_words(np.zeros(3, dtype=np.uint64))
-
-    def test_array_or_merge_equals_flowsketch_merge(self, rng):
-        """OR-reducing the word arrays across CPUs is exactly
-        FlowSketch.merge folded over the same sketches."""
+    def test_read_out_matches_flowsketch(self, rng):
         cpus = 6
-        sketches = []
-        words = np.zeros((cpus, SKETCH_WORDS), dtype=np.uint64)
-        for cpu in range(cpus):
-            sketch = FlowSketch()
-            for key in rng.integers(0, 1000, size=40):
-                sketch.observe(int(key))
-            sketches.append(sketch)
-            words[cpu] = sketch.as_words()
-        folded = sketches[0]
-        for other in sketches[1:]:
-            folded = folded.merge(other)
-        merged = FlowSketch.from_words(np.bitwise_or.reduce(words, axis=0))
-        assert merged.bitmap == folded.bitmap
-        assert merged.estimate() == folded.estimate()
+        sampler = Millisampler(
+            RunMetadata(host="h0"), sampling_interval=1e-3, buckets=2, cpus=cpus
+        )
+        sampler.attach()
+        sampler.enable()
+        sketches = [FlowSketch(), FlowSketch()]
+        for bucket, flows in enumerate((40, 300)):
+            for key in rng.integers(0, 1000, size=flows):
+                sampler.observe(
+                    PacketObservation(
+                        time=bucket * 1e-3,
+                        direction=Direction.INGRESS,
+                        size=100,
+                        flow_key=int(key),
+                        cpu=int(key) % cpus,
+                    )
+                )
+                sketches[bucket].observe(int(key))
+        sampler.finish(now=sampler.duration)
+        run = sampler.read_run()
+        assert run.conn_estimate.tolist() == [s.estimate() for s in sketches]
+        assert 0 < sketches[0].estimate() < sketches[1].estimate()
 
     def test_vectorized_estimates_match_scalar(self):
         """linear_counting_estimates is the single estimator: the scalar

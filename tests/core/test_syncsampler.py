@@ -109,6 +109,44 @@ class TestSyncMillisampler:
         sync_run = sync.assemble(sync_id)
         assert sync_run.runs[0].meta.start_time == pytest.approx(1.0005)
 
+    def test_later_periodic_run_does_not_take_idle_hosts_sync_slot(self):
+        """Regression: a host that saw no packet in the sync window but
+        recorded a periodic run before assembly contributes the all-zero
+        run, not that later run (whose window shares no time with the
+        other hosts', so alignment raised)."""
+        from repro.core.millisampler import Direction, PacketObservation
+
+        sync = SyncMillisampler()
+        busy = make_host("h0")
+        idle = make_host("h1")
+        idle.scheduler = RunScheduler(
+            period=60.0, run_duration=idle.sampler.duration, first_start=1.5
+        )
+        sync_id = sync.request_collection(
+            [busy, idle], "r0", "RegA", start_time=1.0, now=0.0
+        )
+        for host in (busy, idle):
+            host.poll(now=1.0)
+        busy.sampler.observe(
+            PacketObservation(time=1.0, direction=Direction.INGRESS, size=500, flow_key="f")
+        )
+        for host in (busy, idle):
+            host.poll(now=1.1)
+        # The idle host's next periodic run records traffic at 1.5 s.
+        idle.poll(now=1.5)
+        idle.sampler.observe(
+            PacketObservation(time=1.5, direction=Direction.INGRESS, size=700, flow_key="g")
+        )
+        idle.poll(now=1.6)
+        assert idle.store.start_times() == [1.5]
+
+        sync_run = sync.assemble(sync_id)
+        assert sync_run.servers == 2
+        busy_run, idle_run = sync_run.runs
+        assert busy_run.in_bytes.sum() == 500
+        assert idle_run.in_bytes.sum() == 0
+        assert idle_run.meta.host == "h1"
+
     def test_assemble_synthesizes_zero_run_for_idle_host(self):
         """A host that saw no traffic contributes an all-zero run — an
         idle server is data (zero contention), not an error."""

@@ -1,24 +1,26 @@
-"""Tests for the combined report generator."""
+"""Tests for the combined report: ``repro report`` and its markdown."""
 
 import pytest
 
-from repro.experiments import orchestrator
-from repro.experiments.report import (
-    orchestrate,
-    render_markdown,
-    run_all,
-    write_report,
-)
+from repro.experiments import cli, orchestrator
+from repro.experiments.orchestrator import run_experiments
+from repro.experiments.report import render_markdown
+
+#: A context for the CLI's report: the experiments below need no dataset.
+TINY = ["--racks", "2", "--runs-per-rack", "1", "--jobs", "1", "--no-cache"]
+
+
+def report_only(monkeypatch, experiment_ids):
+    """Make ``repro report`` run ``experiment_ids`` instead of the whole
+    registry."""
+    monkeypatch.setattr(cli, "ordered_ids", lambda: list(experiment_ids))
 
 
 class TestReport:
     @pytest.fixture(scope="class")
     def subset_results(self, small_ctx):
         # A fast, representative subset: analytic, packet-level, dataset.
-        return run_all(small_ctx, ["fig1", "fig4", "table2"])
-
-    def test_run_all_subset(self, subset_results):
-        assert set(subset_results) == {"fig1", "fig4", "table2"}
+        return run_experiments(small_ctx, ["fig1", "fig4", "table2"]).results
 
     def test_markdown_structure(self, subset_results, small_ctx):
         text = render_markdown(subset_results, small_ctx)
@@ -28,21 +30,20 @@ class TestReport:
         assert "**Paper:**" in text
         assert "loss_inversion_ratio" in text
 
-    def test_write_report(self, small_ctx, tmp_path):
+    def test_write_report(self, tmp_path, monkeypatch, capsys):
+        report_only(monkeypatch, ["fig1"])
         path = str(tmp_path / "REPORT.md")
-        progress_calls = []
-        write_report(
-            small_ctx, path, ["fig1"],
-            progress=lambda eid, took: progress_calls.append(eid),
-        )
-        assert progress_calls == ["fig1"]
+        assert cli.main(["report", path, *TINY]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("  fig1: ")
+        assert f"wrote {path}" in out
         with open(path) as handle:
-            assert "fig1" in handle.read()
+            assert "## fig1:" in handle.read()
 
 
 class TestReportFailureIsolation:
     def test_report_completes_with_failure_section(
-        self, small_ctx, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, capsys
     ):
         from repro.experiments.registry import get_experiment as real
 
@@ -54,8 +55,10 @@ class TestReportFailureIsolation:
             return real(experiment_id)
 
         monkeypatch.setattr(orchestrator, "get_experiment", fake)
+        report_only(monkeypatch, ["fig1", "fig4"])
         path = str(tmp_path / "REPORT.md")
-        write_report(small_ctx, path, ["fig1", "fig4"])
+        assert cli.main(["report", path, *TINY]) == 1
+        assert "report stub failure" in capsys.readouterr().err
         with open(path) as handle:
             text = handle.read()
         assert "## Failures" in text
@@ -63,20 +66,8 @@ class TestReportFailureIsolation:
         assert "## fig1:" in text  # the healthy experiment still rendered
         assert "## fig4:" not in text
 
-    def test_run_all_stays_fail_fast(self, small_ctx, monkeypatch):
-        from repro.experiments.registry import get_experiment as real
-
-        def fake(experiment_id):
-            def boom(ctx):
-                raise RuntimeError("fail fast")
-            return boom if experiment_id == "fig1" else real(experiment_id)
-
-        monkeypatch.setattr(orchestrator, "get_experiment", fake)
-        with pytest.raises(RuntimeError, match="fail fast"):
-            run_all(small_ctx, ["fig1"])
-
-    def test_orchestrate_records_wall_time_in_markdown(self, small_ctx, tmp_path):
-        orchestration = orchestrate(small_ctx, ["fig1"])
+    def test_orchestrate_records_wall_time_in_markdown(self, small_ctx):
+        orchestration = run_experiments(small_ctx, ["fig1"])
         text = render_markdown(
             orchestration.results, small_ctx, orchestration.outcomes
         )

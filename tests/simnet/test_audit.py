@@ -22,7 +22,6 @@ from repro.simnet.audit import (
 )
 from repro.simnet.buffer import SharedBuffer
 from repro.simnet.engine import Engine
-from repro.simnet.nic import Nic
 from repro.simnet.packet import FlowKey, Packet
 from repro.simnet.switch import ToRSwitch
 from repro.config import BufferConfig
@@ -241,32 +240,6 @@ class TestSwitchLaws:
                 switch.forward(data_packet("s0"))
 
 
-class TestNicLaws:
-    def test_segmentation_conserves_payload(self):
-        with audited() as auditor:
-            nic = Nic()
-            packet = data_packet("s0", size=30_000)
-            pieces = nic.segment(packet)
-            merged = nic.coalesce(pieces)
-        assert auditor.violations == []
-        assert sum(p.payload for p in merged) == packet.payload
-
-    def test_lossy_segmentation_caught(self):
-        class LossyNic(Nic):
-            def segment(self, packet):
-                pieces = super().segment(packet)
-                if len(pieces) > 1:
-                    # Re-report with a dropped piece, as a buggy TSO
-                    # implementation that loses a segment would.
-                    self._audit.on_segment(self, packet, pieces[:-1])
-                return pieces
-
-        with audited():
-            nic = LossyNic()
-            with pytest.raises(InvariantViolation, match="segmentation-conservation"):
-                nic.segment(data_packet("s0", size=30_000))
-
-
 class TestMetricsIntegration:
     def test_violations_counted_immediately(self):
         metrics = Metrics()
@@ -410,10 +383,10 @@ class TestDisabledOverhead:
     def test_disabled_components_share_the_noop_singleton(self):
         engine = Engine()
         buffer = SharedBuffer(tight_buffer())
-        nic = Nic()
+        switch = ToRSwitch(engine, buffer_config=tight_buffer())
         assert engine._audit is NOOP_TAP
         assert buffer._audit is NOOP_TAP
-        assert nic._audit is NOOP_TAP
+        assert switch._audit is NOOP_TAP
 
     def test_auditor_keeps_no_state_for_noop_runs(self):
         auditor = InvariantAuditor()

@@ -1,15 +1,16 @@
-"""Tests for packets, links, and NIC segmentation offload."""
+"""Tests for packets and links."""
 
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.simnet.engine import Engine
 from repro.simnet.link import Link
-from repro.simnet.nic import HEADER_BYTES, Nic
 from repro.simnet.packet import FlowKey, Packet
+
+#: TCP/IP header bytes carried by each packet.
+HEADER_BYTES = 40
 
 
 def make_packet(size=1500, payload=None, **kwargs) -> Packet:
@@ -97,86 +98,3 @@ class TestLink:
     def test_invalid_rate_rejected(self):
         with pytest.raises(SimulationError):
             Link(Engine(), rate=0)
-
-
-class TestNic:
-    def test_small_packet_untouched(self):
-        nic = Nic()
-        packet = make_packet(size=1000)
-        assert nic.segment(packet) == [packet]
-
-    def test_segmentation_splits_payload(self):
-        nic = Nic(mtu=1500)
-        packet = make_packet(size=16 * 1024, payload=16 * 1024 - HEADER_BYTES)
-        pieces = nic.segment(packet)
-        assert len(pieces) > 1
-        assert all(piece.size <= 1500 for piece in pieces)
-        assert sum(piece.payload for piece in pieces) == packet.payload
-
-    def test_segmentation_preserves_sequence_space(self):
-        nic = Nic()
-        packet = make_packet(size=8000, payload=8000 - HEADER_BYTES)
-        pieces = nic.segment(packet)
-        seq = packet.seq
-        for piece in pieces:
-            assert piece.seq == seq
-            seq = piece.end_seq
-        assert seq == packet.end_seq
-
-    def test_segmentation_copies_flags(self):
-        nic = Nic()
-        packet = make_packet(size=8000, payload=7960, ecn_ce=True, retransmit=True)
-        for piece in nic.segment(packet):
-            assert piece.ecn_ce and piece.retransmit
-
-    def test_oversized_segment_rejected(self):
-        nic = Nic()
-        with pytest.raises(SimulationError):
-            nic.segment(make_packet(size=100 * 1024, payload=100 * 1024 - 40))
-
-    def test_coalesce_merges_contiguous(self):
-        nic = Nic()
-        flow = FlowKey("a", "b", 1, 2)
-        first = Packet("a", "b", size=1040, payload=1000, seq=0, flow=flow)
-        second = Packet("a", "b", size=1040, payload=1000, seq=1000, flow=flow)
-        merged = nic.coalesce([first, second])
-        assert len(merged) == 1
-        assert merged[0].payload == 2000
-
-    def test_coalesce_respects_ce_boundary(self):
-        """CE-marked packets never merge with unmarked ones — the mark
-        must survive reassembly (Section 4.6)."""
-        nic = Nic()
-        flow = FlowKey("a", "b", 1, 2)
-        first = Packet("a", "b", size=1040, payload=1000, seq=0, flow=flow)
-        second = Packet(
-            "a", "b", size=1040, payload=1000, seq=1000, flow=flow, ecn_ce=True
-        )
-        assert len(nic.coalesce([first, second])) == 2
-
-    def test_coalesce_does_not_merge_gaps(self):
-        nic = Nic()
-        flow = FlowKey("a", "b", 1, 2)
-        first = Packet("a", "b", size=1040, payload=1000, seq=0, flow=flow)
-        third = Packet("a", "b", size=1040, payload=1000, seq=2000, flow=flow)
-        assert len(nic.coalesce([first, third])) == 2
-
-    def test_coalesce_caps_at_gso_max(self):
-        nic = Nic(gso_max=3000)
-        flow = FlowKey("a", "b", 1, 2)
-        packets = [
-            Packet("a", "b", size=1040, payload=1000, seq=i * 1000, flow=flow)
-            for i in range(5)
-        ]
-        merged = nic.coalesce(packets)
-        assert all(packet.size <= 3000 for packet in merged)
-        assert sum(packet.payload for packet in merged) == 5000
-
-    @given(payload=st.integers(1, 64 * 1024 - HEADER_BYTES))
-    @settings(max_examples=50)
-    def test_segment_coalesce_roundtrip_preserves_payload(self, payload):
-        nic = Nic()
-        packet = make_packet(size=payload + HEADER_BYTES, payload=payload)
-        pieces = nic.segment(packet)
-        merged = nic.coalesce(pieces)
-        assert sum(piece.payload for piece in merged) == payload

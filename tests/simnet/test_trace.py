@@ -7,8 +7,8 @@ from repro.core.millisampler import Direction
 from repro.errors import SimulationError
 from repro.simnet.packet import FlowKey, Packet
 from repro.simnet.topology import build_rack
-from repro.simnet.trace import TraceTap
 from repro.simnet.tcp import DctcpControl, open_connection
+from tests.simnet.trace_reference import TraceTap
 
 
 class TestTraceTap:

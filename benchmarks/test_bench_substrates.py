@@ -5,6 +5,7 @@ buffer model step rate, and the packet-level simulator event rate.
 These bound how far the experiment scale can be pushed.
 """
 
+import itertools
 import os
 import time
 
@@ -117,15 +118,9 @@ def test_bench_fluid_live_columns(benchmark):
     def run(demand):
         return model.run_batch(demand, *state, lengths=lengths, outputs=CORE_OUTPUTS)
 
-    live_times = []
-
-    def all_live_round_then_real():
-        # An all-live round right before each real round.
-        live_times.append(_best_of(1, lambda: (all_live,), run))
-        return (real,), {}
-
-    result = benchmark.pedantic(run, setup=all_live_round_then_real, rounds=5)
-    real_times = _round_times(benchmark, run, lambda: (real,))
+    result, live_times, real_times = _alternating_pairs(
+        benchmark, (lambda: (all_live,), run), (lambda: (real,), run)
+    )
     ratio = float(np.median(np.array(real_times) / np.array(live_times)))
 
     assert result.live.size == np.count_nonzero(~light)
@@ -259,6 +254,33 @@ def _round_times(benchmark, run, setup=tuple) -> list[float]:
     return [_best_of(1, setup, run)]
 
 
+def _alternating_pairs(benchmark, base, new, rounds: int = 5) -> tuple[object, list[float], list[float]]:
+    """``rounds`` alternating pairs of timed calls, each ``base`` call
+    right before a ``new`` call, so drift on a shared machine hits both
+    sides alike.  ``base`` and ``new`` are ``(setup, run)`` pairs timing
+    ``run(*setup())``, the setup untimed.
+
+    The benchmark records the new side's rounds.  ``--benchmark-disable``
+    calls the target once, untimed, so the pairs are then timed here:
+    a ratio floor judges ``rounds`` pairs in both modes.  Returns the
+    new side's result and both sides' times (seconds), pair by pair."""
+    base_times: list[float] = []
+
+    def base_round_then_args():
+        base_times.append(_best_of(1, *base))
+        return new[0](), {}
+
+    result = benchmark.pedantic(new[1], setup=base_round_then_args, rounds=rounds)
+    if benchmark.stats is not None:
+        return result, base_times, list(benchmark.stats.stats.data)
+    base_times.clear()
+    new_times = []
+    for _ in range(rounds):
+        base_times.append(_best_of(1, *base))
+        new_times.append(_best_of(1, *new))
+    return result, base_times, new_times
+
+
 def test_bench_demand_generate(benchmark):
     """``DemandModel.generate`` (one standard-normal row per burst, the
     rack's bursts realized at once) vs the historical per-burst loop the
@@ -385,15 +407,10 @@ def test_bench_store_path(benchmark):
     def store_path(items):
         return synthesizer.synthesize_batch(items, reduce=run_rows)
 
-    raw_times = []
+    def items():
+        return (_store_build_items(),)
 
-    def raw_round_then_items():
-        # A raw round right before each store round.
-        raw_times.append(_best_of(1, lambda: (_store_build_items(),), raw_path))
-        return (_store_build_items(),), {}
-
-    rows = benchmark.pedantic(store_path, setup=raw_round_then_items, rounds=5)
-    store_times = _round_times(benchmark, store_path, lambda: (_store_build_items(),))
+    rows, raw_times, store_times = _alternating_pairs(benchmark, (items, raw_path), (items, store_path))
     speedup = float(np.median(np.array(raw_times) / np.array(store_times)))
 
     raw_rows = raw_path(_store_build_items())
@@ -575,7 +592,7 @@ def test_bench_pool_build(benchmark, tmp_path):
     from tests.fleet.dataset_reference import rack_day_build
 
     config = FleetConfig(racks_per_region=4, runs_per_rack=4, seed=11)
-    rounds = iter(range(10))
+    rounds = itertools.count()
 
     def stores(kind: str) -> list[RegionShardStore]:
         root = str(tmp_path / f"{kind}-{next(rounds)}")
@@ -587,20 +604,18 @@ def test_bench_pool_build(benchmark, tmp_path):
     with ProcessPoolExecutor(max_workers=2) as pool:
         for _ in pool.map(abs, range(2)):
             pass  # both workers forked before the first timed round
-        day_times, day_hashes = [], []
+        day_hashes = []
 
-        def rack_days_round():
-            start = time.perf_counter()
-            records = [rack_day_build(store, 2, pool=pool) for store in stores("rack-days")]
-            day_times.append(time.perf_counter() - start)
+        def rack_days(targets):
+            records = [rack_day_build(store, 2, pool=pool) for store in targets]
             day_hashes.append([[record["sha256"] for record in shard] for shard in records])
-            return (stores("tasks"),), {}
 
         def task_build(targets):
             return [[r["sha256"] for r in store.build(jobs=2, pool=pool)["shards"]] for store in targets]
 
-        hashes = benchmark.pedantic(task_build, setup=rack_days_round, rounds=5)
-        task_times = _round_times(benchmark, task_build, lambda: (stores("tasks"),))
+        hashes, day_times, task_times = _alternating_pairs(
+            benchmark, (lambda: (stores("rack-days"),), rack_days), (lambda: (stores("tasks"),), task_build)
+        )
 
     speedup = float(np.median(np.array(day_times) / np.array(task_times)))
     assert all(round_hashes == hashes for round_hashes in day_hashes)

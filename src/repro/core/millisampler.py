@@ -230,13 +230,16 @@ class Millisampler:
             self.stats.cpu_ns += self.cost_model.per_packet_disabled_ns
             return
 
-        if self._start_time is None:
+        start = self._start_time
+        if start is None:
             # The first packet after enabling marks the run start.
-            self._start_time = obs.time
-
-        bucket = int((obs.time - self._start_time) / self.sampling_interval)
-        if bucket < 0:
+            start = self._start_time = obs.time
+        elif obs.time < start:
+            # Tested before bucketing: int() truncates toward zero, so a
+            # packet less than one interval early would land in bucket 0.
             raise SamplerError("observation precedes run start (non-monotonic clock)")
+
+        bucket = int((obs.time - start) / self.sampling_interval)
         if bucket >= self.buckets:
             # Past the last bucket: clear the enabled flag as the
             # completion signal and drop the packet from accounting.

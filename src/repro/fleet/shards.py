@@ -22,7 +22,8 @@ geometry)::
   rows of :func:`~repro.analysis.summary.run_rows`, the one reduced
   form of a rack run.  There is one read path:
   :meth:`ShardedRegionDataset.columns` memory-maps the shards one
-  at a time (:meth:`ShardedRegionDataset.iter_frames`) and returns
+  at a time (:meth:`ShardedRegionDataset.iter_frames`, each file's
+  ``.npy`` header parsed once per dataset) and returns
   whole-region columns in global order.  Table 1 and the figure views
   fold them with the folds of :mod:`repro.analysis.streaming`, and the
   column experiments fold them directly.  Exact views keep every value
@@ -64,10 +65,12 @@ import weakref
 from concurrent.futures import Executor
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from ..analysis.bursts import BURST_FIELDS
 from ..analysis.racks import RackProfile
@@ -516,14 +519,20 @@ class ShardStoreError(Exception):
     """An unreadable or inconsistent shard store (treated as a miss)."""
 
 
-@dataclass
+def _check_size(name: str, actual: int, expected: int) -> None:
+    if actual != expected:
+        raise ShardStoreError(f"shard file {name} is {actual} bytes, expected {expected}")
+
+
+@dataclass(frozen=True)
 class RegionShardStore:
     """One region-day's shard directory: build, validate, and open.
 
     The directory name embeds the dataset content key (everything that
     shapes the data) *and* the shard geometry (which shapes only the
     file layout), so differently-sharded stores of the same dataset
-    coexist without aliasing.
+    coexist without aliasing.  The store is frozen, so the key and the
+    directory are derived once per store.
     """
 
     root: str
@@ -536,11 +545,11 @@ class RegionShardStore:
     def __post_init__(self) -> None:
         check_shard_geometry(self.shard_racks, self.shard_hours)
 
-    @property
+    @cached_property
     def dataset_key(self) -> str:
         return dataset_cache_key(self.spec, self.config)
 
-    @property
+    @cached_property
     def directory(self) -> str:
         return os.path.join(
             self.root,
@@ -600,12 +609,7 @@ class RegionShardStore:
                 path = os.path.join(self.directory, name)
                 if not os.path.exists(path):
                     raise ShardStoreError(f"missing shard file {name}")
-                expected = record["bytes"][kind]
-                actual = os.path.getsize(path)
-                if actual != expected:
-                    raise ShardStoreError(
-                        f"shard file {name} is {actual} bytes, expected {expected}"
-                    )
+                _check_size(name, os.path.getsize(path), record["bytes"][kind])
         workloads = manifest.get("workloads_file")
         if workloads and not os.path.exists(os.path.join(self.directory, workloads)):
             raise ShardStoreError("missing workloads file")
@@ -789,8 +793,31 @@ class RegionShardStore:
 # -- the lazy dataset view ---------------------------------------------------
 
 
+#: How to map one shard file: its dtype, shape, memory order and the
+#: data's byte offset (the ``.npy`` header's length).
+_Layout = tuple[np.dtype, tuple[int, ...], str, int]
+
+
+def _read_layout(stream, name: str, size: int) -> _Layout:
+    """Parse the ``.npy`` header at the start of ``stream`` and check
+    that it describes exactly ``size`` bytes of file."""
+    try:
+        version = npy_format.read_magic(stream)
+        if version == (1, 0):
+            shape, fortran_order, dtype = npy_format.read_array_header_1_0(stream)
+        elif version == (2, 0):
+            shape, fortran_order, dtype = npy_format.read_array_header_2_0(stream)
+        else:
+            raise ShardStoreError(f"shard file {name} is .npy format {version}")
+    except ValueError as exc:
+        raise ShardStoreError(f"shard file {name}: {exc}") from exc
+    offset = stream.tell()
+    _check_size(name, offset + dtype.itemsize * math.prod(shape), size)
+    return dtype, shape, "F" if fortran_order else "C", offset
+
+
 def _close_mmap(array: np.ndarray) -> None:
-    """Release the file mapping behind a ``np.load(mmap_mode="r")`` array.
+    """Release the file mapping behind a memory-mapped shard table.
 
     CPython's ``mmap.mmap`` dups the file descriptor, so every live
     memmap holds one open fd until its mapping is explicitly closed —
@@ -820,6 +847,8 @@ class ShardedRegionDataset:
     store: RegionShardStore
     manifest: dict
     _workloads: list[RackWorkload] | None = field(default=None, repr=False)
+    #: Each shard file's layout, by file name, read on its first map.
+    _layouts: dict[str, _Layout] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def region(self) -> str:
@@ -835,23 +864,38 @@ class ShardedRegionDataset:
 
     # -- shard reads -----------------------------------------------------
 
+    def _map(self, record: dict, kind: str) -> np.memmap:
+        """One shard table, memory-mapped read-only.
+
+        The file's size must still be the manifest's, so a file replaced
+        under a live dataset raises :class:`ShardStoreError` instead of
+        being mapped with a stale layout.
+        """
+        name = record["files"][kind]
+        expected = record["bytes"][kind]
+        with open(os.path.join(self.store.directory, name), "rb") as stream:
+            _check_size(name, os.fstat(stream.fileno()).st_size, expected)
+            layout = self._layouts.get(name)
+            if layout is None:
+                # Racing request threads at most parse one header twice
+                # and store the same layout.
+                layout = self._layouts[name] = _read_layout(stream, name, expected)
+            dtype, shape, order, offset = layout
+            return np.memmap(stream, dtype=dtype, mode="r", offset=offset, shape=shape, order=order)
+
     def iter_frames(self, kinds: Sequence[str]) -> Iterator[tuple[np.ndarray, ...]]:
         """Each shard's tables of the given kinds (see :data:`TABLES`),
         memory-mapped, one shard at a time: the only shard loader.
 
-        A shard's mappings (one fd each) are closed when the next shard
-        is requested or the iteration ends, so the caller copies what it
-        keeps before advancing.
+        Each file's ``.npy`` header is parsed on its first map and kept
+        (:attr:`_layouts`); every map checks the file's size against the
+        manifest.  A shard's mappings (one fd each) are closed when the
+        next shard is requested or the iteration ends, so the caller
+        copies what it keeps before advancing.
         """
         for record in self.manifest["shards"]:
             with self.metrics.span("shards/load"):
-                tables = tuple(
-                    np.load(
-                        os.path.join(self.store.directory, record["files"][kind]),
-                        mmap_mode="r",
-                    )
-                    for kind in kinds
-                )
+                tables = tuple(self._map(record, kind) for kind in kinds)
             self.metrics.incr("dataset.shards.loaded")
             try:
                 yield tables

@@ -111,7 +111,7 @@ def serialize_run_contention(view) -> dict:
 
 def serialize_burst_contention(view) -> dict:
     return {
-        "racks": [str(rack) for rack in view.racks],
+        "racks": np.asarray(view.racks, dtype=str).tolist(),
         "max_contention": np.asarray(view.max_contention, dtype=np.int64).tolist(),
         "lossy": np.asarray(view.lossy, dtype=bool).tolist(),
         "first_loss_contention": np.asarray(

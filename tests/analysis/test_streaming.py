@@ -66,7 +66,8 @@ def split_store(root, dataset: SummaryDataset, pieces: int, seed: int) -> Sharde
         files = {kind: f"piece{piece}.{kind}.npy" for kind in tables}
         for kind, table in tables.items():
             np.save(os.path.join(store.directory, files[kind]), table)
-        records.append({"files": files})
+        sizes = {kind: os.path.getsize(os.path.join(store.directory, name)) for kind, name in files.items()}
+        records.append({"files": files, "bytes": sizes})
     manifest = {
         "region": dataset.region,
         "rack_names": [workload.rack for workload in dataset.workloads],

@@ -160,6 +160,18 @@ class TestRunRecording:
         with pytest.raises(SamplerError):
             sampler.observe(obs(4.9))
 
+    def test_packet_under_one_interval_early_rejected(self):
+        """A packet less than one interval before the run start is not
+        counted in bucket 0."""
+        sampler = make_sampler()
+        sampler.attach()
+        sampler.enable()
+        sampler.observe(obs(1.0, size=200))
+        with pytest.raises(SamplerError, match="precedes run start"):
+            sampler.observe(obs(0.9995, size=200))
+        sampler.finish(now=1.1)
+        assert sampler.read_run().in_bytes[0] == 200
+
     def test_cannot_read_mid_run(self):
         sampler = make_sampler()
         sampler.attach()

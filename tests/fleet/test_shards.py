@@ -16,6 +16,7 @@ in-memory :func:`generate_region_dataset` as the oracle:
 
 import json
 import os
+import re
 import tracemalloc
 from collections import Counter
 
@@ -29,6 +30,7 @@ from repro.fleet.shards import (
     TABLES,
     RegionShardStore,
     ShardedRegionDataset,
+    ShardStoreError,
     generate_region_shards,
     plan_region_shards,
 )
@@ -451,6 +453,128 @@ class TestOutOfCore:
         assert isinstance(bursts, np.memmap)
         assert runs.shape[1] == len(TABLES["runs"])
         frames.close()
+
+
+class TestWarmReads:
+    """A dataset derives its store key once and parses each shard file's
+    ``.npy`` header once; every map checks the file's size."""
+
+    @staticmethod
+    def read_every_view(dataset):
+        dataset.table1_row()
+        dataset.rack_profiles()
+        dataset.hourly_boxes()
+        dataset.run_contention()
+        dataset.burst_contention()
+        dataset.hour_counts()
+        dataset.to_region_dataset()
+
+    def test_second_round_derives_no_key_and_parses_no_header(self, sharded, monkeypatch):
+        from numpy.lib import format as npy_format
+
+        import repro.fleet.shards as shards_module
+
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(shards_module, "dataset_cache_key")
+        for reader in ("read_magic", "read_array_header_1_0", "read_array_header_2_0"):
+            count(npy_format, reader)
+        dataset = RegionShardStore(
+            root=sharded.store.root, spec=REGION_A, config=CONFIG, shard_racks=2, shard_hours=8
+        ).open()
+        assert calls == {"dataset_cache_key": 1}  # the open's validation
+
+        calls.clear()
+        self.read_every_view(dataset)
+        files = 3 * len(dataset.manifest["shards"])
+        assert calls == {"read_magic": files, "read_array_header_1_0": files}
+
+        calls.clear()
+        self.read_every_view(dataset)
+        assert calls == {}
+
+    def test_concurrent_first_reads_agree(self, sharded):
+        """Request threads share one dataset: racing first reads each
+        map every file with the one layout its header gives."""
+        import sys
+        import threading
+
+        expected = sharded.to_region_dataset().tables
+        dataset = ShardedRegionDataset(store=sharded.store, manifest=sharded.manifest)
+        results, errors = [], []
+
+        def read():
+            try:
+                results.append(dataset.to_region_dataset().tables)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(results) == 4
+        for tables in results:
+            for kind, columns in expected.items():
+                for name, column in columns.items():
+                    assert tables[kind][name].tobytes() == column.tobytes(), (kind, name)
+        assert len(dataset._layouts) == 3 * len(dataset.manifest["shards"])
+
+    def built(self, tmp_path) -> RegionShardStore:
+        store = RegionShardStore(
+            root=str(tmp_path), spec=REGION_A, config=CONFIG, shard_racks=2, shard_hours=8
+        )
+        store.build(jobs=1, synthesizer=TrimmedSynthesizer())
+        return store
+
+    def test_file_replaced_under_a_live_dataset_fails_loudly(self, tmp_path):
+        store = self.built(tmp_path)
+        dataset = store.open()
+        dataset.burst_contention()  # maps, and so keeps, every bursts layout
+        name = dataset.manifest["shards"][0]["files"]["bursts"]
+        path = os.path.join(store.directory, name)
+        table = np.load(path)
+        replacement = os.path.join(str(tmp_path), "replacement.npy")
+        np.save(replacement, np.zeros((table.shape[0] + 1, table.shape[1])))
+        os.replace(replacement, path)
+        with pytest.raises(ShardStoreError, match=re.escape(name)):
+            dataset.burst_contention()
+
+    def test_header_disagreeing_with_the_manifest_fails_at_first_read(self, tmp_path):
+        """A header one row short, over the same bytes, passes the size
+        check at open; the first read of the file refuses it."""
+        from numpy.lib import format as npy_format
+
+        store = self.built(tmp_path)
+        name = store.load_manifest()["shards"][0]["files"]["runs"]
+        path = os.path.join(store.directory, name)
+        table = np.load(path, mmap_mode="r")
+        rows, columns, offset = table.shape[0], table.shape[1], table.offset
+        del table
+        with open(path, "r+b") as stream:
+            npy_format.write_array_header_1_0(
+                stream, {"descr": "<f8", "fortran_order": False, "shape": (rows - 1, columns)}
+            )
+            assert stream.tell() == offset
+        dataset = store.open()
+        with pytest.raises(ShardStoreError, match=re.escape(name)):
+            dataset.table1_row()
 
 
 class TestContextIntegration:

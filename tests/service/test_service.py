@@ -39,6 +39,7 @@ from repro.service.core import (
     Query,
     QueryService,
     ServiceConfig,
+    serialize_burst_contention,
     serialize_table1,
 )
 from tests.fleet.dataset_reference import decode_summaries
@@ -140,6 +141,23 @@ class TestSingleFlight:
                 assert events[1:] == reference
         finally:
             service.shutdown()
+
+
+# -- result serializers ------------------------------------------------------
+
+
+class TestSerializers:
+    def test_burst_racks_serialize_as_python_strs(self, tmp_path):
+        """The burst view's rack names leave as plain ``str`` and encode
+        to the same JSON bytes as converting them one at a time."""
+        ctx = ExperimentContext(fleet=FLEET, store_dir=str(tmp_path))
+        view = ctx.burst_contention("RegA")
+        body = serialize_burst_contention(view)
+        assert body["racks"] and all(type(rack) is str for rack in body["racks"])
+        per_element = {**body, "racks": [str(rack) for rack in view.racks]}
+        assert json.dumps(body, sort_keys=True).encode() == json.dumps(
+            per_element, sort_keys=True
+        ).encode()
 
 
 # -- HTTP transport and CLI equivalence --------------------------------------

@@ -110,13 +110,13 @@ class WorkerCancelled(ReproError):
     started.  ``completed`` counts the units that finished before the
     drain."""
 
-    def __init__(self, completed: int, total: int) -> None:
+    def __init__(self, completed: int, total: int, detail: str = "") -> None:
         self.completed = completed
         self.total = total
-        super().__init__(
-            f"generation cancelled after {completed}/{total} units; "
-            f"queued work was not started"
-        )
+        message = f"generation cancelled after {completed}/{total} units; queued work was not started"
+        if detail:
+            message += f": {detail}"
+        super().__init__(message)
 
 
 class AnalysisError(ReproError):

@@ -137,7 +137,7 @@ class ExperimentContext:
         built into it on a miss.
 
         The result is a lazy :class:`~repro.fleet.shards.ShardedRegionDataset`
-        (loaded via memmap, aggregated shard by shard).  ``on_shard`` is
+        (shard files mapped with ``mmap``, aggregated shard by shard).  ``on_shard`` is
         invoked with each shard's manifest record as it is written — the
         query service streams these to clients as NDJSON progress
         events.  It fires only when this call actually builds the store;

@@ -56,6 +56,7 @@ import contextlib
 import hashlib
 import json
 import logging
+import mmap
 import os
 import pickle
 import shutil
@@ -817,21 +818,21 @@ def _read_layout(stream, name: str, size: int) -> _Layout:
 
 
 def _close_mmap(array: np.ndarray) -> None:
-    """Release the file mapping behind a memory-mapped shard table.
+    """Release the file mapping behind a mapped shard table (its
+    ``base``, the ``mmap.mmap`` :meth:`ShardedRegionDataset._map` built
+    it over).
 
     CPython's ``mmap.mmap`` dups the file descriptor, so every live
-    memmap holds one open fd until its mapping is explicitly closed —
-    GC alone is too lazy for a long-lived service iterating hundreds of
-    shards.  Any view taken from the array becomes invalid after this.
+    mapping holds one open fd until it is explicitly closed — GC alone
+    is too lazy for a long-lived service iterating hundreds of shards.
+    Any view taken from the array becomes invalid after this.
     """
-    mapping = getattr(array, "_mmap", None)
-    if mapping is not None:
-        try:
-            mapping.close()
-        except BufferError:
-            # A live view still aliases the mapping; leave it to GC
-            # rather than pulling memory out from under the view.
-            pass
+    try:
+        array.base.close()
+    except BufferError:
+        # A live buffer export still aliases the mapping; leave it to
+        # GC rather than pulling memory out from under it.
+        pass
 
 
 @dataclass
@@ -864,12 +865,15 @@ class ShardedRegionDataset:
 
     # -- shard reads -----------------------------------------------------
 
-    def _map(self, record: dict, kind: str) -> np.memmap:
-        """One shard table, memory-mapped read-only.
+    def _map(self, record: dict, kind: str) -> np.ndarray:
+        """One shard table: a read-only ndarray over an ``mmap.mmap`` of
+        its file (the array's ``base``), with no heap copy.
 
-        The file's size must still be the manifest's, so a file replaced
-        under a live dataset raises :class:`ShardStoreError` instead of
-        being mapped with a stale layout.
+        A plain ndarray, no memmap subclass, so slicing and indexing it
+        run no Python-level hooks.  The file's size must still
+        be the manifest's, so a file replaced under a live dataset
+        raises :class:`ShardStoreError` instead of being mapped with a
+        stale layout.
         """
         name = record["files"][kind]
         expected = record["bytes"][kind]
@@ -880,8 +884,9 @@ class ShardedRegionDataset:
                 # Racing request threads at most parse one header twice
                 # and store the same layout.
                 layout = self._layouts[name] = _read_layout(stream, name, expected)
-            dtype, shape, order, offset = layout
-            return np.memmap(stream, dtype=dtype, mode="r", offset=offset, shape=shape, order=order)
+            mapping = mmap.mmap(stream.fileno(), expected, access=mmap.ACCESS_READ)
+        dtype, shape, order, offset = layout
+        return np.ndarray(shape, dtype, buffer=mapping, offset=offset, order=order)
 
     def iter_frames(self, kinds: Sequence[str]) -> Iterator[tuple[np.ndarray, ...]]:
         """Each shard's tables of the given kinds (see :data:`TABLES`),

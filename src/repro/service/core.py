@@ -12,7 +12,9 @@ Three properties define the core, independent of any transport:
   already executing subscribe to the in-flight :class:`_Flight` instead
   of starting a second generation.  A flight records every event it
   publishes, so a late subscriber replays the full stream and all
-  subscribers observe byte-identical event sequences.
+  subscribers observe byte-identical event sequences.  Subscribers are
+  non-blocking callables the flight hands each event to, down to the
+  terminal ``result`` or ``error``.
 * **Bit-exactness** — query bodies call the same context methods the
   CLI uses and serialize through the module-level ``serialize_*``
   functions below; tests compare service responses against direct
@@ -26,24 +28,31 @@ Three properties define the core, independent of any transport:
 
 from __future__ import annotations
 
+import logging
 import queue
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ..config import FleetConfig
-from ..errors import ConfigError, WorkerCrashError
+from ..errors import ConfigError, WorkerCancelled, WorkerCrashError
 from ..experiments.context import ExperimentContext
 from ..fleet.dataset import DatasetSummary
 from ..fleet.parallel import stop_inherited_tracer
 from ..fleet.shards import DEFAULT_SHARD_HOURS, DEFAULT_SHARD_RACKS, check_shard_geometry
 from ..obs.manifest import build_service_metrics
 
-#: Queue sentinel closing a subscriber's event stream.
-_DONE = object()
+logger = logging.getLogger(__name__)
+
+#: The events that end a query's stream, exactly one per subscriber.
+TERMINAL_EVENTS = ("result", "error")
+
+#: A subscriber: called with each event of a flight, must not block.
+Deliver = Callable[[dict], None]
 
 
 def _worker_pid() -> int:
@@ -67,8 +76,10 @@ POOL_REPLACED = "service.pool.replaced"
 #
 # Module-level pure functions so tests can feed the one-shot CLI path
 # through the exact same projection and assert the service's HTTP body
-# is bit-identical.  Floats pass through as Python floats (repr round-
-# trips every bit); arrays become lists.
+# is bit-identical.  Scalars pass through as Python values (a float's
+# repr round-trips every bit); columns stay 1-D numpy arrays, which the
+# transport's encoder (``repro.service.server.encode_json``) writes as
+# the JSON of their ``tolist()``, so no serializer builds a list.
 
 
 def serialize_table1(row: DatasetSummary) -> dict:
@@ -104,19 +115,17 @@ def serialize_run_contention(view) -> dict:
     return {
         "total": view.total,
         "excluded": view.excluded,
-        "mins": np.asarray(view.mins, dtype=np.float64).tolist(),
-        "p90s": np.asarray(view.p90s, dtype=np.float64).tolist(),
+        "mins": np.asarray(view.mins, dtype=np.float64),
+        "p90s": np.asarray(view.p90s, dtype=np.float64),
     }
 
 
 def serialize_burst_contention(view) -> dict:
     return {
-        "racks": np.asarray(view.racks, dtype=str).tolist(),
-        "max_contention": np.asarray(view.max_contention, dtype=np.int64).tolist(),
-        "lossy": np.asarray(view.lossy, dtype=bool).tolist(),
-        "first_loss_contention": np.asarray(
-            view.first_loss_contention, dtype=np.int64
-        ).tolist(),
+        "racks": np.asarray(view.racks, dtype=str),
+        "max_contention": np.asarray(view.max_contention, dtype=np.int64),
+        "lossy": np.asarray(view.lossy, dtype=bool),
+        "first_loss_contention": np.asarray(view.first_loss_contention, dtype=np.int64),
     }
 
 
@@ -148,7 +157,7 @@ def serialize_dataset(dataset) -> dict:
         "region": dataset.region,
         "runs": int(runs["rack_id"].size),
         "racks": int(np.unique(runs["rack_id"]).size),
-        "hours": np.unique(runs["hour"]).astype(np.int64).tolist(),
+        "hours": np.unique(runs["hour"]).astype(np.int64),
     }
 
 
@@ -184,48 +193,57 @@ class Query:
 class _Flight:
     """One in-flight generation shared by every identical query.
 
-    Publishes progress events to live subscribers and records them, so
-    a subscriber that joins mid-flight replays the prefix it missed —
-    every subscriber sees the same event sequence regardless of when it
-    arrived.  Closed exactly once via :meth:`finish`.
+    Hands each event to every subscriber (a non-blocking callable) and
+    records it, so a subscriber that joins mid-flight replays the prefix
+    it missed — every subscriber sees the same event sequence regardless
+    of when it arrived.  :meth:`finish` ends the flight with one
+    terminal ``result`` or ``error`` event; only its first call counts.
     """
 
     def __init__(self, key: Query) -> None:
         self.key = key
-        self.result: dict | None = None
-        self.error: BaseException | None = None
         self._lock = threading.Lock()
         self._events: list[dict] = []
-        self._queues: list[queue.SimpleQueue] = []
+        self._subscribers: list[Deliver] = []
         self._done = False
 
-    def subscribe(self) -> queue.SimpleQueue:
-        stream: queue.SimpleQueue = queue.SimpleQueue()
+    def subscribe(self, deliver: Deliver) -> None:
         with self._lock:
-            for event in self._events:
-                stream.put(event)
-            if self._done:
-                stream.put(_DONE)
-            else:
-                self._queues.append(stream)
-        return stream
+            replayed = all(_handed(deliver, event) for event in self._events)
+            if replayed and not self._done:
+                self._subscribers.append(deliver)
 
     def publish(self, event: dict) -> None:
         with self._lock:
-            if self._done:
-                return
-            self._events.append(event)
-            for stream in self._queues:
-                stream.put(event)
+            if not self._done:
+                self._send(event)
 
     def finish(self, result: dict | None, error: BaseException | None) -> None:
+        if error is not None:
+            event = {"event": "error", "error": type(error).__name__, "detail": str(error)}
+        else:
+            event = {"event": "result", "data": result}
         with self._lock:
-            self.result = result
-            self.error = error
-            self._done = True
-            for stream in self._queues:
-                stream.put(_DONE)
-            self._queues.clear()
+            if not self._done:
+                self._done = True
+                self._send(event)
+                self._subscribers.clear()
+
+    def _send(self, event: dict) -> None:
+        self._events.append(event)
+        self._subscribers = [deliver for deliver in self._subscribers if _handed(deliver, event)]
+
+
+def _handed(deliver: Deliver, event: dict) -> bool:
+    """Hand ``event`` to one subscriber; False if it raised (say, its
+    event loop has closed), which drops it and never stops delivery to
+    the others."""
+    try:
+        deliver(event)
+    except Exception:
+        logger.warning("dropped a query subscriber that raised", exc_info=True)
+        return False
+    return True
 
 
 @dataclass
@@ -255,8 +273,9 @@ class QueryService:
     """The transport-independent service: flights, pool, telemetry.
 
     The HTTP layer (:mod:`repro.service.server`) maps requests onto
-    :meth:`stream` and renders the yielded events as NDJSON lines;
-    tests drive :meth:`stream` directly.
+    :meth:`subscribe` and renders the delivered events as NDJSON lines;
+    tests and the benchmark drive :meth:`stream`, a blocking iterator
+    over the same subscription.
     """
 
     def __init__(self, config: ServiceConfig) -> None:
@@ -323,8 +342,10 @@ class QueryService:
 
     # -- query execution --------------------------------------------------
 
-    def stream(self, query: Query):
-        """Yield this query's event dicts; the last is result or error.
+    def subscribe(self, query: Query, deliver: Deliver) -> None:
+        """Start or join this query's flight; ``deliver`` (non-blocking)
+        then gets each of its events, in order, from whichever thread
+        produces it, the last being ``result`` or ``error``.
 
         The leader for a key executes the body on the request executor;
         coalesced followers only subscribe.  Events:
@@ -333,28 +354,40 @@ class QueryService:
         ``{"event": "shard", "tag": ..., "runs": ...}``  (per shard built)
         ``{"event": "result", "data": {...}}``
         ``{"event": "error", "error": type, "detail": str}``
+
+        Raises :class:`ConfigError`, delivering nothing, once the
+        service is shut down.
         """
         if self._closed:
             raise ConfigError("service is shut down")
         self.metrics.incr(REQUESTS)
         flight, leader = self._acquire_flight(query)
-        stream = flight.subscribe()
-        yield {"event": "start", "query": query.tag, "coalesced": not leader}
         if leader:
-            self._executor.submit(self._run_flight, flight, query)
+            try:
+                future = self._executor.submit(self._run_flight, flight, query)
+            except RuntimeError:  # the executor shut down since the check
+                self._cancel_flight(flight, query)
+                raise ConfigError("service is shut down") from None
+
+            def cancelled(done) -> None:
+                # A flight the drain cancels before it starts still ends.
+                if done.cancelled():
+                    self._cancel_flight(flight, query)
+
+            future.add_done_callback(cancelled)
+        deliver({"event": "start", "query": query.tag, "coalesced": not leader})
+        flight.subscribe(deliver)
+
+    def stream(self, query: Query):
+        """Yield this query's events (see :meth:`subscribe`), blocking
+        for each; the last is ``result`` or ``error``."""
+        events: queue.SimpleQueue = queue.SimpleQueue()
+        self.subscribe(query, events.put)
         while True:
-            event = stream.get()
-            if event is _DONE:
-                break
+            event = events.get()
             yield event
-        if flight.error is not None:
-            yield {
-                "event": "error",
-                "error": type(flight.error).__name__,
-                "detail": str(flight.error),
-            }
-        else:
-            yield {"event": "result", "data": flight.result}
+            if event["event"] in TERMINAL_EVENTS:
+                return
 
     def _acquire_flight(self, query: Query) -> tuple[_Flight, bool]:
         with self._flights_lock:
@@ -392,9 +425,21 @@ class QueryService:
             error = exc
             self.metrics.incr(FAILED)
         finally:
-            with self._flights_lock:
-                self._flights.pop(query, None)
-            flight.finish(result, error)
+            self._end_flight(flight, query, result, error)
+
+    def _end_flight(
+        self, flight: _Flight, query: Query, result: dict | None, error: BaseException | None
+    ) -> None:
+        with self._flights_lock:
+            self._flights.pop(query, None)
+        flight.finish(result, error)
+
+    def _cancel_flight(self, flight: _Flight, query: Query) -> None:
+        """End a flight whose body never ran: the service is draining."""
+        self.metrics.incr(FAILED)
+        self._end_flight(
+            flight, query, None, WorkerCancelled(0, 1, "the service is shutting down")
+        )
 
     def _execute(self, query: Query, publish) -> dict:
         def on_shard(record: dict) -> None:
@@ -459,7 +504,9 @@ class QueryService:
     def shutdown(self, wait: bool = True) -> None:
         """Graceful drain: stop admitting queries, cancel queued fleet
         work (in-flight build tasks finish; see ``run_windowed``), and
-        release both executors.  Idempotent."""
+        release both executors.  A query still queued for a request
+        thread ends with a ``WorkerCancelled`` error event.
+        Idempotent."""
         if self._closed:
             return
         self._closed = True

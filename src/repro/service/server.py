@@ -21,13 +21,18 @@ request joined an in-flight identical query), one ``shard`` event per
 shard the build lands, then exactly one terminal ``result`` or
 ``error`` event.  Identical concurrent requests receive bit-identical
 event sequences (single-flight replay; see
-:class:`repro.service.core._Flight`).
+:class:`repro.service.core._Flight`).  Every body is encoded by
+:func:`encode_json`, which writes numpy result columns without building
+a Python list.
 
 Query bodies are blocking (process-pool fan-out, shard folds), so they
-run on the service's request-thread executor; the loop thread only
-shuttles events to sockets.  SIGTERM/SIGINT trigger a graceful drain:
-stop accepting, cancel queued fleet work, let in-flight build tasks
-finish, then exit.
+run on the service's request-thread executor, which hands each event to
+the loop thread (``call_soon_threadsafe``); the loop thread only encodes
+events and writes them to sockets.  SIGTERM/SIGINT trigger a graceful
+drain: stop accepting, cancel queued fleet work, let in-flight build
+tasks finish, then exit.  A query still queued for a request thread
+ends with an ``error`` event, and a query that arrives after the drain
+is refused with ``503``.
 """
 
 from __future__ import annotations
@@ -36,9 +41,12 @@ import asyncio
 import json
 import signal
 import urllib.parse
+from functools import partial
+
+import numpy as np
 
 from ..errors import ConfigError
-from .core import Query, QueryService
+from .core import TERMINAL_EVENTS, Query, QueryService
 
 #: NDJSON routes -> query kind.
 _QUERY_ROUTES = {
@@ -62,9 +70,91 @@ def _response_head(
     ).encode("ascii")
 
 
+#: ``json.dumps(..., sort_keys=True)``'s encoder: sorted keys make
+#: identical events byte-identical across requests.
+_JSON = json.JSONEncoder(sort_keys=True)
+
+#: A bool column's element encodings, indexed by value.
+_BOOLS = np.array(["false", "true"], dtype=object)
+
+
+def encode_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True)`` of ``obj`` with every numpy
+    array in it replaced by its ``tolist()``, byte for byte: the one
+    encoder of every body the server writes.
+
+    A 1-D int, bool or str column encodes each distinct value once and
+    joins the texts, so no Python object is built or escape-checked per
+    element; a float column (its values need ``repr``) and any other
+    array encode their ``tolist()``.  Containers without an array go to
+    ``json`` whole.
+    """
+    if isinstance(obj, np.ndarray):
+        return _encode_column(obj)
+    if not _holds_array(obj):
+        return _JSON.encode(obj)
+    if isinstance(obj, dict):
+        fields = (f"{_encode_key(key)}: {encode_json(value)}" for key, value in sorted(obj.items()))
+        return "{" + ", ".join(fields) + "}"
+    return "[" + ", ".join(map(encode_json, obj)) + "]"
+
+
+def _holds_array(obj) -> bool:
+    if isinstance(obj, np.ndarray):
+        return True
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return False
+    return any(map(_holds_array, obj))
+
+
+def _encode_key(key) -> str:
+    # json writes an int, float, bool or None key as its own encoding, quoted.
+    return _JSON.encode(key if isinstance(key, str) else _JSON.encode(key))
+
+
+def _encode_column(column: np.ndarray) -> str:
+    kind = column.dtype.kind
+    if column.ndim != 1 or column.size == 0 or kind not in "biuU":
+        return _JSON.encode(column.tolist())
+    if kind == "U":
+        return _encode_strs(column)
+    if kind == "b":
+        parts = _BOOLS[column.astype(np.intp)]
+    else:
+        parts = _int_parts(column)
+    return "[" + ", ".join(parts.tolist()) + "]"
+
+
+def _int_parts(column: np.ndarray) -> np.ndarray:
+    """Each element's text, from one text per value of the column's
+    range when it is no wider than the column, else per distinct value."""
+    low, high = int(column.min()), int(column.max())
+    if high - low < column.size:
+        # A narrow range: encode every value in it, index by offset.
+        if column.dtype.itemsize < 8:
+            column = column.astype(np.int64)
+        offsets = column - column.dtype.type(low)
+        texts = [str(value) for value in range(low, high + 1)]
+    else:
+        values, offsets = np.unique(column, return_inverse=True)
+        texts = [str(value) for value in values.tolist()]
+    return np.array(texts, dtype=object)[offsets.astype(np.intp)]
+
+
+def _encode_strs(column: np.ndarray) -> str:
+    # Runs of equal strings (one per rack in a rack-major column): each
+    # distinct string is escaped once and each run repeats its text.
+    starts = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    names = column[starts].tolist()
+    lengths = np.diff(starts, append=column.size).tolist()
+    texts = {name: _JSON.encode(name) + ", " for name in set(names)}
+    return "[" + "".join([texts[name] * length for name, length in zip(names, lengths)])[:-2] + "]"
+
+
 def _json_line(payload: dict) -> bytes:
-    # sort_keys so identical events are byte-identical across requests.
-    return json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+    return (encode_json(payload) + "\n").encode("utf-8")
 
 
 def _chunk(data: bytes) -> bytes:
@@ -207,6 +297,16 @@ class ReproServer:
     async def _stream_query(
         self, writer: asyncio.StreamWriter, query: Query
     ) -> None:
+        # The flight hands each event to this loop from whichever thread
+        # produces it.  Subscribing before the head goes out lets a
+        # drained service refuse with a status, not a truncated 200.
+        events: asyncio.Queue = asyncio.Queue()
+        loop = asyncio.get_running_loop()
+        try:
+            self.service.subscribe(query, partial(loop.call_soon_threadsafe, events.put_nowait))
+        except ConfigError as exc:
+            await self._finish(writer, 503, "Service Unavailable", {"error": str(exc)})
+            return
         # Chunked framing, not read-to-EOF: long-lived pool workers can
         # hold an inherited duplicate of this socket (fork), so clients
         # must be able to recognize end-of-response without the FIN.
@@ -215,24 +315,19 @@ class ReproServer:
                 200, "OK", "application/x-ndjson", "Transfer-Encoding: chunked"
             )
         )
-        await writer.drain()
-        loop = asyncio.get_running_loop()
-        events = self.service.stream(query)
         while True:
-            # The generator blocks on the flight queue; pull each event
-            # on a worker thread so the loop keeps serving others.
-            event = await loop.run_in_executor(None, _next_or_none, events)
-            if event is None:
-                break
+            event = await events.get()
             writer.write(_chunk(_json_line(event)))
             await writer.drain()
+            if event["event"] in TERMINAL_EVENTS:
+                break
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 
     async def _finish(
         self, writer: asyncio.StreamWriter, status: int, reason: str, payload: dict
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+        body = _json_line(payload)
         writer.write(
             _response_head(
                 status, reason, "application/json",
@@ -244,10 +339,6 @@ class ReproServer:
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
-
-
-def _next_or_none(iterator):
-    return next(iterator, None)
 
 
 def run_server(

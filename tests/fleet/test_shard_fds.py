@@ -1,16 +1,16 @@
 """File-descriptor hygiene of the shard loader.
 
-Every view reads through ``columns()``, which memmaps each shard's
-tables through ``iter_frames()``; a mapping left open leaks an fd per
+Every view reads through ``columns()``, which maps each shard's tables
+(ndarrays over an ``mmap.mmap`` each) through ``iter_frames()``; a mapping left open leaks an fd per
 table per shard, so a few hundred shards exhaust the default ulimit
 mid-report.  These tests regress the leak directly: with >100 shards on
 disk, repeated full-store passes must leave the process fd count where
 it started.
 """
 
+import mmap
 import os
 
-import numpy as np
 import pytest
 
 from repro.config import FleetConfig
@@ -81,7 +81,7 @@ def test_direct_frame_iteration_bounds_fds(sharded):
     baseline = _open_fds()
     streamed = 0
     for runs, bursts in sharded.iter_frames(("runs", "bursts")):
-        assert isinstance(runs, np.memmap) and isinstance(bursts, np.memmap)
+        assert isinstance(runs.base, mmap.mmap) and isinstance(bursts.base, mmap.mmap)
         assert runs.shape[0] >= 1
         # While one frame is open at most its own two fds are extra.
         assert _open_fds() <= baseline + 2 + 4

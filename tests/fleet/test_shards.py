@@ -15,6 +15,7 @@ in-memory :func:`generate_region_dataset` as the oracle:
 """
 
 import json
+import mmap
 import os
 import re
 import tracemalloc
@@ -446,13 +447,20 @@ class TestOutOfCore:
         assert streaming_peak < total_bytes * 0.75 + 256 * 1024
 
     def test_iteration_is_lazy(self, sharded):
-        """iter_frames yields memmap-backed arrays, not in-heap copies."""
+        """iter_frames yields read-only views over an ``mmap.mmap`` of
+        each shard file, not in-heap copies, and closes a shard's maps
+        when the iteration advances."""
         frames = sharded.iter_frames(("runs", "bursts"))
         runs, bursts = next(frames)
-        assert isinstance(runs, np.memmap)
-        assert isinstance(bursts, np.memmap)
+        maps = (runs.base, bursts.base)
+        assert all(isinstance(mapping, mmap.mmap) for mapping in maps)
+        assert not runs.flags.owndata and not runs.flags.writeable
         assert runs.shape[1] == len(TABLES["runs"])
+        assert not any(mapping.closed for mapping in maps)
+        following = next(frames)
+        assert all(mapping.closed for mapping in maps)
         frames.close()
+        assert all(table.base.closed for table in following)
 
 
 class TestWarmReads:

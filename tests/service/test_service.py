@@ -4,14 +4,18 @@ Covers the service contracts end to end:
 
 * query validation and the flight-key tag;
 * single-flight coalescing — N identical concurrent queries run ONE
-  generation and every subscriber sees the same event sequence;
-* bit-exactness — the NDJSON ``result`` payload over real HTTP equals
-  the module serializers applied to a one-shot
-  :class:`ExperimentContext` (the CLI path) on a separate store;
+  generation and every subscriber sees the same event sequence; a
+  subscriber that raises never stops delivery to the others;
+* bit-exactness — each NDJSON ``result`` line over real HTTP equals
+  ``json.dumps(..., sort_keys=True)`` of the module serializers'
+  output (columns as lists) on a one-shot :class:`ExperimentContext`
+  (the CLI path) on a separate store;
 * crash containment — SIGKILLing the pool's workers (idle and
   mid-build) yields a ``retry`` event, a replaced pool, a correct
   result, and a consistent shard store;
-* the ``/metrics`` schema and the draining-shutdown behaviour.
+* the ``/metrics`` schema and the draining-shutdown behaviour: a query
+  still queued at the drain ends with an ``error`` event (and the
+  server exits), and a query that arrives after it gets ``503``.
 """
 
 import copy
@@ -21,6 +25,7 @@ import json
 import os
 import signal
 import socket
+import sys
 import threading
 import time
 
@@ -34,15 +39,23 @@ from repro.obs.manifest import validate_service_metrics
 from repro.service.core import (
     COALESCED,
     EXECUTED,
+    FAILED,
     POOL_REPLACED,
     REQUESTS,
     Query,
     QueryService,
     ServiceConfig,
+    _Flight,
     serialize_burst_contention,
+    serialize_dataset,
+    serialize_hourly_boxes,
+    serialize_profiles,
+    serialize_run_contention,
     serialize_table1,
 )
+from repro.service.server import encode_json
 from tests.fleet.dataset_reference import decode_summaries
+from tests.test_properties_encoder import reference
 
 FLEET = FleetConfig(racks_per_region=2, runs_per_rack=2, seed=90125)
 
@@ -142,22 +155,80 @@ class TestSingleFlight:
         finally:
             service.shutdown()
 
+    def test_subscribers_racing_a_flight_see_every_event_once(self):
+        """Threads that subscribe while a flight publishes (a short
+        switch interval forces interleavings) each get the whole event
+        sequence in order, with exactly one terminal event last."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(20):
+                flight = _Flight(Query(kind="table1", region="RegA"))
+                seen: list[list[dict]] = [[] for _ in range(8)]
+                go = threading.Barrier(len(seen) + 1)
+
+                def subscriber(events: list[dict]) -> None:
+                    go.wait(timeout=30)
+                    flight.subscribe(events.append)
+
+                threads = [threading.Thread(target=subscriber, args=(events,)) for events in seen]
+                for thread in threads:
+                    thread.start()
+                go.wait(timeout=30)
+                for index in range(50):
+                    flight.publish({"event": "shard", "index": index})
+                flight.finish({"answer": 42}, None)
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                expected = [{"event": "shard", "index": index} for index in range(50)]
+                expected.append({"event": "result", "data": {"answer": 42}})
+                assert all(events == expected for events in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_raising_subscriber_never_breaks_delivery(self):
+        """A subscriber whose delivery raises (say, its event loop has
+        closed) is dropped; the others get every event, the terminal
+        one exactly once, whether they joined live or replayed."""
+        flight = _Flight(Query(kind="table1", region="RegA"))
+        before, after = [], []
+
+        def broken(event):
+            raise RuntimeError("Event loop is closed")
+
+        flight.subscribe(broken)
+        flight.subscribe(before.append)
+        flight.publish({"event": "shard", "tag": "t0"})
+        flight.subscribe(broken)
+        flight.finish({"answer": 42}, None)
+        flight.finish(None, RuntimeError("late"))  # only the first counts
+        flight.subscribe(after.append)
+        assert before == after == [
+            {"event": "shard", "tag": "t0"},
+            {"event": "result", "data": {"answer": 42}},
+        ]
+
 
 # -- result serializers ------------------------------------------------------
 
 
 class TestSerializers:
-    def test_burst_racks_serialize_as_python_strs(self, tmp_path):
-        """The burst view's rack names leave as plain ``str`` and encode
-        to the same JSON bytes as converting them one at a time."""
+    def test_burst_body_encodes_to_per_element_bytes(self, tmp_path):
+        """The burst body's columns stay numpy arrays, and the transport
+        encodes them to the bytes of converting every element to a
+        Python value (rack names to ``str``) and ``json.dumps``."""
         ctx = ExperimentContext(fleet=FLEET, store_dir=str(tmp_path))
         view = ctx.burst_contention("RegA")
         body = serialize_burst_contention(view)
-        assert body["racks"] and all(type(rack) is str for rack in body["racks"])
-        per_element = {**body, "racks": [str(rack) for rack in view.racks]}
-        assert json.dumps(body, sort_keys=True).encode() == json.dumps(
-            per_element, sort_keys=True
-        ).encode()
+        assert view.racks.size > 0
+        per_element = {
+            "racks": [str(rack) for rack in view.racks],
+            "max_contention": [int(value) for value in view.max_contention],
+            "lossy": [bool(value) for value in view.lossy],
+            "first_loss_contention": [int(value) for value in view.first_loss_contention],
+        }
+        assert encode_json(body) == json.dumps(per_element, sort_keys=True)
 
 
 # -- HTTP transport and CLI equivalence --------------------------------------
@@ -202,8 +273,8 @@ def served(tmp_path):
     assert service.healthz()["status"] == "draining"
 
 
-def _get_ndjson(port: int, target: str) -> list[dict]:
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=300)
+def _get_lines(port: int, target: str, timeout: float = 300) -> list[str]:
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
     try:
         conn.request("GET", target)
         response = conn.getresponse()
@@ -212,7 +283,11 @@ def _get_ndjson(port: int, target: str) -> list[dict]:
         body = response.read()  # http.client strips the chunked framing
     finally:
         conn.close()
-    return [json.loads(line) for line in body.decode("utf-8").splitlines()]
+    return body.decode("utf-8").splitlines()
+
+
+def _get_ndjson(port: int, target: str, timeout: float = 300) -> list[dict]:
+    return [json.loads(line) for line in _get_lines(port, target, timeout)]
 
 
 def _get_json(port: int, target: str) -> tuple[int, dict]:
@@ -257,6 +332,34 @@ class TestHTTPService:
         again = _get_ndjson(port, "/v1/table1?region=RegA")
         assert again[-1] == events[-1]
         assert not any(e["event"] == "shard" for e in again)
+
+    def test_result_lines_equal_the_reference_encoding(self, served, tmp_path):
+        """Every query's ``result`` line over HTTP is exactly
+        ``json.dumps(..., sort_keys=True)`` of the serializer output
+        with its columns as lists, computed on a one-shot context."""
+        server, _service, _socket_path = served
+        oracle_ctx = ExperimentContext(
+            fleet=FLEET, store_dir=str(tmp_path / "oracle-store")
+        )
+        for region in ("RegA", "RegB"):
+            expected = {
+                "/v1/dataset": serialize_dataset(oracle_ctx.dataset(region)),
+                "/v1/table1": serialize_table1(oracle_ctx.table1_row(region)),
+                "/v1/figure?name=hourly_boxes": serialize_hourly_boxes(
+                    oracle_ctx.hourly_boxes(region)
+                ),
+                "/v1/figure?name=run_contention": serialize_run_contention(
+                    oracle_ctx.run_contention(region)
+                ),
+                "/v1/figure?name=burst_contention": serialize_burst_contention(
+                    oracle_ctx.burst_contention(region)
+                ),
+                "/v1/figure?name=profiles": serialize_profiles(oracle_ctx.profiles(region)),
+            }
+            for route, data in expected.items():
+                separator = "&" if "?" in route else "?"
+                lines = _get_lines(server.bound_port, f"{route}{separator}region={region}")
+                assert lines[-1] == reference({"event": "result", "data": data}), route
 
     def test_dataset_body_matches_decoded_summaries(self, served, tmp_path):
         """``/v1/dataset`` answers from the run table; its body equals
@@ -425,3 +528,133 @@ class TestLifecycleAndMetrics:
         assert service.cancel_event.is_set()
         with pytest.raises(ConfigError):
             list(service.stream(Query(kind="table1", region="RegA")))
+
+
+def _gate(service: QueryService, monkeypatch) -> tuple[threading.Event, threading.Event]:
+    """Replace the service's query body with one that blocks until
+    released: returns (started, release)."""
+    started, release = threading.Event(), threading.Event()
+
+    def gated_execute(query, publish):
+        started.set()
+        assert release.wait(timeout=60)
+        return {"answer": query.tag}
+
+    monkeypatch.setattr(service, "_execute", gated_execute, raising=False)
+    return started, release
+
+
+class TestDrain:
+    """A drain ends every query it admitted; later ones are refused.
+
+    Each wait is bounded: a query that never ends fails the test."""
+
+    def test_query_queued_at_drain_ends_with_an_error(self, tmp_path, monkeypatch):
+        service = QueryService(
+            ServiceConfig(fleet=FLEET, store_dir=str(tmp_path), request_threads=1)
+        )
+        started, release = _gate(service, monkeypatch)
+        streams: dict[str, list[dict]] = {"running": [], "queued": []}
+
+        def client(slot: str, query: Query) -> None:
+            for event in service.stream(query):
+                streams[slot].append(event)
+
+        running = threading.Thread(
+            target=client, args=("running", Query(kind="table1", region="RegA")), daemon=True
+        )
+        running.start()
+        assert started.wait(timeout=30)
+        queued = threading.Thread(
+            target=client, args=("queued", Query(kind="table1", region="RegB")), daemon=True
+        )
+        queued.start()
+        # Its start event follows the submit: the query is queued.
+        assert _wait_for(lambda: streams["queued"])
+        drain = threading.Thread(target=service.shutdown, daemon=True)
+        drain.start()
+        try:
+            queued.join(timeout=30)
+            assert not queued.is_alive(), "the queued query never ended"
+        finally:
+            release.set()
+        drain.join(timeout=60)
+        running.join(timeout=60)
+        assert not drain.is_alive() and not running.is_alive()
+
+        start, error = streams["queued"]
+        assert start == {"event": "start", "query": "table1/RegB", "coalesced": False}
+        assert error["event"] == "error" and error["error"] == "WorkerCancelled"
+        assert "shutting down" in error["detail"]
+        assert streams["running"][-1] == {"event": "result", "data": {"answer": "table1/RegA"}}
+        assert service.metrics.counter(FAILED) == 1
+        assert service.healthz()["in_flight"] == 0
+
+    def test_server_exits_after_ending_a_queued_query(self, tmp_path, monkeypatch):
+        """``repro serve``'s loop (``asyncio.run``) ends once a drain
+        has cancelled a queued query, whose client reads an error."""
+        import asyncio
+
+        from repro.service.server import ReproServer
+
+        service = QueryService(
+            ServiceConfig(fleet=FLEET, store_dir=str(tmp_path), request_threads=1)
+        )
+        started, release = _gate(service, monkeypatch)
+        server = ReproServer(service, host="127.0.0.1", port=0)
+        ready = threading.Event()
+        loops = []
+
+        async def main() -> None:
+            loops.append(asyncio.get_running_loop())
+            await server.start()
+            ready.set()
+            await server.serve_forever(install_signals=False)
+
+        serving = threading.Thread(target=asyncio.run, args=(main(),), daemon=True)
+        serving.start()
+        assert ready.wait(timeout=30)
+        port = server.bound_port
+        answers: dict[str, list[dict]] = {}
+
+        def client(slot: str, region: str) -> None:
+            answers[slot] = _get_ndjson(port, f"/v1/table1?region={region}", timeout=30)
+
+        running = threading.Thread(target=client, args=("running", "RegA"), daemon=True)
+        running.start()
+        assert started.wait(timeout=30)
+        queued = threading.Thread(target=client, args=("queued", "RegB"), daemon=True)
+        queued.start()
+        assert _wait_for(lambda: service.metrics.counter(REQUESTS) >= 2)
+        loops[0].call_soon_threadsafe(server.request_stop)
+        try:
+            queued.join(timeout=40)
+            assert not queued.is_alive()
+        finally:
+            release.set()
+            running.join(timeout=60)
+            serving.join(timeout=60)
+            # A flight the drain left unended blocks a loop executor
+            # thread, which the interpreter joins at exit: end it, so a
+            # failure here fails the test instead of hanging the run.
+            for flight in list(service._flights.values()):
+                flight.finish(None, RuntimeError("left unended by the drain"))
+        assert not running.is_alive()
+        assert not serving.is_alive(), "the server never exited"
+        assert [event["event"] for event in answers["queued"]] == ["start", "error"]
+        assert answers["queued"][-1]["error"] == "WorkerCancelled"
+        assert answers["running"][-1]["event"] == "result"
+
+    @pytest.mark.parametrize("drained", ["service", "executor"])
+    def test_query_after_drain_gets_503(self, served, drained):
+        """A query the drained service cannot run is refused before any
+        response head, never a ``200`` with a truncated body; so is one
+        that finds only the request executor shut down."""
+        server, service, _socket_path = served
+        if drained == "service":
+            service.shutdown()
+        else:
+            service._executor.shutdown(wait=True)
+        status, body = _get_json(server.bound_port, "/v1/table1?region=RegA")
+        assert (status, body) == (503, {"error": "service is shut down"})
+        assert service.healthz()["in_flight"] == 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -145,6 +146,10 @@ class Millisampler:
         self.stats = SamplerStats()
 
         self._state = SamplerState.DETACHED
+        #: Called after attach() or detach() moves the filter into or
+        #: out of the packet path; a host's tap chain registers here so
+        #: it dispatches only to installed filters.
+        self.watchers: list[Callable[[], None]] = []
         # The maps are allocated by the first enable(): most hosts of a
         # simulated rack never record a run.
         self._counters: CounterSet | None = None
@@ -174,6 +179,7 @@ class Millisampler:
         if self._state is not SamplerState.DETACHED:
             raise SamplerError("filter already attached")
         self._state = SamplerState.DISABLED
+        self._notify_watchers()
 
     def enable(self) -> None:
         """Set the enabled flag, starting a run on the next packet."""
@@ -218,6 +224,11 @@ class Millisampler:
         if self._state is SamplerState.ENABLED:
             raise SamplerError("cannot detach mid-run; wait for the enabled flag to clear")
         self._state = SamplerState.DETACHED
+        self._notify_watchers()
+
+    def _notify_watchers(self) -> None:
+        for watcher in self.watchers:
+            watcher()
 
     # -- packet path --------------------------------------------------------
 

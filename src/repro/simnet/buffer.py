@@ -46,6 +46,9 @@ class BufferAdmission(NamedTuple):
     reason: str = ""
 
 
+_tuple_new = tuple.__new__
+
+
 @dataclass(slots=True)
 class QueueState:
     """One queue's charges and counters inside a :class:`SharedBuffer`."""
@@ -178,8 +181,12 @@ class SharedBuffer:
         except KeyError:
             raise SimulationError(f"unknown queue {queue_id!r}") from None
 
-        dedicated_free = self._dedicated_cap - state.dedicated_used
-        from_dedicated = min(size, max(dedicated_free, 0))
+        # min(size, max(dedicated free, 0)), by comparisons.
+        from_dedicated = self._dedicated_cap - state.dedicated_used
+        if from_dedicated > size:
+            from_dedicated = size
+        elif from_dedicated < 0:
+            from_dedicated = 0
         from_shared = size - from_dedicated
 
         if from_shared > 0:
@@ -208,7 +215,9 @@ class SharedBuffer:
         state.occupancy += size
         state.admitted_bytes += size
         self._shared_occupancy += from_shared
-        admission = BufferAdmission(True, from_dedicated, from_shared)
+        # tuple.__new__ straight: the named tuple's own __new__ is a
+        # Python function, one more call per admitted packet.
+        admission = _tuple_new(BufferAdmission, (True, from_dedicated, from_shared, ""))
         if self._audit is not NOOP_TAP:
             self._audit.on_admit(self, queue_id, size, admission)
         return admission

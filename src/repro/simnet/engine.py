@@ -8,6 +8,10 @@ An event is a callback plus its positional arguments, stored as the
 heap entry ``(time, seq, callback, args)``: components schedule bound
 methods with the packet they act on (``engine.at(t, deliver, packet)``)
 instead of wrapping each event in a fresh closure.
+
+``now`` is a plain attribute that only the engine writes: every
+component reads it at least once per event, so a property would be a
+Python call on each read.
 """
 
 from __future__ import annotations
@@ -24,16 +28,12 @@ class Engine:
     """Event loop with absolute simulated time in seconds."""
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
+        #: Current simulated time (seconds); read-only outside the engine.
+        self.now = start_time
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._sequence = itertools.count()
         self._events_run = 0
         self._audit = active_tap()
-
-    @property
-    def now(self) -> float:
-        """Current simulated time (seconds)."""
-        return self._now
 
     @property
     def events_run(self) -> int:
@@ -45,9 +45,9 @@ class Engine:
 
     def at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now - 1e-15:
+        if time < self.now - 1e-15:
             raise SimulationError(
-                f"cannot schedule event in the past ({time} < now {self._now})"
+                f"cannot schedule event in the past ({time} < now {self.now})"
             )
         if self._audit is not NOOP_TAP:
             self._audit.on_schedule(self, time)
@@ -59,7 +59,7 @@ class Engine:
             raise SimulationError("delay cannot be negative")
         # Pushed here rather than through at(): a delay >= 0 is never
         # in the past, and this is the busiest scheduling path.
-        time = self._now + delay
+        time = self.now + delay
         if self._audit is not NOOP_TAP:
             self._audit.on_schedule(self, time)
         heapq.heappush(self._heap, (time, next(self._sequence), callback, args))
@@ -71,7 +71,7 @@ class Engine:
         time, _seq, callback, args = heapq.heappop(self._heap)
         if self._audit is not NOOP_TAP:
             self._audit.on_advance(self, time)
-        self._now = time
+        self.now = time
         self._events_run += 1
         callback(*args)
         return True
@@ -91,16 +91,16 @@ class Engine:
         remaining = -1 if max_events is None else max(max_events, 0)
         while heap and heap[0][0] <= end_time:
             if remaining == 0:
-                raise SimulationError(f"event budget exhausted at t={self._now}")
+                raise SimulationError(f"event budget exhausted at t={self.now}")
             remaining -= 1
             time, _seq, callback, args = pop(heap)
             if audit is not None:
                 audit.on_advance(self, time)
-            self._now = time
+            self.now = time
             self._events_run += 1
             callback(*args)
-        if end_time > self._now:
-            self._now = end_time
+        if end_time > self.now:
+            self.now = end_time
 
     def run(self, max_events: int = 10_000_000) -> None:
         """Run until the event heap is empty."""

@@ -1,8 +1,9 @@
 """Simulated host: tap chain, packet demux, and an uplink to the ToR.
 
 The host is where Millisampler lives.  Every delivered packet runs
-through the ingress tap chain; every transmitted segment runs through
-the egress tap chain.
+through the live taps of the chain on ingress; every transmitted
+segment runs through them on egress.  A host whose samplers are all
+detached makes no tap call at all.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class Host:
             raise SimulationError(f"host {self.name} is not connected to a switch")
         if packet.src != self.name:
             raise SimulationError(f"host {self.name} cannot send packet from {packet.src}")
-        self.taps.dispatch(packet, Direction.EGRESS, self.engine.now)
+        for tap in self.taps.live:
+            tap.on_packet(packet, Direction.EGRESS, self.engine.now)
         self.sent_bytes += packet.size
         if self._audit is not NOOP_TAP:
             self._audit.on_host_send(self, packet)
@@ -75,7 +77,8 @@ class Host:
 
     def deliver(self, packet: Packet) -> None:
         """Receive a packet from the ToR: ingress taps, then demux."""
-        self.taps.dispatch(packet, Direction.INGRESS, self.engine.now)
+        for tap in self.taps.live:
+            tap.on_packet(packet, Direction.INGRESS, self.engine.now)
         self.received_bytes += packet.size
         if self._audit is not NOOP_TAP:
             self._audit.on_host_deliver(self, packet)

@@ -42,7 +42,9 @@ class Link:
         Serialization starts when the link frees up (FIFO), so the link
         naturally models head-of-line queueing at the sender.
         """
-        start = max(self.engine.now, self._busy_until)
+        start = self.engine.now
+        if self._busy_until > start:
+            start = self._busy_until
         serialization = packet.size / self.rate
         self._busy_until = start + serialization
         delivery_time = self._busy_until + self.propagation_delay

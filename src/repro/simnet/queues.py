@@ -64,19 +64,15 @@ class EgressQueue:
         if self._audit is not NOOP_TAP:
             self._audit.on_enqueue(self, packet)
         if not self._draining:
+            # The queue was empty, so this packet is the head: start
+            # draining it.
             self._draining = True
-            self._drain_next()
+            self.engine.after(packet.size / self.rate, self._finish_dequeue, packet, admission)
         return True
 
-    def _drain_next(self) -> None:
-        if not self._fifo:
-            self._draining = False
-            return
-        packet, admission = self._fifo[0]
-        self.engine.after(packet.size / self.rate, self._finish_dequeue, packet, admission)
-
     def _finish_dequeue(self, packet: Packet, admission: BufferAdmission) -> None:
-        head, head_admission = self._fifo.popleft()
+        fifo = self._fifo
+        head, head_admission = fifo.popleft()
         if head is not packet or head_admission is not admission:
             raise SimulationError("egress queue drained out of order")
         self.buffer.release(self.queue_id, admission)
@@ -86,4 +82,8 @@ class EgressQueue:
             self._audit.on_dequeue(self, packet)
         # Deliver after propagation; keep draining immediately.
         self.engine.after(self.propagation_delay, self.on_dequeue, packet)
-        self._drain_next()
+        if fifo:
+            head, head_admission = fifo[0]
+            self.engine.after(head.size / self.rate, self._finish_dequeue, head, head_admission)
+        else:
+            self._draining = False

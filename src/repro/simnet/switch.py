@@ -185,7 +185,11 @@ class ToRSwitch:
             self._enqueue(member, packet.copy_for(member))
 
     def _enqueue(self, server: str, packet: Packet) -> None:
-        queue = self.queue_for(server)
+        # queue_for() inlined: this runs once per forwarded packet.
+        try:
+            queue = self._queues[server]
+        except KeyError:
+            raise SimulationError(f"no queue for server {server!r}") from None
         # Static-threshold ECN marking at enqueue time (Section 3:
         # "a 120 KB static ECN threshold for all our ToRs").
         marked = False

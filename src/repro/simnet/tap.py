@@ -2,8 +2,9 @@
 
 A tap is "among the first programmable steps on the receipt of a packet
 and near the last step on transmission" (Section 4.1).  Hosts run every
-ingress packet (post-GRO) and egress packet (pre-TSO) through their tap
-chain; Millisampler attaches here via :class:`MillisamplerTap`.
+ingress packet (post-GRO) and egress packet (pre-TSO) through the live
+taps of their chain; Millisampler attaches here via
+:class:`MillisamplerTap`, and is live only while its filter is attached.
 """
 
 from __future__ import annotations
@@ -24,25 +25,46 @@ class PacketTap(Protocol):
 
 
 class TapChain:
-    """Ordered list of taps a host runs per packet."""
+    """Ordered list of taps a host runs per packet.
+
+    A detached Millisampler filter is not in the chain: Section 4.1,
+    "Detaching the tc filter ensures that no CPU time is used by the
+    Millisampler while it is disabled".  ``live`` holds the taps a host
+    dispatches to, in chain order: every attached tap except a
+    :class:`MillisamplerTap` whose sampler is detached.  Each such
+    sampler calls the chain back when it attaches or detaches, so
+    ``live`` stays current without a per-packet state check.  Taps with
+    no sampler are always live.
+    """
 
     def __init__(self) -> None:
         self._taps: list[PacketTap] = []
+        self.live: tuple[PacketTap, ...] = ()
 
     def attach(self, tap: PacketTap) -> None:
         if tap in self._taps:
             raise ValueError("tap already attached")
         self._taps.append(tap)
+        if isinstance(tap, MillisamplerTap):
+            tap.sampler.watchers.append(self._refresh)
+        self._refresh()
 
     def detach(self, tap: PacketTap) -> None:
         self._taps.remove(tap)
+        if isinstance(tap, MillisamplerTap):
+            tap.sampler.watchers.remove(self._refresh)
+        self._refresh()
 
     def __len__(self) -> int:
         return len(self._taps)
 
-    def dispatch(self, packet: Packet, direction: Direction, now: float) -> None:
-        for tap in self._taps:
-            tap.on_packet(packet, direction, now)
+    def _refresh(self) -> None:
+        self.live = tuple(
+            tap
+            for tap in self._taps
+            if not isinstance(tap, MillisamplerTap)
+            or tap.sampler.state is not SamplerState.DETACHED
+        )
 
 
 def rss_cpu(packet: Packet, cpus: int) -> int:
@@ -76,8 +98,8 @@ class MillisamplerTap:
         self._flow_cache: dict[FlowKey, tuple[tuple, int]] = {}
 
     def on_packet(self, packet: Packet, direction: Direction, now: float) -> None:
-        if self.sampler.state is SamplerState.DETACHED:
-            return
+        # No state check: the chain holds this tap only while the filter
+        # is attached, and observe() refuses a detached one.
         cached = self._flow_cache.get(packet.flow)
         if cached is None:
             if len(self._flow_cache) >= self._FLOW_CACHE_LIMIT:

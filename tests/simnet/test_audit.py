@@ -130,7 +130,7 @@ class TestEngineLaws:
             engine = Engine()
         engine.at(5.0, lambda: None)
         engine.run()
-        engine._now = 0.0  # simulate a buggy component rewinding time
+        engine.now = 0.0  # simulate a buggy component rewinding time
         with pytest.raises(InvariantViolation, match="no-past-scheduling"):
             engine.at(1.0, lambda: None)
 

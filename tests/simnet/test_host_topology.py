@@ -7,32 +7,49 @@ import pytest
 
 from repro.config import SamplerConfig
 from repro.core.counters import CounterSet
-from repro.core.millisampler import Direction
+from repro.core.millisampler import Direction, Millisampler
+from repro.core.run import RunMetadata
+from repro.core.scheduler import RunScheduler
+from repro.core.storage import HostRunStore
+from repro.core.syncsampler import SampledHost
 from repro.errors import SamplerError, SimulationError
 from repro.simnet.host import Host
 from repro.simnet.engine import Engine
 from repro.simnet.packet import FlowKey, Packet
-from repro.simnet.tap import TapChain, rss_cpu
+from repro.simnet.tap import MillisamplerTap, TapChain, rss_cpu
 from repro.simnet.topology import build_rack
 
 
 class RecordingTap:
-    def __init__(self):
+    def __init__(self, log=None):
         self.seen = []
+        self.log = log
 
     def on_packet(self, packet, direction, now):
         self.seen.append((packet.packet_id, direction, now))
+        if self.log is not None:
+            self.log.append(self)
+
+
+class CountingMillisamplerTap(MillisamplerTap):
+    """A sampler tap that counts the host's calls into it."""
+
+    calls = 0
+
+    def on_packet(self, packet, direction, now):
+        self.calls += 1
+        super().on_packet(packet, direction, now)
 
 
 class TestTapChain:
     def test_dispatch_order(self):
-        chain = TapChain()
-        first, second = RecordingTap(), RecordingTap()
-        chain.attach(first)
-        chain.attach(second)
-        packet = Packet("a", "b", 100, FlowKey("a", "b"))
-        chain.dispatch(packet, Direction.INGRESS, 1.0)
-        assert first.seen and second.seen
+        log = []
+        host = Host(Engine(), "h0")
+        first, second = RecordingTap(log), RecordingTap(log)
+        host.taps.attach(first)
+        host.taps.attach(second)
+        host.deliver(Packet("a", "h0", 100, FlowKey("a", "h0")))
+        assert log == [first, second]
 
     def test_double_attach_rejected(self):
         chain = TapChain()
@@ -47,6 +64,14 @@ class TestTapChain:
         chain.attach(tap)
         chain.detach(tap)
         assert len(chain) == 0
+
+    def test_taps_without_a_sampler_are_always_live(self):
+        chain = TapChain()
+        tap = RecordingTap()
+        chain.attach(tap)
+        assert chain.live == (tap,)
+        chain.detach(tap)
+        assert chain.live == ()
 
     def test_rss_cpu_consistent_per_flow(self):
         packet1 = Packet("a", "b", 10, FlowKey("a", "b", 1, 2))
@@ -96,6 +121,75 @@ class TestHost:
         host.register_flow(flow, lambda p: None)
         with pytest.raises(SimulationError):
             host.register_flow(flow, lambda p: None)
+
+
+def sampled_host(period=1.0):
+    """A host whose chain is [recording, sampler, recording] taps, with
+    the sampler's user-space agent; the sampler starts detached."""
+    engine = Engine()
+    host = Host(engine, "h0")
+    host.connect(lambda packet: None)
+    sampler = Millisampler(RunMetadata(host="h0", rack="r", region="RegA"), buckets=10)
+    scheduler = RunScheduler(period=period, run_duration=sampler.duration, first_start=0.5)
+    agent = SampledHost(sampler=sampler, scheduler=scheduler, store=HostRunStore("h0"))
+    before, after = RecordingTap(), RecordingTap()
+    tap = CountingMillisamplerTap(sampler, host.clock)
+    for each in (before, tap, after):
+        host.taps.attach(each)
+    return host, agent, tap, before, after
+
+
+def exchange(host):
+    host.send(Packet("h0", "x", 100, FlowKey("h0", "x")))
+    host.deliver(Packet("x", "h0", 200, FlowKey("x", "h0")))
+
+
+class TestDetachedFilterLeavesChain:
+    """Section 4.1: "Detaching the tc filter ensures that no CPU time is
+    used by the Millisampler while it is disabled"."""
+
+    def test_detached_sampler_tap_gets_no_call(self):
+        host, _, tap, before, after = sampled_host()
+        exchange(host)
+        assert tap.calls == 0
+        assert host.taps.live == (before, after)
+        assert len(before.seen) == len(after.seen) == 2
+
+    def test_poll_attach_and_detach_move_the_tap(self):
+        host, agent, tap, before, after = sampled_host()
+        agent.poll(0.5)  # the periodic run comes due: attach and enable
+        assert agent.sampler.enabled
+        assert host.taps.live == (before, tap, after)
+        exchange(host)
+        assert tap.calls == 2
+        assert agent.sampler.stats.packets_processed == 2
+        # The run's window elapses; the agent stores it and detaches.
+        agent.poll(0.5 + agent.sampler.duration + 1e-3)
+        assert agent.sampler.state.value == "detached"
+        assert host.taps.live == (before, after)
+        exchange(host)
+        assert tap.calls == 2
+        assert len(agent.store.start_times()) == 1
+
+    def test_len_counts_every_attached_tap(self):
+        host, agent, tap, _, _ = sampled_host()
+        assert len(host.taps) == 3
+        agent.poll(0.5)
+        assert len(host.taps) == 3
+        host.taps.detach(tap)
+        assert len(host.taps) == 2
+        assert agent.sampler.watchers == []
+
+    def test_stale_chain_raises_instead_of_skipping(self):
+        """If the chain missed a detach, observe() refuses the packet
+        rather than the tap silently dropping it."""
+        host, agent, tap, _, _ = sampled_host()
+        agent.poll(0.5)
+        agent.sampler.abort()
+        agent.sampler.watchers.clear()  # the chain stops hearing moves
+        agent.sampler.detach()
+        with pytest.raises(SamplerError, match="detached"):
+            host.deliver(Packet("x", "h0", 200, FlowKey("x", "h0")))
 
 
 class TestBuildRack:

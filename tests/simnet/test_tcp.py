@@ -4,6 +4,10 @@ import pytest
 
 from repro import units
 from repro.config import BufferConfig, RackConfig
+from repro.core.millisampler import Direction
+from repro.simnet.engine import Engine
+from repro.simnet.host import Host
+from repro.simnet.packet import FlowKey, Packet
 from repro.simnet.tcp import CubicControl, DctcpControl, RenoControl, open_connection
 from repro.simnet.tcp.base import TcpSender
 from repro.simnet.topology import build_rack
@@ -239,3 +243,43 @@ class TestSenderMechanics:
         rack.engine.run_until(1.0)
         assert sender.srtt is not None
         assert 0 < sender.srtt < 0.01
+
+
+class SegmentLog:
+    """Tap recording the (start, end) of every data segment a host sends."""
+
+    def __init__(self):
+        self.segments = []
+
+    def on_packet(self, packet, direction, now):
+        if direction is Direction.EGRESS and not packet.is_ack:
+            self.segments.append((packet.seq, packet.end_seq))
+
+
+class TestGoBackN:
+    def test_ack_past_snd_nxt_after_timeout_resends_nothing_acknowledged(self):
+        """After a go-back-N timeout the retransmission fills the
+        receiver's hole, so the cumulative ACK jumps past snd_nxt.  The
+        sender must resume at snd_una: resending from the old snd_nxt
+        sent acknowledged bytes again, beyond its window."""
+        engine = Engine()
+        host = Host(engine, "tx")
+        host.connect(lambda packet: None)  # the uplink swallows every packet
+        log = SegmentLog()
+        host.taps.attach(log)
+        flow = FlowKey("tx", "rx", 40_000, 443)
+        sender = TcpSender(
+            host, flow, RenoControl(mss=1000, initial_cwnd_segments=4), segment_bytes=1000
+        )
+        sender.send(20_000)
+        assert log.segments == [(0, 1000), (1000, 2000), (2000, 3000), (3000, 4000)]
+        engine.run_until(2 * sender.rto)
+        assert sender.timeouts == 1
+        assert log.segments[-1] == (0, 1000)  # go-back-N resends snd_una
+        del log.segments[:]
+        host.deliver(
+            Packet("rx", "tx", 64, flow.reversed(), is_ack=True, ack=4000, ecn_capable=False)
+        )
+        assert log.segments == [(seq, seq + 1000) for seq in range(4000, 9000, 1000)]
+        assert sender.snd_nxt == 9000
+        assert sender.flight == int(sender.control.cwnd) == 5000
